@@ -29,14 +29,9 @@ from .kalman import (
     FilterOutput,
     ForecastOutput,
     SmootherOutput,
-    StateSpaceSystem,
-    correct_step,
     forecast,
-    init_filter,
-    predict_step,
     run_filter,
     smooth,
-    state_space_system,
 )
 from .model import (
     LinearizationSchedule,

@@ -26,7 +26,7 @@ from .errors import (
     NoSolutionError,
     PrivCreditError,
 )
-from .kalman import forecast, run_filter, smooth
+from .kalman import forecast, run_filter
 from .model import (
     ModelParams,
     attach_asset_constants,
@@ -203,21 +203,19 @@ def _series_report_core(args, cfg, series, params, estimation):
         params, series.payout_ratio, series.n_periods
     )
     stats = e_step(params, series, schedule)
-    filt = run_filter(
-        params, schedule, series.growth, real_intercepts(params, schedule)
-    )
+    filt = stats.filter_output
     report = {
         "input": args.input,
         "params": _params_dict(params),
         "feasibility": _feasibility(params, series.payout_ratio, series.n_periods),
         "loglik": filt.loglik,
-        "filtered_multipliers": filt.z_filt[:, :2],
+        "filtered_multipliers": filt.m_filt,
         "smoothed_multipliers": stats.m_smooth,
         "smoothed_market_values": smoothed_market_values(stats, series),
     }
     if estimation is not None:
         report["estimation"] = estimation
-    return report, schedule, filt, stats
+    return report, stats
 
 
 def cmd_estimate(args):
@@ -244,7 +242,7 @@ def cmd_estimate(args):
         "lambda_after": trace.lambda_after,
         "max_change": trace.max_change,
     }
-    report, _, _, _ = _series_report_core(args, cfg, series, params, estimation)
+    report, _ = _series_report_core(args, cfg, series, params, estimation)
     report["command"] = "estimate"
     pio.write_report(report, path=args.output, stream=sys.stdout)
     if trace.termination.startswith("aborted"):
@@ -257,10 +255,10 @@ def cmd_filter(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
     params, estimation = _fit_or_load(args, cfg, series)
-    report, _, filt, _ = _series_report_core(args, cfg, series, params, estimation)
+    report, stats = _series_report_core(args, cfg, series, params, estimation)
     report["command"] = "filter"
-    report["filtered_multiplier_cov"] = filt.cov_z_filt[:, :2, :2]
-    report["predicted_growth"] = filt.b_pred[1:]
+    report["filtered_multiplier_cov"] = stats.filter_output.cov_m_filt
+    report["predicted_growth"] = stats.filter_output.b_pred[1:]
     pio.write_report(report, path=args.output, stream=sys.stdout)
     return 0
 
@@ -269,12 +267,9 @@ def cmd_smooth(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
     params, estimation = _fit_or_load(args, cfg, series)
-    report, schedule, filt, stats = _series_report_core(
-        args, cfg, series, params, estimation
-    )
-    smo = smooth(filt, params)
+    report, stats = _series_report_core(args, cfg, series, params, estimation)
     report["command"] = "smooth"
-    report["smoothed_multiplier_cov"] = smo.cov_m_smooth
+    report["smoothed_multiplier_cov"] = stats.cov_m
     pio.write_report(report, path=args.output, stream=sys.stdout)
     return 0
 
@@ -301,7 +296,7 @@ def cmd_forecast(args):
         "feasibility": _feasibility(params, ratio, horizon),
         "forecast_growth": fc.b_mean[fc.start :],
         "forecast_growth_cov": fc.cov_b[fc.start :],
-        "forecast_multipliers": fc.z_mean[fc.start :, :2],
+        "forecast_multipliers": fc.m_mean[fc.start :],
         "forecast_log_books": series.log_books()[-1]
         + fc.b_mean[fc.start :].cumsum(axis=0),
     }

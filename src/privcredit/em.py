@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataValidationError, DegenerateDesignError
-from .kalman import run_filter, smooth
+from .errors import DataValidationError, DegenerateDesignError, PrivCreditError
+from .kalman import FilterOutput, run_filter, smooth
 from .model import ModelParams, build_linearization_schedule, real_intercepts
 
 _LOG2PI = np.log(2.0 * np.pi)
@@ -31,6 +31,7 @@ class SmoothedStats:
     smoothed moments (``m_smooth``, ``cov_m``, ``cross_m``) are parameter-free
     and support re-evaluating the objective at any candidate parameter
     vector. ``cross_m[t]`` is Cov(m̃_{t-1}, m̃_t | full sample).
+    ``filter_output`` is the forward pass the moments were smoothed from.
     """
 
     m_smooth: np.ndarray
@@ -46,6 +47,7 @@ class SmoothedStats:
     payout_ratio: np.ndarray
     loglik: float
     params_at: ModelParams
+    filter_output: FilterOutput = None
 
     @property
     def n_periods(self):
@@ -82,36 +84,43 @@ def _gaussian_block_term(cov, second_moments, count, name):
     """Contribution of one Gaussian noise block to the expected joint
     log-density: normalization plus expected quadratic form.
 
-    An exactly-zero covariance is a point mass: it contributes nothing
+    ``second_moments`` stacks the (n, 2, 2) expected outer products. An
+    exactly-zero covariance is a point mass: it contributes nothing
     provided the matching second moments vanish too, and is rejected
     otherwise (the density does not exist off its support).
     """
     if not np.any(cov):
-        worst = max(np.abs(m).max() for m in second_moments)
-        if worst > 1e-12:
+        if np.abs(second_moments).max() > 1e-12:
             raise DataValidationError(
                 f"{name} is degenerate (zero) but residual moments are not"
             )
         return 0.0
     inv, logdet = _chol_inv_logdet(cov, name)
-    quad = sum(np.trace(inv @ m) for m in second_moments)
+    quad = (inv.T * second_moments.sum(axis=0)).sum()
     return -count * _LOG2PI - 0.5 * count * logdet - 0.5 * quad
 
 
-def _measurement_residual_cov(cov_m, cross_m, gain_t, t):
-    """Var(m̃_t − G_t m̃_{t-1} | full sample) from the m-block moments."""
-    g = gain_t
+def _measurement_residual_cov(cov_m, cross_m, g):
+    """Var(m̃_t − G_t m̃_{t-1} | full sample) for t = 1..T, shape (T, 2, 2)."""
+    x = cross_m[1:]
+    g_col, g_row = g[:, :, None], g[:, None, :]
     return (
-        cov_m[t]
-        + g[:, None] * cov_m[t - 1] * g[None, :]
-        - cross_m[t].T * g[None, :]
-        - g[:, None] * cross_m[t]
+        cov_m[1:]
+        + g_col * cov_m[:-1] * g_row
+        - x.transpose(0, 2, 1) * g_row
+        - g_col * x
     )
 
 
-def _state_residual_cov(cov_m, cross_m, t):
-    """Var(m̃_t − m̃_{t-1} | full sample)."""
-    return cov_m[t] + cov_m[t - 1] - cross_m[t] - cross_m[t].T
+def _state_residual_cov(cov_m, cross_m):
+    """Var(m̃_t − m̃_{t-1} | full sample) for t = 1..T, shape (T, 2, 2)."""
+    x = cross_m[1:]
+    return cov_m[1:] + cov_m[:-1] - x - x.transpose(0, 2, 1)
+
+
+def _outer(a, b):
+    """Row-wise outer products of two (T, 2) arrays."""
+    return a[:, :, None] * b[:, None, :]
 
 
 def _residual_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
@@ -125,18 +134,11 @@ def _residual_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
     u = growth + m_smooth[1:] - g * m_smooth[:-1] - c
     v = m_smooth[1:] - params.drift - m_smooth[:-1]
     centers = params.init_mean + (periods - 1)[:, None] * params.drift
-    d = g * (g - 1.0) * (m_smooth[:-1] - centers)
-    z = np.empty((T, 2, 2))
-    e_uu = np.empty((T, 2, 2))
-    e_vv = np.empty((T, 2, 2))
     gg = g * (g - 1.0)
-    for t in range(1, T + 1):
-        i = t - 1
-        z[i] = gg[i][:, None] * (cross_m[t] - cov_m[t - 1] * g[i][None, :])
-        e_uu[i] = np.outer(u[i], u[i]) + _measurement_residual_cov(
-            cov_m, cross_m, g[i], t
-        )
-        e_vv[i] = np.outer(v[i], v[i]) + _state_residual_cov(cov_m, cross_m, t)
+    d = gg * (m_smooth[:-1] - centers)
+    z = gg[:, :, None] * (cross_m[1:] - cov_m[:-1] * g[:, None, :])
+    e_uu = _outer(u, u) + _measurement_residual_cov(cov_m, cross_m, g)
+    e_vv = _outer(v, v) + _state_residual_cov(cov_m, cross_m)
     return u, v, d, z, e_uu, e_vv
 
 
@@ -169,6 +171,7 @@ def e_step(params, series, schedule=None):
         payout_ratio=series.payout_ratio,
         loglik=filt.loglik,
         params_at=params,
+        filter_output=filt,
     )
 
 
@@ -191,10 +194,11 @@ def expected_complete_loglik(params, stats, schedule=None):
         stats.growth, stats.payout_ratio,
     )
     diff0 = stats.m_smooth[0] - params.init_mean
-    term_u = _gaussian_block_term(params.meas_cov, list(e_uu), T, "meas_cov")
-    term_v = _gaussian_block_term(params.state_cov, list(e_vv), T, "state_cov")
+    term_u = _gaussian_block_term(params.meas_cov, e_uu, T, "meas_cov")
+    term_v = _gaussian_block_term(params.state_cov, e_vv, T, "state_cov")
     term_0 = _gaussian_block_term(
-        params.init_cov, [stats.cov_m[0] + np.outer(diff0, diff0)], 1, "init_cov"
+        params.init_cov, (stats.cov_m[0] + np.outer(diff0, diff0))[None], 1,
+        "init_cov",
     )
     return float(term_u + term_v + term_0)
 
@@ -217,18 +221,12 @@ def complete_loglik_gradient(params, stats):
         stats.growth, stats.payout_ratio,
     )
     g = schedule.gain[1 : T + 1]
-    grad_k = np.zeros(2)
-    grad_mu0 = np.zeros(2)
-    grad_phi = np.zeros(2)
-    for i in range(T):
-        e_du = z[i] + np.outer(d[i], u[i])
-        e_dgu = z[i] + np.outer(d[i] - g[i], u[i])
-        grad_k -= np.diag(e_dgu @ inv_u)
-        diag_du = np.diag(e_du @ inv_u)
-        grad_mu0 -= diag_du
-        grad_phi -= i * diag_du
-    grad_mu0 += inv_0 @ (stats.m_smooth[0] - params.init_mean)
-    grad_phi += inv_v @ v.sum(axis=0)
+    # diag(E @ inv_u) row by row for the stacked (T, 2, 2) moments E
+    diag_du = ((z + _outer(d, u)) * inv_u.T).sum(axis=2)
+    diag_dgu = ((z + _outer(d - g, u)) * inv_u.T).sum(axis=2)
+    grad_k = -diag_dgu.sum(axis=0)
+    grad_mu0 = inv_0 @ (stats.m_smooth[0] - params.init_mean) - diag_du.sum(axis=0)
+    grad_phi = inv_v @ v.sum(axis=0) - np.arange(T) @ diag_du
     return np.concatenate([grad_k, grad_mu0, grad_phi])
 
 
@@ -260,18 +258,13 @@ def m_step(stats, schedule, params, inner_tol=1e-13, inner_max=200):
     phi_new = (m[T] - m[0]) / T
 
     v = m[1:] - phi_new - m[:-1]
-    vcov = sum(
-        _state_residual_cov(stats.cov_m, stats.cross_m, t) for t in range(1, T + 1)
-    )
+    vcov = _state_residual_cov(stats.cov_m, stats.cross_m).sum(axis=0)
     cov_v_new = (v.T @ v + vcov) / T
     cov_v_new = 0.5 * (cov_v_new + cov_v_new.T)
 
     # residual with the required-return term removed
     u_free = stats.growth + m[1:] - g * m[:-1] + (g - 1.0) * ratio + h
-    ucov = sum(
-        _measurement_residual_cov(stats.cov_m, stats.cross_m, g[t - 1], t)
-        for t in range(1, T + 1)
-    )
+    ucov = _measurement_residual_cov(stats.cov_m, stats.cross_m, g).sum(axis=0)
     cov_u = params.meas_cov.copy()
     k_new = params.req_return.copy()
     for _ in range(inner_max):
@@ -388,7 +381,8 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
             schedule = build_linearization_schedule(
                 params, series.payout_ratio, series.n_periods
             )
-        except Exception as exc:  # infeasible starting point: keep last fit
+        except (PrivCreditError, np.linalg.LinAlgError) as exc:
+            # infeasible starting point: keep the last fit
             trace.termination = f"aborted: {exc}"
             return params, trace
         stats = e_step(params, series, schedule)
@@ -403,15 +397,16 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
             candidate = _blend_params(params, full_step, weight)
             try:
                 lam = expected_complete_loglik(candidate, stats, schedule)
-                if lam < lambda_before - 1e-9:
-                    raise ValueError("frozen objective decreased")
-                if _observed_loglik(candidate, series) < stats.loglik - ll_slack:
-                    raise ValueError("observed likelihood decreased")
-            except Exception:
-                weight *= 0.5
-                continue
-            accepted, lambda_after = candidate, lam
-            break
+                rejected = (
+                    lam < lambda_before - 1e-9
+                    or _observed_loglik(candidate, series) < stats.loglik - ll_slack
+                )
+            except (PrivCreditError, np.linalg.LinAlgError):
+                rejected = True
+            if not rejected:
+                accepted, lambda_after = candidate, lam
+                break
+            weight *= 0.5
 
         trace.loglik.append(stats.loglik)
         trace.lambda_before.append(lambda_before)

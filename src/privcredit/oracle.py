@@ -90,9 +90,6 @@ class GaussianConditioningOracle:
     def _m_idx(self, t):
         return [2 * t, 2 * t + 1]
 
-    def _z_idx(self, t):
-        return self._m_idx(t) + self._m_idx(t - 1)
-
     def _b_idx(self, t):
         base = 2 * (self.horizon + 1)
         return [base + 2 * (t - 1), base + 2 * (t - 1) + 1]
@@ -121,24 +118,11 @@ class GaussianConditioningOracle:
     def filtered_m(self, t):
         return self.conditional(self._m_idx(t), min(t, self.n_obs))
 
-    def filtered_z(self, t):
-        return self.conditional(self._z_idx(t), min(t, self.n_obs))
-
-    def predicted_z(self, t):
-        return self.conditional(self._z_idx(t), min(t - 1, self.n_obs))
-
     def predicted_b(self, t):
         return self.conditional(self._b_idx(t), min(t - 1, self.n_obs))
 
     def smoothed_m(self, t):
         return self.conditional(self._m_idx(t), self.n_obs)
-
-    def smoothed_z(self, t):
-        return self.conditional(self._z_idx(t), self.n_obs)
-
-    def smoothed_z_pair(self, t):
-        """Joint of (z_t, z_{t+1}) given the full sample (8-dim)."""
-        return self.conditional(self._z_idx(t) + self._z_idx(t + 1), self.n_obs)
 
     def smoothed_m_pair(self, t):
         """Joint of (m̃_{t-1}, m̃_t) given the full sample (4-dim)."""

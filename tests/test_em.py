@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from privcredit import em
 from privcredit.em import (
     complete_loglik_gradient,
     default_initial_params,
@@ -338,6 +339,33 @@ class TestEmFit:
         fitted, trace = em_fit(series, params_init=bad, max_iter=10)
         assert trace.termination.startswith("aborted")
         assert fitted is bad
+
+    def test_programming_error_in_line_search_propagates(self, params, monkeypatch):
+        # the first filter run is the E-step's; the next is the line search's
+        series, _, _ = synthetic_series(params, 20, seed=39)
+        real_filter = em.run_filter
+        calls = []
+
+        def broken_after_first(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise TypeError("defect in the filter")
+            return real_filter(*args, **kwargs)
+
+        monkeypatch.setattr(em, "run_filter", broken_after_first)
+        with pytest.raises(TypeError, match="defect in the filter"):
+            em_fit(series, params_init=params, max_iter=3)
+        assert len(calls) == 2
+
+    def test_programming_error_in_schedule_build_propagates(self, params, monkeypatch):
+        series, _, _ = synthetic_series(params, 5, seed=37)
+
+        def broken(*args, **kwargs):
+            raise TypeError("defect in the schedule")
+
+        monkeypatch.setattr(em, "build_linearization_schedule", broken)
+        with pytest.raises(TypeError, match="defect in the schedule"):
+            em_fit(series, params_init=params, max_iter=3)
 
 
 class TestSmoothedMarketValues:

@@ -1,0 +1,170 @@
+"""The vectorized E- and M-step moments against per-period loop references.
+
+The references below are the straightforward loops over t the engine used
+before its moment algebra was written over stacked (T, 2, 2) arrays. The
+two differ only by float64 reassociation of sums over at most 1600 terms,
+hence the fixed relative tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from privcredit import em
+from privcredit.errors import DataValidationError
+from privcredit.model import build_linearization_schedule
+
+from conftest import base_params, synthetic_series
+
+RTOL = 1e-12
+
+
+def loop_measurement_residual_cov(cov_m, cross_m, gain_t, t):
+    g = gain_t
+    return (
+        cov_m[t]
+        + g[:, None] * cov_m[t - 1] * g[None, :]
+        - cross_m[t].T * g[None, :]
+        - g[:, None] * cross_m[t]
+    )
+
+
+def loop_state_residual_cov(cov_m, cross_m, t):
+    return cov_m[t] + cov_m[t - 1] - cross_m[t] - cross_m[t].T
+
+
+def loop_residual_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
+                         payout_ratio):
+    T = growth.shape[0]
+    periods = np.arange(1, T + 1)
+    g = schedule.gain[1 : T + 1]
+    h = schedule.shift[1 : T + 1]
+    c = (g * params.req_return - (g - 1.0) * payout_ratio - h)
+    u = growth + m_smooth[1:] - g * m_smooth[:-1] - c
+    v = m_smooth[1:] - params.drift - m_smooth[:-1]
+    centers = params.init_mean + (periods - 1)[:, None] * params.drift
+    d = g * (g - 1.0) * (m_smooth[:-1] - centers)
+    z = np.empty((T, 2, 2))
+    e_uu = np.empty((T, 2, 2))
+    e_vv = np.empty((T, 2, 2))
+    gg = g * (g - 1.0)
+    for t in range(1, T + 1):
+        i = t - 1
+        z[i] = gg[i][:, None] * (cross_m[t] - cov_m[t - 1] * g[i][None, :])
+        e_uu[i] = np.outer(u[i], u[i]) + loop_measurement_residual_cov(
+            cov_m, cross_m, g[i], t
+        )
+        e_vv[i] = np.outer(v[i], v[i]) + loop_state_residual_cov(cov_m, cross_m, t)
+    return u, v, d, z, e_uu, e_vv
+
+
+def loop_m_step_sums(stats, g):
+    """The two residual-covariance sums of the M-step."""
+    T = stats.n_periods
+    vcov = sum(
+        loop_state_residual_cov(stats.cov_m, stats.cross_m, t) for t in range(1, T + 1)
+    )
+    ucov = sum(
+        loop_measurement_residual_cov(stats.cov_m, stats.cross_m, g[t - 1], t)
+        for t in range(1, T + 1)
+    )
+    return vcov, ucov
+
+
+def loop_gaussian_block_term(cov, second_moments, count, name):
+    if not np.any(cov):
+        worst = max(np.abs(m).max() for m in second_moments)
+        if worst > 1e-12:
+            raise DataValidationError(
+                f"{name} is degenerate (zero) but residual moments are not"
+            )
+        return 0.0
+    inv, logdet = em._chol_inv_logdet(cov, name)
+    quad = sum(np.trace(inv @ m) for m in second_moments)
+    return -count * em._LOG2PI - 0.5 * count * logdet - 0.5 * quad
+
+
+def loop_complete_loglik_gradient(params, stats):
+    T = stats.n_periods
+    schedule = build_linearization_schedule(params, stats.payout_ratio, T)
+    inv_u, _ = em._chol_inv_logdet(params.meas_cov, "meas_cov")
+    inv_v, _ = em._chol_inv_logdet(params.state_cov, "state_cov")
+    inv_0, _ = em._chol_inv_logdet(params.init_cov, "init_cov")
+    u, v, d, z, _, _ = loop_residual_pieces(
+        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
+        stats.growth, stats.payout_ratio,
+    )
+    g = schedule.gain[1 : T + 1]
+    grad_k = np.zeros(2)
+    grad_mu0 = np.zeros(2)
+    grad_phi = np.zeros(2)
+    for i in range(T):
+        e_du = z[i] + np.outer(d[i], u[i])
+        e_dgu = z[i] + np.outer(d[i] - g[i], u[i])
+        grad_k -= np.diag(e_dgu @ inv_u)
+        diag_du = np.diag(e_du @ inv_u)
+        grad_mu0 -= diag_du
+        grad_phi -= i * diag_du
+    grad_mu0 += inv_0 @ (stats.m_smooth[0] - params.init_mean)
+    grad_phi += inv_v @ v.sum(axis=0)
+    return np.concatenate([grad_k, grad_mu0, grad_phi])
+
+
+def assert_close(actual, reference):
+    """Equal to within RTOL of the reference's largest magnitude."""
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape
+    assert np.abs(actual - reference).max() <= RTOL * np.abs(reference).max()
+
+
+@pytest.fixture(scope="module", params=[100, 1600])
+def instance(request):
+    """E-step output on a panel of T periods, at parameters off the truth so
+    that every residual is nonzero."""
+    truth = base_params(drift=np.array([5e-4, -3e-4]))
+    series, _, _ = synthetic_series(truth, request.param, seed=61, payout_level=0.35)
+    params = truth.replace(
+        req_return=truth.req_return + 0.002,
+        init_mean=truth.init_mean - 0.01,
+        drift=truth.drift + np.array([1e-5, -1e-5]),
+    )
+    schedule = build_linearization_schedule(
+        params, series.payout_ratio, series.n_periods
+    )
+    return params, schedule, em.e_step(params, series, schedule)
+
+
+def test_residual_pieces_match_loop(instance):
+    params, schedule, stats = instance
+    args = (params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
+            stats.growth, stats.payout_ratio)
+    for vec, ref in zip(em._residual_pieces(*args), loop_residual_pieces(*args)):
+        assert_close(vec, ref)
+
+
+def test_m_step_sums_match_loop(instance):
+    params, schedule, stats = instance
+    g = schedule.gain[1 : stats.n_periods + 1]
+    vcov, ucov = loop_m_step_sums(stats, g)
+    assert_close(em._state_residual_cov(stats.cov_m, stats.cross_m).sum(axis=0), vcov)
+    assert_close(
+        em._measurement_residual_cov(stats.cov_m, stats.cross_m, g).sum(axis=0), ucov
+    )
+
+
+def test_gaussian_block_term_matches_loop(instance):
+    params, _, stats = instance
+    T = stats.n_periods
+    for cov, moments, name in ((params.meas_cov, stats.e_uu[1:], "meas_cov"),
+                               (params.state_cov, stats.e_vv[1:], "state_cov")):
+        assert_close(
+            em._gaussian_block_term(cov, moments, T, name),
+            loop_gaussian_block_term(cov, list(moments), T, name),
+        )
+
+
+def test_complete_loglik_gradient_matches_loop(instance):
+    params, _, stats = instance
+    assert_close(
+        em.complete_loglik_gradient(params, stats),
+        loop_complete_loglik_gradient(params, stats),
+    )

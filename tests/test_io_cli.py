@@ -246,6 +246,44 @@ payout_future_liability = 0.25
 """
 
 
+PARAMS_CONFIG = "".join(
+    line + "\n" for line in PRICING_CONFIG.strip().splitlines()
+    if not line.startswith("payout_future")
+)
+
+
+class TestCliReportPasses:
+    @pytest.mark.parametrize("command", ["estimate", "filter", "smooth"])
+    def test_one_filter_and_smoother_pass_per_report(
+        self, tmp_path, panel_csv, monkeypatch, command
+    ):
+        from privcredit import cli, em, kalman
+
+        counts = {"run_filter": 0, "smooth": 0}
+
+        def counted(name):
+            original = getattr(kalman, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (cli, em):
+            for name in counts:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name))
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(PARAMS_CONFIG)
+        argv = [command, "--input", str(panel_csv), "--config", str(cfg),
+                "--output", str(tmp_path / "report.json")]
+        if command == "estimate":
+            argv += ["--max-iter", "0"]
+        assert main(argv) == 0
+        assert counts == {"run_filter": 1, "smooth": 1}
+
+
 class TestCliPricing:
     def _pricing_cfg(self, tmp_path, extra="", text=PRICING_CONFIG):
         cfg = tmp_path / "price.cfg"
