@@ -37,40 +37,31 @@ from .model import (
     LinearizationSchedule,
     ModelParams,
     ObservedSeries,
-    asset_center,
     asset_linearization,
     asset_weight_vector,
     attach_asset_constants,
     build_linearization_schedule,
     derive_series,
     linearized_log_asset,
-    mean_log_multiplier,
     real_intercepts,
     risk_neutral_intercepts,
 )
-from .oracle import GaussianConditioningOracle
 from .pricing import (
     HorizonMoments,
     PricingContext,
-    PricingReport,
-    RiskNeutralSystem,
     asset_log_moments_private,
     asset_log_moments_public,
     build_pricing_context,
-    build_risk_neutral,
     default_probability,
     equity_debt_values,
-    horizon_cov_reference,
     horizon_moments,
     price_options,
     solve_threshold,
 )
 from .simulate import (
-    LinearizationErrorReport,
     SimConfig,
     SimulatedPanel,
     binned_error_curve,
-    linearization_error_report,
     mc_default_probability,
     mc_option_price,
     mean_log_book_path,

@@ -109,13 +109,9 @@ def _params_dict(params):
     }
 
 
-def _feasibility(params, payout_ratio, horizon):
+def _feasibility(schedule):
     """Outcome of the per-period feasibility check exp(payout gap) < 1."""
-    periods = np.arange(1, horizon + 1)
-    gap = payout_ratio - params.req_return - (
-        params.init_mean + (periods - 1)[:, None] * params.drift
-    )
-    margin = np.exp(gap).max(axis=1)
+    margin = np.exp(schedule.gap[1:]).max(axis=1)
     return {
         "feasible": bool((margin < 1.0).all()),
         "max_exp_gap_per_period": margin,
@@ -123,10 +119,21 @@ def _feasibility(params, payout_ratio, horizon):
     }
 
 
+def _option(value, cfg, key, kind, default=None):
+    """The command-line value when given (0 included), else the config's."""
+    if value is not None:
+        return value
+    return pio.coerce(cfg, key, kind, default=default)
+
+
 def _rate(args, cfg):
-    if args.rate is not None:
-        return float(np.log1p(args.rate))
-    return float(np.log1p(pio.coerce(cfg, "rate", float, default=0.0)))
+    return float(np.log1p(_option(args.rate, cfg, "rate", float, 0.0)))
+
+
+def _em_settings(args, cfg):
+    """EM iteration cap and tolerance."""
+    return (_option(args.max_iter, cfg, "max_iter", int, 200),
+            _option(args.tol, cfg, "tol", float, 1e-8))
 
 
 def _fit_or_load(args, cfg, series):
@@ -135,12 +142,7 @@ def _fit_or_load(args, cfg, series):
     params = _params_from_config(cfg, rate_log)
     estimation = None
     if params is None:
-        max_iter = args.max_iter if args.max_iter is not None else pio.coerce(
-            cfg, "max_iter", int, default=200
-        )
-        tol = args.tol if args.tol is not None else pio.coerce(
-            cfg, "tol", float, default=1e-8
-        )
+        max_iter, tol = _em_settings(args, cfg)
         params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
         estimation = {
             "iterations": trace.n_iterations,
@@ -157,9 +159,7 @@ def cmd_simulate(args):
     if params is None:
         raise DataValidationError("simulate requires model parameters in --config")
     periods = pio.coerce(cfg, "periods", int, required=True)
-    seed = args.seed if args.seed is not None else pio.coerce(
-        cfg, "seed", int, default=0
-    )
+    seed = _option(args.seed, cfg, "seed", int, 0)
     book0 = np.array(
         [
             pio.coerce(cfg, "book0_equity", float, required=True),
@@ -191,14 +191,14 @@ def cmd_simulate(args):
         "seed": seed,
         "params": _params_dict(params),
         "true_multipliers": panel.multipliers[0],
-        "feasibility": _feasibility(params, ratio, periods),
+        "feasibility": _feasibility(schedule),
         "output": args.output,
     }
     pio.write_report(truth, path=args.output + ".truth.json")
     return 0
 
 
-def _series_report_core(args, cfg, series, params, estimation):
+def _series_report_core(args, series, params, estimation):
     schedule = build_linearization_schedule(
         params, series.payout_ratio, series.n_periods
     )
@@ -207,7 +207,7 @@ def _series_report_core(args, cfg, series, params, estimation):
     report = {
         "input": args.input,
         "params": _params_dict(params),
-        "feasibility": _feasibility(params, series.payout_ratio, series.n_periods),
+        "feasibility": _feasibility(schedule),
         "loglik": filt.loglik,
         "filtered_multipliers": filt.m_filt,
         "smoothed_multipliers": stats.m_smooth,
@@ -225,12 +225,7 @@ def cmd_estimate(args):
     init = _params_from_config(cfg, rate_log) or default_initial_params(
         series, rate_log
     )
-    max_iter = args.max_iter if args.max_iter is not None else pio.coerce(
-        cfg, "max_iter", int, default=200
-    )
-    tol = args.tol if args.tol is not None else pio.coerce(
-        cfg, "tol", float, default=1e-8
-    )
+    max_iter, tol = _em_settings(args, cfg)
     params, trace = em_fit(
         series, params_init=init, rate_log=rate_log, max_iter=max_iter, tol=tol
     )
@@ -242,7 +237,7 @@ def cmd_estimate(args):
         "lambda_after": trace.lambda_after,
         "max_change": trace.max_change,
     }
-    report, _ = _series_report_core(args, cfg, series, params, estimation)
+    report, _ = _series_report_core(args, series, params, estimation)
     report["command"] = "estimate"
     pio.write_report(report, path=args.output, stream=sys.stdout)
     if trace.termination.startswith("aborted"):
@@ -255,7 +250,7 @@ def cmd_filter(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
     params, estimation = _fit_or_load(args, cfg, series)
-    report, stats = _series_report_core(args, cfg, series, params, estimation)
+    report, stats = _series_report_core(args, series, params, estimation)
     report["command"] = "filter"
     report["filtered_multiplier_cov"] = stats.filter_output.cov_m_filt
     report["predicted_growth"] = stats.filter_output.b_pred[1:]
@@ -267,7 +262,7 @@ def cmd_smooth(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
     params, estimation = _fit_or_load(args, cfg, series)
-    report, stats = _series_report_core(args, cfg, series, params, estimation)
+    report, stats = _series_report_core(args, series, params, estimation)
     report["command"] = "smooth"
     report["smoothed_multiplier_cov"] = stats.cov_m
     pio.write_report(report, path=args.output, stream=sys.stdout)
@@ -278,8 +273,8 @@ def cmd_forecast(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
     series = pio.ingest(args.input)
     params, estimation = _fit_or_load(args, cfg, series)
-    maturity = args.maturity or pio.coerce(cfg, "maturity", int, default=None)
-    if not maturity:
+    maturity = _option(args.maturity, cfg, "maturity", int)
+    if maturity is None or maturity < 1:
         raise DataValidationError("forecast requires --maturity periods ahead")
     future = _future_payout(cfg, maturity)
     horizon = series.n_periods + maturity
@@ -293,7 +288,7 @@ def cmd_forecast(args):
         "command": "forecast",
         "input": args.input,
         "params": _params_dict(params),
-        "feasibility": _feasibility(params, ratio, horizon),
+        "feasibility": _feasibility(schedule),
         "forecast_growth": fc.b_mean[fc.start :],
         "forecast_growth_cov": fc.cov_b[fc.start :],
         "forecast_multipliers": fc.m_mean[fc.start :],
@@ -322,12 +317,12 @@ def _future_payout(cfg, maturity):
 def _pricing_setup(args, cfg):
     series = pio.ingest(args.input)
     params, estimation = _fit_or_load(args, cfg, series)
-    maturity = args.maturity or pio.coerce(cfg, "maturity", int, default=None)
-    if not maturity:
+    maturity = _option(args.maturity, cfg, "maturity", int)
+    if maturity is None or maturity < 1:
         raise DataValidationError("a positive --maturity is required")
     future = _future_payout(cfg, maturity)
     ctx = build_pricing_context(params, series, maturity, future)
-    return series, params, estimation, ctx
+    return params, estimation, ctx
 
 
 def _public_multiplier(cfg):
@@ -338,64 +333,36 @@ def _public_multiplier(cfg):
     return np.array([eq, li])
 
 
-def _mc_check_price(args, cfg, ctx, strike):
-    paths = args.paths or pio.coerce(cfg, "paths", int, default=200_000)
-    seed = args.seed if args.seed is not None else pio.coerce(
-        cfg, "seed", int, default=0
-    )
-    mean, cov = ctx.filter_rn.multiplier_mean(ctx.origin), ctx.filter_rn.multiplier_cov(ctx.origin)
+def _mc_panel(args, cfg, ctx, measure):
+    """Paths and seed of a Monte Carlo check, and its panel simulated from
+    the origin posterior under ``measure``."""
+    paths = _option(args.paths, cfg, "paths", int, 200_000)
+    seed = _option(args.seed, cfg, "seed", int, 0)
+    mean, cov = ctx.posterior(measure)
     panel = simulate_panel(
         ctx.params, ctx.schedule,
-        SimConfig(paths, ctx.tau, seed, measure="risk_neutral"),
+        SimConfig(paths, ctx.tau, seed, measure=measure),
         ctx.log_books[ctx.origin], start=ctx.origin,
         init_mean=mean, init_cov=cov,
     )
-    (call_mc, call_se), (put_mc, put_se) = mc_option_price(
-        panel, strike, ctx.params.rate_log
-    )
-    call, put = ctx.price_private(strike)
-
-    def z(diff, se):
-        if se > 0:
-            return diff / se
-        return 0.0 if abs(diff) < 1e-12 else float("inf")
-
-    return {
-        "paths": paths,
-        "seed": seed,
-        "call_mc": call_mc, "call_se": call_se,
-        "call_z": z(call - call_mc, call_se),
-        "put_mc": put_mc, "put_se": put_se,
-        "put_z": z(put - put_mc, put_se),
-    }
+    return {"paths": paths, "seed": seed}, panel
 
 
-def _mc_check_default(args, cfg, ctx, threshold):
-    paths = args.paths or pio.coerce(cfg, "paths", int, default=200_000)
-    seed = args.seed if args.seed is not None else pio.coerce(
-        cfg, "seed", int, default=0
-    )
-    mean, cov = ctx.filter_real.multiplier_mean(ctx.origin), ctx.filter_real.multiplier_cov(ctx.origin)
-    panel = simulate_panel(
-        ctx.params, ctx.schedule,
-        SimConfig(paths, ctx.tau, seed, measure="real"),
-        ctx.log_books[ctx.origin], start=ctx.origin,
-        init_mean=mean, init_cov=cov,
-    )
-    pd_mc, pd_se = mc_default_probability(panel, threshold)
-    pd = ctx.default_prob_private(threshold)
-    return {
-        "paths": paths,
-        "seed": seed,
-        "pd_mc": pd_mc, "pd_se": pd_se,
-        "pd_z": (pd - pd_mc) / pd_se if pd_se > 0 else 0.0,
-    }
+def _mc_fields(name, value, mc, se):
+    """MC estimate and standard error of the closed-form ``value``, with the
+    standardized miss; a zero standard error admits only a zero miss."""
+    diff = value - mc
+    if se > 0:
+        z = diff / se
+    else:
+        z = 0.0 if abs(diff) < 1e-12 else float("inf")
+    return {f"{name}_mc": mc, f"{name}_se": se, f"{name}_z": z}
 
 
 def cmd_price(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
-    series, params, estimation, ctx = _pricing_setup(args, cfg)
-    strike = args.strike or pio.coerce(cfg, "strike", float, default=None)
+    params, estimation, ctx = _pricing_setup(args, cfg)
+    strike = _option(args.strike, cfg, "strike", float)
     if strike is None:
         raise DataValidationError("price requires --strike (debt nominal)")
     call, put = ctx.price_private(strike)
@@ -409,9 +376,7 @@ def cmd_price(args):
         "origin": ctx.origin,
         "maturity": ctx.maturity,
         "strike": strike,
-        "feasibility": _feasibility(
-            params, ctx.schedule.payout_ratio[1:], ctx.maturity
-        ),
+        "feasibility": _feasibility(ctx.schedule),
         "private": {
             "call": call, "put": put,
             "equity_value": equity, "debt_value": debt,
@@ -431,14 +396,20 @@ def cmd_price(args):
     if estimation is not None:
         report["estimation"] = estimation
     if args.check == "mc":
-        report["mc_check"] = _mc_check_price(args, cfg, ctx, strike)
+        check, panel = _mc_panel(args, cfg, ctx, "risk_neutral")
+        (call_mc, call_se), (put_mc, put_se) = mc_option_price(
+            panel, strike, params.rate_log
+        )
+        check.update(_mc_fields("call", call, call_mc, call_se))
+        check.update(_mc_fields("put", put, put_mc, put_se))
+        report["mc_check"] = check
     pio.write_report(report, path=args.output, stream=sys.stdout)
     return 0
 
 
 def cmd_default_prob(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
-    series, params, estimation, ctx = _pricing_setup(args, cfg)
+    params, estimation, ctx = _pricing_setup(args, cfg)
     threshold = pio.coerce(cfg, "threshold", float, default=None)
     calibrated = threshold is None
     if calibrated:
@@ -452,9 +423,7 @@ def cmd_default_prob(args):
         "maturity": ctx.maturity,
         "threshold": threshold,
         "threshold_calibrated": calibrated,
-        "feasibility": _feasibility(
-            params, ctx.schedule.payout_ratio[1:], ctx.maturity
-        ),
+        "feasibility": _feasibility(ctx.schedule),
         "prob_default_private": pd_private,
     }
     m_t = _public_multiplier(cfg)
@@ -464,14 +433,17 @@ def cmd_default_prob(args):
     if estimation is not None:
         report["estimation"] = estimation
     if args.check == "mc":
-        report["mc_check"] = _mc_check_default(args, cfg, ctx, threshold)
+        check, panel = _mc_panel(args, cfg, ctx, "real")
+        pd_mc, pd_se = mc_default_probability(panel, threshold)
+        check.update(_mc_fields("pd", pd_private, pd_mc, pd_se))
+        report["mc_check"] = check
     pio.write_report(report, path=args.output, stream=sys.stdout)
     return 0
 
 
 def cmd_calibrate_threshold(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
-    series, params, estimation, ctx = _pricing_setup(args, cfg)
+    params, estimation, ctx = _pricing_setup(args, cfg)
     threshold = ctx.calibrate_threshold()
     target = ctx.target_equity()
     repriced = ctx.price_private(threshold)[0]
@@ -486,9 +458,7 @@ def cmd_calibrate_threshold(args):
         "repriced_call": repriced,
         "reprice_rel_residual": abs(repriced - target) / target,
         "prob_default_private": ctx.default_prob_private(threshold),
-        "feasibility": _feasibility(
-            params, ctx.schedule.payout_ratio[1:], ctx.maturity
-        ),
+        "feasibility": _feasibility(ctx.schedule),
     }
     if estimation is not None:
         report["estimation"] = estimation

@@ -230,13 +230,13 @@ def complete_loglik_gradient(params, stats):
     return np.concatenate([grad_k, grad_mu0, grad_phi])
 
 
-def m_step(stats, schedule, params, inner_tol=1e-13, inner_max=200):
+def m_step(stats, schedule, params):
     """Exact maximizer of the frozen-schedule objective.
 
     The initial mean and drift updates are closed-form in the smoothed
     moments; the required-return update solves the gain-weighted normal
     equations and is iterated to a joint fixed point with the measurement
-    covariance so that the full frozen-schedule gradient vanishes at the
+    covariance (entries moving by under 1e-13, at most 200 rounds) so that the full frozen-schedule gradient vanishes at the
     output. Covariance estimates are symmetrized time averages of the
     smoothed second moments and are PSD by construction.
     """
@@ -267,7 +267,7 @@ def m_step(stats, schedule, params, inner_tol=1e-13, inner_max=200):
     ucov = _measurement_residual_cov(stats.cov_m, stats.cross_m, g).sum(axis=0)
     cov_u = params.meas_cov.copy()
     k_new = params.req_return.copy()
-    for _ in range(inner_max):
+    for _ in range(200):
         try:
             inv_u = np.linalg.inv(cov_u)
         except np.linalg.LinAlgError:
@@ -285,8 +285,8 @@ def m_step(stats, schedule, params, inner_tol=1e-13, inner_max=200):
         cov_u_cand = (u.T @ u + ucov) / T
         cov_u_cand = 0.5 * (cov_u_cand + cov_u_cand.T)
         done = (
-            np.abs(k_cand - k_new).max() < inner_tol
-            and np.abs(cov_u_cand - cov_u).max() < inner_tol
+            np.abs(k_cand - k_new).max() < 1e-13
+            and np.abs(cov_u_cand - cov_u).max() < 1e-13
         )
         k_new, cov_u = k_cand, cov_u_cand
         if done:

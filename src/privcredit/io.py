@@ -93,7 +93,7 @@ def ingest(path):
     return derive_series(books, payouts)
 
 
-def write_panel_csv(path, books, payouts, first_period=0):
+def write_panel_csv(path, books, payouts):
     """Write an ingestible panel CSV (books at 0..T, payouts at 1..T)."""
     books = np.asarray(books, float)
     payouts = np.asarray(payouts, float)
@@ -103,11 +103,11 @@ def write_panel_csv(path, books, payouts, first_period=0):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        writer.writerow([first_period, fmt(books[0, 0]), fmt(books[0, 1]), "", ""])
+        writer.writerow([0, fmt(books[0, 0]), fmt(books[0, 1]), "", ""])
         for i in range(1, books.shape[0]):
             writer.writerow(
                 [
-                    first_period + i,
+                    i,
                     fmt(books[i, 0]),
                     fmt(books[i, 1]),
                     fmt(payouts[i - 1, 0]),
@@ -149,12 +149,6 @@ def coerce(config, key, kind, default=None, required=False):
         return default
     raw = config[key]
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return kind(raw)
     except ValueError:
         raise DataValidationError(

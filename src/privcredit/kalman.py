@@ -76,14 +76,6 @@ class FilterOutput:
     def n_periods(self):
         return self.m_filt.shape[0] - 1
 
-    def multiplier_mean(self, t):
-        """Filtered mean of the log multiplier at period t."""
-        return self.m_filt[t]
-
-    def multiplier_cov(self, t):
-        """Filtered covariance of the log multiplier at period t."""
-        return self.cov_m_filt[t]
-
 
 @dataclass(frozen=True)
 class SmootherOutput:

@@ -175,13 +175,6 @@ def derive_series(raw_books, raw_payouts):
     return ObservedSeries(books[0], growth, payout_ratio)
 
 
-def mean_log_multiplier(params, t):
-    """Unconditional mean of the log multiplier at period ``t``: μ₀ + tφ."""
-    if t < 0:
-        raise DataValidationError("period index must be nonnegative")
-    return params.init_mean + t * params.drift
-
-
 @dataclass(frozen=True)
 class LinearizationSchedule:
     """Per-period linearization constants, indexed by absolute period.
@@ -198,17 +191,12 @@ class LinearizationSchedule:
     center: np.ndarray
     payout_ratio: np.ndarray
     asset_center: np.ndarray = None
-    asset_gain: np.ndarray = None
     asset_weight: np.ndarray = None
     asset_shift: np.ndarray = None
 
     @property
     def horizon(self):
         return self.gap.shape[0] - 1
-
-    def gain_matrix(self, t):
-        """Diagonal gain matrix G_t."""
-        return np.diag(self.gain[t])
 
     def has_asset_constants(self):
         return self.asset_center is not None
@@ -291,18 +279,11 @@ def linearized_log_asset(log_values, w_a, h_a):
     return (weights * log_values).sum(axis=-1) + w_a * h_a
 
 
-def asset_center(params, log_books_t, t):
-    """Mean log equity-to-liability value gap at period ``t``.
-
-    Uses plug-in log books (observed within the sample, forecast beyond).
-    """
-    mean_mult = mean_log_multiplier(params, t)
-    lb = np.asarray(log_books_t, dtype=float)
-    return float(mean_mult[0] - mean_mult[1] + lb[0] - lb[1])
-
-
 def attach_asset_constants(schedule, params, log_books):
     """Return a copy of ``schedule`` with asset-level constants filled.
+
+    The center at period t is the mean log equity-to-liability value gap:
+    the component difference of μ₀ + tφ plus that of the plug-in log books.
 
     Parameters
     ----------
@@ -317,11 +298,10 @@ def attach_asset_constants(schedule, params, log_books):
     t = np.arange(schedule.horizon + 1)
     mean_mult = params.init_mean + t[:, None] * params.drift
     mu_a = mean_mult[:, 0] - mean_mult[:, 1] + lb[:, 0] - lb[:, 1]
-    g_a, w_a, h_a = asset_linearization(mu_a)
+    _, w_a, h_a = asset_linearization(mu_a)
     return dataclasses.replace(
         schedule,
         asset_center=_freeze(mu_a),
-        asset_gain=_freeze(g_a),
         asset_weight=_freeze(w_a),
         asset_shift=_freeze(h_a),
     )

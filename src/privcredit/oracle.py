@@ -5,7 +5,8 @@ observed log book growth rates as one explicit linear map of the primitive
 noise, then answers filtering / smoothing / forecasting questions by dense
 block conditioning. Everything the recursive code computes must agree with
 this object; it is deliberately simple and O((2(2H+1))^3), guarded to short
-samples.
+samples. :func:`horizon_cov_reference` is the matching reference for the
+pricing layer's maturity covariance.
 """
 
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from scipy.stats import multivariate_normal
 from .errors import DataValidationError
 
 _MAX_PERIODS = 8
+_I2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class GaussianConditioningOracle:
         # observation rows: b_t = -m_t + G_t m_{t-1} + c_t + u_t
         for t in range(1, H + 1):
             r = 2 * (H + 1) + 2 * (t - 1)
-            G = schedule.gain_matrix(t)
+            G = np.diag(schedule.gain[t])
             lin[r : r + 2] = -lin[2 * t : 2 * t + 2] + G @ lin[2 * (t - 1) : 2 * t]
             lin[r : r + 2, 2 * (H + t) : 2 * (H + t) + 2] = np.eye(2)
             mean[r : r + 2] = (
@@ -139,3 +141,35 @@ class GaussianConditioningOracle:
                 mean=self.mean[oi], cov=self.cov[np.ix_(oi, oi)]
             ).logpdf(self.growth.ravel())
         )
+
+
+def horizon_cov_reference(params, schedule, origin, maturity):
+    """Independent covariance assembly via stacked-system propagation matrices.
+
+    Builds the noise-to-maturity-value coefficient of every period shock from
+    the 4x4 one-step propagation form and sums the quadratic forms; used as a
+    cross-check of the direct formula in
+    :func:`privcredit.pricing.horizon_moments`.
+    """
+    t, T = int(origin), int(maturity)
+    q_inv = np.block([[_I2, -_I2], [np.zeros((2, 2)), _I2]])
+    j_b = np.hstack([_I2, np.zeros((2, 2))])
+    j_m = np.hstack([np.zeros((2, 2)), _I2])
+    sig = np.zeros((4, 4))
+    sig[:2, :2] = params.meas_cov
+    sig[2:, 2:] = params.state_cov
+
+    def q_hat(j):
+        out = np.zeros((4, 4))
+        out[:2, 2:] = np.diag(schedule.gain[j]) - _I2
+        out[2:, 2:] = _I2
+        return out
+
+    total = np.zeros((2, 2))
+    for i in range(t + 1, T + 1):
+        m_i = q_inv + sum((q_hat(j) for j in range(i + 1, T + 1)),
+                          np.zeros((4, 4)))
+        n_i = q_hat(T) if i < T else q_inv
+        w_i = j_b @ m_i + j_m @ n_i
+        total += w_i @ sig @ w_i.T
+    return 0.5 * (total + total.T)

@@ -36,43 +36,6 @@ from .model import (
     risk_neutral_intercepts,
 )
 
-_I2 = np.eye(2)
-
-
-@dataclass(frozen=True)
-class RiskNeutralSystem:
-    """Measure-change ingredients by absolute period (row 0 unused)."""
-
-    intercepts: np.ndarray
-    kernel: np.ndarray
-    shift: np.ndarray
-    q: np.ndarray
-
-
-def build_risk_neutral(params, schedule):
-    """Risk-neutral intercepts, Girsanov kernel and shift per period.
-
-    The kernel stacks G_t(r̃ i − k̃) over the measurement block and half the
-    state-noise variances over the state block; the shift collects the
-    lognormal convexity corrections. ``q`` stacks (c̃_t, φ), the intercept
-    of the stacked-observation form of the risk-neutral system.
-    """
-    H = schedule.horizon
-    c_rn = risk_neutral_intercepts(params, schedule)
-    kernel = np.full((H + 1, 4), np.nan)
-    shift = np.full((H + 1, 4), np.nan)
-    q = np.full((H + 1, 4), np.nan)
-    du = np.diag(params.meas_cov)
-    dv = np.diag(params.state_cov)
-    for t in range(1, H + 1):
-        g = schedule.gain[t]
-        kernel[t] = np.concatenate([g * (params.rate_log - params.req_return),
-                                    0.5 * dv])
-        shift[t] = np.concatenate([0.5 * du / g, 0.5 * dv])
-        q[t] = np.concatenate([c_rn[t], params.drift])
-    return RiskNeutralSystem(intercepts=c_rn, kernel=kernel, shift=shift, q=q)
-
-
 @dataclass(frozen=True)
 class HorizonMoments:
     """Conditional moments of the log value pair at maturity given period t.
@@ -116,37 +79,6 @@ def horizon_moments(params, schedule, origin, maturity):
         alpha=alpha, beta_rn=beta_rn, beta_real=beta_real,
         cov=0.5 * (cov + cov.T), origin=t, maturity=T,
     )
-
-
-def horizon_cov_reference(params, schedule, origin, maturity):
-    """Independent covariance assembly via stacked-system propagation matrices.
-
-    Builds the noise-to-maturity-value coefficient of every period shock from
-    the 4x4 one-step propagation form and sums the quadratic forms; used as a
-    cross-check of the direct formula in :func:`horizon_moments`.
-    """
-    t, T = int(origin), int(maturity)
-    q_inv = np.block([[_I2, -_I2], [np.zeros((2, 2)), _I2]])
-    j_b = np.hstack([_I2, np.zeros((2, 2))])
-    j_m = np.hstack([np.zeros((2, 2)), _I2])
-    sig = np.zeros((4, 4))
-    sig[:2, :2] = params.meas_cov
-    sig[2:, 2:] = params.state_cov
-
-    def q_hat(j):
-        out = np.zeros((4, 4))
-        out[:2, 2:] = schedule.gain_matrix(j) - _I2
-        out[2:, 2:] = _I2
-        return out
-
-    total = np.zeros((2, 2))
-    for i in range(t + 1, T + 1):
-        m_i = q_inv + sum((q_hat(j) for j in range(i + 1, T + 1)),
-                          np.zeros((4, 4)))
-        n_i = q_hat(T) if i < T else q_inv
-        w_i = j_b @ m_i + j_m @ n_i
-        total += w_i @ sig @ w_i.T
-    return 0.5 * (total + total.T)
 
 
 def asset_log_moments_public(moments, m_t, log_books_t, schedule, measure):
@@ -227,14 +159,13 @@ def default_probability(mu_a_real, var_a, threshold):
     return float(norm.cdf((log_thr - mu_a_real) / math.sqrt(var_a)))
 
 
-def solve_threshold(target_equity, mu_a, var_a, tau, rate_log,
-                    rel_tol=1e-10, max_iter=200):
+def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
     """Invert the call price in the strike: find L with C(L) = target.
 
     The call is strictly decreasing in the strike from its strike-free value
     exp(mu + var/2 − τ r̃), so the root is unique when the target lies below
     that bound. Bisection with bracket doubling (derivative-free, robust at
-    vanishing variance).
+    vanishing variance) to a relative bracket width of 1e-10.
     """
     if target_equity <= 0:
         raise DataValidationError("target equity value must be positive")
@@ -254,30 +185,15 @@ def solve_threshold(target_equity, mu_a, var_a, tau, rate_log,
             break
         hi *= 2.0
     lo = 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if call_at(mid) > target_equity:
             lo = mid
         else:
             hi = mid
-        if (hi - lo) <= rel_tol * hi:
+        if (hi - lo) <= 1e-10 * hi:
             break
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class PricingReport:
-    """One pricing/default computation, CLI- and test-facing."""
-
-    call: float
-    put: float
-    equity_value: float
-    debt_value: float
-    threshold: float
-    prob_default: float
-    info_set: str
-    origin: int
-    maturity: int
 
 
 @dataclass(frozen=True)
@@ -302,12 +218,14 @@ class PricingContext:
     def tau(self):
         return self.maturity - self.origin
 
-    def _posterior(self, measure):
+    def posterior(self, measure):
+        """Filtered mean and covariance of the origin multiplier under the
+        intercepts of ``measure``."""
         filt = self.filter_rn if measure == "risk_neutral" else self.filter_real
-        return filt.multiplier_mean(self.origin), filt.multiplier_cov(self.origin)
+        return filt.m_filt[self.origin], filt.cov_m_filt[self.origin]
 
     def asset_moments_private(self, measure):
-        mean, cov = self._posterior(measure)
+        mean, cov = self.posterior(measure)
         return asset_log_moments_private(
             self.moments, mean, cov, self.log_books[self.origin],
             self.schedule, measure,
@@ -338,32 +256,13 @@ class PricingContext:
     def target_equity(self):
         """Market equity value implied by the filtered multiplier at the
         origin (filtered and smoothed coincide there)."""
-        m_eq = self.filter_real.multiplier_mean(self.origin)[0]
+        m_eq = self.filter_real.m_filt[self.origin, 0]
         return math.exp(m_eq + self.log_books[self.origin, 0])
 
     def calibrate_threshold(self):
         mu, var = self.asset_moments_private("risk_neutral")
         return solve_threshold(
             self.target_equity(), mu, var, self.tau, self.params.rate_log
-        )
-
-    def report_private(self, strike, threshold=None):
-        """Bundle prices, balance-sheet values and the default probability.
-
-        With ``threshold=None`` the default threshold is calibrated to the
-        filtered equity value at the origin.
-        """
-        call, put = self.price_private(strike)
-        equity, debt = equity_debt_values(
-            call, put, strike, self.tau, self.params.rate_log
-        )
-        if threshold is None:
-            threshold = self.calibrate_threshold()
-        return PricingReport(
-            call=call, put=put, equity_value=equity, debt_value=debt,
-            threshold=threshold,
-            prob_default=self.default_prob_private(threshold),
-            info_set="private", origin=self.origin, maturity=self.maturity,
         )
 
 

@@ -27,7 +27,6 @@ class SimConfig:
     horizon: int
     seed: int
     measure: str = "real"
-    antithetic: bool = False
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -36,8 +35,6 @@ class SimConfig:
             raise DataValidationError("horizon must be >= 1")
         if self.measure not in MEASURES:
             raise DataValidationError(f"measure must be one of {MEASURES}")
-        if self.antithetic and self.n_paths % 2:
-            raise DataValidationError("antithetic simulation needs an even n_paths")
 
 
 @dataclass(frozen=True)
@@ -81,14 +78,6 @@ def psd_cholesky(m):
     return np.array([[l11, 0.0], [l21, l22]])
 
 
-def _normals(rng, n_paths, shape, antithetic):
-    if antithetic:
-        half = n_paths // 2
-        draw = rng.standard_normal((half, *shape))
-        return np.concatenate([draw, -draw], axis=0)
-    return rng.standard_normal((n_paths, *shape))
-
-
 def simulate_panel(params, schedule, config, log_books0, start=0,
                    init_mean=None, init_cov=None):
     """Simulate exact model paths.
@@ -124,9 +113,9 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
 
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     n, P = config.n_paths, config.horizon
-    e0 = _normals(rng, n, (2,), config.antithetic)
-    ev = _normals(rng, n, (P, 2), config.antithetic)
-    eu = _normals(rng, n, (P, 2), config.antithetic)
+    e0 = rng.standard_normal((n, 2))
+    ev = rng.standard_normal((n, P, 2))
+    eu = rng.standard_normal((n, P, 2))
 
     mult = np.empty((n, P + 1, 2))
     growth = np.empty((n, P, 2))
@@ -157,34 +146,24 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
     )
 
 
-def mean_log_book_path(params, schedule, log_books0, measure="real",
-                       start=0, horizon=None):
-    """Deterministic mean path of log books from the start period.
+def mean_log_book_path(params, schedule, log_books0):
+    """Deterministic real-measure mean path of log books over periods 0..H.
 
     This is the plug-in book path for asset centers in contexts with no
     observed sample (the mean of the simulated panel's books).
     """
-    if horizon is None:
-        horizon = schedule.horizon - start
-    if measure == "real":
-        intercepts = real_intercepts(params, schedule)
-    else:
-        intercepts = risk_neutral_intercepts(params, schedule)
-    out = np.empty((horizon + 1, 2))
+    intercepts = real_intercepts(params, schedule)
+    out = np.empty((schedule.horizon + 1, 2))
     out[0] = np.asarray(log_books0, float)
-    for j in range(1, horizon + 1):
-        t = start + j
+    for t in range(1, schedule.horizon + 1):
         m_new = params.init_mean + t * params.drift
         m_prev = params.init_mean + (t - 1) * params.drift
-        out[j] = out[j - 1] - m_new + schedule.gain[t] * m_prev + intercepts[t]
+        out[t] = out[t - 1] - m_new + schedule.gain[t] * m_prev + intercepts[t]
     return out
 
 
-def _mc_mean_se(values, antithetic):
-    """Mean and standard error; antithetic pairs are collapsed first."""
-    if antithetic:
-        half = values.shape[0] // 2
-        values = 0.5 * (values[:half] + values[half:])
+def _mc_mean_se(values):
+    """Mean and standard error."""
     n = values.shape[0]
     se = values.std(ddof=1) / np.sqrt(n) if n > 1 else np.inf
     return float(values.mean()), float(se)
@@ -201,10 +180,8 @@ def mc_option_price(panel, strike, rate_log):
     tau = panel.n_periods
     disc = np.exp(-tau * rate_log)
     asset = np.exp(panel.log_asset_lin[:, -1])
-    call, call_se = _mc_mean_se(disc * np.maximum(asset - strike, 0.0),
-                                panel.config.antithetic)
-    put, put_se = _mc_mean_se(disc * np.maximum(strike - asset, 0.0),
-                              panel.config.antithetic)
+    call, call_se = _mc_mean_se(disc * np.maximum(asset - strike, 0.0))
+    put, put_se = _mc_mean_se(disc * np.maximum(strike - asset, 0.0))
     return (call, call_se), (put, put_se)
 
 
@@ -217,25 +194,6 @@ def mc_default_probability(panel, threshold):
     p = float(hits.mean())
     se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
     return p, se
-
-
-@dataclass(frozen=True)
-class LinearizationErrorReport:
-    """Per-period absolute gap between exact and linearized log asset value."""
-
-    max_abs: np.ndarray
-    mean_abs: np.ndarray
-
-    @property
-    def overall_max(self):
-        return float(self.max_abs.max())
-
-
-def linearization_error_report(panel):
-    err = np.abs(panel.log_asset_exact - panel.log_asset_lin)
-    return LinearizationErrorReport(
-        max_abs=err.max(axis=0), mean_abs=err.mean(axis=0)
-    )
 
 
 def binned_error_curve(panel, period, n_bins=12):

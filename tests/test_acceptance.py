@@ -28,11 +28,10 @@ from privcredit.model import (
     real_intercepts,
     risk_neutral_intercepts,
 )
-from privcredit.oracle import GaussianConditioningOracle
+from privcredit.oracle import GaussianConditioningOracle, horizon_cov_reference
 from privcredit.pricing import (
     build_pricing_context,
     default_probability,
-    horizon_cov_reference,
     horizon_moments,
     price_options,
 )
@@ -279,8 +278,8 @@ def pricing_battery():
             params, ctx.schedule,
             SimConfig(200_000, maturity, seed=555 + i, measure="risk_neutral"),
             ctx.log_books[ctx.origin], start=ctx.origin,
-            init_mean=ctx.filter_rn.multiplier_mean(ctx.origin),
-            init_cov=ctx.filter_rn.multiplier_cov(ctx.origin),
+            init_mean=ctx.filter_rn.m_filt[ctx.origin],
+            init_cov=ctx.filter_rn.cov_m_filt[ctx.origin],
         )
         for factor in (0.85, 1.0, 1.15):
             strike = factor * math.exp(mu)
@@ -341,10 +340,10 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
             params, ctx.schedule,
             SimConfig(200_000, maturity, seed=765 + i, measure="real"),
             ctx.log_books[ctx.origin], start=ctx.origin,
-            init_mean=ctx.filter_real.multiplier_mean(ctx.origin),
-            init_cov=ctx.filter_real.multiplier_cov(ctx.origin),
+            init_mean=ctx.filter_real.m_filt[ctx.origin],
+            init_cov=ctx.filter_real.cov_m_filt[ctx.origin],
         )
-        m_pin = ctx.filter_real.multiplier_mean(ctx.origin) + 0.05
+        m_pin = ctx.filter_real.m_filt[ctx.origin] + 0.05
         mu_pub, var_pub = ctx.asset_moments_public(m_pin, "real")
         panel_pub = simulate_panel(
             params, ctx.schedule,

@@ -374,6 +374,69 @@ class TestCliPricing:
         assert 0.0 <= report["prob_default_private"] <= 1.0
         assert abs(report["mc_check"]["pd_z"]) <= 3
 
+    def test_one_path_default_check_flags_a_miss(self, tmp_path, panel_csv):
+        # one path makes the MC frequency 0 or 1 with a zero standard
+        # error; the private median threshold (PD one half) is then a miss
+        from privcredit.pricing import build_pricing_context
+
+        params = params_from(parse_config(self._pricing_cfg(tmp_path),
+                                          parse_keys()))
+        ctx = build_pricing_context(
+            params, ingest(panel_csv), 4, payout_future=np.log([0.25, 0.25])
+        )
+        mu, _ = ctx.asset_moments_private("real")
+        cfg = self._pricing_cfg(tmp_path, extra=f"threshold = {math.exp(mu)!r}\n")
+        out = tmp_path / "pd.json"
+        code = main(
+            [
+                "default-prob", "--input", str(panel_csv), "--config", str(cfg),
+                "--maturity", "4", "--output", str(out), "--check", "mc",
+                "--paths", "1", "--seed", "13",
+            ]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert 0.0 < report["prob_default_private"] < 1.0
+        check = report["mc_check"]
+        assert check["paths"] == 1
+        assert check["pd_mc"] in (0.0, 1.0) and check["pd_se"] == 0.0
+        assert check["pd_z"] != 0.0 and math.isinf(check["pd_z"])
+
+    def test_zero_paths_fails_validation(self, tmp_path, panel_csv):
+        cfg = self._pricing_cfg(tmp_path, extra="paths = 1000\n")
+        code = main(
+            [
+                "price", "--input", str(panel_csv), "--config", str(cfg),
+                "--maturity", "4", "--strike", "2.0", "--check", "mc",
+                "--paths", "0",
+            ]
+        )
+        assert code == 1
+
+    def test_zero_strike_is_not_replaced_by_config(self, tmp_path, panel_csv):
+        cfg = self._pricing_cfg(tmp_path, extra="strike = 2.0\n")
+        code = main(
+            [
+                "price", "--input", str(panel_csv), "--config", str(cfg),
+                "--maturity", "4", "--strike", "0",
+            ]
+        )
+        assert code == 1
+
+    @pytest.mark.parametrize("command", ["forecast", "price"])
+    @pytest.mark.parametrize("maturity", ["0", "-2"])
+    def test_nonpositive_maturity_fails_validation(
+        self, tmp_path, panel_csv, command, maturity
+    ):
+        cfg = self._pricing_cfg(tmp_path, extra="maturity = 4\n")
+        code = main(
+            [
+                command, "--input", str(panel_csv), "--config", str(cfg),
+                "--maturity", maturity, "--strike", "2.0",
+            ]
+        )
+        assert code == 1
+
     def test_missing_future_payout_fails_validation(self, tmp_path, panel_csv):
         stripped = "\n".join(
             line for line in PRICING_CONFIG.splitlines()

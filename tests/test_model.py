@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from privcredit.cli import _feasibility
 from privcredit.errors import DataValidationError, InfeasibleLinearizationError
 from privcredit.model import (
-    asset_center,
     asset_linearization,
     attach_asset_constants,
     build_linearization_schedule,
     derive_series,
     linearized_log_asset,
-    mean_log_multiplier,
     real_intercepts,
     risk_neutral_intercepts,
 )
@@ -64,36 +63,8 @@ class TestDeriveSeries:
 
 
 class TestMeanLogMultiplier:
-    def test_zero_drift(self, params):
-        p = params.replace(init_mean=np.zeros(2), drift=np.zeros(2))
-        np.testing.assert_array_equal(mean_log_multiplier(p, 7), [0.0, 0.0])
-
-    def test_hand_arithmetic(self, params):
-        p = params.replace(
-            init_mean=np.array([1.0, 2.0]), drift=np.array([0.1, -0.1])
-        )
-        np.testing.assert_allclose(
-            mean_log_multiplier(p, 3), [1.3, 1.7], atol=1e-15
-        )
-
-    def test_difference_is_drift(self, params):
-        # exact equality on dyadic values; 1 ulp otherwise
-        p = params.replace(
-            init_mean=np.array([0.5, -0.25]), drift=np.array([0.25, -0.125])
-        )
-        for t in range(0, 9):
-            np.testing.assert_array_equal(
-                mean_log_multiplier(p, t + 1) - mean_log_multiplier(p, t),
-                p.drift,
-            )
-        for t in range(0, 9):
-            np.testing.assert_allclose(
-                mean_log_multiplier(params, t + 1) - mean_log_multiplier(params, t),
-                params.drift,
-                rtol=1e-14,
-            )
-
     def test_matches_monte_carlo(self, params):
+        # the unconditional mean of the log multiplier is μ₀ + tφ
         _, schedule, _ = synthetic_series(params, 6, seed=7)
         panel = simulate_panel(
             params, schedule, SimConfig(100_000, 6, seed=42), np.array([1.5, 1.8])
@@ -102,7 +73,7 @@ class TestMeanLogMultiplier:
             sample = panel.multipliers[:, t]
             se = sample.std(axis=0) / np.sqrt(sample.shape[0])
             np.testing.assert_array_less(
-                np.abs(sample.mean(axis=0) - mean_log_multiplier(params, t)),
+                np.abs(sample.mean(axis=0) - (params.init_mean + t * params.drift)),
                 3 * se,
             )
 
@@ -148,6 +119,35 @@ class TestLinearizationSchedule:
         assert err.value.period == 3
         assert err.value.component == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=-1e-9, max_value=1e-9),
+        st.integers(min_value=0, max_value=11),
+        st.lists(st.floats(min_value=0.0, max_value=6.0), min_size=12,
+                 max_size=12),
+    )
+    def test_feasibility_near_unit_exp_gap(self, horizon, delta, at, below):
+        # the largest exp(gap) sits within 1e-9 of one; the others lie below
+        params = base_params()
+        periods = np.arange(1, horizon + 1)
+        mean_path = params.init_mean + (periods - 1)[:, None] * params.drift
+        target = np.log1p(delta) - np.array(below[: 2 * horizon]).reshape(-1, 2)
+        target.flat[at % (2 * horizon)] = np.log1p(delta)
+        ratio = target + params.req_return + mean_path
+        exp_gap = np.exp(ratio - params.req_return - mean_path)
+        assert abs(exp_gap.max() - 1.0) < 1e-9 + 1e-15
+        if (exp_gap >= 1.0).any():
+            with pytest.raises(InfeasibleLinearizationError):
+                build_linearization_schedule(params, ratio, horizon)
+            return
+        sched = build_linearization_schedule(params, ratio, horizon)
+        gain = sched.gain[1:]
+        assert np.isfinite(gain).all() and (gain > 1.0).all()
+        margin = _feasibility(sched)["max_exp_gap_per_period"]
+        np.testing.assert_array_equal(margin, np.exp(sched.gap[1:]).max(axis=1))
+        np.testing.assert_array_equal(margin, exp_gap.max(axis=1))
+
     def test_center_consistency(self, params, rng):
         ratio = np.log(0.3) + 0.05 * rng.normal(size=(5, 2))
         sched = build_linearization_schedule(params, ratio, 5)
@@ -187,15 +187,25 @@ class TestAssetLinearization:
 
 
 class TestAssetCenter:
+    @staticmethod
+    def _centers(p, log_books):
+        horizon = log_books.shape[0] - 1
+        sched = build_linearization_schedule(
+            p, np.log(0.3) * np.ones((horizon, 2)), horizon
+        )
+        return attach_asset_constants(sched, p, log_books).asset_center
+
     def test_symmetric_zero(self, params):
         p = params.replace(init_mean=np.zeros(2), drift=np.zeros(2))
-        assert asset_center(p, np.array([1.3, 1.3]), 4) == 0.0
+        assert self._centers(p, np.full((6, 2), 1.3))[4] == 0.0
 
     def test_hand_arithmetic(self, params):
         p = params.replace(
             init_mean=np.array([0.2, 0.1]), drift=np.zeros(2)
         )
-        assert asset_center(p, np.array([0.3, 0.0]), 5) == pytest.approx(0.4, abs=1e-15)
+        log_books = np.zeros((6, 2))
+        log_books[5] = [0.3, 0.0]
+        assert self._centers(p, log_books)[5] == pytest.approx(0.4, abs=1e-15)
 
     def test_matches_monte_carlo(self, params):
         lb0 = np.array([1.5, 1.8])
@@ -207,15 +217,17 @@ class TestAssetCenter:
         gap = panel.log_values[:, t, 0] - panel.log_values[:, t, 1]
         se = gap.std() / np.sqrt(gap.shape[0])
         mean_books = mean_log_book_path(params, schedule, lb0)
-        center = asset_center(params, mean_books[t], t)
+        center = attach_asset_constants(
+            schedule, params, mean_books
+        ).asset_center[t]
         assert abs(gap.mean() - center) < 3 * se
 
     def test_attach_asset_constants_internal_identities(self, params):
         _, schedule, _ = synthetic_series(params, 6, seed=5)
         t = np.arange(schedule.horizon + 1)
-        g, w, h = schedule.asset_gain, schedule.asset_weight, schedule.asset_shift
+        w, h = schedule.asset_weight, schedule.asset_shift
+        g = 1 / w
         np.testing.assert_allclose(g, 1 + np.exp(schedule.asset_center), atol=1e-12)
-        np.testing.assert_allclose(w, 1 / g, atol=1e-14)
         np.testing.assert_allclose(
             h, g * (np.log(g) - schedule.asset_center) + schedule.asset_center,
             atol=1e-11,

@@ -16,14 +16,13 @@ from privcredit.pricing import (
     asset_log_moments_private,
     asset_log_moments_public,
     build_pricing_context,
-    build_risk_neutral,
     default_probability,
     equity_debt_values,
-    horizon_cov_reference,
     horizon_moments,
     price_options,
     solve_threshold,
 )
+from privcredit.oracle import horizon_cov_reference
 from privcredit.simulate import SimConfig, mc_option_price, simulate_panel
 
 from conftest import base_params, random_params, synthetic_series
@@ -37,6 +36,8 @@ def pricing_fixture(params, periods=10, maturity=4, seed=42):
 
 
 class TestBuildRiskNeutral:
+    """The measure change carried by the risk-neutral intercepts."""
+
     def test_measure_change_vanishes_at_risk_free_returns(self):
         p = base_params(
             req_return=np.array([0.01, 0.01]),
@@ -46,11 +47,9 @@ class TestBuildRiskNeutral:
         )
         ratio = np.log(0.3) * np.ones((3, 2))
         sched = build_linearization_schedule(p, ratio, 3)
-        system = build_risk_neutral(p, sched)
-        np.testing.assert_allclose(system.kernel[1:], 0.0, atol=1e-15)
-        np.testing.assert_allclose(system.shift[1:], 0.0, atol=1e-15)
         np.testing.assert_allclose(
-            system.intercepts[1:], real_intercepts(p, sched)[1:], atol=1e-15
+            risk_neutral_intercepts(p, sched)[1:], real_intercepts(p, sched)[1:],
+            atol=1e-15,
         )
 
     def test_isotropic_noise_correction(self, params):
@@ -186,7 +185,7 @@ class TestAssetLogMoments:
             gap=ctx.schedule.gap, gain=ctx.schedule.gain,
             shift=ctx.schedule.shift, center=ctx.schedule.center,
             payout_ratio=ctx.schedule.payout_ratio,
-            asset_center=ctx.schedule.asset_center, asset_gain=ctx.schedule.asset_gain,
+            asset_center=ctx.schedule.asset_center,
             asset_weight=w, asset_shift=h,
         )
         m_t = params.init_mean
@@ -206,7 +205,7 @@ class TestAssetLogMoments:
         _, var_priv = ctx.asset_moments_private("risk_neutral")
         assert var_priv >= var_pub
         weights = asset_weight_vector(ctx.schedule.asset_weight[ctx.maturity])
-        posterior = ctx.filter_rn.multiplier_cov(ctx.origin)
+        posterior = ctx.filter_rn.cov_m_filt[ctx.origin]
         gap = weights @ ctx.moments.alpha @ posterior @ ctx.moments.alpha.T @ weights
         assert var_priv - var_pub == pytest.approx(gap, rel=1e-12)
 
@@ -262,7 +261,7 @@ class TestPriceOptions:
 class TestPrivatePricing:
     def test_degenerate_posterior_equals_public(self, params):
         ctx = pricing_fixture(params)
-        m_t = ctx.filter_rn.multiplier_mean(ctx.origin)
+        m_t = ctx.filter_rn.m_filt[ctx.origin]
         mu_pub, var_pub = ctx.asset_moments_public(m_t, "risk_neutral")
         mu_priv, var_priv = asset_log_moments_private(
             ctx.moments, m_t, np.zeros((2, 2)), ctx.log_books[ctx.origin],
@@ -279,8 +278,8 @@ class TestPrivatePricing:
 
     def test_call_nondecreasing_in_posterior_scale(self, params):
         ctx = pricing_fixture(params)
-        m_t = ctx.filter_rn.multiplier_mean(ctx.origin)
-        cov = ctx.filter_rn.multiplier_cov(ctx.origin)
+        m_t = ctx.filter_rn.m_filt[ctx.origin]
+        cov = ctx.filter_rn.cov_m_filt[ctx.origin]
         mu0, _ = ctx.asset_moments_public(m_t, "risk_neutral")
         strike = math.exp(mu0)
         prices = []
@@ -303,8 +302,8 @@ class TestPrivatePricing:
             params, ctx.schedule,
             SimConfig(200_000, ctx.tau, seed=77, measure="risk_neutral"),
             ctx.log_books[ctx.origin], start=ctx.origin,
-            init_mean=ctx.filter_rn.multiplier_mean(ctx.origin),
-            init_cov=ctx.filter_rn.multiplier_cov(ctx.origin),
+            init_mean=ctx.filter_rn.m_filt[ctx.origin],
+            init_cov=ctx.filter_rn.cov_m_filt[ctx.origin],
         )
         (call_mc, call_se), (put_mc, put_se) = mc_option_price(
             panel, strike, params.rate_log
@@ -357,12 +356,17 @@ class TestThresholdCalibration:
             params, series, 4, payout_future=np.log([0.08, 0.08])
         )
         mu, _ = ctx.asset_moments_private("risk_neutral")
-        report = ctx.report_private(strike=math.exp(mu))
-        assert report.info_set == "private"
-        assert report.call == report.equity_value
-        assert 0.0 <= report.prob_default <= 1.0
-        assert report.threshold > 0
-        assert report.maturity - report.origin == ctx.tau
+        strike = math.exp(mu)
+        call, put = ctx.price_private(strike)
+        equity, debt = equity_debt_values(
+            call, put, strike, ctx.tau, params.rate_log
+        )
+        assert call == equity
+        assert debt == strike * math.exp(-ctx.tau * params.rate_log) - put
+        threshold = ctx.calibrate_threshold()
+        assert threshold > 0
+        assert 0.0 <= ctx.default_prob_private(threshold) <= 1.0
+        assert ctx.maturity - ctx.origin == ctx.tau
 
     def test_reprice_self_consistency(self, params):
         # modest payouts: heavy interim payouts can drain the discounted
@@ -399,7 +403,7 @@ class TestDefaultProbability:
 
     def test_public_equals_private_at_degenerate_posterior(self, params):
         ctx = pricing_fixture(params)
-        m_t = ctx.filter_real.multiplier_mean(ctx.origin)
+        m_t = ctx.filter_real.m_filt[ctx.origin]
         mu_pub, var_pub = ctx.asset_moments_public(m_t, "real")
         mu_priv, var_priv = asset_log_moments_private(
             ctx.moments, m_t, np.zeros((2, 2)), ctx.log_books[ctx.origin],
