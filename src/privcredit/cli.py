@@ -12,6 +12,8 @@ config and seed.
 """
 
 import argparse
+import functools
+import math
 import sys
 
 import numpy as np
@@ -350,12 +352,13 @@ def _mc_panel(args, cfg, ctx, measure):
 
 def _mc_fields(name, value, mc, se):
     """MC estimate and standard error of the closed-form ``value``, with the
-    standardized miss; a zero standard error admits only a zero miss."""
+    standardized miss; a zero or infinite standard error (one path) admits
+    only a zero miss."""
     diff = value - mc
-    if se > 0:
+    if 0 < se < math.inf:
         z = diff / se
     else:
-        z = 0.0 if abs(diff) < 1e-12 else float("inf")
+        z = 0.0 if abs(diff) < 1e-12 else math.inf
     return {f"{name}_mc": mc, f"{name}_se": se, f"{name}_z": z}
 
 
@@ -466,7 +469,10 @@ def cmd_calibrate_threshold(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and every parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="privcredit",
         description="Structural credit risk for private companies from book data",

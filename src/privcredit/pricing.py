@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import DataValidationError, NoSolutionError
 from .kalman import forecast, run_filter
@@ -35,6 +34,15 @@ from .model import (
     real_intercepts,
     risk_neutral_intercepts,
 )
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _norm_cdf(x):
+    """Standard normal distribution function Φ(x) through the complementary
+    error function, accurate in the lower tail where 1 − Φ(−x) cancels."""
+    return 0.5 * math.erfc(-x * _SQRT_HALF)
+
 
 @dataclass(frozen=True)
 class HorizonMoments:
@@ -71,10 +79,11 @@ def horizon_moments(params, schedule, origin, maturity):
     drift_terms = (lead * (g - 1.0) * params.drift).sum(axis=0)
     beta_rn = c_rn.sum(axis=0) + drift_terms
     beta_real = c_real.sum(axis=0) + drift_terms
-    cov = (T - t) * params.meas_cov.copy()
-    for i in range(t + 1, T):
-        coef = np.diag(schedule.gain[i + 1 : T + 1].sum(axis=0) - (T - i))
-        cov += coef @ params.state_cov @ coef.T
+    # C_i = diag(d_i) with d_i = Σ_{j>i} G_j − (T − i) for i = t+1..T−1, so
+    # Σ_i C_i Σ_v C_i' = Σ_v ∘ DᵀD with the d_i as the rows of D
+    d = (schedule.gain[t + 2 : T + 1][::-1].cumsum(axis=0)[::-1]
+         - (T - np.arange(t + 1, T))[:, None])
+    cov = (T - t) * params.meas_cov + params.state_cov * (d.T @ d)
     return HorizonMoments(
         alpha=alpha, beta_rn=beta_rn, beta_real=beta_real,
         cov=0.5 * (cov + cov.T), origin=t, maturity=T,
@@ -135,8 +144,8 @@ def price_options(mu_a, var_a, strike, tau, rate_log):
     d1 = (mu_a + var_a - math.log(strike)) / sd
     d2 = d1 - sd
     growth_leg = math.exp(mu_a - tau * rate_log + 0.5 * var_a)
-    call = growth_leg * norm.cdf(d1) - disc * strike * norm.cdf(d2)
-    put = disc * strike * norm.cdf(-d2) - growth_leg * norm.cdf(-d1)
+    call = growth_leg * _norm_cdf(d1) - disc * strike * _norm_cdf(d2)
+    put = disc * strike * _norm_cdf(-d2) - growth_leg * _norm_cdf(-d1)
     return call, put
 
 
@@ -156,7 +165,7 @@ def default_probability(mu_a_real, var_a, threshold):
     log_thr = math.log(threshold)
     if var_a == 0.0:
         return 1.0 if log_thr >= mu_a_real else 0.0
-    return float(norm.cdf((log_thr - mu_a_real) / math.sqrt(var_a)))
+    return _norm_cdf((log_thr - mu_a_real) / math.sqrt(var_a))
 
 
 def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):

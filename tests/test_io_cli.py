@@ -360,7 +360,18 @@ class TestCliPricing:
         assert report["prob_default_private"] == pytest.approx(0.5, abs=1e-10)
 
     def test_default_prob_with_mc_check(self, tmp_path, panel_csv):
-        cfg = self._pricing_cfg(tmp_path, extra="threshold = 1.5\n")
+        # a threshold half a standard deviation below the private median
+        # puts the PD near Φ(−0.5), where the MC frequency is informative
+        from privcredit.pricing import build_pricing_context
+
+        params = params_from(parse_config(self._pricing_cfg(tmp_path),
+                                          parse_keys()))
+        ctx = build_pricing_context(
+            params, ingest(panel_csv), 4, payout_future=np.log([0.25, 0.25])
+        )
+        mu, var = ctx.asset_moments_private("real")
+        threshold = math.exp(mu - 0.5 * math.sqrt(var))
+        cfg = self._pricing_cfg(tmp_path, extra=f"threshold = {threshold!r}\n")
         out = tmp_path / "pd.json"
         code = main(
             [
@@ -371,7 +382,8 @@ class TestCliPricing:
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert 0.0 <= report["prob_default_private"] <= 1.0
+        assert 0.05 < report["prob_default_private"] < 0.95
+        assert report["mc_check"]["pd_se"] > 0
         assert abs(report["mc_check"]["pd_z"]) <= 3
 
     def test_one_path_default_check_flags_a_miss(self, tmp_path, panel_csv):
@@ -401,6 +413,41 @@ class TestCliPricing:
         assert check["paths"] == 1
         assert check["pd_mc"] in (0.0, 1.0) and check["pd_se"] == 0.0
         assert check["pd_z"] != 0.0 and math.isinf(check["pd_z"])
+
+    def test_one_path_price_check_flags_a_miss(self, tmp_path, panel_csv):
+        # one path has an infinite standard error; a closed form that
+        # differs from the single draw must not read as a perfect match
+        from privcredit.pricing import build_pricing_context
+
+        cfg = self._pricing_cfg(tmp_path)
+        ctx = build_pricing_context(
+            params_from(parse_config(cfg, parse_keys())), ingest(panel_csv), 4,
+            payout_future=np.log([0.25, 0.25]),
+        )
+        strike = math.exp(ctx.asset_moments_private("risk_neutral")[0])
+        out = tmp_path / "price.json"
+        code = main(
+            [
+                "price", "--input", str(panel_csv), "--config", str(cfg),
+                "--maturity", "4", "--strike", repr(strike), "--output", str(out),
+                "--check", "mc", "--paths", "1", "--seed", "3",
+            ]
+        )
+        assert code == 0
+        check = json.loads(out.read_text())["mc_check"]
+        assert math.isinf(check["call_se"]) and math.isinf(check["put_se"])
+        assert math.isinf(check["call_z"]) and math.isinf(check["put_z"])
+
+    def test_repeated_main_calls_share_no_parsed_state(
+        self, tmp_path, panel_csv, capsys
+    ):
+        cfg = self._pricing_cfg(tmp_path)
+        argv = ["price", "--input", str(panel_csv), "--config", str(cfg),
+                "--maturity", "4"]
+        assert main(argv + ["--strike", "2.0"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "price requires --strike" in capsys.readouterr().err
 
     def test_zero_paths_fails_validation(self, tmp_path, panel_csv):
         cfg = self._pricing_cfg(tmp_path, extra="paths = 1000\n")

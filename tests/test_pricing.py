@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from privcredit.errors import DataValidationError, NoSolutionError
 from privcredit.model import (
@@ -13,6 +14,7 @@ from privcredit.model import (
     risk_neutral_intercepts,
 )
 from privcredit.pricing import (
+    _norm_cdf,
     asset_log_moments_private,
     asset_log_moments_public,
     build_pricing_context,
@@ -148,6 +150,27 @@ class TestHorizonMoments:
                 )
                 assert abs(sample_cov[i, j] - mom.cov[i, j]) < 4 * se_cov
 
+    def test_cov_matches_period_loop(self, rng):
+        # the per-period sum Σ_u (T − t) + Σ_i C_i Σ_v C_i' that the
+        # closed form replaces, kept here as its reference
+        def loop_cov(p, sched, t, T):
+            cov = (T - t) * p.meas_cov.copy()
+            for i in range(t + 1, T):
+                coef = np.diag(sched.gain[i + 1 : T + 1].sum(axis=0) - (T - i))
+                cov += coef @ p.state_cov @ coef.T
+            return 0.5 * (cov + cov.T)
+
+        # small drifts keep a 280-period schedule feasible
+        for p in (base_params(), random_params(rng).replace(drift=np.zeros(2))):
+            ratio = np.log(0.3) + 0.05 * rng.normal(size=(280, 2))
+            sched = build_linearization_schedule(p, ratio, 280)
+            for t in range(41):
+                for h in (1, 2, 3, 4, 7, 12, 24, 60, 120, 240):
+                    direct = horizon_moments(p, sched, t, t + h).cov
+                    reference = loop_cov(p, sched, t, t + h)
+                    scale = np.abs(reference).max()
+                    assert np.abs(direct - reference).max() <= 1e-12 * scale
+
     def test_reference_assembly_agrees(self, rng):
         for _ in range(4):
             p = random_params(rng)
@@ -210,6 +233,16 @@ class TestAssetLogMoments:
         assert var_priv - var_pub == pytest.approx(gap, rel=1e-12)
 
 
+class TestNormCdf:
+    def test_matches_scipy_ndtr(self):
+        x = np.linspace(-37.0, 9.0, 4601)
+        ours = np.array([_norm_cdf(v) for v in x])
+        np.testing.assert_allclose(ours, ndtr(x), rtol=1e-13, atol=0.0)
+
+    def test_half_at_zero(self):
+        assert _norm_cdf(0.0) == 0.5
+
+
 class TestPriceOptions:
     def test_deterministic_limit(self):
         call, put = price_options(math.log(120.0), 0.0, 100.0, 1, 0.0)
@@ -237,19 +270,22 @@ class TestPriceOptions:
         assert abs(call - call_mc.mean()) < 3 * call_mc.std() / 1000
         assert abs(put - put_mc.mean()) < 3 * put_mc.std() / 1000
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        st.floats(min_value=-1.0, max_value=1.0),
-        st.floats(min_value=1e-4, max_value=0.5),
-        st.floats(min_value=0.05, max_value=5.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=1e-4, max_value=1.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.integers(min_value=1, max_value=240),
     )
-    def test_parity_and_monotonicity(self, mu, var, strike):
-        tau, rate = 2, 0.01
+    def test_parity_and_monotonicity(self, mu, var, log_moneyness, tau):
+        # strike drawn around the forward exp(mu + var/2), parity checked
+        # relative to the discounted forward
+        rate = 0.01
+        strike = math.exp(mu + var / 2 + log_moneyness)
         call, put = price_options(mu, var, strike, tau, rate)
-        parity = call - put - (
-            math.exp(mu + var / 2 - tau * rate) - strike * math.exp(-tau * rate)
-        )
-        assert abs(parity) < 1e-10
+        forward = math.exp(mu + var / 2 - tau * rate)
+        parity = call - put - (forward - strike * math.exp(-tau * rate))
+        assert abs(parity) <= 1e-12 * forward
         call_up, _ = price_options(mu, var, strike * 1.01, tau, rate)
         if call > 1e-12:  # strictly decreasing wherever not underflowed
             assert call_up < call
@@ -349,6 +385,30 @@ class TestThresholdCalibration:
         threshold = solve_threshold(target, mu, 0.0, tau, rate)
         expected = math.exp(mu) - target * math.exp(tau * rate)
         assert threshold == pytest.approx(expected, rel=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=1e-4, max_value=1.0),
+        st.integers(min_value=1, max_value=240),
+        st.floats(min_value=1e-3, max_value=0.999),
+        st.floats(min_value=1e-3, max_value=0.999),
+    )
+    def test_monotone_in_target_and_reprices(self, mu, var, tau, share, step):
+        # targets as shares of the strike-free call; the solver stops on a
+        # 1e-10 relative strike bracket, so the relative reprice error is at
+        # most 5e-11 times the call's strike elasticity −(L/C) ∂C/∂L, which
+        # peaks at 183 on the deepest corner here (share 1e-3, variance 1e-4)
+        rate = 0.01
+        strike_free = math.exp(mu + var / 2 - tau * rate)
+        low = share * strike_free
+        high = (share + step * (1.0 - share)) * strike_free
+        thr_low = solve_threshold(low, mu, var, tau, rate)
+        thr_high = solve_threshold(high, mu, var, tau, rate)
+        assert thr_high < thr_low
+        for target, threshold in ((low, thr_low), (high, thr_high)):
+            repriced = price_options(mu, var, threshold, tau, rate)[0]
+            assert abs(repriced - target) <= 1e-8 * target
 
     def test_report_bundle_consistency(self, params):
         series, _, _ = synthetic_series(params, 10, seed=42, payout_level=0.08)

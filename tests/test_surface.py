@@ -1,4 +1,5 @@
-"""The package exposes only what a program path uses."""
+"""The package exposes only what a program path uses, and the command line
+loads no scipy module."""
 
 import json
 import os
@@ -40,10 +41,11 @@ def resolve(path):
     return obj
 
 before = "privcredit.oracle" in sys.modules
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 removed = json.loads(sys.argv[1])
 present = [f"{owner}.{name}" for owner, names in removed.items()
            for name in names if hasattr(resolve(owner), name)]
-print(json.dumps({"oracle_loaded": before, "present": present}))
+print(json.dumps({"oracle_loaded": before, "scipy": scipy, "present": present}))
 """
 
 
@@ -55,4 +57,4 @@ def test_cli_import_skips_oracle_and_removed_names_are_gone():
         env=env, capture_output=True, text=True, check=True,
     )
     result = json.loads(done.stdout)
-    assert result == {"oracle_loaded": False, "present": []}
+    assert result == {"oracle_loaded": False, "scipy": [], "present": []}
