@@ -61,11 +61,11 @@ from .pricing import (
 from .simulate import (
     SimConfig,
     SimulatedPanel,
-    binned_error_curve,
     mc_default_probability,
     mc_option_price,
     mean_log_book_path,
     simulate_panel,
+    simulate_terminal,
 )
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ from .simulate import (
     mc_option_price,
     mean_log_book_path,
     simulate_panel,
+    simulate_terminal,
 )
 
 _PARAM_KEYS = (
@@ -335,19 +336,19 @@ def _public_multiplier(cfg):
     return np.array([eq, li])
 
 
-def _mc_panel(args, cfg, ctx, measure):
-    """Paths and seed of a Monte Carlo check, and its panel simulated from
-    the origin posterior under ``measure``."""
+def _mc_terminal(args, cfg, ctx, measure):
+    """Paths and seed of a Monte Carlo check, and its maturity linearized
+    log asset values simulated from the origin posterior under ``measure``."""
     paths = _option(args.paths, cfg, "paths", int, 200_000)
     seed = _option(args.seed, cfg, "seed", int, 0)
     mean, cov = ctx.posterior(measure)
-    panel = simulate_panel(
+    log_asset = simulate_terminal(
         ctx.params, ctx.schedule,
         SimConfig(paths, ctx.tau, seed, measure=measure),
         ctx.log_books[ctx.origin], start=ctx.origin,
         init_mean=mean, init_cov=cov,
     )
-    return {"paths": paths, "seed": seed}, panel
+    return {"paths": paths, "seed": seed}, log_asset
 
 
 def _mc_fields(name, value, mc, se):
@@ -399,9 +400,9 @@ def cmd_price(args):
     if estimation is not None:
         report["estimation"] = estimation
     if args.check == "mc":
-        check, panel = _mc_panel(args, cfg, ctx, "risk_neutral")
+        check, log_asset = _mc_terminal(args, cfg, ctx, "risk_neutral")
         (call_mc, call_se), (put_mc, put_se) = mc_option_price(
-            panel, strike, params.rate_log
+            log_asset, strike, ctx.tau, params.rate_log
         )
         check.update(_mc_fields("call", call, call_mc, call_se))
         check.update(_mc_fields("put", put, put_mc, put_se))
@@ -436,8 +437,8 @@ def cmd_default_prob(args):
     if estimation is not None:
         report["estimation"] = estimation
     if args.check == "mc":
-        check, panel = _mc_panel(args, cfg, ctx, "real")
-        pd_mc, pd_se = mc_default_probability(panel, threshold)
+        check, log_asset = _mc_terminal(args, cfg, ctx, "real")
+        pd_mc, pd_se = mc_default_probability(log_asset, threshold)
         check.update(_mc_fields("pd", pd_private, pd_mc, pd_se))
         report["mc_check"] = check
     pio.write_report(report, path=args.output, stream=sys.stdout)

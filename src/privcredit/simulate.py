@@ -15,6 +15,7 @@ from .errors import DataValidationError
 from .model import linearized_log_asset, real_intercepts, risk_neutral_intercepts
 
 MEASURES = ("real", "risk_neutral")
+_BLOCK_PATHS = 1 << 16  # paths held at once by simulate_terminal
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,8 @@ class SimConfig:
             raise DataValidationError("horizon must be >= 1")
         if self.measure not in MEASURES:
             raise DataValidationError(f"measure must be one of {MEASURES}")
+        if not 0 <= self.seed < 2**128:
+            raise DataValidationError("seed must be in [0, 2**128)")
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,28 @@ def psd_cholesky(m):
     return np.array([[l11, 0.0], [l21, l22]])
 
 
+def _setup(params, schedule, config, start, init_mean, init_cov):
+    """Checks, start distribution, intercepts and generator of a simulation."""
+    if not schedule.has_asset_constants():
+        raise DataValidationError("schedule lacks asset constants")
+    if schedule.horizon < start + config.horizon:
+        raise DataValidationError("schedule does not cover the simulation horizon")
+    mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
+    cov0 = params.init_cov if init_cov is None else np.asarray(init_cov, float)
+    if config.measure == "real":
+        intercepts = real_intercepts(params, schedule)
+    else:
+        intercepts = risk_neutral_intercepts(params, schedule)
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    return mean0, cov0, intercepts, rng
+
+
+def _step(params, schedule, intercepts, t, m_prev, rv, ru):
+    """Period t: m′ = φ + m + r_v and book growth g = −m′ + G_t m + c_t + r_u."""
+    m_new = params.drift + m_prev + rv
+    return m_new, -m_new + schedule.gain[t] * m_prev + intercepts[t] + ru
+
+
 def simulate_panel(params, schedule, config, log_books0, start=0,
                    init_mean=None, init_cov=None):
     """Simulate exact model paths.
@@ -99,19 +124,9 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
     (:func:`psd_cholesky`), so the panel depends only on the config and the
     inputs, not on the BLAS/LAPACK build.
     """
-    if not schedule.has_asset_constants():
-        raise DataValidationError("schedule lacks asset constants")
+    mean0, cov0, intercepts, rng = _setup(params, schedule, config, start,
+                                          init_mean, init_cov)
     end = start + config.horizon
-    if schedule.horizon < end:
-        raise DataValidationError("schedule does not cover the simulation horizon")
-    mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
-    cov0 = params.init_cov if init_cov is None else np.asarray(init_cov, float)
-    if config.measure == "real":
-        intercepts = real_intercepts(params, schedule)
-    else:
-        intercepts = risk_neutral_intercepts(params, schedule)
-
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
     n, P = config.n_paths, config.horizon
     e0 = rng.standard_normal((n, 2))
     ev = rng.standard_normal((n, P, 2))
@@ -125,13 +140,10 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
     rv = ev @ psd_cholesky(params.state_cov).T
     ru = eu @ psd_cholesky(params.meas_cov).T
     for j in range(1, P + 1):
-        t = start + j
-        m_prev = mult[:, j - 1]
-        m_new = params.drift + m_prev + rv[:, j - 1]
-        growth[:, j - 1] = (
-            -m_new + schedule.gain[t] * m_prev + intercepts[t] + ru[:, j - 1]
+        mult[:, j], growth[:, j - 1] = _step(
+            params, schedule, intercepts, start + j, mult[:, j - 1],
+            rv[:, j - 1], ru[:, j - 1],
         )
-        mult[:, j] = m_new
         log_books[:, j] = log_books[:, j - 1] + growth[:, j - 1]
 
     log_values = mult + log_books
@@ -144,6 +156,36 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
         log_values=log_values, log_asset_exact=exact, log_asset_lin=lin,
         start=start, config=config, asset_weight=w.copy(), asset_shift=h.copy(),
     )
+
+
+def _terminal_values(params, schedule, intercepts, start, m, log_books, shocks):
+    """Linearized log asset after the (r_v, r_u) of periods start+1, … in shocks."""
+    for t, (rv, ru) in enumerate(shocks, start + 1):
+        m, growth = _step(params, schedule, intercepts, t, m, rv, ru)
+        log_books = log_books + growth
+    return linearized_log_asset(m + log_books, schedule.asset_weight[t],
+                                schedule.asset_shift[t])
+
+
+def simulate_terminal(params, schedule, config, log_books0, start=0,
+                      init_mean=None, init_cov=None):
+    """Maturity linearized log asset values Ṽᵃ_T of :func:`simulate_panel`'s
+    model and arguments, an (n_paths,) array. Blocks of ``_BLOCK_PATHS``
+    paths carry only their (b, 2) multiplier and log book state, so memory
+    does not grow with the paths or the horizon. Draws, per block: b start
+    draws, then per period b v and b u draws (not the panel's order)."""
+    mean0, cov0, intercepts, rng = _setup(params, schedule, config, start,
+                                          init_mean, init_cov)
+    l0, lv, lu = (psd_cholesky(c).T for c in (cov0, params.state_cov, params.meas_cov))
+    out = np.empty(config.n_paths)
+    for lo in range(0, config.n_paths, _BLOCK_PATHS):
+        b = min(_BLOCK_PATHS, config.n_paths - lo)
+        m0 = mean0 + rng.standard_normal((b, 2)) @ l0
+        shocks = (rng.standard_normal((2, b, 2)) @ (lv, lu)
+                  for _ in range(config.horizon))
+        out[lo : lo + b] = _terminal_values(params, schedule, intercepts, start,
+                                            m0, np.asarray(log_books0, float), shocks)
+    return out
 
 
 def mean_log_book_path(params, schedule, log_books0):
@@ -169,50 +211,27 @@ def _mc_mean_se(values):
     return float(values.mean()), float(se)
 
 
-def mc_option_price(panel, strike, rate_log):
-    """Discounted Monte Carlo call/put prices off the linearized asset value.
+def mc_option_price(log_asset, strike, tau, rate_log):
+    """Discounted Monte Carlo call/put prices off maturity values Ṽᵃ_T.
 
-    Returns ((call, call_se), (put, put_se)); the panel must be simulated
+    Returns ((call, call_se), (put, put_se)); they must be simulated
     under the risk-neutral measure for prices to be meaningful.
     """
     if strike < 0:
         raise DataValidationError("strike must be nonnegative")
-    tau = panel.n_periods
     disc = np.exp(-tau * rate_log)
-    asset = np.exp(panel.log_asset_lin[:, -1])
+    asset = np.exp(log_asset)
     call, call_se = _mc_mean_se(disc * np.maximum(asset - strike, 0.0))
     put, put_se = _mc_mean_se(disc * np.maximum(strike - asset, 0.0))
     return (call, call_se), (put, put_se)
 
 
-def mc_default_probability(panel, threshold):
+def mc_default_probability(log_asset, threshold):
     """Default frequency {Ṽᵃ_T <= ln threshold} with binomial standard error."""
     if threshold <= 0:
         raise DataValidationError("threshold must be positive")
-    hits = panel.log_asset_lin[:, -1] <= np.log(threshold)
+    hits = log_asset <= np.log(threshold)
     n = hits.shape[0]
     p = float(hits.mean())
     se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
     return p, se
-
-
-def binned_error_curve(panel, period, n_bins=12):
-    """Mean absolute linearization error binned by |deviation from center|.
-
-    Returns (bin centers, mean errors) over paths at the given panel column;
-    used to check that the error grows (quadratically) in the deviation.
-    """
-    values = panel.log_values[:, period]
-    dev = np.abs(
-        (values[:, 0] - values[:, 1])
-        - (np.log(1.0 / panel.asset_weight[period] - 1.0))
-    )
-    err = np.abs(panel.log_asset_exact[:, period] - panel.log_asset_lin[:, period])
-    edges = np.quantile(dev, np.linspace(0.0, 1.0, n_bins + 1))
-    centers, means = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mask = (dev >= lo) & (dev < hi if hi < edges[-1] else dev <= hi)
-        if mask.sum() >= 5:
-            centers.append(dev[mask].mean())
-            means.append(err[mask].mean())
-    return np.array(centers), np.array(means)

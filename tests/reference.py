@@ -1,12 +1,16 @@
-"""Brute-force Gaussian conditioning oracle.
+"""Test-only references for the engine.
 
-Builds the exact joint normal distribution of all log multipliers and all
-observed log book growth rates as one explicit linear map of the primitive
-noise, then answers filtering / smoothing / forecasting questions by dense
-block conditioning. Everything the recursive code computes must agree with
-this object; it is deliberately simple and O((2(2H+1))^3), guarded to short
-samples. :func:`horizon_cov_reference` is the matching reference for the
-pricing layer's maturity covariance.
+:class:`GaussianConditioningOracle` builds the exact joint normal
+distribution of all log multipliers and all observed log book growth rates
+as one explicit linear map of the primitive noise, then answers filtering /
+smoothing / forecasting questions by dense block conditioning. Everything
+the recursive code computes must agree with this object; it is deliberately
+simple and O((2(2H+1))^3), guarded to short samples.
+:func:`horizon_cov_reference` is the matching reference for the pricing
+layer's maturity covariance, and :func:`binned_error_curve` measures the
+asset linearization error of a simulated panel.
+
+Tests import this module the way they import ``conftest``.
 """
 
 from dataclasses import dataclass
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from .errors import DataValidationError
+from privcredit.errors import DataValidationError
 
 _MAX_PERIODS = 8
 _I2 = np.eye(2)
@@ -173,3 +177,25 @@ def horizon_cov_reference(params, schedule, origin, maturity):
         w_i = j_b @ m_i + j_m @ n_i
         total += w_i @ sig @ w_i.T
     return 0.5 * (total + total.T)
+
+
+def binned_error_curve(panel, period, n_bins=12):
+    """Mean absolute linearization error binned by |deviation from center|.
+
+    Returns (bin centers, mean errors) over paths at the given panel column;
+    used to check that the error grows (quadratically) in the deviation.
+    """
+    values = panel.log_values[:, period]
+    dev = np.abs(
+        (values[:, 0] - values[:, 1])
+        - (np.log(1.0 / panel.asset_weight[period] - 1.0))
+    )
+    err = np.abs(panel.log_asset_exact[:, period] - panel.log_asset_lin[:, period])
+    edges = np.quantile(dev, np.linspace(0.0, 1.0, n_bins + 1))
+    centers, means = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mask = (dev >= lo) & (dev < hi if hi < edges[-1] else dev <= hi)
+        if mask.sum() >= 5:
+            centers.append(dev[mask].mean())
+            means.append(err[mask].mean())
+    return np.array(centers), np.array(means)

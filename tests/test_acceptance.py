@@ -28,7 +28,6 @@ from privcredit.model import (
     real_intercepts,
     risk_neutral_intercepts,
 )
-from privcredit.oracle import GaussianConditioningOracle, horizon_cov_reference
 from privcredit.pricing import (
     build_pricing_context,
     default_probability,
@@ -37,7 +36,6 @@ from privcredit.pricing import (
 )
 from privcredit.simulate import (
     SimConfig,
-    binned_error_curve,
     mc_default_probability,
     mc_option_price,
     mean_log_book_path,
@@ -45,6 +43,11 @@ from privcredit.simulate import (
 )
 
 from conftest import base_params, random_params, synthetic_series
+from reference import (
+    GaussianConditioningOracle,
+    binned_error_curve,
+    horizon_cov_reference,
+)
 
 
 def _simulate_growth(params, schedule, periods, rng):
@@ -285,7 +288,7 @@ def pricing_battery():
             strike = factor * math.exp(mu)
             call, put = ctx.price_private(strike)
             (call_mc, call_se), (put_mc, put_se) = mc_option_price(
-                panel, strike, params.rate_log
+                panel.log_asset_lin[:, -1], strike, ctx.tau, params.rate_log
             )
             rows.append(
                 dict(
@@ -354,12 +357,14 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
         for shift in (-0.4, 0.0, 0.35):
             threshold = math.exp(mu + shift * sd)
             pd_closed = ctx.default_prob_private(threshold)
-            pd_mc, pd_se = mc_default_probability(panel_priv, threshold)
+            pd_mc, pd_se = mc_default_probability(
+                panel_priv.log_asset_lin[:, -1], threshold
+            )
             worst = max(worst, abs(pd_closed - pd_mc) / pd_se)
             threshold_pub = math.exp(mu_pub + shift * math.sqrt(var_pub))
             pd_pub = default_probability(mu_pub, var_pub, threshold_pub)
             pd_pub_mc, pd_pub_se = mc_default_probability(
-                panel_pub, threshold_pub
+                panel_pub.log_asset_lin[:, -1], threshold_pub
             )
             worst = max(worst, abs(pd_pub - pd_pub_mc) / pd_pub_se)
     assert worst <= 3.0

@@ -17,9 +17,9 @@ from privcredit.model import (
     build_linearization_schedule,
     real_intercepts,
 )
-from privcredit.oracle import GaussianConditioningOracle
 
 from conftest import base_params, random_params, synthetic_series
+from reference import GaussianConditioningOracle
 
 
 def deterministic_series(params, periods):

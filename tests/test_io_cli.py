@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from privcredit.cli import main
 from privcredit.errors import DataValidationError
@@ -102,6 +105,34 @@ class TestIngest:
         )
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda T: st.tuples(
+                arrays(float, (T + 1, 2), elements=st.floats(1e-6, 1e9)),
+                arrays(float, (T, 2), elements=st.floats(1e-6, 1e9)),
+            )
+        )
+    )
+    def test_round_trip_property(self, tmp_path_factory, panel):
+        books, payouts = panel
+        path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
+        write_panel_csv(path, books, payouts)
+        rebuilt = ingest(path)
+        log_books = np.log(books)
+        assert rebuilt.n_periods == books.shape[0] - 1
+        np.testing.assert_allclose(
+            np.exp(rebuilt.log_books()), books, rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(
+            rebuilt.growth, np.diff(log_books, axis=0), rtol=1e-12, atol=0
+        )
+        np.testing.assert_allclose(
+            rebuilt.payout_ratio, np.log(payouts) - log_books[:-1],
+            rtol=1e-12, atol=0,
+        )
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -162,6 +193,15 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
         series = ingest(out)
         assert np.ptp(series.growth, axis=0).max() < 1e-12
+
+
+    def test_negative_seed_fails_validation(self, tmp_path, sim_config, capsys):
+        out = tmp_path / "neg.csv"
+        code = main(["simulate", "--config", str(sim_config), "--output",
+                     str(out), "--seed", "-1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not out.exists()
 
 
 class TestCliEstimate:
@@ -319,6 +359,20 @@ class TestCliPricing:
         equity, debt = report["private"]["equity_value"], report["private"]["debt_value"]
         assert equity == report["private"]["call"]
         assert debt <= strike * math.exp(-4 * math.log(1.0101)) + 1e-12
+
+    def test_negative_seed_fails_validation(self, tmp_path, panel_csv, capsys):
+        out = tmp_path / "price.json"
+        code = main(
+            [
+                "price", "--input", str(panel_csv),
+                "--config", str(self._pricing_cfg(tmp_path)),
+                "--maturity", "4", "--strike", "2.0", "--output", str(out),
+                "--check", "mc", "--paths", "100", "--seed", "-1",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not out.exists()
 
     def test_small_strike_limits(self, tmp_path, panel_csv):
         cfg = self._pricing_cfg(tmp_path)

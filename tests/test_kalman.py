@@ -12,9 +12,9 @@ from privcredit.model import (
     real_intercepts,
     risk_neutral_intercepts,
 )
-from privcredit.oracle import GaussianConditioningOracle
 
 from conftest import base_params, random_params, spd_matrix, synthetic_series
+from reference import GaussianConditioningOracle
 
 
 def make_instance(params, periods, seed, horizon=None):

@@ -24,10 +24,10 @@ from privcredit.pricing import (
     price_options,
     solve_threshold,
 )
-from privcredit.oracle import horizon_cov_reference
 from privcredit.simulate import SimConfig, mc_option_price, simulate_panel
 
 from conftest import base_params, random_params, synthetic_series
+from reference import horizon_cov_reference
 
 
 def pricing_fixture(params, periods=10, maturity=4, seed=42):
@@ -342,7 +342,7 @@ class TestPrivatePricing:
             init_cov=ctx.filter_rn.cov_m_filt[ctx.origin],
         )
         (call_mc, call_se), (put_mc, put_se) = mc_option_price(
-            panel, strike, params.rate_log
+            panel.log_asset_lin[:, -1], strike, ctx.tau, params.rate_log
         )
         assert abs(call - call_mc) < 3 * call_se
         assert abs(put - put_mc) < 3 * put_se

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,23 @@ from privcredit.model import (
     attach_asset_constants,
     build_linearization_schedule,
     real_intercepts,
+    risk_neutral_intercepts,
 )
-from privcredit.oracle import GaussianConditioningOracle
+from privcredit.pricing import build_pricing_context
 from privcredit.simulate import (
+    _BLOCK_PATHS,
     SimConfig,
-    binned_error_curve,
+    _terminal_values,
     mc_default_probability,
     mc_option_price,
     mean_log_book_path,
     psd_cholesky,
     simulate_panel,
+    simulate_terminal,
 )
 
 from conftest import base_params, synthetic_series
+from reference import GaussianConditioningOracle, binned_error_curve
 
 
 def toy_schedule(params, periods, payout=0.25):
@@ -95,6 +101,94 @@ class TestSimulatePanel:
                 assert abs(sample_cov[i, j] - cov_b[i, j]) < 4 * se_cov
 
 
+class TestSimConfig:
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range_fails_validation(self, seed):
+        with pytest.raises(DataValidationError, match="seed"):
+            SimConfig(10, 2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_seed_range_ends_are_accepted(self, seed):
+        assert SimConfig(10, 2, seed=seed).seed == seed
+
+
+class TestSimulateTerminal:
+    def test_shared_step_reproduces_panel_bit_for_bit(self, params):
+        # the panel's own scaled draws, recomputed from its seed and fed
+        # through the terminal loop, give its maturity column exactly
+        sched = toy_schedule(params, 9)
+        start, n, P, seed = 2, 300, 7, 41
+        m0, cov0 = np.array([0.3, 0.05]), 0.5 * params.init_cov
+        lb0 = np.array([1.0, 1.2])
+        panel = simulate_panel(
+            params, sched, SimConfig(n, P, seed, measure="risk_neutral"), lb0,
+            start=start, init_mean=m0, init_cov=cov0,
+        )
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        e0 = rng.standard_normal((n, 2))
+        ev = rng.standard_normal((n, P, 2))
+        eu = rng.standard_normal((n, P, 2))
+        rv = ev @ psd_cholesky(params.state_cov).T
+        ru = eu @ psd_cholesky(params.meas_cov).T
+        terminal = _terminal_values(
+            params, sched, risk_neutral_intercepts(params, sched), start,
+            m0 + e0 @ psd_cholesky(cov0).T, lb0,
+            zip(rv.transpose(1, 0, 2), ru.transpose(1, 0, 2)),
+        )
+        assert np.array_equal(terminal, panel.log_asset_lin[:, -1])
+
+    def test_noiseless_paths_equal_panel_across_blocks(self):
+        zero = np.zeros((2, 2))
+        p = base_params(init_cov=zero, meas_cov=zero, state_cov=zero)
+        sched = toy_schedule(p, 5)
+        cfg = SimConfig(_BLOCK_PATHS + 3, 5, seed=1)
+        lb0 = np.array([1.0, 1.2])
+        terminal = simulate_terminal(p, sched, cfg, lb0)
+        panel = simulate_panel(p, sched, SimConfig(3, 5, seed=1), lb0)
+        assert terminal.shape == (_BLOCK_PATHS + 3,)
+        assert (terminal == panel.log_asset_lin[0, -1]).all()
+
+    def test_seed_determinism(self, params):
+        sched = toy_schedule(params, 4)
+        lb0 = np.array([1.0, 1.2])
+        a = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), lb0)
+        b = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), lb0)
+        c = simulate_terminal(params, sched, SimConfig(100, 4, seed=100), lb0)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("measure", ["real", "risk_neutral"])
+    def test_moments_match_closed_form(self, params, measure):
+        # the linearized maturity log asset value is Gaussian with the
+        # closed-form private moments; 200 000 paths span four blocks
+        series, _, _ = synthetic_series(params, 10, seed=42)
+        ctx = build_pricing_context(
+            params, series, 6, payout_future=np.log([0.25, 0.25])
+        )
+        mu, var = ctx.asset_moments_private(measure)
+        mean, cov = ctx.posterior(measure)
+        n = 200_000
+        sample = simulate_terminal(
+            params, ctx.schedule, SimConfig(n, ctx.tau, 2024, measure=measure),
+            ctx.log_books[ctx.origin], start=ctx.origin,
+            init_mean=mean, init_cov=cov,
+        )
+        assert abs(sample.mean() - mu) < 4 * np.sqrt(var / n)
+        assert abs(sample.var(ddof=1) - var) < 4 * var * np.sqrt(2 / (n - 1))
+
+    def test_memory_is_bounded_by_one_block(self, params):
+        # a 200 000-path, 60-period panel would hold about 2 GB
+        sched = toy_schedule(params, 60)
+        cfg = SimConfig(200_000, 60, seed=3, measure="risk_neutral")
+        tracemalloc.start()
+        try:
+            simulate_terminal(params, sched, cfg, np.array([1.0, 1.2]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+
+
 class TestNoiseFactor:
     def test_panel_does_not_depend_on_eigenvector_signs(self, params, monkeypatch):
         # LAPACK fixes neither eigenvector signs nor, for repeated
@@ -160,7 +254,9 @@ class TestMonteCarloEstimators:
             params, sched, SimConfig(2000, 3, seed=3, measure="risk_neutral"),
             np.array([1.0, 1.2]),
         )
-        (estimate, _), _ = mc_option_price(panel, 0.0, params.rate_log)
+        (estimate, _), _ = mc_option_price(
+            panel.log_asset_lin[:, -1], 0.0, 3, params.rate_log
+        )
         disc = np.exp(-3 * params.rate_log)
         assert estimate == pytest.approx(
             float(disc * np.exp(panel.log_asset_lin[:, -1]).mean()), rel=1e-12
@@ -178,7 +274,9 @@ class TestMonteCarloEstimators:
             np.array([1.0, 1.2]),
         )
         strike = 2.0
-        (call, se), (put, _) = mc_option_price(panel, strike, p.rate_log)
+        (call, se), (put, _) = mc_option_price(
+            panel.log_asset_lin[:, -1], strike, 3, p.rate_log
+        )
         payoff = max(np.exp(panel.log_asset_lin[0, -1]) - strike, 0.0)
         assert call == pytest.approx(np.exp(-3 * p.rate_log) * payoff, rel=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
@@ -188,8 +286,8 @@ class TestMonteCarloEstimators:
         panel = simulate_panel(
             params, sched, SimConfig(500, 3, seed=3), np.array([1.0, 1.2])
         )
-        low, _ = mc_default_probability(panel, 1e-12)
-        high, _ = mc_default_probability(panel, 1e12)
+        low, _ = mc_default_probability(panel.log_asset_lin[:, -1], 1e-12)
+        high, _ = mc_default_probability(panel.log_asset_lin[:, -1], 1e12)
         assert low == 0.0
         assert high == 1.0
 
