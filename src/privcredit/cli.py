@@ -140,19 +140,20 @@ def _em_settings(args, cfg):
 
 
 def _fit_or_load(args, cfg, series):
-    """Use configured parameters when supplied, otherwise estimate in-run."""
+    """Use configured parameters when supplied, otherwise estimate in-run;
+    the fit's trace comes back too (None for configured parameters)."""
     rate_log = _rate(args, cfg)
     params = _params_from_config(cfg, rate_log)
-    estimation = None
-    if params is None:
-        max_iter, tol = _em_settings(args, cfg)
-        params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
-        estimation = {
-            "iterations": trace.n_iterations,
-            "termination": trace.termination,
-            "loglik_trace": trace.loglik,
-        }
-    return params, estimation
+    if params is not None:
+        return params, None, None
+    max_iter, tol = _em_settings(args, cfg)
+    params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
+    estimation = {
+        "iterations": trace.n_iterations,
+        "termination": trace.termination,
+        "loglik_trace": trace.loglik,
+    }
+    return params, estimation, trace
 
 
 def cmd_simulate(args):
@@ -201,11 +202,15 @@ def cmd_simulate(args):
     return 0
 
 
-def _series_report_core(args, series, params, estimation):
-    schedule = build_linearization_schedule(
-        params, series.payout_ratio, series.n_periods
-    )
-    stats = e_step(params, series, schedule)
+def _series_report_core(args, series, params, estimation, trace=None):
+    """Report fields of the filter and smoother at ``params``; the forward
+    pass an EM ``trace`` ends with is smoothed rather than run again."""
+    schedule, filt = (trace.schedule, trace.filter_output) if trace else (None, None)
+    if schedule is None:
+        schedule = build_linearization_schedule(
+            params, series.payout_ratio, series.n_periods
+        )
+    stats = e_step(params, series, schedule, filt)
     filt = stats.filter_output
     report = {
         "input": args.input,
@@ -240,7 +245,7 @@ def cmd_estimate(args):
         "lambda_after": trace.lambda_after,
         "max_change": trace.max_change,
     }
-    report, _ = _series_report_core(args, series, params, estimation)
+    report, _ = _series_report_core(args, series, params, estimation, trace)
     report["command"] = "estimate"
     pio.write_report(report, path=args.output, stream=sys.stdout)
     if trace.termination.startswith("aborted"):
@@ -252,8 +257,8 @@ def cmd_estimate(args):
 def cmd_filter(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
-    params, estimation = _fit_or_load(args, cfg, series)
-    report, stats = _series_report_core(args, series, params, estimation)
+    params, estimation, trace = _fit_or_load(args, cfg, series)
+    report, stats = _series_report_core(args, series, params, estimation, trace)
     report["command"] = "filter"
     report["filtered_multiplier_cov"] = stats.filter_output.cov_m_filt
     report["predicted_growth"] = stats.filter_output.b_pred[1:]
@@ -264,8 +269,8 @@ def cmd_filter(args):
 def cmd_smooth(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
-    params, estimation = _fit_or_load(args, cfg, series)
-    report, stats = _series_report_core(args, series, params, estimation)
+    params, estimation, trace = _fit_or_load(args, cfg, series)
+    report, stats = _series_report_core(args, series, params, estimation, trace)
     report["command"] = "smooth"
     report["smoothed_multiplier_cov"] = stats.cov_m
     pio.write_report(report, path=args.output, stream=sys.stdout)
@@ -275,7 +280,7 @@ def cmd_smooth(args):
 def cmd_forecast(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
     series = pio.ingest(args.input)
-    params, estimation = _fit_or_load(args, cfg, series)
+    params, estimation, _ = _fit_or_load(args, cfg, series)
     maturity = _option(args.maturity, cfg, "maturity", int)
     if maturity is None or maturity < 1:
         raise DataValidationError("forecast requires --maturity periods ahead")
@@ -319,7 +324,7 @@ def _future_payout(cfg, maturity):
 
 def _pricing_setup(args, cfg):
     series = pio.ingest(args.input)
-    params, estimation = _fit_or_load(args, cfg, series)
+    params, estimation, _ = _fit_or_load(args, cfg, series)
     maturity = _option(args.maturity, cfg, "maturity", int)
     if maturity is None or maturity < 1:
         raise DataValidationError("a positive --maturity is required")

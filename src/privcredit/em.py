@@ -1,8 +1,10 @@
 """Maximum-likelihood estimation via the EM zig-zag iteration.
 
-Each iteration rebuilds the linearization schedule at the current parameter
-vector, runs the filter and smoother (E-step), then maximizes the expected
+Each iteration smooths the filter run at the current parameter vector over
+its linearization schedule (E-step), then maximizes the expected
 complete-data log-likelihood exactly with the schedule held frozen (M-step).
+The line search that accepts the next vector has already run its schedule
+and filter, so those are reused rather than run again.
 Freezing makes this a generalized EM: the frozen objective never decreases,
 which is the ascent property tested downstream. The schedule's own parameter
 sensitivity shows up only in the analytic gradient of the schedule-varying
@@ -24,29 +26,20 @@ _LOG2PI = np.log(2.0 * np.pi)
 
 @dataclass(frozen=True)
 class SmoothedStats:
-    """Smoothed moments and residuals from one E-step.
+    """Smoothed moments from one E-step.
 
-    Residual arrays are indexed by absolute period with row 0 unused and are
-    evaluated at the parameters recorded in ``params_at``; the underlying
-    smoothed moments (``m_smooth``, ``cov_m``, ``cross_m``) are parameter-free
-    and support re-evaluating the objective at any candidate parameter
-    vector. ``cross_m[t]`` is Cov(m̃_{t-1}, m̃_t | full sample).
-    ``filter_output`` is the forward pass the moments were smoothed from.
+    The moments (``m_smooth``, ``cov_m``, ``cross_m``) are parameter-free
+    and support evaluating the objective at any candidate parameter vector.
+    ``cross_m[t]`` is Cov(m̃_{t-1}, m̃_t | full sample). ``filter_output``
+    is the forward pass the moments were smoothed from.
     """
 
     m_smooth: np.ndarray
     cov_m: np.ndarray
     cross_m: np.ndarray
-    u_res: np.ndarray
-    v_res: np.ndarray
-    d_res: np.ndarray
-    z_mat: np.ndarray
-    e_uu: np.ndarray
-    e_vv: np.ndarray
     growth: np.ndarray
     payout_ratio: np.ndarray
     loglik: float
-    params_at: ModelParams
     filter_output: FilterOutput = None
 
     @property
@@ -64,6 +57,10 @@ class EmTrace:
     lambda_after: list = field(default_factory=list)
     max_change: list = field(default_factory=list)
     termination: str = ""
+    # linearization schedule and forward pass at the returned parameters
+    # (None where the fit never built them)
+    schedule: object = None
+    filter_output: FilterOutput = None
 
     @property
     def n_iterations(self):
@@ -142,36 +139,30 @@ def _residual_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
     return u, v, d, z, e_uu, e_vv
 
 
-def e_step(params, series, schedule=None):
-    """Run filter and smoother under real-measure intercepts; collect stats."""
-    if schedule is None:
-        schedule = build_linearization_schedule(
-            params, series.payout_ratio, series.n_periods
+def e_step(params, series, schedule=None, filter_output=None):
+    """Smooth a forward pass under real-measure intercepts; collect stats.
+
+    ``filter_output`` is a forward pass already run at ``params`` (the EM
+    driver passes the one that accepted its step); without it the filter
+    runs here, over ``schedule`` or one built at ``params``.
+    """
+    if filter_output is None:
+        if schedule is None:
+            schedule = build_linearization_schedule(
+                params, series.payout_ratio, series.n_periods
+            )
+        filter_output = run_filter(
+            params, schedule, series.growth, real_intercepts(params, schedule)
         )
-    intercepts = real_intercepts(params, schedule)
-    filt = run_filter(params, schedule, series.growth, intercepts)
-    smo = smooth(filt, params)
-    pad2 = np.zeros((1, 2))
-    pad22 = np.zeros((1, 2, 2))
-    u, v, d, z, e_uu, e_vv = _residual_pieces(
-        params, schedule, smo.m_smooth, smo.cov_m_smooth, smo.cross_m,
-        series.growth, series.payout_ratio,
-    )
+    smo = smooth(filter_output, params)
     return SmoothedStats(
         m_smooth=smo.m_smooth,
         cov_m=smo.cov_m_smooth,
         cross_m=smo.cross_m,
-        u_res=np.vstack([pad2, u]),
-        v_res=np.vstack([pad2, v]),
-        d_res=np.vstack([pad2, d]),
-        z_mat=np.concatenate([pad22, z]),
-        e_uu=np.concatenate([pad22, e_uu]),
-        e_vv=np.concatenate([pad22, e_vv]),
         growth=series.growth,
         payout_ratio=series.payout_ratio,
-        loglik=filt.loglik,
-        params_at=params,
-        filter_output=filt,
+        loglik=filter_output.loglik,
+        filter_output=filter_output,
     )
 
 
@@ -341,33 +332,36 @@ def _blend_params(old, new, weight):
     )
 
 
-def _observed_loglik(params, series):
+def _forward_pass(params, series):
+    """Linearization schedule and real-measure filter at ``params``."""
     schedule = build_linearization_schedule(
         params, series.payout_ratio, series.n_periods
     )
-    filt = run_filter(
+    return schedule, run_filter(
         params, schedule, series.growth, real_intercepts(params, schedule)
     )
-    return filt.loglik
 
 
 def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
-    """Alternate schedule rebuild, E-step and frozen-schedule M-step.
+    """Alternate E-step, frozen-schedule M-step and line search.
 
     The linearization constants are very sensitive to the drift on long
     samples (the payout gap moves by (t-1) times any drift perturbation),
     so a full M-step can leave the feasible region or lower the observed
     likelihood once the schedule is refreshed. Each accepted step is
     therefore the longest step toward the M-step output that keeps the
-    schedule feasible, does not decrease the frozen-schedule objective, and
-    does not decrease the observed likelihood; the frozen objective is
-    exactly non-decreasing along this segment, so the generalized-EM ascent
-    property is preserved.
+    schedule feasible, does not decrease the frozen-schedule objective (up
+    to 1e-9), and lowers the observed likelihood by at most a relative 1e-8;
+    the frozen objective is exactly non-decreasing along this segment, so
+    the generalized-EM ascent property is preserved. The search filters each candidate it tests
+    against the observed likelihood, so the accepted candidate's schedule
+    and forward pass are the next iteration's, and the last ones go back
+    on the trace: one accepted step costs one filter run.
 
     Stops when the largest absolute parameter change falls below ``tol``,
     when no acceptable step remains ("stalled"), or after ``max_iter``
-    iterations. An infeasible schedule at entry aborts with the last
-    feasible parameters and a diagnostic on the trace.
+    iterations. An infeasible schedule at entry aborts with the starting
+    parameters and a diagnostic on the trace.
 
     Returns
     -------
@@ -376,16 +370,18 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
     params = params_init or default_initial_params(series, rate_log)
     trace = EmTrace()
     trace.params.append(params)
+    try:
+        schedule = build_linearization_schedule(
+            params, series.payout_ratio, series.n_periods
+        )
+    except (PrivCreditError, np.linalg.LinAlgError) as exc:
+        # infeasible starting point: keep the last fit
+        trace.termination = f"aborted: {exc}"
+        return params, trace
+    filt = None
     for _ in range(max_iter):
-        try:
-            schedule = build_linearization_schedule(
-                params, series.payout_ratio, series.n_periods
-            )
-        except (PrivCreditError, np.linalg.LinAlgError) as exc:
-            # infeasible starting point: keep the last fit
-            trace.termination = f"aborted: {exc}"
-            return params, trace
-        stats = e_step(params, series, schedule)
+        stats = e_step(params, series, schedule, filt)
+        filt = stats.filter_output
         lambda_before = expected_complete_loglik(params, stats, schedule)
         full_step = m_step(stats, schedule, params)
 
@@ -397,10 +393,10 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
             candidate = _blend_params(params, full_step, weight)
             try:
                 lam = expected_complete_loglik(candidate, stats, schedule)
-                rejected = (
-                    lam < lambda_before - 1e-9
-                    or _observed_loglik(candidate, series) < stats.loglik - ll_slack
-                )
+                rejected = lam < lambda_before - 1e-9
+                if not rejected:
+                    forward = _forward_pass(candidate, series)
+                    rejected = forward[1].loglik < stats.loglik - ll_slack
             except (PrivCreditError, np.linalg.LinAlgError):
                 rejected = True
             if not rejected:
@@ -415,15 +411,18 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
             trace.max_change.append(0.0)
             trace.params.append(params)
             trace.termination = "stalled"
-            return params, trace
+            break
         change = _param_change(params, accepted)
         trace.max_change.append(change)
         trace.params.append(accepted)
-        params = accepted
+        # the accepted candidate's filter is the next E-step's forward pass
+        params, (schedule, filt) = accepted, forward
         if change < tol:
             trace.termination = "converged"
-            return params, trace
-    trace.termination = "max_iter"
+            break
+    else:
+        trace.termination = "max_iter"
+    trace.schedule, trace.filter_output = schedule, filt
     return params, trace
 
 

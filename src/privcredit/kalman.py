@@ -68,7 +68,6 @@ class FilterOutput:
     gain: np.ndarray
     innovation: np.ndarray
     loading: np.ndarray
-    loglik_terms: np.ndarray
     loglik: float
     intercepts: np.ndarray
 
@@ -182,7 +181,6 @@ def run_filter(params, schedule, growth, intercepts):
         m_filt += (a0, a1)
         cov_filt += (p00, p01, p01, p11)
 
-    ll = np.array(ll)
     return FilterOutput(
         m_filt=np.array(m_filt).reshape(T + 1, 2),
         cov_m_filt=np.array(cov_filt).reshape(T + 1, 2, 2),
@@ -191,7 +189,7 @@ def run_filter(params, schedule, growth, intercepts):
         gain=_rows(gain, T, (2, 2)),
         innovation=_rows(innovation, T, (2,)),
         loading=_rows(loading, T, (2,)),
-        loglik_terms=ll, loglik=float(ll.sum()), intercepts=intercepts,
+        loglik=float(np.array(ll).sum()), intercepts=intercepts,
     )
 
 

@@ -73,16 +73,9 @@ class TestExpectedCompleteLoglik:
             ),
             cov_m=np.zeros((T + 1, 2, 2)),
             cross_m=np.zeros((T + 1, 2, 2)),
-            u_res=np.zeros((T + 1, 2)),
-            v_res=np.zeros((T + 1, 2)),
-            d_res=np.zeros((T + 1, 2)),
-            z_mat=np.zeros((T + 1, 2, 2)),
-            e_uu=np.zeros((T + 1, 2, 2)),
-            e_vv=np.zeros((T + 1, 2, 2)),
             growth=series.growth,
             payout_ratio=series.payout_ratio,
             loglik=0.0,
-            params_at=p,
         )
         value = expected_complete_loglik(p, stats_zero, schedule)
         assert value == pytest.approx(-(2 * T + 1) * np.log(2 * np.pi), abs=1e-12)
@@ -128,14 +121,24 @@ class TestGradient:
             assert np.abs(grad - fd).max() / scale < 1e-5
 
 
+def residual_pieces(params, schedule, stats):
+    """Residuals (u, v, d), Z and the second moments E[uu'], E[vv'] of the
+    smoothed ``stats`` at ``params``; row i is period i + 1."""
+    return em._residual_pieces(
+        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
+        stats.growth, stats.payout_ratio,
+    )
+
+
 class TestEStep:
     def test_deterministic_multiplier_zeroes_residual_structure(self):
         p = base_params(init_cov=np.zeros((2, 2)), state_cov=np.zeros((2, 2)))
         series, schedule = deterministic_series(p, 5)
         stats = e_step(p, series, schedule)
-        np.testing.assert_allclose(stats.v_res[1:], 0.0, atol=1e-10)
-        np.testing.assert_allclose(stats.d_res[1:], 0.0, atol=1e-10)
-        np.testing.assert_allclose(stats.z_mat[1:], 0.0, atol=1e-10)
+        _, v, d, z, _, _ = residual_pieces(p, schedule, stats)
+        np.testing.assert_allclose(v, 0.0, atol=1e-10)
+        np.testing.assert_allclose(d, 0.0, atol=1e-10)
+        np.testing.assert_allclose(z, 0.0, atol=1e-10)
 
     def test_unit_gain_limit_kills_d_and_z(self, params):
         # negligible payouts make every gain ~1 so the payout-gap factor
@@ -143,9 +146,11 @@ class TestEStep:
         series, _, _ = synthetic_series(
             params, 5, seed=3, payout_level=1e-9, jitter=0.0
         )
+        schedule = build_linearization_schedule(params, series.payout_ratio, 5)
         stats = e_step(params, series)
-        np.testing.assert_allclose(stats.d_res[1:], 0.0, atol=1e-8)
-        np.testing.assert_allclose(stats.z_mat[1:], 0.0, atol=1e-8)
+        _, _, d, z, _, _ = residual_pieces(params, schedule, stats)
+        np.testing.assert_allclose(d, 0.0, atol=1e-8)
+        np.testing.assert_allclose(z, 0.0, atol=1e-8)
 
     def test_moments_match_oracle(self, rng):
         p = random_params(rng)
@@ -153,6 +158,9 @@ class TestEStep:
         schedule = build_linearization_schedule(p, series.payout_ratio, 5)
         intercepts = real_intercepts(p, schedule)
         stats = e_step(p, series, schedule)
+        u_res, _, d_res, z_mat, e_uu_res, e_vv_res = residual_pieces(
+            p, schedule, stats
+        )
         oracle = GaussianConditioningOracle(p, schedule, series.growth, intercepts)
         for t in range(1, 6):
             pair = oracle.smoothed_m_pair(t)
@@ -165,18 +173,18 @@ class TestEStep:
             e_uu = np.outer(u_hat, u_hat) + (
                 V[2:, 2:] + G @ V[:2, :2] @ G - V[:2, 2:].T @ G - G @ V[:2, 2:]
             )
-            np.testing.assert_allclose(stats.e_uu[t], e_uu, atol=1e-8)
+            np.testing.assert_allclose(e_uu_res[t - 1], e_uu, atol=1e-8)
             v_hat = mean_cur - p.drift - mean_prev
             e_vv = np.outer(v_hat, v_hat) + (
                 V[2:, 2:] + V[:2, :2] - V[:2, 2:] - V[:2, 2:].T
             )
-            np.testing.assert_allclose(stats.e_vv[t], e_vv, atol=1e-8)
+            np.testing.assert_allclose(e_vv_res[t - 1], e_vv, atol=1e-8)
             d_hat = g * (g - 1) * (mean_prev - (p.init_mean + (t - 1) * p.drift))
             e_du = np.outer(d_hat, u_hat) + (g * (g - 1))[:, None] * (
                 V[:2, 2:] - V[:2, :2] @ G
             )
             np.testing.assert_allclose(
-                stats.z_mat[t] + np.outer(stats.d_res[t], stats.u_res[t]),
+                z_mat[t - 1] + np.outer(d_res[t - 1], u_res[t - 1]),
                 e_du,
                 atol=1e-8,
             )
@@ -184,12 +192,11 @@ class TestEStep:
     def test_covariance_corrections_are_psd(self, rng):
         p = random_params(rng)
         series, _, _ = synthetic_series(p, 6, seed=13)
+        schedule = build_linearization_schedule(p, series.payout_ratio, 6)
         stats = e_step(p, series)
-        for t in range(1, 7):
-            for total, res in (
-                (stats.e_uu[t], stats.u_res[t]),
-                (stats.e_vv[t], stats.v_res[t]),
-            ):
+        u_res, v_res, _, _, e_uu, e_vv = residual_pieces(p, schedule, stats)
+        for i in range(6):
+            for total, res in ((e_uu[i], u_res[i]), (e_vv[i], v_res[i])):
                 correction = total - np.outer(res, res)
                 assert np.linalg.eigvalsh(correction).min() > -1e-10
 
@@ -269,14 +276,9 @@ def fixed_point_stats(params, periods, schedule):
         y = np.linalg.solve(eye - G, 0.5 * s)
         cross_m[t] = y
         cov_m[t] = params.state_cov - cov_m[t - 1] + y + y.T
-    zero2 = np.zeros((T + 1, 2))
-    zero22 = np.zeros((T + 1, 2, 2))
     return SmoothedStats(
-        m_smooth=m_hat, cov_m=cov_m, cross_m=cross_m,
-        u_res=zero2, v_res=zero2, d_res=zero2, z_mat=zero22,
-        e_uu=zero22, e_vv=zero22, growth=growth,
+        m_smooth=m_hat, cov_m=cov_m, cross_m=cross_m, growth=growth,
         payout_ratio=schedule.payout_ratio[1 : T + 1], loglik=0.0,
-        params_at=params,
     )
 
 
@@ -333,6 +335,38 @@ class TestEmFit:
             for m in (p.meas_cov, p.state_cov, p.init_cov):
                 assert np.linalg.eigvalsh(m).min() > -1e-12
 
+    def test_one_filter_run_per_accepted_step(self, params, monkeypatch):
+        # only the first E-step filters; every later one smooths the pass
+        # the line search ran for the candidate it accepted
+        series, _, _ = synthetic_series(params, 60, seed=31)
+        real_filter, real_e_step = em.run_filter, em.e_step
+        calls, passes, in_e_step = {"e_step": 0, "search": 0}, [], []
+
+        def counted_filter(*args, **kwargs):
+            calls["e_step" if in_e_step else "search"] += 1
+            passes.append(real_filter(*args, **kwargs))
+            return passes[-1]
+
+        def tracked_e_step(*args, **kwargs):
+            in_e_step.append(None)
+            try:
+                return real_e_step(*args, **kwargs)
+            finally:
+                in_e_step.pop()
+
+        monkeypatch.setattr(em, "run_filter", counted_filter)
+        monkeypatch.setattr(em, "e_step", tracked_e_step)
+        start = default_initial_params(series, params.rate_log)
+        fitted, trace = em_fit(series, params_init=start, max_iter=10, tol=0.0)
+        assert trace.termination == "max_iter" and trace.n_iterations == 10
+        assert calls["e_step"] == 1
+        assert calls["search"] >= trace.n_iterations
+        assert trace.filter_output is passes[-1]
+        monkeypatch.undo()
+        fresh = e_step(fitted, series)
+        assert trace.filter_output.loglik == fresh.loglik
+        assert np.array_equal(trace.filter_output.m_filt, fresh.filter_output.m_filt)
+
     def test_infeasible_start_aborts_with_diagnostic(self, params):
         series, _, _ = synthetic_series(params, 5, seed=37)
         bad = params.replace(req_return=np.array([-2.0, -2.0]))
@@ -375,9 +409,7 @@ class TestSmoothedMarketValues:
         zero_stats = stats.__class__(
             **{
                 **{f: getattr(stats, f) for f in (
-                    "cov_m", "cross_m", "u_res", "v_res", "d_res", "z_mat",
-                    "e_uu", "e_vv", "growth", "payout_ratio", "loglik",
-                    "params_at",
+                    "cov_m", "cross_m", "growth", "payout_ratio", "loglik",
                 )},
                 "m_smooth": np.zeros_like(stats.m_smooth),
             }
@@ -391,9 +423,7 @@ class TestSmoothedMarketValues:
         fixed = stats.__class__(
             **{
                 **{f: getattr(stats, f) for f in (
-                    "cov_m", "cross_m", "u_res", "v_res", "d_res", "z_mat",
-                    "e_uu", "e_vv", "growth", "payout_ratio", "loglik",
-                    "params_at",
+                    "cov_m", "cross_m", "growth", "payout_ratio", "loglik",
                 )},
                 "m_smooth": np.tile(np.log([2.0, 3.0]), (2, 1)),
             }

@@ -152,10 +152,14 @@ def test_m_step_sums_match_loop(instance):
 
 
 def test_gaussian_block_term_matches_loop(instance):
-    params, _, stats = instance
+    params, schedule, stats = instance
     T = stats.n_periods
-    for cov, moments, name in ((params.meas_cov, stats.e_uu[1:], "meas_cov"),
-                               (params.state_cov, stats.e_vv[1:], "state_cov")):
+    *_, e_uu, e_vv = em._residual_pieces(
+        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
+        stats.growth, stats.payout_ratio,
+    )
+    for cov, moments, name in ((params.meas_cov, e_uu, "meas_cov"),
+                               (params.state_cov, e_vv, "state_cov")):
         assert_close(
             em._gaussian_block_term(cov, moments, T, name),
             loop_gaussian_block_term(cov, list(moments), T, name),

@@ -325,6 +325,67 @@ class TestCliReportPasses:
         assert counts == {"run_filter": 1, "smooth": 1}
 
 
+class TestEstimateReusesFitPass:
+    """The report smooths the forward pass the fit ended with: no filter
+    runs after ``em_fit`` returns, and the report equals a fresh E-step at
+    the reported parameters bit for bit, whatever ended the fit."""
+
+    @pytest.mark.parametrize("termination, periods, seed, extra", [
+        ("converged", 24, 7, ["--tol", "1e-3"]),
+        ("max_iter", 24, 7, ["--max-iter", "5"]),
+        ("max_iter", 24, 7, ["--max-iter", "0"]),
+        ("stalled", 400, 3, ["--config", "params", "--max-iter", "25"]),
+    ])
+    def test_report_is_the_fit_final_pass(
+        self, tmp_path, monkeypatch, termination, periods, seed, extra
+    ):
+        from privcredit import cli, em
+        from privcredit.em import e_step
+        from privcredit.model import ModelParams
+
+        sim = tmp_path / "sim.cfg"
+        sim.write_text(SIM_CONFIG.replace("periods = 24", f"periods = {periods}")
+                       .replace("seed = 7", f"seed = {seed}"))
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(sim), "--output", str(panel)]) == 0
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(PARAMS_CONFIG)
+        extra = [str(cfg) if arg == "params" else arg for arg in extra]
+
+        filters, after_fit = [], []
+        real_filter, real_fit = em.run_filter, cli.em_fit
+
+        def counted_filter(*args, **kwargs):
+            filters.append(None)
+            return real_filter(*args, **kwargs)
+
+        def fit(*args, **kwargs):
+            result = real_fit(*args, **kwargs)
+            after_fit.append(len(filters))
+            return result
+
+        monkeypatch.setattr(em, "run_filter", counted_filter)
+        monkeypatch.setattr(cli, "em_fit", fit)
+        out = tmp_path / "report.json"
+        argv = ["estimate", "--input", str(panel), "--rate", "0.0101",
+                "--output", str(out), *extra]
+        assert main(argv) == 0
+        monkeypatch.undo()
+
+        report = json.loads(out.read_text())
+        assert report["estimation"]["termination"] == termination
+        # with no iteration the fit runs no filter, so the report runs one
+        zero_iterations = report["estimation"]["iterations"] == 0
+        assert [len(filters) - n for n in after_fit] == [int(zero_iterations)]
+        fields = {k: np.array(v) for k, v in report["params"].items()}
+        fields["rate_log"] = report["params"]["rate_log"]
+        fresh = e_step(ModelParams(**fields), ingest(panel))
+        assert report["loglik"] == fresh.loglik
+        assert np.array_equal(report["filtered_multipliers"],
+                              fresh.filter_output.m_filt)
+        assert np.array_equal(report["smoothed_multipliers"], fresh.m_smooth)
+
+
 class TestCliPricing:
     def _pricing_cfg(self, tmp_path, extra="", text=PRICING_CONFIG):
         cfg = tmp_path / "price.cfg"
