@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .em import default_initial_params, e_step, em_fit, smoothed_market_values
+from .em import e_step, em_fit, smoothed_market_values
 from .errors import (
     DataValidationError,
     DegenerateDesignError,
@@ -140,19 +140,19 @@ def _em_settings(args, cfg):
 
 
 def _fit_or_load(args, cfg, series):
-    """Use configured parameters when supplied, otherwise estimate in-run;
-    the fit's trace comes back too (None for configured parameters)."""
+    """Use configured parameters when supplied, otherwise estimate in-run
+    (the fit's trace comes back too)."""
     rate_log = _rate(args, cfg)
     params = _params_from_config(cfg, rate_log)
-    if params is not None:
-        return params, None, None
-    max_iter, tol = _em_settings(args, cfg)
-    params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
-    estimation = {
-        "iterations": trace.n_iterations,
-        "termination": trace.termination,
-        "loglik_trace": trace.loglik,
-    }
+    estimation = trace = None
+    if params is None:
+        max_iter, tol = _em_settings(args, cfg)
+        params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
+        estimation = {
+            "iterations": trace.n_iterations,
+            "termination": trace.termination,
+            "loglik_trace": trace.loglik,
+        }
     return params, estimation, trace
 
 
@@ -203,8 +203,8 @@ def cmd_simulate(args):
 
 
 def _series_report_core(args, series, params, estimation, trace=None):
-    """Report fields of the filter and smoother at ``params``; the forward
-    pass an EM ``trace`` ends with is smoothed rather than run again."""
+    """Filter and smoother fields at ``params``, smoothing the forward pass
+    an EM ``trace`` ended with rather than running it again."""
     schedule, filt = (trace.schedule, trace.filter_output) if trace else (None, None)
     if schedule is None:
         schedule = build_linearization_schedule(
@@ -230,12 +230,10 @@ def cmd_estimate(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
     rate_log = _rate(args, cfg)
-    init = _params_from_config(cfg, rate_log) or default_initial_params(
-        series, rate_log
-    )
     max_iter, tol = _em_settings(args, cfg)
     params, trace = em_fit(
-        series, params_init=init, rate_log=rate_log, max_iter=max_iter, tol=tol
+        series, params_init=_params_from_config(cfg, rate_log),
+        rate_log=rate_log, max_iter=max_iter, tol=tol,
     )
     estimation = {
         "iterations": trace.n_iterations,
@@ -248,9 +246,6 @@ def cmd_estimate(args):
     report, _ = _series_report_core(args, series, params, estimation, trace)
     report["command"] = "estimate"
     pio.write_report(report, path=args.output, stream=sys.stdout)
-    if trace.termination.startswith("aborted"):
-        print(f"numerical error: {trace.termination}", file=sys.stderr)
-        return _EXIT_NUMERICAL
     return 0
 
 
@@ -356,15 +351,18 @@ def _mc_terminal(args, cfg, ctx, measure):
     return {"paths": paths, "seed": seed}, log_asset
 
 
-def _mc_fields(name, value, mc, se):
+def _mc_fields(name, value, mc, se, resolution):
     """MC estimate and standard error of the closed-form ``value``, with the
-    standardized miss; a zero or infinite standard error (one path) admits
-    only a zero miss."""
+    standardized miss. A zero standard error (all paths agree) admits a miss
+    below 1 % of ``resolution``, one path's weight at the payoff's scale, so
+    under 0.01 paths are expected to differ; an infinite one (one path)
+    admits only a zero miss."""
     diff = value - mc
     if 0 < se < math.inf:
         z = diff / se
     else:
-        z = 0.0 if abs(diff) < 1e-12 else math.inf
+        bound = 0.01 * resolution if se == 0 else 1e-12
+        z = 0.0 if abs(diff) < bound else math.inf
     return {f"{name}_mc": mc, f"{name}_se": se, f"{name}_z": z}
 
 
@@ -409,8 +407,9 @@ def cmd_price(args):
         (call_mc, call_se), (put_mc, put_se) = mc_option_price(
             log_asset, strike, ctx.tau, params.rate_log
         )
-        check.update(_mc_fields("call", call, call_mc, call_se))
-        check.update(_mc_fields("put", put, put_mc, put_se))
+        resolution = strike * math.exp(-ctx.tau * params.rate_log) / check["paths"]
+        check.update(_mc_fields("call", call, call_mc, call_se, resolution))
+        check.update(_mc_fields("put", put, put_mc, put_se, resolution))
         report["mc_check"] = check
     pio.write_report(report, path=args.output, stream=sys.stdout)
     return 0
@@ -444,7 +443,7 @@ def cmd_default_prob(args):
     if args.check == "mc":
         check, log_asset = _mc_terminal(args, cfg, ctx, "real")
         pd_mc, pd_se = mc_default_probability(log_asset, threshold)
-        check.update(_mc_fields("pd", pd_private, pd_mc, pd_se))
+        check.update(_mc_fields("pd", pd_private, pd_mc, pd_se, 1.0 / check["paths"]))
         report["mc_check"] = check
     pio.write_report(report, path=args.output, stream=sys.stdout)
     return 0

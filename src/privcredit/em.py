@@ -1,10 +1,9 @@
 """Maximum-likelihood estimation via the EM zig-zag iteration.
 
-Each iteration smooths the filter run at the current parameter vector over
-its linearization schedule (E-step), then maximizes the expected
-complete-data log-likelihood exactly with the schedule held frozen (M-step).
-The line search that accepts the next vector has already run its schedule
-and filter, so those are reused rather than run again.
+Each iteration smooths the filter run at the current parameter vector
+(E-step; the line search that accepted the vector ran it), then maximizes
+the expected complete-data log-likelihood exactly with the schedule held
+frozen (M-step).
 Freezing makes this a generalized EM: the frozen objective never decreases,
 which is the ascent property tested downstream. The schedule's own parameter
 sensitivity shows up only in the analytic gradient of the schedule-varying
@@ -12,6 +11,7 @@ objective, kept here as a diagnostic (`complete_loglik_gradient`) and
 validated against finite differences.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -19,7 +19,12 @@ import numpy as np
 
 from .errors import DataValidationError, DegenerateDesignError, PrivCreditError
 from .kalman import FilterOutput, run_filter, smooth
-from .model import ModelParams, build_linearization_schedule, real_intercepts
+from .model import (
+    ModelParams,
+    _min_eigenvalue,
+    build_linearization_schedule,
+    real_intercepts,
+)
 
 _LOG2PI = np.log(2.0 * np.pi)
 
@@ -39,7 +44,6 @@ class SmoothedStats:
     cross_m: np.ndarray
     growth: np.ndarray
     payout_ratio: np.ndarray
-    loglik: float
     filter_output: FilterOutput = None
 
     @property
@@ -57,8 +61,7 @@ class EmTrace:
     lambda_after: list = field(default_factory=list)
     max_change: list = field(default_factory=list)
     termination: str = ""
-    # linearization schedule and forward pass at the returned parameters
-    # (None where the fit never built them)
+    # schedule and forward pass at the returned parameters, where built
     schedule: object = None
     filter_output: FilterOutput = None
 
@@ -68,13 +71,13 @@ class EmTrace:
 
 
 def _chol_inv_logdet(m, name):
-    try:
-        c = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise DataValidationError(f"{name} must be positive definite") from None
-    inv = np.linalg.inv(m)
-    logdet = 2.0 * np.log(np.diag(c)).sum()
-    return inv, logdet
+    """Inverse and log-determinant of the symmetric 2×2 ``m``, which must
+    be positive definite: both Cholesky pivots, a and c − b²/a, positive."""
+    (a, b), (_, c) = m.tolist()
+    pivot = c - b * b / a if a > 0.0 else 0.0
+    if not pivot > 0.0:
+        raise DataValidationError(f"{name} must be positive definite")
+    return np.array([[c, -b], [-b, a]]) / (a * pivot), math.log(a) + math.log(pivot)
 
 
 def _gaussian_block_term(cov, second_moments, count, name):
@@ -140,20 +143,11 @@ def _residual_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
 
 
 def e_step(params, series, schedule=None, filter_output=None):
-    """Smooth a forward pass under real-measure intercepts; collect stats.
-
-    ``filter_output`` is a forward pass already run at ``params`` (the EM
-    driver passes the one that accepted its step); without it the filter
-    runs here, over ``schedule`` or one built at ``params``.
-    """
+    """Smooth the real-measure forward pass at ``params``; collect stats.
+    Without ``filter_output`` the filter runs here, over ``schedule`` or one
+    built at ``params``."""
     if filter_output is None:
-        if schedule is None:
-            schedule = build_linearization_schedule(
-                params, series.payout_ratio, series.n_periods
-            )
-        filter_output = run_filter(
-            params, schedule, series.growth, real_intercepts(params, schedule)
-        )
+        _, filter_output = _forward_pass(params, series, schedule)
     smo = smooth(filter_output, params)
     return SmoothedStats(
         m_smooth=smo.m_smooth,
@@ -161,7 +155,6 @@ def e_step(params, series, schedule=None, filter_output=None):
         cross_m=smo.cross_m,
         growth=series.growth,
         payout_ratio=series.payout_ratio,
-        loglik=filter_output.loglik,
         filter_output=filter_output,
     )
 
@@ -227,9 +220,10 @@ def m_step(stats, schedule, params):
     The initial mean and drift updates are closed-form in the smoothed
     moments; the required-return update solves the gain-weighted normal
     equations and is iterated to a joint fixed point with the measurement
-    covariance (entries moving by under 1e-13, at most 200 rounds) so that the full frozen-schedule gradient vanishes at the
-    output. Covariance estimates are symmetrized time averages of the
-    smoothed second moments and are PSD by construction.
+    covariance (entries moving by under 1e-13, at most 200 rounds) so that
+    the full frozen-schedule gradient vanishes at the output. Covariance
+    estimates are symmetrized time averages of the smoothed second moments
+    and are PSD by construction.
     """
     T = stats.n_periods
     m = stats.m_smooth
@@ -256,41 +250,58 @@ def m_step(stats, schedule, params):
     # residual with the required-return term removed
     u_free = stats.growth + m[1:] - g * m[:-1] + (g - 1.0) * ratio + h
     ucov = _measurement_residual_cov(stats.cov_m, stats.cross_m, g).sum(axis=0)
-    cov_u = params.meas_cov.copy()
-    k_new = params.req_return.copy()
-    for _ in range(200):
-        try:
-            inv_u = np.linalg.inv(cov_u)
-        except np.linalg.LinAlgError:
-            raise DegenerateDesignError(
-                "measurement covariance collapsed during the update"
-            ) from None
-        normal = inv_u * (g[:, None, :] * g[:, :, None]).sum(axis=0)
-        rhs = (g * (u_free @ inv_u)).sum(axis=0)
-        if np.linalg.cond(normal) > 1e12:
-            raise DegenerateDesignError(
-                "required-return normal equations numerically singular"
-            )
-        k_cand = np.linalg.solve(normal, rhs)
-        u = u_free - g * k_cand
-        cov_u_cand = (u.T @ u + ucov) / T
-        cov_u_cand = 0.5 * (cov_u_cand + cov_u_cand.T)
-        done = (
-            np.abs(k_cand - k_new).max() < 1e-13
-            and np.abs(cov_u_cand - cov_u).max() < 1e-13
-        )
-        k_new, cov_u = k_cand, cov_u_cand
-        if done:
-            break
+    k_new, cov_u = _required_return_fixed_point(
+        u_free, ucov, g, params.meas_cov, params.req_return
+    )
 
     for name, cov in (("meas", cov_u), ("state", cov_v_new)):
-        if np.linalg.eigvalsh(cov).min() < 1e-14:
+        (a, b), (_, c) = cov.tolist()
+        if _min_eigenvalue(a, b, c) < 1e-14:
             warnings.warn(f"{name} covariance update is singular (degenerate fit)",
                           stacklevel=2)
     return params.replace(
         req_return=k_new, init_mean=mu0_new, init_cov=cov0_new,
         drift=phi_new, meas_cov=cov_u, state_cov=cov_v_new,
     )
+
+
+def _required_return_fixed_point(u_free, ucov, g, cov_u, k):
+    """Joint fixed point of the required returns k and Σ_u from ``k`` and
+    ``cov_u``, in closed-form 2×2 algebra on floats: given Σ_u, k solves
+    N k = r with N = Σ_u⁻¹ ∘ Σ_t g_t g_tᵀ and r = Σ_t g_t ∘ Σ_u⁻¹ u_free_t;
+    given k, Σ_u = (uᵀu + ``ucov``)/T with u = u_free − g k."""
+    (s00, s01), (_, s11) = (g.T @ g).tolist()
+    # q[j][i] = Σ_t g_tj u_free_ti
+    (q00, q01), (q10, q11) = (g.T @ u_free).tolist()
+    (c00, c01), (_, c11) = cov_u.tolist()
+    k0, k1 = k.tolist()
+    for _ in range(200):
+        det = c00 * c11 - c01 * c01
+        if det == 0.0:
+            raise DegenerateDesignError(
+                "measurement covariance collapsed during the update"
+            )
+        i00, i01, i11 = c11 / det, -c01 / det, c00 / det
+        n00, n01, n11 = i00 * s00, i01 * s01, i11 * s11
+        r0, r1 = i00 * q00 + i01 * q01, i01 * q10 + i11 * q11
+        # N is symmetric: its condition number is λ_max² / |det N|
+        n_det = n00 * n11 - n01 * n01
+        lam_max = 0.5 * abs(n00 + n11) + math.hypot(0.5 * (n00 - n11), n01)
+        if not lam_max * lam_max <= 1e12 * abs(n_det):
+            raise DegenerateDesignError(
+                "required-return normal equations numerically singular"
+            )
+        k0_new = (n11 * r0 - n01 * r1) / n_det
+        k1_new = (n00 * r1 - n01 * r0) / n_det
+        u = u_free - g * (k0_new, k1_new)
+        (e00, e01), (e10, e11) = ((u.T @ u + ucov) / len(g)).tolist()
+        e01 = 0.5 * (e01 + e10)
+        done = max(abs(k0_new - k0), abs(k1_new - k1), abs(e00 - c00),
+                   abs(e01 - c01), abs(e11 - c11)) < 1e-13
+        k0, k1, c00, c01, c11 = k0_new, k1_new, e00, e01, e11
+        if done:
+            break
+    return np.array([k0, k1]), np.array([[c00, c01], [c01, c11]])
 
 
 def _param_change(old, new):
@@ -332,11 +343,13 @@ def _blend_params(old, new, weight):
     )
 
 
-def _forward_pass(params, series):
-    """Linearization schedule and real-measure filter at ``params``."""
-    schedule = build_linearization_schedule(
-        params, series.payout_ratio, series.n_periods
-    )
+def _forward_pass(params, series, schedule=None):
+    """Linearization schedule (built unless given) and real-measure filter
+    at ``params``."""
+    if schedule is None:
+        schedule = build_linearization_schedule(
+            params, series.payout_ratio, series.n_periods
+        )
     return schedule, run_filter(
         params, schedule, series.growth, real_intercepts(params, schedule)
     )
@@ -353,10 +366,9 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
     schedule feasible, does not decrease the frozen-schedule objective (up
     to 1e-9), and lowers the observed likelihood by at most a relative 1e-8;
     the frozen objective is exactly non-decreasing along this segment, so
-    the generalized-EM ascent property is preserved. The search filters each candidate it tests
-    against the observed likelihood, so the accepted candidate's schedule
-    and forward pass are the next iteration's, and the last ones go back
-    on the trace: one accepted step costs one filter run.
+    the generalized-EM ascent property is preserved. The accepted
+    candidate's schedule and filter are the next E-step's, and the last ones
+    go back on the trace: one accepted step costs one filter run.
 
     Stops when the largest absolute parameter change falls below ``tol``,
     when no acceptable step remains ("stalled"), or after ``max_iter``
@@ -374,8 +386,8 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
         schedule = build_linearization_schedule(
             params, series.payout_ratio, series.n_periods
         )
-    except (PrivCreditError, np.linalg.LinAlgError) as exc:
-        # infeasible starting point: keep the last fit
+    except PrivCreditError as exc:
+        # infeasible starting point: keep the starting parameters
         trace.termination = f"aborted: {exc}"
         return params, trace
     filt = None
@@ -388,7 +400,7 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
         weight = 1.0
         accepted = None
         lambda_after = lambda_before
-        ll_slack = 1e-8 * max(1.0, abs(stats.loglik))
+        ll_slack = 1e-8 * max(1.0, abs(filt.loglik))
         while weight > 1e-6:
             candidate = _blend_params(params, full_step, weight)
             try:
@@ -396,15 +408,15 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
                 rejected = lam < lambda_before - 1e-9
                 if not rejected:
                     forward = _forward_pass(candidate, series)
-                    rejected = forward[1].loglik < stats.loglik - ll_slack
-            except (PrivCreditError, np.linalg.LinAlgError):
+                    rejected = forward[1].loglik < filt.loglik - ll_slack
+            except PrivCreditError:
                 rejected = True
             if not rejected:
                 accepted, lambda_after = candidate, lam
                 break
             weight *= 0.5
 
-        trace.loglik.append(stats.loglik)
+        trace.loglik.append(filt.loglik)
         trace.lambda_before.append(lambda_before)
         trace.lambda_after.append(lambda_after)
         if accepted is None:
@@ -415,7 +427,6 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
         change = _param_change(params, accepted)
         trace.max_change.append(change)
         trace.params.append(accepted)
-        # the accepted candidate's filter is the next E-step's forward pass
         params, (schedule, filt) = accepted, forward
         if change < tol:
             trace.termination = "converged"

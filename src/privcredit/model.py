@@ -14,6 +14,7 @@ for quantities defined only for periods 1..H.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ import numpy as np
 from .errors import DataValidationError, InfeasibleLinearizationError
 
 _COMPONENTS = ("equity", "liability")
+_VECTORS = ("req_return", "init_mean", "drift")
+_COVARIANCES = ("init_cov", "meas_cov", "state_cov")
 
 
 def _freeze(a):
@@ -29,13 +32,32 @@ def _freeze(a):
     return a
 
 
-def _check_symmetric(name, m):
+def _close(x, y):
+    """numpy.isclose(x, y, atol=1e-12) on floats."""
+    return (abs(x - y) <= 1e-12 + 1e-5 * abs(y) and math.isfinite(y)) or x == y
+
+
+def _min_eigenvalue(a, b, c):
+    """Smaller eigenvalue of the symmetric matrix [[a, b], [b, c]]."""
+    return 0.5 * a + 0.5 * c - math.hypot(0.5 * a - 0.5 * c, b)
+
+
+def _check_covariance(name, m):
+    """The symmetrized 2×2 ``m``: symmetric by ``numpy.allclose(m, m.T,
+    atol=1e-12)`` and, where finite, no eigenvalue below −1e-10."""
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise DataValidationError(f"{name} must be 2x2, got shape {m.shape}")
-    if not np.allclose(m, m.T, atol=1e-12):
+    (a, b), (b_low, c) = m.tolist()
+    if not (a == a and c == c and _close(b, b_low) and _close(b_low, b)):
         raise DataValidationError(f"{name} must be symmetric")
-    return 0.5 * (m + m.T)
+    # the entries of 0.5 (m + mᵀ), rounded (and overflowing) as numpy does
+    a, b, c = 0.5 * (a + a), 0.5 * (b + b_low), 0.5 * (c + c)
+    # an infinite entry is left to the finiteness check
+    if (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
+            and _min_eigenvalue(a, b, c) < -1e-10):
+        raise DataValidationError(f"{name} must be positive semidefinite")
+    return np.array([[a, b], [b, c]])
 
 
 @dataclass(frozen=True)
@@ -70,29 +92,17 @@ class ModelParams:
     rate_log: float
 
     def __post_init__(self):
-        for name in ("req_return", "init_mean", "drift"):
+        for name in _VECTORS:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (2,):
                 raise DataValidationError(f"{name} must be a 2-vector")
             object.__setattr__(self, name, _freeze(v))
-        for name in ("init_cov", "meas_cov", "state_cov"):
-            m = _check_symmetric(name, getattr(self, name))
-            if np.linalg.eigvalsh(m).min() < -1e-10:
-                raise DataValidationError(f"{name} must be positive semidefinite")
+        for name in _COVARIANCES:
+            m = _check_covariance(name, getattr(self, name))
             object.__setattr__(self, name, _freeze(m))
         object.__setattr__(self, "rate_log", float(self.rate_log))
-        values = np.concatenate(
-            [
-                self.req_return,
-                self.init_mean,
-                self.drift,
-                self.init_cov.ravel(),
-                self.meas_cov.ravel(),
-                self.state_cov.ravel(),
-                [self.rate_log],
-            ]
-        )
-        if not np.isfinite(values).all():
+        if not (math.isfinite(self.rate_log) and all(
+                np.isfinite(getattr(self, f)).all() for f in _VECTORS + _COVARIANCES)):
             raise DataValidationError("all parameter entries must be finite")
 
     def replace(self, **kwargs):

@@ -7,8 +7,11 @@ smoothing / forecasting questions by dense block conditioning. Everything
 the recursive code computes must agree with this object; it is deliberately
 simple and O((2(2H+1))^3), guarded to short samples.
 :func:`horizon_cov_reference` is the matching reference for the pricing
-layer's maturity covariance, and :func:`binned_error_curve` measures the
-asset linearization error of a simulated panel.
+layer's maturity covariance, :func:`required_return_fixed_point` the
+numpy.linalg form of the M-step's required-return/measurement-covariance
+iteration, :func:`params_validation_error` the numpy form of
+``ModelParams``' checks, and :func:`binned_error_curve` measures the asset linearization
+error of a simulated panel.
 
 Tests import this module the way they import ``conftest``.
 """
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from privcredit.errors import DataValidationError
+from privcredit.errors import DataValidationError, DegenerateDesignError
 
 _MAX_PERIODS = 8
 _I2 = np.eye(2)
@@ -177,6 +180,69 @@ def horizon_cov_reference(params, schedule, origin, maturity):
         w_i = j_b @ m_i + j_m @ n_i
         total += w_i @ sig @ w_i.T
     return 0.5 * (total + total.T)
+
+
+def required_return_fixed_point(u_free, ucov, g, cov_u, k):
+    """The M-step's required-return/Σ_u fixed point with numpy.linalg
+    inversion, condition number and solve: the loop that
+    :func:`privcredit.em._required_return_fixed_point` writes in closed form.
+    """
+    T = g.shape[0]
+    cov_u = cov_u.copy()
+    k_new = k.copy()
+    for _ in range(200):
+        try:
+            inv_u = np.linalg.inv(cov_u)
+        except np.linalg.LinAlgError:
+            raise DegenerateDesignError(
+                "measurement covariance collapsed during the update"
+            ) from None
+        normal = inv_u * (g[:, None, :] * g[:, :, None]).sum(axis=0)
+        rhs = (g * (u_free @ inv_u)).sum(axis=0)
+        if np.linalg.cond(normal) > 1e12:
+            raise DegenerateDesignError(
+                "required-return normal equations numerically singular"
+            )
+        k_cand = np.linalg.solve(normal, rhs)
+        u = u_free - g * k_cand
+        cov_u_cand = (u.T @ u + ucov) / T
+        cov_u_cand = 0.5 * (cov_u_cand + cov_u_cand.T)
+        done = (
+            np.abs(k_cand - k_new).max() < 1e-13
+            and np.abs(cov_u_cand - cov_u).max() < 1e-13
+        )
+        k_new, cov_u = k_cand, cov_u_cand
+        if done:
+            break
+    return k_new, cov_u
+
+
+def params_validation_error(fields):
+    """The message ``ModelParams(**fields)`` must fail with, or None: the
+    checks in numpy form (``allclose`` symmetry, ``eigvalsh`` PSD)."""
+    for name in ("req_return", "init_mean", "drift"):
+        if np.asarray(fields[name], dtype=float).shape != (2,):
+            return f"{name} must be a 2-vector"
+    covs = []
+    for name in ("init_cov", "meas_cov", "state_cov"):
+        m = np.asarray(fields[name], dtype=float)
+        if m.shape != (2, 2):
+            return f"{name} must be 2x2, got shape {m.shape}"
+        if not np.allclose(m, m.T, atol=1e-12):
+            return f"{name} must be symmetric"
+        m = 0.5 * (m + m.T)
+        with np.errstate(all="ignore"):
+            if np.linalg.eigvalsh(m).min() < -1e-10:
+                return f"{name} must be positive semidefinite"
+        covs.append(m.ravel())
+    values = np.concatenate(
+        [np.asarray(fields[name], dtype=float)
+         for name in ("req_return", "init_mean", "drift")]
+        + covs + [[float(fields["rate_log"])]]
+    )
+    if not np.isfinite(values).all():
+        return "all parameter entries must be finite"
+    return None
 
 
 def binned_error_curve(panel, period, n_bins=12):

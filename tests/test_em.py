@@ -11,6 +11,7 @@ from privcredit.em import (
     m_step,
     smoothed_market_values,
 )
+from privcredit.errors import DegenerateDesignError
 from privcredit.kalman import run_filter
 from privcredit.model import (
     ObservedSeries,
@@ -18,8 +19,8 @@ from privcredit.model import (
     real_intercepts,
 )
 
-from conftest import base_params, random_params, synthetic_series
-from reference import GaussianConditioningOracle
+from conftest import base_params, random_params, spd_matrix, synthetic_series
+from reference import GaussianConditioningOracle, required_return_fixed_point
 
 
 def deterministic_series(params, periods):
@@ -75,7 +76,6 @@ class TestExpectedCompleteLoglik:
             cross_m=np.zeros((T + 1, 2, 2)),
             growth=series.growth,
             payout_ratio=series.payout_ratio,
-            loglik=0.0,
         )
         value = expected_complete_loglik(p, stats_zero, schedule)
         assert value == pytest.approx(-(2 * T + 1) * np.log(2 * np.pi), abs=1e-12)
@@ -245,6 +245,64 @@ class TestMStep:
             m_step(stats, schedule, params)
 
 
+class TestRequiredReturnFixedPoint:
+    """The closed-form M-step iteration against its numpy.linalg form."""
+
+    def test_matches_linalg_reference(self, rng):
+        for _ in range(40):
+            T = int(rng.integers(1, 400))
+            g = 1.0 + rng.exponential(float(rng.uniform(0.01, 2.0)), size=(T, 2))
+            k = 0.04 + 0.02 * rng.normal(size=2)
+            u_free = g * k + float(rng.uniform(0.001, 0.1)) * rng.normal(size=(T, 2))
+            ucov = spd_matrix(rng, float(rng.uniform(1e-4, 0.05)))
+            args = (u_free, ucov, g, spd_matrix(rng, 0.05),
+                    k + 0.01 * rng.normal(size=2))
+            for got, want in zip(em._required_return_fixed_point(*args),
+                                 required_return_fixed_point(*args)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_matches_on_smoothed_stats(self, rng):
+        for _ in range(4):
+            p = random_params(rng)
+            series, _, _ = synthetic_series(p, 40, seed=int(rng.integers(1e6)))
+            schedule = build_linearization_schedule(p, series.payout_ratio, 40)
+            stats = e_step(p, series, schedule)
+            m, g = stats.m_smooth, schedule.gain[1:]
+            u_free = (series.growth + m[1:] - g * m[:-1]
+                      + (g - 1.0) * series.payout_ratio + schedule.shift[1:])
+            ucov = em._measurement_residual_cov(
+                stats.cov_m, stats.cross_m, g).sum(axis=0)
+            args = (u_free, ucov, g, p.meas_cov, p.req_return)
+            for got, want in zip(em._required_return_fixed_point(*args),
+                                 required_return_fixed_point(*args)):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("design", ["singular", "collapsed", "collapses"])
+    def test_degenerate_designs_raise_alike(self, rng, design):
+        T = 30
+        g = 1.0 + rng.exponential(0.5, size=(T, 2))
+        u_free = 0.05 * rng.normal(size=(T, 2))
+        ucov, cov_u, k = 1e-3 * np.eye(2), 0.01 * np.eye(2), np.zeros(2)
+        if design == "singular":
+            # Σ_u⁻¹ and with it the normal matrix: condition number ~1e14
+            cov_u = np.diag([1.0, 1e-14])
+        elif design == "collapsed":
+            cov_u = np.array([[1.0, 1.0], [1.0, 1.0]])
+        else:
+            # zero residuals make the first round's Σ_u exactly zero
+            u_free, ucov = np.zeros((T, 2)), np.zeros((2, 2))
+        messages = []
+        for fixed_point in (em._required_return_fixed_point,
+                            required_return_fixed_point):
+            with pytest.raises(DegenerateDesignError) as info:
+                fixed_point(u_free, ucov, g, cov_u, k)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        expected = ("numerically singular" if design == "singular"
+                    else "collapsed during the update")
+        assert expected in messages[0]
+
+
 def fixed_point_stats(params, periods, schedule):
     """Fabricate smoothed stats making ``params`` an exact M-step fixed point.
 
@@ -278,7 +336,7 @@ def fixed_point_stats(params, periods, schedule):
         cov_m[t] = params.state_cov - cov_m[t - 1] + y + y.T
     return SmoothedStats(
         m_smooth=m_hat, cov_m=cov_m, cross_m=cross_m, growth=growth,
-        payout_ratio=schedule.payout_ratio[1 : T + 1], loglik=0.0,
+        payout_ratio=schedule.payout_ratio[1 : T + 1],
     )
 
 
@@ -364,7 +422,7 @@ class TestEmFit:
         assert trace.filter_output is passes[-1]
         monkeypatch.undo()
         fresh = e_step(fitted, series)
-        assert trace.filter_output.loglik == fresh.loglik
+        assert trace.filter_output.loglik == fresh.filter_output.loglik
         assert np.array_equal(trace.filter_output.m_filt, fresh.filter_output.m_filt)
 
     def test_infeasible_start_aborts_with_diagnostic(self, params):
@@ -409,7 +467,7 @@ class TestSmoothedMarketValues:
         zero_stats = stats.__class__(
             **{
                 **{f: getattr(stats, f) for f in (
-                    "cov_m", "cross_m", "growth", "payout_ratio", "loglik",
+                    "cov_m", "cross_m", "growth", "payout_ratio",
                 )},
                 "m_smooth": np.zeros_like(stats.m_smooth),
             }
@@ -423,7 +481,7 @@ class TestSmoothedMarketValues:
         fixed = stats.__class__(
             **{
                 **{f: getattr(stats, f) for f in (
-                    "cov_m", "cross_m", "growth", "payout_ratio", "loglik",
+                    "cov_m", "cross_m", "growth", "payout_ratio",
                 )},
                 "m_smooth": np.tile(np.log([2.0, 3.0]), (2, 1)),
             }

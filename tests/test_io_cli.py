@@ -380,7 +380,7 @@ class TestEstimateReusesFitPass:
         fields = {k: np.array(v) for k, v in report["params"].items()}
         fields["rate_log"] = report["params"]["rate_log"]
         fresh = e_step(ModelParams(**fields), ingest(panel))
-        assert report["loglik"] == fresh.loglik
+        assert report["loglik"] == fresh.filter_output.loglik
         assert np.array_equal(report["filtered_multipliers"],
                               fresh.filter_output.m_filt)
         assert np.array_equal(report["smoothed_multipliers"], fresh.m_smooth)
@@ -552,6 +552,45 @@ class TestCliPricing:
         check = json.loads(out.read_text())["mc_check"]
         assert math.isinf(check["call_se"]) and math.isinf(check["put_se"])
         assert math.isinf(check["call_z"]) and math.isinf(check["put_z"])
+
+    def test_zero_hit_price_check_matches_a_deep_tail_call(self, tmp_path, panel_csv):
+        # at maturity 60 the strike-2.0 call is about 1.7e-10, far below one
+        # path's weight: no path pays, which is what the closed form expects
+        out = tmp_path / "price.json"
+        code = main(
+            [
+                "price", "--input", str(panel_csv),
+                "--config", str(self._pricing_cfg(tmp_path)),
+                "--maturity", "60", "--strike", "2.0", "--output", str(out),
+                "--check", "mc", "--paths", "3000", "--seed", "5",
+            ]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        check = report["mc_check"]
+        assert 0.0 < report["private"]["call"] < 1e-8
+        assert check["call_mc"] == 0.0 and check["call_se"] == 0.0
+        assert check["call_z"] == 0.0
+        assert check["put_se"] > 0 and abs(check["put_z"]) <= 3
+
+    def test_zero_hit_default_check_matches_a_deep_tail_pd(self, tmp_path, panel_csv):
+        # the calibrated threshold one period ahead has a PD of about 5e-10
+        out = tmp_path / "pd.json"
+        code = main(
+            [
+                "default-prob", "--input", str(panel_csv),
+                "--config", str(self._pricing_cfg(tmp_path)),
+                "--maturity", "1", "--output", str(out),
+                "--check", "mc", "--paths", "20000", "--seed", "5",
+            ]
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        check = report["mc_check"]
+        assert report["threshold_calibrated"] is True
+        assert 0.0 < report["prob_default_private"] < 1e-8
+        assert check["pd_mc"] == 0.0 and check["pd_se"] == 0.0
+        assert check["pd_z"] == 0.0
 
     def test_repeated_main_calls_share_no_parsed_state(
         self, tmp_path, panel_csv, capsys

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from privcredit.cli import _feasibility
 from privcredit.errors import DataValidationError, InfeasibleLinearizationError
 from privcredit.model import (
+    ModelParams,
     asset_linearization,
     attach_asset_constants,
     build_linearization_schedule,
@@ -17,6 +20,7 @@ from privcredit.model import (
 from privcredit.simulate import SimConfig, mean_log_book_path, simulate_panel
 
 from conftest import base_params, synthetic_series
+from reference import params_validation_error
 
 
 class TestDeriveSeries:
@@ -252,3 +256,58 @@ class TestIntercepts:
             params.meas_cov
         ) / g
         np.testing.assert_allclose(diff[1:], expected, atol=1e-14)
+
+
+# the smaller eigenvalue of a drawn covariance: clear of the −1e-10 PSD
+# bound by at least 1 % of it (rounding moves it by ~1e-15), on either side,
+# at zero, or anywhere in a wide range
+_SMALL_EIGENVALUE = st.one_of(
+    st.floats(0.01, 0.99).map(lambda d: -1e-10 * (1.0 + d)),
+    st.floats(-0.99, -0.01).map(lambda d: -1e-10 * (1.0 + d)),
+    st.just(0.0),
+    st.floats(-1e-14, 1e-14),
+    st.floats(-1.0, 5.0),
+)
+
+
+@st.composite
+def covariance_inputs(draw):
+    """A 2×2 input: a rotated diag(λ₁, λ₂) with λ₂ near the PSD bound, its
+    lower off-diagonal moved around the allclose tolerance, and possibly
+    NaN or ±inf entries."""
+    theta = draw(st.floats(0.0, math.pi))
+    lam1, lam2 = draw(st.floats(0.0, 10.0)), draw(_SMALL_EIGENVALUE)
+    c, s = math.cos(theta), math.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    m = rot @ np.diag([lam1, lam2]) @ rot.T
+    m[1, 0] = m[0, 1]
+    tol = 1e-12 + 1e-5 * abs(m[0, 1])
+    shift = draw(st.sampled_from([0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 1e3]))
+    m[1, 0] += shift * tol * draw(st.sampled_from([1.0, -1.0]))
+    for i, j, value in draw(st.lists(st.tuples(
+            st.integers(0, 1), st.integers(0, 1),
+            st.sampled_from([math.nan, math.inf, -math.inf])), max_size=2)):
+        m[i, j] = value
+    return m
+
+
+class TestModelParamsValidation:
+    @settings(max_examples=400, deadline=None)
+    @given(cov=covariance_inputs(),
+           slot=st.sampled_from(["init_cov", "meas_cov", "state_cov"]))
+    def test_matches_linalg_reference(self, cov, slot):
+        fields = dict(
+            req_return=np.array([0.04, 0.03]), init_mean=np.array([0.25, 0.1]),
+            drift=np.array([0.002, -0.001]), init_cov=0.02 * np.eye(2),
+            meas_cov=0.0025 * np.eye(2), state_cov=0.0009 * np.eye(2),
+            rate_log=0.01,
+        )
+        fields[slot] = cov
+        expected = params_validation_error(fields)
+        try:
+            params = ModelParams(**fields)
+        except DataValidationError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert np.array_equal(getattr(params, slot), 0.5 * (cov + cov.T))

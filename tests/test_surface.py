@@ -1,12 +1,15 @@
-"""The package exposes only what a program path uses, and no module of it
-loads scipy."""
+"""The package exposes only what a program path uses, no module of it
+loads scipy, and estimation does its 2×2 algebra without numpy.linalg."""
 
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
+
 import privcredit
+from privcredit.cli import main
 
 # names the engine no longer defines, by the module that once held them
 REMOVED = {
@@ -68,3 +71,43 @@ def test_cli_import_skips_oracle_and_removed_names_are_gone():
     assert "simulate" in modules and "oracle" not in modules
     assert result == {"oracle_loaded": False, "modules": modules,
                       "scipy": [], "present": []}
+
+
+_PANEL_CONFIG = """
+k_equity = 0.04
+k_liability = 0.03
+mu0_equity = 0.25
+mu0_liability = 0.10
+phi_equity = 0.002
+phi_liability = -0.001
+sigma_u_equity = 0.05
+sigma_u_liability = 0.04
+rho_u = 0.2
+sigma_v_equity = 0.03
+sigma_v_liability = 0.03
+rho_v = -0.1
+sigma0_equity = 0.14
+sigma0_liability = 0.14
+periods = 30
+seed = 5
+book0_equity = 5.0
+book0_liability = 6.0
+payout_ratio_equity = 0.25
+payout_ratio_liability = 0.25
+"""
+
+
+def test_estimate_calls_no_small_matrix_lapack(tmp_path, monkeypatch):
+    cfg, panel = tmp_path / "sim.cfg", tmp_path / "panel.csv"
+    cfg.write_text(_PANEL_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--output", str(panel)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on the estimation path")
+
+    for name in ("inv", "solve", "cholesky", "cond", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--input", str(panel), "--rate", "0.0101",
+                 "--max-iter", "40", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["estimation"]["iterations"] > 1
