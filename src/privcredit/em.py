@@ -3,7 +3,11 @@
 Each iteration smooths the filter run at the current parameter vector
 (E-step; the line search that accepted the vector ran it), then maximizes
 the expected complete-data log-likelihood exactly with the schedule held
-frozen (M-step).
+frozen (M-step). With the schedule frozen that objective depends on the
+smoothed moments only through a few 2×2 sums (Shumway & Stoffer 1982;
+Durbin & Koopman 2012, §7.3), built once per iteration (`moment_sums`), so
+the objective at each line-search candidate is O(1) float algebra and an
+iteration costs one filter pass, one smoother pass and O(T) numpy work.
 Freezing makes this a generalized EM: the frozen objective never decreases,
 which is the ascent property tested downstream. The schedule's own parameter
 sensitivity shows up only in the analytic gradient of the schedule-varying
@@ -26,7 +30,7 @@ from .model import (
     real_intercepts,
 )
 
-_LOG2PI = np.log(2.0 * np.pi)
+_LOG2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -70,34 +74,43 @@ class EmTrace:
         return len(self.max_change)
 
 
-def _chol_inv_logdet(m, name):
-    """Inverse and log-determinant of the symmetric 2×2 ``m``, which must
-    be positive definite: both Cholesky pivots, a and c − b²/a, positive."""
+def _chol_pivots(m, name):
+    """Entries a, b, c of the symmetric 2×2 ``m`` and its second Cholesky
+    pivot c − b²/a; both pivots must be positive (``m`` positive definite)."""
     (a, b), (_, c) = m.tolist()
     pivot = c - b * b / a if a > 0.0 else 0.0
     if not pivot > 0.0:
         raise DataValidationError(f"{name} must be positive definite")
+    return a, b, c, pivot
+
+
+def _chol_inv_logdet(m, name):
+    """Inverse and log-determinant of the positive definite 2×2 ``m``."""
+    a, b, c, pivot = _chol_pivots(m, name)
     return np.array([[c, -b], [-b, a]]) / (a * pivot), math.log(a) + math.log(pivot)
 
 
-def _gaussian_block_term(cov, second_moments, count, name):
+def _block_term(cov, moments, count, name, per_period):
     """Contribution of one Gaussian noise block to the expected joint
-    log-density: normalization plus expected quadratic form.
+    log-density: normalization plus expected quadratic form, from the
+    summed expected outer products ``moments`` = (s00, s01, s11).
 
-    ``second_moments`` stacks the (n, 2, 2) expected outer products. An
-    exactly-zero covariance is a point mass: it contributes nothing
-    provided the matching second moments vanish too, and is rejected
-    otherwise (the density does not exist off its support).
+    An exactly-zero covariance is a point mass: it contributes nothing
+    provided every period's second moments, stacked (n, 2, 2) by
+    ``per_period()``, are within 1e-12 of zero, and is rejected otherwise
+    (the density does not exist off its support).
     """
-    if not np.any(cov):
-        if np.abs(second_moments).max() > 1e-12:
+    if not cov.any():
+        if np.abs(per_period()).max() > 1e-12:
             raise DataValidationError(
                 f"{name} is degenerate (zero) but residual moments are not"
             )
         return 0.0
-    inv, logdet = _chol_inv_logdet(cov, name)
-    quad = (inv.T * second_moments.sum(axis=0)).sum()
-    return -count * _LOG2PI - 0.5 * count * logdet - 0.5 * quad
+    a, b, c, pivot = _chol_pivots(cov, name)
+    s00, s01, s11 = moments
+    quad = (c * s00 - 2.0 * b * s01 + a * s11) / (a * pivot)
+    return (-count * _LOG2PI - 0.5 * count * (math.log(a) + math.log(pivot))
+            - 0.5 * quad)
 
 
 def _measurement_residual_cov(cov_m, cross_m, g):
@@ -123,9 +136,21 @@ def _outer(a, b):
     return a[:, :, None] * b[:, None, :]
 
 
-def _residual_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
+def _stacked_moments(resid, resid_cov):
+    """Per-period expected outer products E[r rᵀ] = r̂ r̂ᵀ + Var(r), (T, 2, 2)."""
+    return _outer(resid, resid) + resid_cov
+
+
+def _sym(m):
+    """(m00, m01, m11) of a 2×2 array, off-diagonal averaged."""
+    (m00, m01), (m10, m11) = m.tolist()
+    return m00, 0.5 * (m01 + m10), m11
+
+
+def _gradient_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
                      payout_ratio):
-    """Residuals and second-moment corrections at the given parameters."""
+    """Residuals u, v, the payout-gap sensitivities d and the matrices Z of
+    the objective's gradient at the given parameters, rows t = 1..T."""
     T = growth.shape[0]
     periods = np.arange(1, T + 1)
     g = schedule.gain[1 : T + 1]
@@ -137,9 +162,80 @@ def _residual_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
     gg = g * (g - 1.0)
     d = gg * (m_smooth[:-1] - centers)
     z = gg[:, :, None] * (cross_m[1:] - cov_m[:-1] * g[:, None, :])
-    e_uu = _outer(u, u) + _measurement_residual_cov(cov_m, cross_m, g)
-    e_vv = _outer(v, v) + _state_residual_cov(cov_m, cross_m)
-    return u, v, d, z, e_uu, e_vv
+    return u, v, d, z
+
+
+@dataclass(frozen=True)
+class MomentSums:
+    """What the frozen-schedule objective and the M-step read of one
+    E-step's smoothed moments, taken about reference required returns k₀
+    and drift φ₀ (``reference`` = (k₀, φ₀) as four floats).
+
+    With the smoothed means m̂, the residual with the required-return term
+    removed u_free_t = b̃_t + m̂_t − G_t m̂_{t-1} + (G_t − I)ln π_t + h_t,
+    u⁰_t = u_free_t − G_t k₀ and v⁰_t = m̂_t − m̂_{t-1} − φ₀, the fields
+    ``uu`` = Σ u⁰u⁰ᵀ + S_u and ``vv`` = Σ v⁰v⁰ᵀ + S_v are the summed
+    second moments at the reference, S_u and S_v
+    (``meas_resid_sum``, ``state_resid_sum``) the parameter-free sums of
+    the smoothed residual covariances, ``gu`` = Q = Σ g_t u⁰_tᵀ and
+    ``gg`` = Σ g_t g_tᵀ for the diagonals g_t of G_t, ``v_sum`` = Σ v⁰ and
+    ``init`` = (m̂_0, P_{0|T}). The 2×2 sums are floats, symmetric ones as
+    (s00, s01, s11). The per-period arrays serve the M-step (``u_free``)
+    and the point-mass test of an exactly-zero covariance.
+    """
+
+    n_periods: int
+    reference: tuple
+    uu: tuple
+    gu: tuple
+    gg: tuple
+    vv: tuple
+    v_sum: tuple
+    init: tuple
+    u_free: np.ndarray
+    gain: np.ndarray
+    steps: np.ndarray
+    meas_resid_cov: np.ndarray
+    state_resid_cov: np.ndarray
+    meas_resid_sum: np.ndarray
+    state_resid_sum: np.ndarray
+
+
+def moment_sums(stats, schedule, params):
+    """The :class:`MomentSums` of ``stats`` with the linearization frozen at
+    ``schedule``, about the required returns and drift of ``params``.
+
+    The reference only sets where the sums are centred: about the
+    parameters a line search starts from, the objective's cancellation is
+    confined to the step.
+    """
+    T = stats.n_periods
+    m = stats.m_smooth
+    g = schedule.gain[1 : T + 1]
+    h = schedule.shift[1 : T + 1]
+    k0, phi0 = params.req_return, params.drift
+    u_free = stats.growth + m[1:] - g * m[:-1] + (g - 1.0) * stats.payout_ratio + h
+    u_ref = u_free - g * k0
+    steps = m[1:] - m[:-1]
+    v_ref = steps - phi0
+    meas_resid = _measurement_residual_cov(stats.cov_m, stats.cross_m, g)
+    state_resid = _state_residual_cov(stats.cov_m, stats.cross_m)
+    meas_sum, state_sum = meas_resid.sum(axis=0), state_resid.sum(axis=0)
+    (q00, q01), (q10, q11) = (g.T @ u_ref).tolist()
+    p00, p01, p11 = _sym(stats.cov_m[0])
+    return MomentSums(
+        n_periods=T,
+        reference=tuple(k0.tolist() + phi0.tolist()),
+        uu=_sym(u_ref.T @ u_ref + meas_sum),
+        gu=(q00, q01, q10, q11),
+        gg=_sym(g.T @ g),
+        vv=_sym(v_ref.T @ v_ref + state_sum),
+        v_sum=tuple(v_ref.sum(axis=0).tolist()),
+        init=tuple(m[0].tolist()) + (p00, p01, p11),
+        u_free=u_free, gain=g, steps=steps,
+        meas_resid_cov=meas_resid, state_resid_cov=state_resid,
+        meas_resid_sum=meas_sum, state_resid_sum=state_sum,
+    )
 
 
 def e_step(params, series, schedule=None, filter_output=None):
@@ -148,7 +244,7 @@ def e_step(params, series, schedule=None, filter_output=None):
     built at ``params``."""
     if filter_output is None:
         _, filter_output = _forward_pass(params, series, schedule)
-    smo = smooth(filter_output, params)
+    smo = smooth(filter_output)
     return SmoothedStats(
         m_smooth=smo.m_smooth,
         cov_m=smo.cov_m_smooth,
@@ -159,30 +255,71 @@ def e_step(params, series, schedule=None, filter_output=None):
     )
 
 
-def expected_complete_loglik(params, stats, schedule=None):
+def expected_complete_loglik(params, stats, schedule=None, sums=None):
     """Expected complete-data log-likelihood at ``params``.
 
     With ``schedule`` given, the linearization constants are held frozen at
     that schedule (the M-step objective); with ``schedule=None`` they are
     rebuilt from ``params`` so the objective carries its full parameter
-    dependence. Exactly-zero noise blocks with vanishing residual moments
-    contribute nothing (deterministic limits).
+    dependence. ``sums`` are the :func:`moment_sums` of ``stats`` over that
+    schedule, built here when not given; a caller evaluating many
+    parameter vectors on one frozen schedule builds them once.
+
+    From the sums about (k₀, φ₀), with δk = k − k₀, δφ = φ − φ₀ and x =
+    m̂_0 − μ_0, the three blocks' summed second moments are
+
+        Σ E[u uᵀ] = uu − diag(δk) Q − (diag(δk) Q)ᵀ + (δk δkᵀ) ∘ Σ g gᵀ,
+        Σ E[v vᵀ] = vv − δφ sᵀ − s δφᵀ + T δφ δφᵀ,   E[x xᵀ] = P_{0|T} + x xᵀ,
+
+    each evaluated as float 2×2 algebra; a block adds −n ln 2π − ½ n ln|Σ|
+    − ½ tr(Σ⁻¹ · moments) over its n periods. Exactly-zero noise blocks with
+    vanishing residual moments in every period contribute nothing
+    (deterministic limits).
     """
-    T = stats.n_periods
-    if schedule is None:
-        schedule = build_linearization_schedule(
-            params, stats.payout_ratio, T
-        )
-    u, v, _, _, e_uu, e_vv = _residual_pieces(
-        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
-        stats.growth, stats.payout_ratio,
+    if sums is None:
+        if schedule is None:
+            schedule = build_linearization_schedule(
+                params, stats.payout_ratio, stats.n_periods
+            )
+        sums = moment_sums(stats, schedule, params)
+    T = sums.n_periods
+    k0, k1 = params.req_return.tolist()
+    phi0, phi1 = params.drift.tolist()
+    r0, r1, f0, f1 = sums.reference
+    dk0, dk1, dp0, dp1 = k0 - r0, k1 - r1, phi0 - f0, phi1 - f1
+
+    u00, u01, u11 = sums.uu
+    q00, q01, q10, q11 = sums.gu
+    g00, g01, g11 = sums.gg
+    term_u = _block_term(
+        params.meas_cov,
+        (u00 - 2.0 * dk0 * q00 + dk0 * dk0 * g00,
+         u01 - dk0 * q01 - dk1 * q10 + dk0 * dk1 * g01,
+         u11 - 2.0 * dk1 * q11 + dk1 * dk1 * g11),
+        T, "meas_cov",
+        lambda: _stacked_moments(
+            sums.u_free - sums.gain * params.req_return, sums.meas_resid_cov
+        ),
     )
-    diff0 = stats.m_smooth[0] - params.init_mean
-    term_u = _gaussian_block_term(params.meas_cov, e_uu, T, "meas_cov")
-    term_v = _gaussian_block_term(params.state_cov, e_vv, T, "state_cov")
-    term_0 = _gaussian_block_term(
-        params.init_cov, (stats.cov_m[0] + np.outer(diff0, diff0))[None], 1,
-        "init_cov",
+    v00, v01, v11 = sums.vv
+    s0, s1 = sums.v_sum
+    term_v = _block_term(
+        params.state_cov,
+        (v00 - 2.0 * dp0 * s0 + T * dp0 * dp0,
+         v01 - dp0 * s1 - dp1 * s0 + T * dp0 * dp1,
+         v11 - 2.0 * dp1 * s1 + T * dp1 * dp1),
+        T, "state_cov",
+        lambda: _stacked_moments(
+            sums.steps - params.drift, sums.state_resid_cov
+        ),
+    )
+    a0, a1, p00, p01, p11 = sums.init
+    mu0, mu1 = params.init_mean.tolist()
+    x0, x1 = a0 - mu0, a1 - mu1
+    init_moments = (p00 + x0 * x0, p01 + x0 * x1, p11 + x1 * x1)
+    term_0 = _block_term(
+        params.init_cov, init_moments, 1, "init_cov",
+        lambda: np.array(init_moments),
     )
     return float(term_u + term_v + term_0)
 
@@ -200,7 +337,7 @@ def complete_loglik_gradient(params, stats):
     inv_u, _ = _chol_inv_logdet(params.meas_cov, "meas_cov")
     inv_v, _ = _chol_inv_logdet(params.state_cov, "state_cov")
     inv_0, _ = _chol_inv_logdet(params.init_cov, "init_cov")
-    u, v, d, z, _, _ = _residual_pieces(
+    u, v, d, z = _gradient_pieces(
         params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
         stats.growth, stats.payout_ratio,
     )
@@ -214,7 +351,7 @@ def complete_loglik_gradient(params, stats):
     return np.concatenate([grad_k, grad_mu0, grad_phi])
 
 
-def m_step(stats, schedule, params):
+def m_step(stats, schedule, params, sums=None):
     """Exact maximizer of the frozen-schedule objective.
 
     The initial mean and drift updates are closed-form in the smoothed
@@ -223,13 +360,17 @@ def m_step(stats, schedule, params):
     covariance (entries moving by under 1e-13, at most 200 rounds) so that
     the full frozen-schedule gradient vanishes at the output. Covariance
     estimates are symmetrized time averages of the smoothed second moments
-    and are PSD by construction.
+    and are PSD by construction. The parameter-free parts come from
+    ``sums``, the :func:`moment_sums` of ``stats`` over ``schedule`` (built
+    here when not given): u_free for the required-return normal equations
+    and the residual-covariance sums S_u and S_v, which the two covariance
+    updates add to the outer products of their residuals.
     """
     T = stats.n_periods
+    if sums is None:
+        sums = moment_sums(stats, schedule, params)
     m = stats.m_smooth
-    g = schedule.gain[1 : T + 1]
-    h = schedule.shift[1 : T + 1]
-    ratio = stats.payout_ratio
+    g = sums.gain
 
     if np.abs(g - 1.0).max() < 1e-6:
         warnings.warn(
@@ -243,15 +384,11 @@ def m_step(stats, schedule, params):
     phi_new = (m[T] - m[0]) / T
 
     v = m[1:] - phi_new - m[:-1]
-    vcov = _state_residual_cov(stats.cov_m, stats.cross_m).sum(axis=0)
-    cov_v_new = (v.T @ v + vcov) / T
+    cov_v_new = (v.T @ v + sums.state_resid_sum) / T
     cov_v_new = 0.5 * (cov_v_new + cov_v_new.T)
 
-    # residual with the required-return term removed
-    u_free = stats.growth + m[1:] - g * m[:-1] + (g - 1.0) * ratio + h
-    ucov = _measurement_residual_cov(stats.cov_m, stats.cross_m, g).sum(axis=0)
     k_new, cov_u = _required_return_fixed_point(
-        u_free, ucov, g, params.meas_cov, params.req_return
+        sums.u_free, sums.meas_resid_sum, g, params.meas_cov, params.req_return
     )
 
     for name, cov in (("meas", cov_u), ("state", cov_v_new)):
@@ -394,8 +531,9 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
     for _ in range(max_iter):
         stats = e_step(params, series, schedule, filt)
         filt = stats.filter_output
-        lambda_before = expected_complete_loglik(params, stats, schedule)
-        full_step = m_step(stats, schedule, params)
+        sums = moment_sums(stats, schedule, params)
+        lambda_before = expected_complete_loglik(params, stats, schedule, sums)
+        full_step = m_step(stats, schedule, params, sums)
 
         weight = 1.0
         accepted = None
@@ -404,7 +542,7 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
         while weight > 1e-6:
             candidate = _blend_params(params, full_step, weight)
             try:
-                lam = expected_complete_loglik(candidate, stats, schedule)
+                lam = expected_complete_loglik(candidate, stats, schedule, sums)
                 rejected = lam < lambda_before - 1e-9
                 if not rejected:
                     forward = _forward_pass(candidate, series)

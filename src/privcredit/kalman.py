@@ -32,12 +32,23 @@ this system: with L_t = I − K_t D_t and r_T = 0, N_T = 0,
     P_{t-1|T} = P_{t-1|t-1} − P_{t-1|t-1} N_{t-1} P_{t-1|t-1},
     Cov(m̃_{t-1}, m̃_t | T) = P_{t-1|t-1} L_t' (I − N_t P_{t|t}).
 
-Only the innovation covariances F_t are inverted, so exactly or nearly
-singular filtered covariances (zero prior or state noise) need no special
-path. Every time loop runs closed-form 2×2 algebra on Python floats; the
-off-diagonal of each covariance is the average of its two computed
-triangles, which keeps it exactly symmetric. Intercepts enter means only,
-so gains and covariances are intercept-free.
+Only the innovation covariances F_t are inverted, once, in the filter, so
+exactly or nearly singular filtered covariances (zero prior or state noise)
+need no special path. Each time loop keeps only its recursion, in
+closed-form 2×2 algebra on Python floats, and appends one short record per
+period: the filter loop predicts, forms F_t⁻¹ and the gain, updates, and
+records the filtered mean and covariance; it stops early only at a det F_t
+that is not positive and finite, which it cannot invert. The smoother loop
+runs the r_t, N_t recursion on L_t, D_t F_t⁻¹ e_t and D_t F_t⁻¹ D_t,
+formed beforehand from the filter's F_t⁻¹, and records r_t and N_t.
+Everything else is computed after the loops on whole (T,) columns, with the
+loops' own expressions in the same order, so it matches them bit for bit:
+the filter's F_t, F_t⁻¹, gains, predictions and innovations, its
+singularity test, which raises at the first singular period, and its
+log-likelihood terms; the smoother's means, covariances and
+cross-covariances. The off-diagonal of each covariance is the average of
+its two computed triangles, which keeps it exactly symmetric. Intercepts
+enter means only, so gains and covariances are intercept-free.
 """
 
 import math
@@ -57,8 +68,9 @@ class FilterOutput:
 
     Row 0 of ``m_filt`` / ``cov_m_filt`` holds the prior; the per-period
     arrays are zero at row 0. ``gain[t]`` (K_t) maps the innovation
-    ``innovation[t]`` into the filtered m̃_t, and ``loading[t]`` is the
-    diagonal of D_t = G_t − I.
+    ``innovation[t]`` into the filtered m̃_t, ``loading[t]`` is the
+    diagonal of D_t = G_t − I and ``inv_cov_b_pred[t]`` is F_t⁻¹, which
+    the smoother reuses.
     """
 
     m_filt: np.ndarray
@@ -70,6 +82,7 @@ class FilterOutput:
     loading: np.ndarray
     loglik: float
     intercepts: np.ndarray
+    inv_cov_b_pred: np.ndarray
 
     @property
     def n_periods(self):
@@ -97,11 +110,15 @@ class ForecastOutput:
     start: int
 
 
-def _rows(flat, T, shape):
-    """(T + 1, *shape) array from per-period values, zero at row 0."""
-    out = np.zeros((T + 1,) + shape)
-    out[1:] = np.array(flat).reshape((T,) + shape)
-    return out
+def _singular(det):
+    return IllConditionedInnovationError(
+        f"innovation covariance numerically singular (det={det:.3e})"
+    )
+
+
+def _entries(m):
+    """The four entries of stacked 2×2 matrices (n, 2, 2) as (n,) columns."""
+    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
 
 
 def run_filter(params, schedule, growth, intercepts):
@@ -123,7 +140,8 @@ def run_filter(params, schedule, growth, intercepts):
     Raises
     ------
     IllConditionedInnovationError
-        If an innovation covariance is numerically singular.
+        At the first period whose innovation covariance is numerically
+        singular.
     """
     growth = np.asarray(growth, dtype=float)
     intercepts = np.asarray(intercepts, dtype=float)
@@ -136,119 +154,165 @@ def run_filter(params, schedule, growth, intercepts):
     w00, w01, w11 = r00 + q00, r01 + q01, r11 + q11
     a0, a1 = params.init_mean.tolist()
     (p00, p01), (_, p11) = params.init_cov.tolist()
-    # diagonal of the unconditional Var(m_{t-1}) = P_0 + (t - 1) Sigma_v
-    v00, v11 = p00, p11
+    loading = schedule.gain[1 : T + 1] - 1.0
+    c = intercepts[1 : T + 1]
 
-    m_filt, cov_filt = [a0, a1], [p00, p01, p01, p11]
-    b_pred, cov_b, gain, innovation, ll = [], [], [], [], [0.0]
-    loading = (schedule.gain[1 : T + 1] - 1.0).tolist()
-    rows = zip(loading, intercepts[1 : T + 1].tolist(), growth.tolist())
-    for (d0, d1), (c0, c1), (y0, y1) in rows:
+    # filtered mean and covariance of m_t for t = 0, 1, ..., the prior first
+    record = [a0, a1, p00, p01, p01, p11]
+    for (d0, d1), (c0, c1), (y0, y1) in zip(loading.tolist(), c.tolist(),
+                                            growth.tolist()):
         f00 = d0 * d0 * p00 + w00
         f01 = d0 * d1 * p01 + w01
         f11 = d1 * d1 * p11 + w11
         det = f00 * f11 - f01 * f01
-        trace = f00 + f11
-        lam_min = 0.5 * (trace - math.sqrt(max(trace * trace - 4.0 * det, 0.0)))
-        scale = d0 * d0 * v00 + d1 * d1 * v11 + w00 + w11
-        if not math.isfinite(det) or det <= 0.0 or lam_min <= _RCOND * scale:
-            raise IllConditionedInnovationError(
-                f"innovation covariance numerically singular (det={det:.3e})"
-            )
-        v00 += q00
-        v11 += q11
+        if not 0.0 < det < math.inf:
+            break
         i00, i01, i11 = f11 / det, -f01 / det, f00 / det
-        bp0 = d0 * a0 - phi0 + c0
-        bp1 = d1 * a1 - phi1 + c1
-        e0, e1 = y0 - bp0, y1 - bp1
-        ll.append(-_LOG2PI - 0.5 * math.log(det)
-                  - 0.5 * (e0 * (i00 * e0 + i01 * e1) + e1 * (i01 * e0 + i11 * e1)))
+        e0 = y0 - (d0 * a0 - phi0 + c0)
+        e1 = y1 - (d1 * a1 - phi1 + c1)
         # M = Cov(m_t, b_t) = P D - Sigma_v and K = M F^-1
         m00, m01 = p00 * d0 - q00, p01 * d1 - q01
         m10, m11 = p01 * d0 - q01, p11 * d1 - q11
         k00, k01 = m00 * i00 + m01 * i01, m00 * i01 + m01 * i11
         k10, k11 = m10 * i00 + m11 * i01, m10 * i01 + m11 * i11
-        b_pred += (bp0, bp1)
-        cov_b += (f00, f01, f01, f11)
-        gain += (k00, k01, k10, k11)
-        innovation += (e0, e1)
-
         a0 += phi0 + k00 * e0 + k01 * e1
         a1 += phi1 + k10 * e0 + k11 * e1
         p01 += q01 - 0.5 * (k00 * m10 + k01 * m11 + k10 * m00 + k11 * m01)
         p00 += q00 - k00 * m00 - k01 * m01
         p11 += q11 - k10 * m10 - k11 * m11
-        m_filt += (a0, a1)
-        cov_filt += (p00, p01, p01, p11)
+        record += (a0, a1, p00, p01, p01, p11)
 
+    # the loop's other quantities, as the same expressions on whole columns
+    state = np.fromiter(record, float, len(record)).reshape(-1, 6)
+    n = state.shape[0] - 1
+    a0, a1, p00, p01, _, p11 = state[:n].T
+    d0, d1 = loading[:n].T
+    f00 = d0 * d0 * p00 + w00
+    f01 = d0 * d1 * p01 + w01
+    f11 = d1 * d1 * p11 + w11
+    # diagonal of the unconditional Var(m_{t-1}) = P_0 + (t - 1) Sigma_v,
+    # summed in period order
+    var = np.empty((n, 2))
+    var[:] = q00, q11
+    var[:1] = record[2], record[5]
+    v00, v11 = var.cumsum(axis=0).T
+    with np.errstate(all="ignore"):
+        # periods after the first singular one may have overflowed
+        dets = f00 * f11 - f01 * f01
+        trace = f00 + f11
+        lam_min = 0.5 * (trace - np.sqrt(np.maximum(trace * trace - 4.0 * dets, 0.0)))
+        scale = d0 * d0 * v00 + d1 * d1 * v11 + w00 + w11
+        singular = lam_min <= _RCOND * scale
+    if singular.any():
+        raise _singular(dets[singular.argmax()])
+    if n < T:
+        raise _singular(det)
+    i00, i01, i11 = f11 / dets, -f01 / dets, f00 / dets
+    c0, c1 = c.T
+    y0, y1 = growth.T
+    b0, b1 = d0 * a0 - phi0 + c0, d1 * a1 - phi1 + c1
+    e0, e1 = y0 - b0, y1 - b1
+    m00, m01 = p00 * d0 - q00, p01 * d1 - q01
+    m10, m11 = p01 * d0 - q01, p11 * d1 - q11
+    k00, k01 = m00 * i00 + m01 * i01, m00 * i01 + m01 * i11
+    k10, k11 = m10 * i00 + m11 * i01, m10 * i01 + m11 * i11
+    loglik = (-_LOG2PI - 0.5 * np.log(dets)
+              - 0.5 * (e0 * (i00 * e0 + i01 * e1) + e1 * (i01 * e0 + i11 * e1))).sum()
+
+    # rows: predicted growth, F, F^-1, K, innovation, D, zero at period 0;
+    # the outputs are transposed views of row blocks
+    out = np.zeros((18, T + 1))
+    out[:, 1:] = (b0, b1, f00, f01, f01, f11, i00, i01, i01, i11,
+                  k00, k01, k10, k11, e0, e1, d0, d1)
     return FilterOutput(
-        m_filt=np.array(m_filt).reshape(T + 1, 2),
-        cov_m_filt=np.array(cov_filt).reshape(T + 1, 2, 2),
-        b_pred=_rows(b_pred, T, (2,)),
-        cov_b_pred=_rows(cov_b, T, (2, 2)),
-        gain=_rows(gain, T, (2, 2)),
-        innovation=_rows(innovation, T, (2,)),
-        loading=_rows(loading, T, (2,)),
-        loglik=float(np.array(ll).sum()), intercepts=intercepts,
+        m_filt=state[:, :2],
+        cov_m_filt=state[:, 2:].reshape(T + 1, 2, 2),
+        b_pred=out[0:2].T,
+        cov_b_pred=out[2:6].T.reshape(T + 1, 2, 2),
+        gain=out[10:14].T.reshape(T + 1, 2, 2),
+        innovation=out[14:16].T,
+        loading=out[16:18].T,
+        loglik=float(loglik),
+        intercepts=intercepts,
+        inv_cov_b_pred=out[6:10].T.reshape(T + 1, 2, 2),
     )
 
 
-def smooth(filter_output, params):
-    """Backward recursion: smoothed moments and lag-one cross-covariances."""
-    T = filter_output.n_periods
-    m_filt = filter_output.m_filt.tolist()
-    cov_filt = filter_output.cov_m_filt.reshape(T + 1, 4).tolist()
-    cov_b = filter_output.cov_b_pred.reshape(T + 1, 4).tolist()
-    gain = filter_output.gain.reshape(T + 1, 4).tolist()
-    innovation = filter_output.innovation.tolist()
-    loading = filter_output.loading.tolist()
+def _smoother_recursion(l00, l01, l10, l11, u0, u1, g00, g01, g11):
+    """r_t and N_t for t = 0..T from per-period columns of L_t, D_t F_t⁻¹ e_t
+    and the entries 00, 01, 11 of D_t F_t⁻¹ D_t (rows t = 1..T).
 
-    m_smooth = [0.0] * (2 * T) + m_filt[T]
-    cov_smooth = [0.0] * (4 * T) + cov_filt[T]
-    cross = [0.0] * (4 * T + 4)
+    Returns the (5, T + 1) rows r0, r1, n00, n01, n11; column T holds
+    r_T = 0, N_T = 0.
+    """
+    T = l00.shape[0]
+    record = []
     r0 = r1 = n00 = n01 = n11 = 0.0
-    for t in range(T, 0, -1):
-        f00, f01, _, f11 = cov_b[t]
-        det = f00 * f11 - f01 * f01
-        i00, i01, i11 = f11 / det, -f01 / det, f00 / det
-        e0, e1 = innovation[t]
-        d0, d1 = loading[t]
-        k00, k01, k10, k11 = gain[t]
-        l00, l01, l10, l11 = 1.0 - k00 * d0, -k01 * d1, -k10 * d0, 1.0 - k11 * d1
-        p00, p01, _, p11 = cov_filt[t - 1]
-
-        # Cov(m_{t-1}, m_t | T) = P_{t-1|t-1} L' X with X = I - N_t P_{t|t}
-        q00, q01, _, q11 = cov_filt[t]
-        x00, x01 = 1.0 - n00 * q00 - n01 * q01, -n00 * q01 - n01 * q11
-        x10, x11 = -n01 * q00 - n11 * q01, 1.0 - n01 * q01 - n11 * q11
-        y00, y01 = l00 * x00 + l10 * x10, l00 * x01 + l10 * x11
-        y10, y11 = l01 * x00 + l11 * x10, l01 * x01 + l11 * x11
-        cross[4 * t : 4 * t + 4] = (p00 * y00 + p01 * y10, p00 * y01 + p01 * y11,
-                                    p01 * y00 + p11 * y10, p01 * y01 + p11 * y11)
-
+    rows = zip(*(column[::-1].tolist()
+                 for column in (l00, l01, l10, l11, u0, u1, g00, g01, g11)))
+    for l00, l01, l10, l11, u0, u1, g00, g01, g11 in rows:
         # r <- D F^-1 e + L' r and N <- D F^-1 D + L' N L
-        u0, u1 = i00 * e0 + i01 * e1, i01 * e0 + i11 * e1
-        r0, r1 = d0 * u0 + l00 * r0 + l10 * r1, d1 * u1 + l01 * r0 + l11 * r1
+        r0, r1 = u0 + l00 * r0 + l10 * r1, u1 + l01 * r0 + l11 * r1
         nl00, nl01 = n00 * l00 + n01 * l10, n00 * l01 + n01 * l11
         nl10, nl11 = n01 * l00 + n11 * l10, n01 * l01 + n11 * l11
         n00, n01, n11 = (
-            d0 * i00 * d0 + l00 * nl00 + l10 * nl10,
-            d0 * i01 * d1 + 0.5 * (l00 * nl01 + l10 * nl11 + l01 * nl00 + l11 * nl10),
-            d1 * i11 * d1 + l01 * nl01 + l11 * nl11,
+            g00 + l00 * nl00 + l10 * nl10,
+            g01 + 0.5 * (l00 * nl01 + l10 * nl11 + l01 * nl00 + l11 * nl10),
+            g11 + l01 * nl01 + l11 * nl11,
         )
+        record += (r0, r1, n00, n01, n11)
+    rn = np.zeros((T + 1, 5))
+    rn[:T] = np.fromiter(record, float, len(record)).reshape(T, 5)[::-1]
+    return rn.T
 
-        a0, a1 = m_filt[t - 1]
-        m_smooth[2 * t - 2 : 2 * t] = a0 + p00 * r0 + p01 * r1, a1 + p01 * r0 + p11 * r1
-        pn00, pn01 = p00 * n00 + p01 * n01, p00 * n01 + p01 * n11
-        pn10, pn11 = p01 * n00 + p11 * n01, p01 * n01 + p11 * n11
-        s01 = p01 - 0.5 * (pn00 * p01 + pn01 * p11 + pn10 * p00 + pn11 * p01)
-        cov_smooth[4 * t - 4 : 4 * t] = (p00 - pn00 * p00 - pn01 * p01, s01,
-                                         s01, p11 - pn10 * p01 - pn11 * p11)
 
+def smooth(filter_output):
+    """Backward recursion: smoothed moments and lag-one cross-covariances."""
+    T = filter_output.n_periods
+    d0, d1 = filter_output.loading[1:].T
+    k00, k01, k10, k11 = _entries(filter_output.gain[1:])
+    i00, i01, _, i11 = _entries(filter_output.inv_cov_b_pred[1:])
+    e0, e1 = filter_output.innovation[1:].T
+    l00, l01, l10, l11 = 1.0 - k00 * d0, -k01 * d1, -k10 * d0, 1.0 - k11 * d1
+    r0, r1, n00, n01, n11 = _smoother_recursion(
+        l00, l01, l10, l11,
+        d0 * (i00 * e0 + i01 * e1), d1 * (i01 * e0 + i11 * e1),
+        d0 * i00 * d0, d0 * i01 * d1, d1 * i11 * d1,
+    )
+
+    m_filt, cov_filt = filter_output.m_filt, filter_output.cov_m_filt
+    a0, a1 = m_filt[:T].T
+    p00, p01, _, p11 = _entries(cov_filt[:T])
+    # N_t for t = 1..T, and r_{t-1}, N_{t-1} for m̃_{t-1|T} = m̃_{t-1|t-1}
+    # + P r_{t-1} and P_{t-1|T} = P - (P N_{t-1}) P with P = P_{t-1|t-1}
+    nt00, nt01, nt11 = n00[1:], n01[1:], n11[1:]
+    r0, r1, n00, n01, n11 = r0[:T], r1[:T], n00[:T], n01[:T], n11[:T]
+    m0, m1 = a0 + p00 * r0 + p01 * r1, a1 + p01 * r0 + p11 * r1
+    pn00, pn01 = p00 * n00 + p01 * n01, p00 * n01 + p01 * n11
+    pn10, pn11 = p01 * n00 + p11 * n01, p01 * n01 + p11 * n11
+    s00 = p00 - pn00 * p00 - pn01 * p01
+    s01 = p01 - 0.5 * (pn00 * p01 + pn01 * p11 + pn10 * p00 + pn11 * p01)
+    s11 = p11 - pn10 * p01 - pn11 * p11
+    # C-ordered outputs, so that sums over periods downstream keep their order
+    m_smooth = np.empty((T + 1, 2))
+    m_smooth.T[:, :T] = m0, m1
+    m_smooth[T] = m_filt[T]
+    cov_smooth = np.empty((T + 1, 4))
+    cov_smooth.T[:, :T] = s00, s01, s01, s11
+    cov_smooth[T] = cov_filt[T].reshape(4)
+    # Cov(m_{t-1}, m_t | T) = P_{t-1|t-1} L' X with X = I - N_t P_{t|t}
+    q00, q01, _, q11 = _entries(cov_filt[1:])
+    x00, x01 = 1.0 - nt00 * q00 - nt01 * q01, -nt00 * q01 - nt01 * q11
+    x10, x11 = -nt01 * q00 - nt11 * q01, 1.0 - nt01 * q01 - nt11 * q11
+    y00, y01 = l00 * x00 + l10 * x10, l00 * x01 + l10 * x11
+    y10, y11 = l01 * x00 + l11 * x10, l01 * x01 + l11 * x11
+    cross = np.zeros((T + 1, 4))
+    cross.T[:, 1:] = (p00 * y00 + p01 * y10, p00 * y01 + p01 * y11,
+                      p01 * y00 + p11 * y10, p01 * y01 + p11 * y11)
     return SmootherOutput(
-        m_smooth=np.array(m_smooth).reshape(T + 1, 2),
-        cov_m_smooth=np.array(cov_smooth).reshape(T + 1, 2, 2),
-        cross_m=np.array(cross).reshape(T + 1, 2, 2),
+        m_smooth=m_smooth,
+        cov_m_smooth=cov_smooth.reshape(T + 1, 2, 2),
+        cross_m=cross.reshape(T + 1, 2, 2),
     )
 
 

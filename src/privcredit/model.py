@@ -93,7 +93,8 @@ class ModelParams:
 
     def __post_init__(self):
         for name in _VECTORS:
-            v = np.asarray(getattr(self, name), dtype=float)
+            # a copy: freezing must not touch the caller's own array
+            v = np.array(getattr(self, name), dtype=float)
             if v.shape != (2,):
                 raise DataValidationError(f"{name} must be a 2-vector")
             object.__setattr__(self, name, _freeze(v))

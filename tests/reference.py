@@ -6,6 +6,9 @@ as one explicit linear map of the primitive noise, then answers filtering /
 smoothing / forecasting questions by dense block conditioning. Everything
 the recursive code computes must agree with this object; it is deliberately
 simple and O((2(2H+1))^3), guarded to short samples.
+:func:`filter_reference` and :func:`smooth_reference` are the Kalman
+passes as single per-period loops, :func:`objective_reference` the EM
+objective built period by period from :func:`residual_pieces_reference`,
 :func:`horizon_cov_reference` is the matching reference for the pricing
 layer's maturity covariance, :func:`required_return_fixed_point` the
 numpy.linalg form of the M-step's required-return/measurement-covariance
@@ -16,12 +19,25 @@ error of a simulated panel.
 Tests import this module the way they import ``conftest``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from privcredit.errors import DataValidationError, DegenerateDesignError
+from privcredit.em import (
+    _chol_inv_logdet,
+    _measurement_residual_cov,
+    _outer,
+    _state_residual_cov,
+)
+from privcredit.errors import (
+    DataValidationError,
+    DegenerateDesignError,
+    IllConditionedInnovationError,
+)
+from privcredit.kalman import _LOG2PI, _RCOND, FilterOutput, SmootherOutput
+from privcredit.model import build_linearization_schedule
 
 _MAX_PERIODS = 8
 _I2 = np.eye(2)
@@ -180,6 +196,205 @@ def horizon_cov_reference(params, schedule, origin, maturity):
         w_i = j_b @ m_i + j_m @ n_i
         total += w_i @ sig @ w_i.T
     return 0.5 * (total + total.T)
+
+
+def _rows(flat, T, shape):
+    """(T + 1, *shape) array from per-period values, zero at row 0."""
+    out = np.zeros((T + 1,) + shape)
+    out[1:] = np.array(flat).reshape((T,) + shape)
+    return out
+
+
+def filter_reference(params, schedule, growth, intercepts):
+    """The forward pass as one per-period loop that also tests each F_t for
+    singularity and accumulates the log-likelihood as it goes: the loop
+    :func:`privcredit.kalman.run_filter` splits into a lean recursion and
+    whole-array work after it."""
+    growth = np.asarray(growth, dtype=float)
+    intercepts = np.asarray(intercepts, dtype=float)
+    T = growth.shape[0]
+    if schedule.horizon < T:
+        raise DataValidationError("schedule does not cover the sample")
+    phi0, phi1 = params.drift.tolist()
+    (q00, q01), (_, q11) = params.state_cov.tolist()
+    (r00, r01), (_, r11) = params.meas_cov.tolist()
+    w00, w01, w11 = r00 + q00, r01 + q01, r11 + q11
+    a0, a1 = params.init_mean.tolist()
+    (p00, p01), (_, p11) = params.init_cov.tolist()
+    # diagonal of the unconditional Var(m_{t-1}) = P_0 + (t - 1) Sigma_v
+    v00, v11 = p00, p11
+
+    m_filt, cov_filt = [a0, a1], [p00, p01, p01, p11]
+    b_pred, cov_b, inv_b, gain, innovation, ll = [], [], [], [], [], [0.0]
+    loading = (schedule.gain[1 : T + 1] - 1.0).tolist()
+    rows = zip(loading, intercepts[1 : T + 1].tolist(), growth.tolist())
+    for (d0, d1), (c0, c1), (y0, y1) in rows:
+        f00 = d0 * d0 * p00 + w00
+        f01 = d0 * d1 * p01 + w01
+        f11 = d1 * d1 * p11 + w11
+        det = f00 * f11 - f01 * f01
+        trace = f00 + f11
+        lam_min = 0.5 * (trace - math.sqrt(max(trace * trace - 4.0 * det, 0.0)))
+        scale = d0 * d0 * v00 + d1 * d1 * v11 + w00 + w11
+        if not math.isfinite(det) or det <= 0.0 or lam_min <= _RCOND * scale:
+            raise IllConditionedInnovationError(
+                f"innovation covariance numerically singular (det={det:.3e})"
+            )
+        v00 += q00
+        v11 += q11
+        i00, i01, i11 = f11 / det, -f01 / det, f00 / det
+        bp0 = d0 * a0 - phi0 + c0
+        bp1 = d1 * a1 - phi1 + c1
+        e0, e1 = y0 - bp0, y1 - bp1
+        ll.append(-_LOG2PI - 0.5 * math.log(det)
+                  - 0.5 * (e0 * (i00 * e0 + i01 * e1) + e1 * (i01 * e0 + i11 * e1)))
+        # M = Cov(m_t, b_t) = P D - Sigma_v and K = M F^-1
+        m00, m01 = p00 * d0 - q00, p01 * d1 - q01
+        m10, m11 = p01 * d0 - q01, p11 * d1 - q11
+        k00, k01 = m00 * i00 + m01 * i01, m00 * i01 + m01 * i11
+        k10, k11 = m10 * i00 + m11 * i01, m10 * i01 + m11 * i11
+        b_pred += (bp0, bp1)
+        cov_b += (f00, f01, f01, f11)
+        inv_b += (i00, i01, i01, i11)
+        gain += (k00, k01, k10, k11)
+        innovation += (e0, e1)
+
+        a0 += phi0 + k00 * e0 + k01 * e1
+        a1 += phi1 + k10 * e0 + k11 * e1
+        p01 += q01 - 0.5 * (k00 * m10 + k01 * m11 + k10 * m00 + k11 * m01)
+        p00 += q00 - k00 * m00 - k01 * m01
+        p11 += q11 - k10 * m10 - k11 * m11
+        m_filt += (a0, a1)
+        cov_filt += (p00, p01, p01, p11)
+
+    return FilterOutput(
+        m_filt=np.array(m_filt).reshape(T + 1, 2),
+        cov_m_filt=np.array(cov_filt).reshape(T + 1, 2, 2),
+        b_pred=_rows(b_pred, T, (2,)),
+        cov_b_pred=_rows(cov_b, T, (2, 2)),
+        gain=_rows(gain, T, (2, 2)),
+        innovation=_rows(innovation, T, (2,)),
+        loading=_rows(loading, T, (2,)),
+        loglik=float(np.array(ll).sum()), intercepts=intercepts,
+        inv_cov_b_pred=_rows(inv_b, T, (2, 2)),
+    )
+
+
+def smooth_reference(filter_output):
+    """The backward recursion inverting each F_t again and assigning into
+    preallocated lists: the loop :func:`privcredit.kalman.smooth` runs on
+    the filter's F_t⁻¹."""
+    T = filter_output.n_periods
+    m_filt = filter_output.m_filt.tolist()
+    cov_filt = filter_output.cov_m_filt.reshape(T + 1, 4).tolist()
+    cov_b = filter_output.cov_b_pred.reshape(T + 1, 4).tolist()
+    gain = filter_output.gain.reshape(T + 1, 4).tolist()
+    innovation = filter_output.innovation.tolist()
+    loading = filter_output.loading.tolist()
+
+    m_smooth = [0.0] * (2 * T) + m_filt[T]
+    cov_smooth = [0.0] * (4 * T) + cov_filt[T]
+    cross = [0.0] * (4 * T + 4)
+    r0 = r1 = n00 = n01 = n11 = 0.0
+    for t in range(T, 0, -1):
+        f00, f01, _, f11 = cov_b[t]
+        det = f00 * f11 - f01 * f01
+        i00, i01, i11 = f11 / det, -f01 / det, f00 / det
+        e0, e1 = innovation[t]
+        d0, d1 = loading[t]
+        k00, k01, k10, k11 = gain[t]
+        l00, l01, l10, l11 = 1.0 - k00 * d0, -k01 * d1, -k10 * d0, 1.0 - k11 * d1
+        p00, p01, _, p11 = cov_filt[t - 1]
+
+        # Cov(m_{t-1}, m_t | T) = P_{t-1|t-1} L' X with X = I - N_t P_{t|t}
+        q00, q01, _, q11 = cov_filt[t]
+        x00, x01 = 1.0 - n00 * q00 - n01 * q01, -n00 * q01 - n01 * q11
+        x10, x11 = -n01 * q00 - n11 * q01, 1.0 - n01 * q01 - n11 * q11
+        y00, y01 = l00 * x00 + l10 * x10, l00 * x01 + l10 * x11
+        y10, y11 = l01 * x00 + l11 * x10, l01 * x01 + l11 * x11
+        cross[4 * t : 4 * t + 4] = (p00 * y00 + p01 * y10, p00 * y01 + p01 * y11,
+                                    p01 * y00 + p11 * y10, p01 * y01 + p11 * y11)
+
+        # r <- D F^-1 e + L' r and N <- D F^-1 D + L' N L
+        u0, u1 = i00 * e0 + i01 * e1, i01 * e0 + i11 * e1
+        r0, r1 = d0 * u0 + l00 * r0 + l10 * r1, d1 * u1 + l01 * r0 + l11 * r1
+        nl00, nl01 = n00 * l00 + n01 * l10, n00 * l01 + n01 * l11
+        nl10, nl11 = n01 * l00 + n11 * l10, n01 * l01 + n11 * l11
+        n00, n01, n11 = (
+            d0 * i00 * d0 + l00 * nl00 + l10 * nl10,
+            d0 * i01 * d1 + 0.5 * (l00 * nl01 + l10 * nl11 + l01 * nl00 + l11 * nl10),
+            d1 * i11 * d1 + l01 * nl01 + l11 * nl11,
+        )
+
+        a0, a1 = m_filt[t - 1]
+        m_smooth[2 * t - 2 : 2 * t] = a0 + p00 * r0 + p01 * r1, a1 + p01 * r0 + p11 * r1
+        pn00, pn01 = p00 * n00 + p01 * n01, p00 * n01 + p01 * n11
+        pn10, pn11 = p01 * n00 + p11 * n01, p01 * n01 + p11 * n11
+        s01 = p01 - 0.5 * (pn00 * p01 + pn01 * p11 + pn10 * p00 + pn11 * p01)
+        cov_smooth[4 * t - 4 : 4 * t] = (p00 - pn00 * p00 - pn01 * p01, s01,
+                                         s01, p11 - pn10 * p01 - pn11 * p11)
+
+    return SmootherOutput(
+        m_smooth=np.array(m_smooth).reshape(T + 1, 2),
+        cov_m_smooth=np.array(cov_smooth).reshape(T + 1, 2, 2),
+        cross_m=np.array(cross).reshape(T + 1, 2, 2),
+    )
+
+
+def residual_pieces_reference(params, schedule, m_smooth, cov_m, cross_m,
+                              growth, payout_ratio):
+    """Residuals u, v, d, the matrices Z and the per-period expected outer
+    products E[uu'], E[vv'] at ``params``, stacked over t = 1..T."""
+    T = growth.shape[0]
+    periods = np.arange(1, T + 1)
+    g = schedule.gain[1 : T + 1]
+    h = schedule.shift[1 : T + 1]
+    c = (g * params.req_return - (g - 1.0) * payout_ratio - h)
+    u = growth + m_smooth[1:] - g * m_smooth[:-1] - c
+    v = m_smooth[1:] - params.drift - m_smooth[:-1]
+    centers = params.init_mean + (periods - 1)[:, None] * params.drift
+    gg = g * (g - 1.0)
+    d = gg * (m_smooth[:-1] - centers)
+    z = gg[:, :, None] * (cross_m[1:] - cov_m[:-1] * g[:, None, :])
+    e_uu = _outer(u, u) + _measurement_residual_cov(cov_m, cross_m, g)
+    e_vv = _outer(v, v) + _state_residual_cov(cov_m, cross_m)
+    return u, v, d, z, e_uu, e_vv
+
+
+def gaussian_block_term_reference(cov, second_moments, count, name):
+    """One Gaussian block of the objective from the stacked (n, 2, 2)
+    second moments; an exactly-zero ``cov`` contributes nothing when every
+    period's moments are within 1e-12 of zero and is rejected otherwise."""
+    if not np.any(cov):
+        if np.abs(second_moments).max() > 1e-12:
+            raise DataValidationError(
+                f"{name} is degenerate (zero) but residual moments are not"
+            )
+        return 0.0
+    inv, logdet = _chol_inv_logdet(cov, name)
+    quad = (inv.T * second_moments.sum(axis=0)).sum()
+    return -count * _LOG2PI - 0.5 * count * logdet - 0.5 * quad
+
+
+def objective_reference(params, stats, schedule=None):
+    """The expected complete-data log-likelihood built period by period from
+    the residual pieces: what :func:`privcredit.em.expected_complete_loglik`
+    computes from moment sums."""
+    T = stats.n_periods
+    if schedule is None:
+        schedule = build_linearization_schedule(params, stats.payout_ratio, T)
+    *_, e_uu, e_vv = residual_pieces_reference(
+        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
+        stats.growth, stats.payout_ratio,
+    )
+    diff0 = stats.m_smooth[0] - params.init_mean
+    term_u = gaussian_block_term_reference(params.meas_cov, e_uu, T, "meas_cov")
+    term_v = gaussian_block_term_reference(params.state_cov, e_vv, T, "state_cov")
+    term_0 = gaussian_block_term_reference(
+        params.init_cov, (stats.cov_m[0] + np.outer(diff0, diff0))[None], 1,
+        "init_cov",
+    )
+    return float(term_u + term_v + term_0)
 
 
 def required_return_fixed_point(u_free, ucov, g, cov_u, k):

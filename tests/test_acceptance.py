@@ -82,7 +82,7 @@ def oracle_battery():
         growth = _simulate_growth(params, schedule, T, rng)
         intercepts = real_intercepts(params, schedule)
         filt = run_filter(params, schedule, growth, intercepts)
-        smo = smooth(filt, params)
+        smo = smooth(filt)
         fc = forecast(filt, params, schedule, T + extra)
         oracle = GaussianConditioningOracle(
             params, schedule, growth, intercepts, horizon=T + extra

@@ -11,7 +11,7 @@ from privcredit.em import (
     m_step,
     smoothed_market_values,
 )
-from privcredit.errors import DegenerateDesignError
+from privcredit.errors import DataValidationError, DegenerateDesignError
 from privcredit.kalman import run_filter
 from privcredit.model import (
     ObservedSeries,
@@ -20,7 +20,12 @@ from privcredit.model import (
 )
 
 from conftest import base_params, random_params, spd_matrix, synthetic_series
-from reference import GaussianConditioningOracle, required_return_fixed_point
+from reference import (
+    GaussianConditioningOracle,
+    objective_reference,
+    required_return_fixed_point,
+    residual_pieces_reference,
+)
 
 
 def deterministic_series(params, periods):
@@ -106,6 +111,74 @@ class TestExpectedCompleteLoglik:
             expected_complete_loglik(zero_with_residuals, stats)
 
 
+def assert_rel(actual, reference, rtol=1e-12):
+    assert abs(actual - reference) <= rtol * abs(reference)
+
+
+def drift_stats(params, periods, jitter, schedule):
+    """Smoothed stats whose means follow the drift up to alternating
+    deviations ±``jitter`` and whose smoothed covariances vanish, so each
+    period's state residual is 2 ``jitter`` in size."""
+    from privcredit.em import SmoothedStats
+
+    t = np.arange(periods + 1)[:, None]
+    m = params.init_mean + t * params.drift + jitter * (-1.0) ** t
+    g = schedule.gain[1 : periods + 1]
+    growth = (real_intercepts(params, schedule)[1 : periods + 1]
+              + g * m[:-1] - m[1:] + 0.01)
+    zero = np.zeros((periods + 1, 2, 2))
+    return SmoothedStats(m_smooth=m, cov_m=zero, cross_m=zero, growth=growth,
+                         payout_ratio=schedule.payout_ratio[1 : periods + 1])
+
+
+class TestObjectiveFromSums:
+    """The sums-based objective against the period-by-period reference."""
+
+    @pytest.mark.parametrize("periods", [1, 2, 7, 40, 100, 400, 1600])
+    def test_matches_reference(self, periods):
+        truth = base_params(drift=np.array([5e-4, -3e-4]))
+        series, _, _ = synthetic_series(truth, periods, seed=periods,
+                                        payout_level=0.35)
+        p = truth.replace(req_return=truth.req_return + 0.002,
+                          init_mean=truth.init_mean - 0.01)
+        schedule = build_linearization_schedule(p, series.payout_ratio, periods)
+        stats = e_step(p, series, schedule)
+        sums = em.moment_sums(stats, schedule, p)
+        step = m_step(stats, schedule, p, sums)
+        for weight in (0.0, 0.25, 1.0):
+            q = em._blend_params(p, step, weight)
+            want = objective_reference(q, stats, schedule)
+            assert_rel(expected_complete_loglik(q, stats, schedule, sums), want)
+            assert_rel(expected_complete_loglik(q, stats, schedule), want)
+            assert_rel(expected_complete_loglik(q, stats),
+                       objective_reference(q, stats))
+
+    def test_zero_state_cov_keeps_the_per_period_rule(self):
+        # each period's state residual second moment is (2 · 3e-7)² =
+        # 3.6e-13, below 1e-12, while their sum over 40 periods, 1.4e-11, is
+        # above; at a 6e-7 jitter each period's is 1.44e-12
+        p = base_params(state_cov=np.zeros((2, 2)))
+        T = 40
+        ratio = np.log(0.3) * np.ones((T, 2))
+        schedule = build_linearization_schedule(p, ratio, T)
+        stats = drift_stats(p, T, 3e-7, schedule)
+        steps = np.diff(stats.m_smooth, axis=0) - p.drift
+        assert (steps ** 2).max() < 1e-12 < (steps ** 2).sum()
+        want = objective_reference(p, stats, schedule)
+        assert_rel(expected_complete_loglik(p, stats, schedule), want)
+        sums = em.moment_sums(stats, schedule, p.replace(drift=p.drift + 1e-3))
+        assert_rel(expected_complete_loglik(p, stats, schedule, sums), want)
+
+        wide = drift_stats(p, T, 6e-7, schedule)
+        messages = []
+        for objective in (expected_complete_loglik, objective_reference):
+            with pytest.raises(DataValidationError) as info:
+                objective(p, wide, schedule)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            "state_cov is degenerate (zero) but residual moments are not")
+
+
 class TestGradient:
     def test_matches_finite_differences(self, rng):
         for _ in range(4):
@@ -122,12 +195,12 @@ class TestGradient:
 
 
 def residual_pieces(params, schedule, stats):
-    """Residuals (u, v, d), Z and the second moments E[uu'], E[vv'] of the
-    smoothed ``stats`` at ``params``; row i is period i + 1."""
-    return em._residual_pieces(
-        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
-        stats.growth, stats.payout_ratio,
-    )
+    """Residuals (u, v, d) and Z of the gradient, then the per-period second
+    moments E[uu'], E[vv'] of the objective's reference, from the smoothed
+    ``stats`` at ``params``; row i is period i + 1."""
+    args = (params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
+            stats.growth, stats.payout_ratio)
+    return em._gradient_pieces(*args) + residual_pieces_reference(*args)[4:]
 
 
 class TestEStep:
@@ -395,10 +468,27 @@ class TestEmFit:
 
     def test_one_filter_run_per_accepted_step(self, params, monkeypatch):
         # only the first E-step filters; every later one smooths the pass
-        # the line search ran for the candidate it accepted
+        # the line search ran for the candidate it accepted. Each iteration
+        # builds its moment sums once and evaluates the objective from them
+        # at its start and at each line-search candidate.
         series, _, _ = synthetic_series(params, 60, seed=31)
         real_filter, real_e_step = em.run_filter, em.e_step
+        real_sums, real_objective = em.moment_sums, em.expected_complete_loglik
+        real_blend = em._blend_params
         calls, passes, in_e_step = {"e_step": 0, "search": 0}, [], []
+        built, objective_sums, candidates = [], [], []
+
+        def counted_sums(*args, **kwargs):
+            built.append(real_sums(*args, **kwargs))
+            return built[-1]
+
+        def counted_objective(params, stats, schedule=None, sums=None):
+            objective_sums.append(sums)
+            return real_objective(params, stats, schedule, sums)
+
+        def counted_blend(*args, **kwargs):
+            candidates.append(None)
+            return real_blend(*args, **kwargs)
 
         def counted_filter(*args, **kwargs):
             calls["e_step" if in_e_step else "search"] += 1
@@ -414,11 +504,21 @@ class TestEmFit:
 
         monkeypatch.setattr(em, "run_filter", counted_filter)
         monkeypatch.setattr(em, "e_step", tracked_e_step)
+        monkeypatch.setattr(em, "moment_sums", counted_sums)
+        monkeypatch.setattr(em, "expected_complete_loglik", counted_objective)
+        monkeypatch.setattr(em, "_blend_params", counted_blend)
         start = default_initial_params(series, params.rate_log)
         fitted, trace = em_fit(series, params_init=start, max_iter=10, tol=0.0)
         assert trace.termination == "max_iter" and trace.n_iterations == 10
         assert calls["e_step"] == 1
         assert calls["search"] >= trace.n_iterations
+        assert len(built) == trace.n_iterations
+        assert len(objective_sums) == trace.n_iterations + len(candidates)
+        # every evaluation uses the sums its own iteration built
+        runs = [s for i, s in enumerate(objective_sums)
+                if i == 0 or s is not objective_sums[i - 1]]
+        assert len(runs) == len(built)
+        assert all(s is b for s, b in zip(runs, built))
         assert trace.filter_output is passes[-1]
         monkeypatch.undo()
         fresh = e_step(fitted, series)

@@ -1,7 +1,8 @@
 """The vectorized E- and M-step moments against per-period loop references.
 
 The references below are the straightforward loops over t the engine used
-before its moment algebra was written over stacked (T, 2, 2) arrays. The
+before its moment algebra was written over stacked (T, 2, 2) arrays and
+then reduced to sums. The
 two differ only by float64 reassociation of sums over at most 1600 terms,
 hence the fixed relative tolerance.
 """
@@ -14,6 +15,7 @@ from privcredit.errors import DataValidationError
 from privcredit.model import build_linearization_schedule
 
 from conftest import base_params, synthetic_series
+from reference import residual_pieces_reference
 
 RTOL = 1e-12
 
@@ -137,7 +139,10 @@ def test_residual_pieces_match_loop(instance):
     params, schedule, stats = instance
     args = (params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
             stats.growth, stats.payout_ratio)
-    for vec, ref in zip(em._residual_pieces(*args), loop_residual_pieces(*args)):
+    loop = loop_residual_pieces(*args)
+    for vec, ref in zip(em._gradient_pieces(*args), loop[:4]):
+        assert_close(vec, ref)
+    for vec, ref in zip(residual_pieces_reference(*args)[4:], loop[4:]):
         assert_close(vec, ref)
 
 
@@ -145,23 +150,25 @@ def test_m_step_sums_match_loop(instance):
     params, schedule, stats = instance
     g = schedule.gain[1 : stats.n_periods + 1]
     vcov, ucov = loop_m_step_sums(stats, g)
-    assert_close(em._state_residual_cov(stats.cov_m, stats.cross_m).sum(axis=0), vcov)
-    assert_close(
-        em._measurement_residual_cov(stats.cov_m, stats.cross_m, g).sum(axis=0), ucov
-    )
+    sums = em.moment_sums(stats, schedule, params)
+    assert_close(sums.state_resid_sum, vcov)
+    assert_close(sums.meas_resid_sum, ucov)
 
 
 def test_gaussian_block_term_matches_loop(instance):
+    # the block term from summed moments against the per-period loop
     params, schedule, stats = instance
     T = stats.n_periods
-    *_, e_uu, e_vv = em._residual_pieces(
+    *_, e_uu, e_vv = loop_residual_pieces(
         params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
         stats.growth, stats.payout_ratio,
     )
     for cov, moments, name in ((params.meas_cov, e_uu, "meas_cov"),
                                (params.state_cov, e_vv, "state_cov")):
+        (s00, s01), (s10, s11) = moments.sum(axis=0).tolist()
         assert_close(
-            em._gaussian_block_term(cov, moments, T, name),
+            em._block_term(cov, (s00, 0.5 * (s01 + s10), s11), T, name,
+                           lambda: moments),
             loop_gaussian_block_term(cov, list(moments), T, name),
         )
 

@@ -14,7 +14,7 @@ from privcredit.model import (
 )
 
 from conftest import base_params, random_params, spd_matrix, synthetic_series
-from reference import GaussianConditioningOracle
+from reference import GaussianConditioningOracle, filter_reference, smooth_reference
 
 
 def make_instance(params, periods, seed, horizon=None):
@@ -181,7 +181,7 @@ class TestSmoother:
     def test_base_case_equals_filter(self, params):
         series, schedule, intercepts = make_instance(params, 5, seed=19)
         out = run_filter(params, schedule, series.growth, intercepts)
-        smo = smooth(out, params)
+        smo = smooth(out)
         np.testing.assert_array_equal(smo.m_smooth[5], out.m_filt[5])
         np.testing.assert_array_equal(smo.cov_m_smooth[5], out.cov_m_filt[5])
 
@@ -189,7 +189,7 @@ class TestSmoother:
         p = base_params(init_cov=np.zeros((2, 2)), state_cov=np.zeros((2, 2)))
         series, schedule, intercepts = make_instance(p, 5, seed=21)
         out = run_filter(p, schedule, series.growth, intercepts)
-        smo = smooth(out, p)
+        smo = smooth(out)
         for t in range(6):
             np.testing.assert_allclose(
                 smo.m_smooth[t], p.init_mean + t * p.drift, atol=1e-10
@@ -201,7 +201,7 @@ class TestSmoother:
         p = random_params(rng)
         series, schedule, intercepts = make_instance(p, 5, seed=23)
         out = run_filter(p, schedule, series.growth, intercepts)
-        smo = smooth(out, p)
+        smo = smooth(out)
         oracle = GaussianConditioningOracle(p, schedule, series.growth, intercepts)
         assert_smoother_matches_oracle(smo, oracle, atol=1e-8)
 
@@ -209,7 +209,7 @@ class TestSmoother:
         p = random_params(rng)
         series, schedule, intercepts = make_instance(p, 6, seed=29)
         out = run_filter(p, schedule, series.growth, intercepts)
-        smo = smooth(out, p)
+        smo = smooth(out)
         for t in range(1, 7):
             cov_pred = out.cov_m_filt[t - 1] + p.state_cov
             filt_le_pred = np.linalg.eigvalsh(cov_pred - out.cov_m_filt[t]).min()
@@ -266,8 +266,11 @@ def _draw_cov(rng, kind, scale):
         return np.zeros((2, 2))
     if kind == "spd":
         return spd_matrix(rng, scale)
-    w = scale * rng.normal(size=2)  # rank one plus a relative 1e-10 ridge
-    return np.outer(w, w) + 1e-10 * (w @ w) * np.eye(2)
+    # rank one plus a relative ridge: 1e-10 (near singular) or 1e-16, which
+    # the filter's singularity test catches once the data pin the rest down
+    ridge = 1e-16 if kind == "rank_one" else 1e-10
+    w = scale * rng.normal(size=2)
+    return np.outer(w, w) + ridge * (w @ w) * np.eye(2)
 
 
 class TestOracleProperty:
@@ -309,8 +312,123 @@ class TestOracleProperty:
             out = run_filter(p, schedule, growth, intercepts)
         except IllConditionedInnovationError:
             return
-        smo = smooth(out, p)
+        smo = smooth(out)
         oracle = GaussianConditioningOracle(p, schedule, growth, intercepts)
         assert_filter_matches_oracle(out, oracle, atol=1e-8)
         assert_smoother_matches_oracle(smo, oracle, atol=1e-8)
         assert out.loglik == pytest.approx(oracle.loglik(), abs=1e-8)
+
+
+FILTER_FIELDS = ("m_filt", "cov_m_filt", "b_pred", "cov_b_pred", "gain",
+                 "innovation", "loading", "inv_cov_b_pred")
+SMOOTHER_FIELDS = ("m_smooth", "cov_m_smooth", "cross_m")
+
+
+def assert_rel(actual, reference, name, rtol=1e-12):
+    """Equal to within ``rtol`` of the reference's largest magnitude."""
+    actual, reference = np.asarray(actual), np.asarray(reference)
+    assert actual.shape == reference.shape, name
+    assert np.abs(actual - reference).max(initial=0.0) <= (
+        rtol * np.abs(reference).max(initial=0.0)), name
+
+
+def assert_passes_match_reference(out, ref):
+    for name in FILTER_FIELDS:
+        assert_rel(getattr(out, name), getattr(ref, name), name)
+    # relative to the sample length where the per-period terms cancel
+    assert abs(out.loglik - ref.loglik) <= 1e-12 * max(abs(ref.loglik), ref.n_periods)
+    smo, smo_ref = smooth(out), smooth_reference(ref)
+    for name in SMOOTHER_FIELDS:
+        assert_rel(getattr(smo, name), getattr(smo_ref, name), name)
+
+
+def first_singular_period(run, params, schedule, growth, intercepts):
+    """(period, message) of the first numerically singular F_t, found as the
+    shortest prefix of the sample the pass ``run`` rejects; (None, None)
+    when it accepts the whole sample."""
+    for t in range(1, growth.shape[0] + 1):
+        try:
+            run(params, schedule, growth[:t], intercepts)
+        except IllConditionedInnovationError as exc:
+            return t, str(exc)
+    return None, None
+
+
+class TestLeanPasses:
+    """The filter and smoother against their single per-period loops."""
+
+    @pytest.mark.parametrize("periods", [1, 2, 40, 100, 1600])
+    def test_match_reference_loops(self, periods):
+        p = base_params(drift=np.array([5e-4, -3e-4]))
+        series, schedule, intercepts = make_instance(p, periods, seed=periods)
+        for c in (intercepts, risk_neutral_intercepts(p, schedule)):
+            assert_passes_match_reference(
+                run_filter(p, schedule, series.growth, c),
+                filter_reference(p, schedule, series.growth, c),
+            )
+
+    def test_singular_period_after_the_first_raises_alike(self):
+        # no measurement noise and rank-one state noise: the first periods
+        # pin the multiplier down until an F_t is singular up to rounding
+        rng = np.random.default_rng(1)
+        w = 0.04 * rng.normal(size=2)
+        p = base_params(
+            meas_cov=np.zeros((2, 2)),
+            state_cov=np.outer(w, w) + 1e-16 * (w @ w) * np.eye(2),
+            init_cov=2.0 * np.outer(w, w) + 1e-3 * np.eye(2),
+        )
+        ratio = np.log(0.3) + 0.05 * rng.normal(size=(5, 2))
+        schedule = build_linearization_schedule(p, ratio, 5)
+        intercepts = real_intercepts(p, schedule)
+        growth = 0.01 * rng.normal(size=(5, 2))
+        period, message = first_singular_period(
+            run_filter, p, schedule, growth, intercepts)
+        assert period == 3 and "det=-" not in message
+        assert first_singular_period(
+            filter_reference, p, schedule, growth, intercepts) == (period, message)
+
+    @pytest.mark.parametrize("ratio, singular", [(0.7, True), (1.5, False)])
+    def test_singularity_threshold(self, ratio, singular):
+        # F_1 = Σ_u = diag(1, x) with no prior or state noise: the test
+        # compares λ_min = x with 1e-13 times the trace 1 + x
+        p = base_params(meas_cov=np.diag([1.0, ratio * 1e-13]),
+                        init_cov=np.zeros((2, 2)), state_cov=np.zeros((2, 2)))
+        series, schedule, intercepts = make_instance(p, 1, seed=5)
+        outcomes = [first_singular_period(run, p, schedule, series.growth,
+                                          intercepts)[0]
+                    for run in (run_filter, filter_reference)]
+        assert outcomes == ([1, 1] if singular else [None, None])
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        periods=st.integers(1, 10),
+        init_kind=st.sampled_from(["spd", "zero", "near_singular", "rank_one"]),
+        state_kind=st.sampled_from(["spd", "zero", "near_singular", "rank_one"]),
+        meas_kind=st.sampled_from(["spd", "zero", "near_singular"]),
+    )
+    def test_match_reference_or_raise_alike(self, seed, periods, init_kind,
+                                            state_kind, meas_kind):
+        rng = np.random.default_rng(seed)
+        p = ModelParams(
+            req_return=np.array([0.04, 0.03]) + 0.01 * rng.normal(size=2),
+            init_mean=0.2 * rng.normal(size=2),
+            init_cov=_draw_cov(rng, init_kind, 0.1),
+            drift=0.01 * rng.normal(size=2),
+            meas_cov=_draw_cov(rng, meas_kind, 0.05),
+            state_cov=_draw_cov(rng, state_kind, 0.04),
+            rate_log=0.01,
+        )
+        ratio = np.log(0.3) + 0.05 * rng.normal(size=(periods, 2))
+        schedule = build_linearization_schedule(p, ratio, periods)
+        intercepts = real_intercepts(p, schedule)
+        growth = 0.05 * rng.normal(size=(periods, 2))
+        singular = first_singular_period(
+            filter_reference, p, schedule, growth, intercepts)
+        assert first_singular_period(
+            run_filter, p, schedule, growth, intercepts) == singular
+        if singular[0] is None:
+            assert_passes_match_reference(
+                run_filter(p, schedule, growth, intercepts),
+                filter_reference(p, schedule, growth, intercepts),
+            )

@@ -311,3 +311,13 @@ class TestModelParamsValidation:
         else:
             assert expected is None
             assert np.array_equal(getattr(params, slot), 0.5 * (cov + cov.T))
+
+    def test_leaves_the_callers_arrays_writable(self):
+        vectors = {name: np.array([0.04, 0.03])
+                   for name in ("req_return", "init_mean", "drift")}
+        params = base_params(**vectors)
+        for name, x in vectors.items():
+            assert x.flags.writeable, name
+            assert not getattr(params, name).flags.writeable
+            x[0] = 1.0
+            assert getattr(params, name)[0] == 0.04

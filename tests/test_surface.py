@@ -31,6 +31,7 @@ REMOVED = {
     "privcredit.pricing.PricingContext": ["report_private"],
     "privcredit.model.LinearizationSchedule": ["asset_gain", "gain_matrix"],
     "privcredit.kalman.FilterOutput": ["multiplier_mean", "multiplier_cov"],
+    "privcredit.em": ["_gaussian_block_term", "_residual_pieces"],
 }
 
 _PROBE = """
