@@ -49,8 +49,6 @@ from .model import (
 from .pricing import (
     HorizonMoments,
     PricingContext,
-    asset_log_moments_private,
-    asset_log_moments_public,
     build_pricing_context,
     default_probability,
     equity_debt_values,

@@ -35,7 +35,7 @@ from .model import (
     build_linearization_schedule,
     real_intercepts,
 )
-from .pricing import build_pricing_context, equity_debt_values
+from .pricing import build_pricing_context, equity_debt_values, extend_payout_ratio
 from .simulate import (
     SimConfig,
     mc_default_probability,
@@ -164,6 +164,7 @@ def cmd_simulate(args):
         raise DataValidationError("simulate requires model parameters in --config")
     periods = pio.coerce(cfg, "periods", int, required=True)
     seed = _option(args.seed, cfg, "seed", int, 0)
+    config = SimConfig(n_paths=1, horizon=periods, seed=seed, measure="real")
     book0 = np.array(
         [
             pio.coerce(cfg, "book0_equity", float, required=True),
@@ -185,7 +186,6 @@ def cmd_simulate(args):
     log_book0 = np.log(book0)
     mean_books = mean_log_book_path(params, schedule, log_book0)
     schedule = attach_asset_constants(schedule, params, mean_books)
-    config = SimConfig(n_paths=1, horizon=periods, seed=seed, measure="real")
     panel = simulate_panel(params, schedule, config, log_book0)
     books = np.exp(panel.log_books[0])
     payouts = np.exp(ratio) * books[:-1]
@@ -279,9 +279,8 @@ def cmd_forecast(args):
     maturity = _option(args.maturity, cfg, "maturity", int)
     if maturity is None or maturity < 1:
         raise DataValidationError("forecast requires --maturity periods ahead")
-    future = _future_payout(cfg, maturity)
+    ratio = extend_payout_ratio(series, maturity, _future_payout(cfg))
     horizon = series.n_periods + maturity
-    ratio = np.vstack([series.payout_ratio, future])
     schedule = build_linearization_schedule(params, ratio, horizon)
     filt = run_filter(
         params, schedule, series.growth, real_intercepts(params, schedule)
@@ -304,7 +303,8 @@ def cmd_forecast(args):
     return 0
 
 
-def _future_payout(cfg, maturity):
+def _future_payout(cfg):
+    """The configured log payout-to-book ratios for periods past the sample."""
     eq = pio.coerce(cfg, "payout_future_equity", float, default=None)
     li = pio.coerce(cfg, "payout_future_liability", float, default=None)
     if eq is None or li is None:
@@ -312,9 +312,11 @@ def _future_payout(cfg, maturity):
             "pricing horizons past the sample need payout_future_equity and "
             "payout_future_liability in the config (payout-to-book ratios)"
         )
-    if eq <= 0 or li <= 0:
-        raise DataValidationError("future payout ratios must be strictly positive")
-    return np.tile(np.log([eq, li]), (maturity, 1))
+    if not (0 < eq < math.inf and 0 < li < math.inf):
+        raise DataValidationError(
+            "future payout ratios must be strictly positive and finite"
+        )
+    return np.log([eq, li])
 
 
 def _pricing_setup(args, cfg):
@@ -323,8 +325,7 @@ def _pricing_setup(args, cfg):
     maturity = _option(args.maturity, cfg, "maturity", int)
     if maturity is None or maturity < 1:
         raise DataValidationError("a positive --maturity is required")
-    future = _future_payout(cfg, maturity)
-    ctx = build_pricing_context(params, series, maturity, future)
+    ctx = build_pricing_context(params, series, maturity, _future_payout(cfg))
     return params, estimation, ctx
 
 
@@ -333,6 +334,8 @@ def _public_multiplier(cfg):
     li = pio.coerce(cfg, "m_t_liability", float, default=None)
     if eq is None or li is None:
         return None
+    if not (math.isfinite(eq) and math.isfinite(li)):
+        raise DataValidationError("m_t_equity and m_t_liability must be finite")
     return np.array([eq, li])
 
 
@@ -366,16 +369,19 @@ def _mc_fields(name, value, mc, se, resolution):
     return {f"{name}_mc": mc, f"{name}_se": se, f"{name}_z": z}
 
 
+def _valuation(ctx, strike, m_t=None):
+    """Call, put, equity and debt at ``strike``; ``m_t`` prices a public firm."""
+    call, put = ctx.price(strike, m_t)
+    equity, debt = equity_debt_values(call, put, strike, ctx.tau, ctx.params.rate_log)
+    return {"call": call, "put": put, "equity_value": equity, "debt_value": debt}
+
+
 def cmd_price(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
     params, estimation, ctx = _pricing_setup(args, cfg)
     strike = _option(args.strike, cfg, "strike", float)
     if strike is None:
         raise DataValidationError("price requires --strike (debt nominal)")
-    call, put = ctx.price_private(strike)
-    equity, debt = equity_debt_values(
-        call, put, strike, ctx.tau, params.rate_log
-    )
     report = {
         "command": "price",
         "input": args.input,
@@ -384,32 +390,19 @@ def cmd_price(args):
         "maturity": ctx.maturity,
         "strike": strike,
         "feasibility": _feasibility(ctx.schedule),
-        "private": {
-            "call": call, "put": put,
-            "equity_value": equity, "debt_value": debt,
-        },
+        "private": _valuation(ctx, strike),
     }
     m_t = _public_multiplier(cfg)
     if m_t is not None:
-        call_pub, put_pub = ctx.price_public(m_t, strike)
-        eq_pub, debt_pub = equity_debt_values(
-            call_pub, put_pub, strike, ctx.tau, params.rate_log
-        )
-        report["public"] = {
-            "multiplier": m_t,
-            "call": call_pub, "put": put_pub,
-            "equity_value": eq_pub, "debt_value": debt_pub,
-        }
+        report["public"] = {"multiplier": m_t, **_valuation(ctx, strike, m_t)}
     if estimation is not None:
         report["estimation"] = estimation
     if args.check == "mc":
         check, log_asset = _mc_terminal(args, cfg, ctx, "risk_neutral")
-        (call_mc, call_se), (put_mc, put_se) = mc_option_price(
-            log_asset, strike, ctx.tau, params.rate_log
-        )
+        prices = mc_option_price(log_asset, strike, ctx.tau, params.rate_log)
         resolution = strike * math.exp(-ctx.tau * params.rate_log) / check["paths"]
-        check.update(_mc_fields("call", call, call_mc, call_se, resolution))
-        check.update(_mc_fields("put", put, put_mc, put_se, resolution))
+        for name, (mc, se) in zip(("call", "put"), prices):
+            check.update(_mc_fields(name, report["private"][name], mc, se, resolution))
         report["mc_check"] = check
     pio.write_report(report, path=args.output, stream=sys.stdout)
     return 0
@@ -422,7 +415,7 @@ def cmd_default_prob(args):
     calibrated = threshold is None
     if calibrated:
         threshold = ctx.calibrate_threshold()
-    pd_private = ctx.default_prob_private(threshold)
+    pd_private = ctx.default_prob(threshold)
     report = {
         "command": "default-prob",
         "input": args.input,
@@ -436,7 +429,7 @@ def cmd_default_prob(args):
     }
     m_t = _public_multiplier(cfg)
     if m_t is not None:
-        report["prob_default_public"] = ctx.default_prob_public(m_t, threshold)
+        report["prob_default_public"] = ctx.default_prob(threshold, m_t)
         report["public_multiplier"] = m_t
     if estimation is not None:
         report["estimation"] = estimation
@@ -454,7 +447,7 @@ def cmd_calibrate_threshold(args):
     params, estimation, ctx = _pricing_setup(args, cfg)
     threshold = ctx.calibrate_threshold()
     target = ctx.target_equity()
-    repriced = ctx.price_private(threshold)[0]
+    repriced = ctx.price(threshold)[0]
     report = {
         "command": "calibrate-threshold",
         "input": args.input,
@@ -465,7 +458,7 @@ def cmd_calibrate_threshold(args):
         "target_equity": target,
         "repriced_call": repriced,
         "reprice_rel_residual": abs(repriced - target) / target,
-        "prob_default_private": ctx.default_prob_private(threshold),
+        "prob_default_private": ctx.default_prob(threshold),
         "feasibility": _feasibility(ctx.schedule),
     }
     if estimation is not None:

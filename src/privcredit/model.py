@@ -209,9 +209,6 @@ class LinearizationSchedule:
     def horizon(self):
         return self.gap.shape[0] - 1
 
-    def has_asset_constants(self):
-        return self.asset_center is not None
-
 
 def build_linearization_schedule(params, payout_ratio, horizon=None):
     """Compute per-period linearization constants for periods 1..H.
@@ -238,6 +235,8 @@ def build_linearization_schedule(params, payout_ratio, horizon=None):
         raise DataValidationError(
             f"payout_ratio must have shape ({horizon}, 2), got {ratio.shape}"
         )
+    if not np.isfinite(ratio).all():
+        raise DataValidationError("payout_ratio must be finite")
     periods = np.arange(1, horizon + 1)
     gap = ratio - params.req_return - (
         params.init_mean + (periods - 1)[:, None] * params.drift

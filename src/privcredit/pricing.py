@@ -15,8 +15,10 @@ with intercepts c̃ (risk-neutral) or c (real), and covariance
 (the maturity-date state shock cancels out of the value level). The log
 asset value is the tangent combination of the pair, hence scalar Gaussian,
 and option prices and default probabilities follow in Black-Scholes form.
-For a private company the period-t multiplier is integrated out against its
-filtered posterior, which shifts the mean to the posterior mean and adds
+Public and private companies take one path: the period-t multiplier is
+integrated out against a Gaussian posterior, the filtered one for a private
+company and the point mass at the known multiplier (covariance zero) for a
+public one, which puts the mean at the posterior mean and adds the
 alpha-propagated posterior variance.
 """
 
@@ -57,8 +59,6 @@ class HorizonMoments:
     beta_rn: np.ndarray
     beta_real: np.ndarray
     cov: np.ndarray
-    origin: int
-    maturity: int
 
     def beta(self, measure):
         return self.beta_rn if measure == "risk_neutral" else self.beta_real
@@ -86,43 +86,8 @@ def horizon_moments(params, schedule, origin, maturity):
     cov = (T - t) * params.meas_cov + params.state_cov * (d.T @ d)
     return HorizonMoments(
         alpha=alpha, beta_rn=beta_rn, beta_real=beta_real,
-        cov=0.5 * (cov + cov.T), origin=t, maturity=T,
+        cov=0.5 * (cov + cov.T),
     )
-
-
-def asset_log_moments_public(moments, m_t, log_books_t, schedule, measure):
-    """Mean and variance of the maturity log asset value given a known
-    period-t multiplier."""
-    T = moments.maturity
-    if not schedule.has_asset_constants():
-        raise DataValidationError("schedule lacks asset constants")
-    weights = asset_weight_vector(schedule.asset_weight[T])
-    mean_pair = (
-        moments.alpha @ np.asarray(m_t, float)
-        + moments.beta(measure)
-        + np.asarray(log_books_t, float)
-    )
-    mu = float(weights @ mean_pair
-               + schedule.asset_weight[T] * schedule.asset_shift[T])
-    var = float(weights @ moments.cov @ weights)
-    return mu, var
-
-
-def asset_log_moments_private(moments, m_mean, m_cov, log_books_t, schedule,
-                              measure):
-    """Asset log moments with the period-t multiplier integrated out.
-
-    ``m_mean``/``m_cov`` are the filtered posterior moments of the period-t
-    multiplier under the matching measure's intercepts. The mean is the
-    public affine map at the posterior mean; the variance gains the
-    alpha-propagated posterior term.
-    """
-    mu, var = asset_log_moments_public(
-        moments, m_mean, log_books_t, schedule, measure
-    )
-    weights = asset_weight_vector(schedule.asset_weight[moments.maturity])
-    extra = weights @ moments.alpha @ np.asarray(m_cov, float) @ moments.alpha.T @ weights
-    return mu, var + float(extra)
 
 
 def price_options(mu_a, var_a, strike, tau, rate_log):
@@ -132,8 +97,8 @@ def price_options(mu_a, var_a, strike, tau, rate_log):
     maturity; ``tau`` the number of periods to maturity. The zero-variance
     case prices the deterministic payoff directly.
     """
-    if strike <= 0:
-        raise DataValidationError("strike must be positive")
+    if not 0 < strike < math.inf:
+        raise DataValidationError("strike must be positive and finite")
     if var_a < 0:
         raise DataValidationError("variance must be nonnegative")
     disc = math.exp(-tau * rate_log)
@@ -160,8 +125,8 @@ def default_probability(mu_a_real, var_a, threshold):
     Real-measure asset log moments in, Φ of the standardized log distance
     out; a zero variance degenerates to the indicator.
     """
-    if threshold <= 0:
-        raise DataValidationError("threshold must be positive")
+    if not 0 < threshold < math.inf:
+        raise DataValidationError("threshold must be positive and finite")
     log_thr = math.log(threshold)
     if var_a == 0.0:
         return 1.0 if log_thr >= mu_a_real else 0.0
@@ -171,38 +136,43 @@ def default_probability(mu_a_real, var_a, threshold):
 def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
     """Invert the call price in the strike: find L with C(L) = target.
 
-    The call is strictly decreasing in the strike from its strike-free value
+    The call falls strictly in the strike from its strike-free value
     exp(mu + var/2 − τ r̃), so the root is unique when the target lies below
-    that bound. Bisection with bracket doubling (derivative-free, robust at
-    vanishing variance) to a relative bracket width of 1e-10.
+    that bound. Put-call parity and C(L) ≤ e^{−τ r̃} E[V²] / (4L) bracket it
+    in x = ln L, where ln C is concave. A safeguarded Newton iteration on
+    ln C (Press et al., Numerical Recipes §9.4, ``rtsafe``), with
+    ∂C/∂L = −e^{−τ r̃} Φ(d₂), stops when |C − target| ≤ 1e-12 target or
+    when no float is left inside the bracket.
     """
-    if target_equity <= 0:
-        raise DataValidationError("target equity value must be positive")
+    if not 0 < target_equity < math.inf:
+        raise DataValidationError("target equity value must be positive and finite")
     strike_free = math.exp(mu_a + 0.5 * var_a - tau * rate_log)
     if target_equity >= strike_free:
         raise NoSolutionError(
             f"target equity {target_equity:.6g} is not attainable: the "
             f"strike-free call value is {strike_free:.6g}"
         )
-
-    def call_at(L):
-        return price_options(mu_a, var_a, L, tau, rate_log)[0]
-
-    hi = strike_free * 1e3
-    for _ in range(200):
-        if call_at(hi) < target_equity:
-            break
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if call_at(mid) > target_equity:
-            lo = mid
+    disc = math.exp(-tau * rate_log)
+    if var_a == 0.0:
+        return math.exp(mu_a) - target_equity / disc
+    lo = math.log((strike_free - target_equity) / disc)
+    hi = 2.0 * (mu_a + var_a) - tau * rate_log - math.log(2.0 * target_equity)
+    x, last, step = lo, hi - lo, hi - lo
+    while True:
+        call = price_options(mu_a, var_a, math.exp(x), tau, rate_log)[0]
+        if abs(call - target_equity) <= 1e-12 * target_equity:
+            return math.exp(x)
+        lo, hi = (x, hi) if call > target_equity else (lo, x)
+        slope = disc * math.exp(x) * _norm_cdf((mu_a - x) / math.sqrt(var_a))
+        newton = (x + (math.log(call) - math.log(target_equity)) * call / slope
+                  if call > 0.0 and slope > 0.0 else math.nan)
+        # bisect unless Newton stays inside and halves the step before last
+        if lo < newton < hi and abs(newton - x) <= 0.5 * last:
+            last, step, x = step, abs(newton - x), newton
         else:
-            hi = mid
-        if (hi - lo) <= 1e-10 * hi:
-            break
-    return 0.5 * (lo + hi)
+            last, step, x = step, 0.5 * (hi - lo), 0.5 * (lo + hi)
+        if not lo < x < hi:
+            return math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -233,33 +203,35 @@ class PricingContext:
         filt = self.filter_rn if measure == "risk_neutral" else self.filter_real
         return filt.m_filt[self.origin], filt.cov_m_filt[self.origin]
 
-    def asset_moments_private(self, measure):
-        mean, cov = self.posterior(measure)
-        return asset_log_moments_private(
-            self.moments, mean, cov, self.log_books[self.origin],
-            self.schedule, measure,
-        )
+    def asset_moments(self, measure, m_t=None):
+        """Mean and variance of the maturity log asset value under
+        ``measure``.
 
-    def asset_moments_public(self, m_t, measure):
-        return asset_log_moments_public(
-            self.moments, m_t, self.log_books[self.origin], self.schedule,
-            measure,
-        )
+        A private firm (``m_t`` None) integrates the origin multiplier out
+        against its filtered posterior; a known ``m_t`` is the point-mass
+        posterior (mean ``m_t``, covariance 0), whose variance term is
+        exactly 0.0.
+        """
+        if m_t is None:
+            mean, cov = self.posterior(measure)
+        else:
+            mean, cov = np.asarray(m_t, float), np.zeros((2, 2))
+        alpha, w_a = self.moments.alpha, self.schedule.asset_weight[self.maturity]
+        weights = asset_weight_vector(w_a)
+        pair = alpha @ mean + self.moments.beta(measure) + self.log_books[self.origin]
+        mu = float(weights @ pair + w_a * self.schedule.asset_shift[self.maturity])
+        var = float(weights @ self.moments.cov @ weights)
+        return mu, var + float(weights @ alpha @ cov @ alpha.T @ weights)
 
-    def price_private(self, strike):
-        mu, var = self.asset_moments_private("risk_neutral")
+    def price(self, strike, m_t=None):
+        """Risk-neutral call and put on the maturity asset value."""
+        mu, var = self.asset_moments("risk_neutral", m_t)
         return price_options(mu, var, strike, self.tau, self.params.rate_log)
 
-    def price_public(self, m_t, strike):
-        mu, var = self.asset_moments_public(m_t, "risk_neutral")
-        return price_options(mu, var, strike, self.tau, self.params.rate_log)
-
-    def default_prob_private(self, threshold):
-        mu, var = self.asset_moments_private("real")
-        return default_probability(mu, var, threshold)
-
-    def default_prob_public(self, m_t, threshold):
-        mu, var = self.asset_moments_public(m_t, "real")
+    def default_prob(self, threshold, m_t=None):
+        """Real-measure probability that the maturity asset value falls
+        below ``threshold``."""
+        mu, var = self.asset_moments("real", m_t)
         return default_probability(mu, var, threshold)
 
     def target_equity(self):
@@ -269,7 +241,7 @@ class PricingContext:
         return math.exp(m_eq + self.log_books[self.origin, 0])
 
     def calibrate_threshold(self):
-        mu, var = self.asset_moments_private("risk_neutral")
+        mu, var = self.asset_moments("risk_neutral")
         return solve_threshold(
             self.target_equity(), mu, var, self.tau, self.params.rate_log
         )

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
+from .kalman import forecast, run_filter
 from .model import linearized_log_asset, real_intercepts, risk_neutral_intercepts
 
 MEASURES = ("real", "risk_neutral")
@@ -83,7 +84,7 @@ def psd_cholesky(m):
 
 def _setup(params, schedule, config, start, init_mean, init_cov):
     """Checks, start distribution, intercepts and generator of a simulation."""
-    if not schedule.has_asset_constants():
+    if schedule.asset_weight is None:
         raise DataValidationError("schedule lacks asset constants")
     if schedule.horizon < start + config.horizon:
         raise DataValidationError("schedule does not cover the simulation horizon")
@@ -192,16 +193,13 @@ def mean_log_book_path(params, schedule, log_books0):
     """Deterministic real-measure mean path of log books over periods 0..H.
 
     This is the plug-in book path for asset centers in contexts with no
-    observed sample (the mean of the simulated panel's books).
+    observed sample (the mean of the simulated panel's books): the growth
+    forecast from the prior, which the filter returns after no periods.
     """
-    intercepts = real_intercepts(params, schedule)
-    out = np.empty((schedule.horizon + 1, 2))
-    out[0] = np.asarray(log_books0, float)
-    for t in range(1, schedule.horizon + 1):
-        m_new = params.init_mean + t * params.drift
-        m_prev = params.init_mean + (t - 1) * params.drift
-        out[t] = out[t - 1] - m_new + schedule.gain[t] * m_prev + intercepts[t]
-    return out
+    prior = run_filter(params, schedule, np.empty((0, 2)),
+                       real_intercepts(params, schedule))
+    growth = forecast(prior, params, schedule, schedule.horizon).b_mean
+    return np.asarray(log_books0, float) + growth.cumsum(axis=0)
 
 
 def _mc_mean_se(values):
@@ -217,8 +215,8 @@ def mc_option_price(log_asset, strike, tau, rate_log):
     Returns ((call, call_se), (put, put_se)); they must be simulated
     under the risk-neutral measure for prices to be meaningful.
     """
-    if strike < 0:
-        raise DataValidationError("strike must be nonnegative")
+    if not 0 <= strike < np.inf:
+        raise DataValidationError("strike must be nonnegative and finite")
     disc = np.exp(-tau * rate_log)
     asset = np.exp(log_asset)
     call, call_se = _mc_mean_se(disc * np.maximum(asset - strike, 0.0))
@@ -228,8 +226,8 @@ def mc_option_price(log_asset, strike, tau, rate_log):
 
 def mc_default_probability(log_asset, threshold):
     """Default frequency {Ṽᵃ_T <= ln threshold} with binomial standard error."""
-    if threshold <= 0:
-        raise DataValidationError("threshold must be positive")
+    if not 0 < threshold < np.inf:
+        raise DataValidationError("threshold must be positive and finite")
     hits = log_asset <= np.log(threshold)
     n = hits.shape[0]
     p = float(hits.mean())

@@ -10,7 +10,10 @@ simple and O((2(2H+1))^3), guarded to short samples.
 passes as single per-period loops, :func:`objective_reference` the EM
 objective built period by period from :func:`residual_pieces_reference`,
 :func:`horizon_cov_reference` is the matching reference for the pricing
-layer's maturity covariance, :func:`required_return_fixed_point` the
+layer's maturity covariance, :func:`asset_log_moments_public` and
+:func:`asset_log_moments_private` the separate public and private forms
+of its asset log moments, :func:`mean_log_book_path_reference` the
+per-period loop of the mean log book path, :func:`required_return_fixed_point` the
 numpy.linalg form of the M-step's required-return/measurement-covariance
 iteration, :func:`params_validation_error` the numpy form of
 ``ModelParams``' checks, and :func:`binned_error_curve` measures the asset linearization
@@ -37,7 +40,11 @@ from privcredit.errors import (
     IllConditionedInnovationError,
 )
 from privcredit.kalman import _LOG2PI, _RCOND, FilterOutput, SmootherOutput
-from privcredit.model import build_linearization_schedule
+from privcredit.model import (
+    asset_weight_vector,
+    build_linearization_schedule,
+    real_intercepts,
+)
 
 _MAX_PERIODS = 8
 _I2 = np.eye(2)
@@ -196,6 +203,49 @@ def horizon_cov_reference(params, schedule, origin, maturity):
         w_i = j_b @ m_i + j_m @ n_i
         total += w_i @ sig @ w_i.T
     return 0.5 * (total + total.T)
+
+
+def asset_log_moments_public(moments, maturity, m_t, log_books_t, schedule,
+                             measure):
+    """Mean and variance of the maturity log asset value given a known
+    period-t multiplier."""
+    T = maturity
+    weights = asset_weight_vector(schedule.asset_weight[T])
+    mean_pair = (
+        moments.alpha @ np.asarray(m_t, float)
+        + moments.beta(measure)
+        + np.asarray(log_books_t, float)
+    )
+    mu = float(weights @ mean_pair
+               + schedule.asset_weight[T] * schedule.asset_shift[T])
+    var = float(weights @ moments.cov @ weights)
+    return mu, var
+
+
+def asset_log_moments_private(moments, maturity, m_mean, m_cov, log_books_t,
+                              schedule, measure):
+    """Asset log moments with the period-t multiplier integrated out: the
+    public affine map at the posterior mean, plus the alpha-propagated
+    posterior variance."""
+    mu, var = asset_log_moments_public(
+        moments, maturity, m_mean, log_books_t, schedule, measure
+    )
+    weights = asset_weight_vector(schedule.asset_weight[maturity])
+    extra = weights @ moments.alpha @ np.asarray(m_cov, float) @ moments.alpha.T @ weights
+    return mu, var + float(extra)
+
+
+def mean_log_book_path_reference(params, schedule, log_books0):
+    """Real-measure mean log books over periods 0..H, one period at a time:
+    b_t = b_{t-1} − m_t + G_t m_{t-1} + c_t at the prior mean path m."""
+    intercepts = real_intercepts(params, schedule)
+    out = np.empty((schedule.horizon + 1, 2))
+    out[0] = np.asarray(log_books0, float)
+    for t in range(1, schedule.horizon + 1):
+        m_new = params.init_mean + t * params.drift
+        m_prev = params.init_mean + (t - 1) * params.drift
+        out[t] = out[t - 1] - m_new + schedule.gain[t] * m_prev + intercepts[t]
+    return out
 
 
 def _rows(flat, T, shape):

@@ -276,7 +276,7 @@ def pricing_battery():
         ctx = build_pricing_context(
             params, series, maturity, payout_future=np.log([0.25, 0.25])
         )
-        mu, var = ctx.asset_moments_private("risk_neutral")
+        mu, var = ctx.asset_moments("risk_neutral")
         panel = simulate_panel(
             params, ctx.schedule,
             SimConfig(200_000, maturity, seed=555 + i, measure="risk_neutral"),
@@ -286,7 +286,7 @@ def pricing_battery():
         )
         for factor in (0.85, 1.0, 1.15):
             strike = factor * math.exp(mu)
-            call, put = ctx.price_private(strike)
+            call, put = ctx.price(strike)
             (call_mc, call_se), (put_mc, put_se) = mc_option_price(
                 panel.log_asset_lin[:, -1], strike, ctx.tau, params.rate_log
             )
@@ -337,7 +337,7 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
         ctx = build_pricing_context(
             params, series, maturity, payout_future=np.log([0.25, 0.25])
         )
-        mu, var = ctx.asset_moments_private("real")
+        mu, var = ctx.asset_moments("real")
         sd = math.sqrt(var)
         panel_priv = simulate_panel(
             params, ctx.schedule,
@@ -347,7 +347,7 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
             init_cov=ctx.filter_real.cov_m_filt[ctx.origin],
         )
         m_pin = ctx.filter_real.m_filt[ctx.origin] + 0.05
-        mu_pub, var_pub = ctx.asset_moments_public(m_pin, "real")
+        mu_pub, var_pub = ctx.asset_moments("real", m_pin)
         panel_pub = simulate_panel(
             params, ctx.schedule,
             SimConfig(200_000, maturity, seed=865 + i, measure="real"),
@@ -356,7 +356,7 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
         )
         for shift in (-0.4, 0.0, 0.35):
             threshold = math.exp(mu + shift * sd)
-            pd_closed = ctx.default_prob_private(threshold)
+            pd_closed = ctx.default_prob(threshold)
             pd_mc, pd_se = mc_default_probability(
                 panel_priv.log_asset_lin[:, -1], threshold
             )
@@ -384,7 +384,7 @@ def test_criterion_10_threshold_calibration_self_consistency():
         )
         threshold = ctx.calibrate_threshold()
         target = ctx.target_equity()
-        repriced = ctx.price_private(threshold)[0]
+        repriced = ctx.price(threshold)[0]
         worst = max(worst, abs(repriced - target) / target)
     assert worst < 1e-8
     print(

@@ -195,6 +195,15 @@ class TestCliSimulate:
         assert np.ptp(series.growth, axis=0).max() < 1e-12
 
 
+    @pytest.mark.parametrize("periods", ["0", "-1"])
+    def test_nonpositive_periods_fail_validation(self, tmp_path, capsys, periods):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(SIM_CONFIG.replace("periods = 24", f"periods = {periods}"))
+        out = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: horizon must be >= 1")
+        assert not out.exists()
+
     def test_negative_seed_fails_validation(self, tmp_path, sim_config, capsys):
         out = tmp_path / "neg.csv"
         code = main(["simulate", "--config", str(sim_config), "--output",
@@ -402,7 +411,7 @@ class TestCliPricing:
         ctx = build_pricing_context(
             params, series, 4, payout_future=np.log([0.25, 0.25])
         )
-        strike = math.exp(ctx.asset_moments_private("risk_neutral")[0])
+        strike = math.exp(ctx.asset_moments("risk_neutral")[0])
         out = tmp_path / "price.json"
         code = main(
             [
@@ -461,7 +470,7 @@ class TestCliPricing:
         ctx = build_pricing_context(
             params, series, 4, payout_future=np.log([0.25, 0.25])
         )
-        mu, _ = ctx.asset_moments_private("real")
+        mu, _ = ctx.asset_moments("real")
         cfg = self._pricing_cfg(tmp_path, extra=f"threshold = {math.exp(mu)!r}\n")
         out = tmp_path / "pd.json"
         code = main(
@@ -484,7 +493,7 @@ class TestCliPricing:
         ctx = build_pricing_context(
             params, ingest(panel_csv), 4, payout_future=np.log([0.25, 0.25])
         )
-        mu, var = ctx.asset_moments_private("real")
+        mu, var = ctx.asset_moments("real")
         threshold = math.exp(mu - 0.5 * math.sqrt(var))
         cfg = self._pricing_cfg(tmp_path, extra=f"threshold = {threshold!r}\n")
         out = tmp_path / "pd.json"
@@ -511,7 +520,7 @@ class TestCliPricing:
         ctx = build_pricing_context(
             params, ingest(panel_csv), 4, payout_future=np.log([0.25, 0.25])
         )
-        mu, _ = ctx.asset_moments_private("real")
+        mu, _ = ctx.asset_moments("real")
         cfg = self._pricing_cfg(tmp_path, extra=f"threshold = {math.exp(mu)!r}\n")
         out = tmp_path / "pd.json"
         code = main(
@@ -539,7 +548,7 @@ class TestCliPricing:
             params_from(parse_config(cfg, parse_keys())), ingest(panel_csv), 4,
             payout_future=np.log([0.25, 0.25]),
         )
-        strike = math.exp(ctx.asset_moments_private("risk_neutral")[0])
+        strike = math.exp(ctx.asset_moments("risk_neutral")[0])
         out = tmp_path / "price.json"
         code = main(
             [
@@ -652,6 +661,59 @@ class TestCliPricing:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("command", [
+        "price", "default-prob", "calibrate-threshold", "forecast",
+    ])
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf", "0", "-0.1"])
+    def test_nonfinite_or_nonpositive_future_payout_fails_validation(
+        self, tmp_path, panel_csv, capsys, command, ratio
+    ):
+        text = PRICING_CONFIG.replace("payout_future_equity = 0.25",
+                                      f"payout_future_equity = {ratio}")
+        code = main([command, "--input", str(panel_csv), "--maturity", "4",
+                     "--strike", "2.0", "--config",
+                     str(self._pricing_cfg(tmp_path, text=text))])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "future payout ratios must be strictly positive" in captured.err
+
+    @pytest.mark.parametrize("strike", ["nan", "inf"])
+    def test_nonfinite_strike_fails_validation(
+        self, tmp_path, panel_csv, capsys, strike
+    ):
+        code = main(["price", "--input", str(panel_csv), "--maturity", "4",
+                     "--config", str(self._pricing_cfg(tmp_path)),
+                     "--strike", strike, "--check", "mc", "--paths", "100"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "strike must be positive and finite" in captured.err
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0"])
+    def test_nonfinite_threshold_fails_validation(
+        self, tmp_path, panel_csv, capsys, threshold
+    ):
+        cfg = self._pricing_cfg(tmp_path, extra=f"threshold = {threshold}\n")
+        code = main(["default-prob", "--input", str(panel_csv), "--maturity",
+                     "4", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "threshold must be positive and finite" in captured.err
+
+    @pytest.mark.parametrize("command", ["price", "default-prob"])
+    @pytest.mark.parametrize("m_t", ["nan", "inf"])
+    def test_nonfinite_public_multiplier_fails_validation(
+        self, tmp_path, panel_csv, capsys, command, m_t
+    ):
+        cfg = self._pricing_cfg(
+            tmp_path, extra=f"m_t_equity = {m_t}\nm_t_liability = 0.1\n"
+        )
+        code = main([command, "--input", str(panel_csv), "--maturity", "4",
+                     "--strike", "2.0", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "m_t_equity and m_t_liability must be finite" in captured.err
 
     def test_infeasible_parameters_exit_numerical(self, tmp_path, panel_csv):
         # deeply negative required return pushes the expected payout above

@@ -143,6 +143,13 @@ class TestPredictCorrect:
 
 
 class TestRunFilter:
+    def test_no_periods_return_the_prior(self, params):
+        sched = build_linearization_schedule(params, np.log(0.25) * np.ones((3, 2)), 3)
+        out = run_filter(params, sched, np.empty((0, 2)), real_intercepts(params, sched))
+        assert out.n_periods == 0 and out.loglik == 0.0
+        np.testing.assert_array_equal(out.m_filt, [params.init_mean])
+        np.testing.assert_array_equal(out.cov_m_filt, [params.init_cov])
+
     def test_single_period_loglik_is_direct_density(self, params):
         series, schedule, intercepts = make_instance(params, 1, seed=12)
         out = run_filter(params, schedule, series.growth[:1], intercepts)

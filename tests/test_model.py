@@ -123,6 +123,13 @@ class TestLinearizationSchedule:
         assert err.value.period == 3
         assert err.value.component == 1
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_ratio_raises_validation(self, params, value):
+        ratio = np.log(0.25) * np.ones((4, 2))
+        ratio[2, 0] = value
+        with pytest.raises(DataValidationError, match="payout_ratio must be finite"):
+            build_linearization_schedule(params, ratio, 4)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=1, max_value=6),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,6 @@ from privcredit.model import (
 )
 from privcredit.pricing import (
     _norm_cdf,
-    asset_log_moments_private,
-    asset_log_moments_public,
     build_pricing_context,
     default_probability,
     equity_debt_values,
@@ -26,8 +25,12 @@ from privcredit.pricing import (
 )
 from privcredit.simulate import SimConfig, mc_option_price, simulate_panel
 
-from conftest import base_params, random_params, synthetic_series
-from reference import horizon_cov_reference
+from conftest import base_params, random_params, spd_matrix, synthetic_series
+from reference import (
+    asset_log_moments_private,
+    asset_log_moments_public,
+    horizon_cov_reference,
+)
 
 
 def pricing_fixture(params, periods=10, maturity=4, seed=42):
@@ -35,6 +38,17 @@ def pricing_fixture(params, periods=10, maturity=4, seed=42):
     return build_pricing_context(
         params, series, maturity, payout_future=np.log([0.25, 0.25])
     )
+
+
+def with_posterior(ctx, mean, cov):
+    """``ctx`` with the origin posterior of both filters set to (mean, cov)."""
+    def pinned(filt):
+        m, c = filt.m_filt.copy(), filt.cov_m_filt.copy()
+        m[ctx.origin], c[ctx.origin] = mean, cov
+        return dataclasses.replace(filt, m_filt=m, cov_m_filt=c)
+
+    return dataclasses.replace(ctx, filter_real=pinned(ctx.filter_real),
+                               filter_rn=pinned(ctx.filter_rn))
 
 
 class TestBuildRiskNeutral:
@@ -185,15 +199,10 @@ class TestHorizonMoments:
 class TestAssetLogMoments:
     def test_zero_covariance_gives_zero_variance(self, params):
         ctx = pricing_fixture(params)
-        mom = ctx.moments.__class__(
-            alpha=ctx.moments.alpha, beta_rn=ctx.moments.beta_rn,
-            beta_real=ctx.moments.beta_real, cov=np.zeros((2, 2)),
-            origin=ctx.origin, maturity=ctx.maturity,
+        ctx = dataclasses.replace(
+            ctx, moments=dataclasses.replace(ctx.moments, cov=np.zeros((2, 2)))
         )
-        _, var = asset_log_moments_public(
-            mom, params.init_mean, ctx.log_books[ctx.origin], ctx.schedule,
-            "risk_neutral",
-        )
+        _, var = ctx.asset_moments("risk_neutral", params.init_mean)
         assert var == 0.0
 
     def test_degenerate_weight_selects_one_leg(self, params):
@@ -204,16 +213,10 @@ class TestAssetLogMoments:
         w = ctx.schedule.asset_weight.copy()
         h = ctx.schedule.asset_shift.copy()
         w[T] = 1.0
-        sched = ctx.schedule.__class__(
-            gap=ctx.schedule.gap, gain=ctx.schedule.gain,
-            shift=ctx.schedule.shift, center=ctx.schedule.center,
-            payout_ratio=ctx.schedule.payout_ratio,
-            asset_center=ctx.schedule.asset_center,
-            asset_weight=w, asset_shift=h,
-        )
+        sched = dataclasses.replace(ctx.schedule, asset_weight=w, asset_shift=h)
         m_t = params.init_mean
-        mu, var = asset_log_moments_public(
-            ctx.moments, m_t, ctx.log_books[ctx.origin], sched, "risk_neutral"
+        mu, var = dataclasses.replace(ctx, schedule=sched).asset_moments(
+            "risk_neutral", m_t
         )
         pair_mean = (
             ctx.moments.alpha @ m_t + ctx.moments.beta_rn
@@ -224,13 +227,45 @@ class TestAssetLogMoments:
 
     def test_private_variance_dominates_public(self, params):
         ctx = pricing_fixture(params)
-        _, var_pub = ctx.asset_moments_public(params.init_mean, "risk_neutral")
-        _, var_priv = ctx.asset_moments_private("risk_neutral")
+        _, var_pub = ctx.asset_moments("risk_neutral", params.init_mean)
+        _, var_priv = ctx.asset_moments("risk_neutral")
         assert var_priv >= var_pub
         weights = asset_weight_vector(ctx.schedule.asset_weight[ctx.maturity])
         posterior = ctx.filter_rn.cov_m_filt[ctx.origin]
         gap = weights @ ctx.moments.alpha @ posterior @ ctx.moments.alpha.T @ weights
         assert var_priv - var_pub == pytest.approx(gap, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["real", "risk_neutral"]),
+        st.integers(min_value=1, max_value=12),
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        st.sampled_from(["filtered", "zero", "spd", "rank_one"]),
+    )
+    def test_one_path_equals_the_two_function_reference(
+        self, seed, measure, maturity, m_t, posterior
+    ):
+        # public firms are the point-mass posterior of the private path,
+        # with every float of the separate public/private forms unchanged
+        rng = np.random.default_rng(seed)
+        ctx = pricing_fixture(random_params(rng), maturity=maturity, seed=seed)
+        m_t = np.array(m_t)
+        args = (ctx.log_books[ctx.origin], ctx.schedule, measure)
+        assert ctx.asset_moments(measure, m_t) == asset_log_moments_public(
+            ctx.moments, ctx.maturity, m_t, *args
+        )
+        if posterior == "filtered":
+            mean, cov = ctx.posterior(measure)
+        else:
+            mean = m_t
+            root = rng.normal(size=2)
+            cov = {"zero": np.zeros((2, 2)), "spd": spd_matrix(rng, 0.1),
+                   "rank_one": 0.01 * np.outer(root, root)}[posterior]
+            ctx = with_posterior(ctx, mean, cov)
+        assert ctx.asset_moments(measure) == asset_log_moments_private(
+            ctx.moments, ctx.maturity, mean, cov, *args
+        )
 
 
 class TestNormCdf:
@@ -258,6 +293,11 @@ class TestPriceOptions:
     def test_rejects_nonpositive_strike(self):
         with pytest.raises(DataValidationError):
             price_options(0.0, 0.04, 0.0, 1, 0.0)
+
+    @pytest.mark.parametrize("strike", [math.nan, math.inf])
+    def test_rejects_nonfinite_strike(self, strike):
+        with pytest.raises(DataValidationError):
+            price_options(0.0, 0.04, strike, 1, 0.0)
 
     def test_matches_lognormal_monte_carlo(self):
         mu, sd, strike, rate = 0.0, 0.3, 1.0, 0.05
@@ -298,10 +338,9 @@ class TestPrivatePricing:
     def test_degenerate_posterior_equals_public(self, params):
         ctx = pricing_fixture(params)
         m_t = ctx.filter_rn.m_filt[ctx.origin]
-        mu_pub, var_pub = ctx.asset_moments_public(m_t, "risk_neutral")
-        mu_priv, var_priv = asset_log_moments_private(
-            ctx.moments, m_t, np.zeros((2, 2)), ctx.log_books[ctx.origin],
-            ctx.schedule, "risk_neutral",
+        mu_pub, var_pub = ctx.asset_moments("risk_neutral", m_t)
+        mu_priv, var_priv = with_posterior(ctx, m_t, np.zeros((2, 2))).asset_moments(
+            "risk_neutral"
         )
         assert mu_priv == pytest.approx(mu_pub, abs=1e-14)
         assert var_priv == pytest.approx(var_pub, abs=1e-14)
@@ -316,24 +355,17 @@ class TestPrivatePricing:
         ctx = pricing_fixture(params)
         m_t = ctx.filter_rn.m_filt[ctx.origin]
         cov = ctx.filter_rn.cov_m_filt[ctx.origin]
-        mu0, _ = ctx.asset_moments_public(m_t, "risk_neutral")
+        mu0, _ = ctx.asset_moments("risk_neutral", m_t)
         strike = math.exp(mu0)
-        prices = []
-        for scale in (0.0, 0.5, 1.0, 2.0):
-            mu, var = asset_log_moments_private(
-                ctx.moments, m_t, scale * cov, ctx.log_books[ctx.origin],
-                ctx.schedule, "risk_neutral",
-            )
-            prices.append(
-                price_options(mu, var, strike, ctx.tau, params.rate_log)[0]
-            )
+        prices = [with_posterior(ctx, m_t, scale * cov).price(strike)[0]
+                  for scale in (0.0, 0.5, 1.0, 2.0)]
         assert all(b >= a - 1e-14 for a, b in zip(prices, prices[1:]))
 
     def test_nested_monte_carlo_reproduces_private_call(self, params):
         ctx = pricing_fixture(params)
-        mu, var = ctx.asset_moments_private("risk_neutral")
+        mu, var = ctx.asset_moments("risk_neutral")
         strike = math.exp(mu + 0.2 * math.sqrt(var))
-        call, put = ctx.price_private(strike)
+        call, put = ctx.price(strike)
         panel = simulate_panel(
             params, ctx.schedule,
             SimConfig(200_000, ctx.tau, seed=77, measure="risk_neutral"),
@@ -360,9 +392,9 @@ class TestEquityDebt:
 
     def test_balance_sheet_identity(self, params):
         ctx = pricing_fixture(params)
-        mu, var = ctx.asset_moments_private("risk_neutral")
+        mu, var = ctx.asset_moments("risk_neutral")
         strike = math.exp(mu)
-        call, put = ctx.price_private(strike)
+        call, put = ctx.price(strike)
         equity, debt = equity_debt_values(
             call, put, strike, ctx.tau, params.rate_log
         )
@@ -379,6 +411,11 @@ class TestThresholdCalibration:
         with pytest.raises(DataValidationError):
             solve_threshold(0.0, 0.0, 0.04, 2, 0.01)
 
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_rejects_nonfinite_target(self, target):
+        with pytest.raises(DataValidationError):
+            solve_threshold(target, 0.0, 0.04, 2, 0.01)
+
     def test_deterministic_limit_closed_form(self):
         mu, tau, rate = math.log(50.0), 3, 0.02
         target = 12.0
@@ -386,20 +423,19 @@ class TestThresholdCalibration:
         expected = math.exp(mu) - target * math.exp(tau * rate)
         assert threshold == pytest.approx(expected, rel=1e-9)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=1e-4, max_value=1.0),
+        st.floats(min_value=-6.0, max_value=0.0),
         st.integers(min_value=1, max_value=240),
-        st.floats(min_value=1e-3, max_value=0.999),
+        st.floats(min_value=-6.0, max_value=-1e-3),
         st.floats(min_value=1e-3, max_value=0.999),
     )
-    def test_monotone_in_target_and_reprices(self, mu, var, tau, share, step):
-        # targets as shares of the strike-free call; the solver stops on a
-        # 1e-10 relative strike bracket, so the relative reprice error is at
-        # most 5e-11 times the call's strike elasticity −(L/C) ∂C/∂L, which
-        # peaks at 183 on the deepest corner here (share 1e-3, variance 1e-4)
-        rate = 0.01
+    def test_monotone_in_target_and_reprices(self, mu, log_var, tau, log_share, step):
+        # targets from 1e-6 to 1 of the strike-free call at variances down to
+        # 1e-6, where the call's strike elasticity −(L/C) ∂C/∂L runs into the
+        # thousands: a stop on the strike alone misses the bound there
+        rate, var, share = 0.01, 10.0**log_var, 10.0**log_share
         strike_free = math.exp(mu + var / 2 - tau * rate)
         low = share * strike_free
         high = (share + step * (1.0 - share)) * strike_free
@@ -415,9 +451,9 @@ class TestThresholdCalibration:
         ctx = build_pricing_context(
             params, series, 4, payout_future=np.log([0.08, 0.08])
         )
-        mu, _ = ctx.asset_moments_private("risk_neutral")
+        mu, _ = ctx.asset_moments("risk_neutral")
         strike = math.exp(mu)
-        call, put = ctx.price_private(strike)
+        call, put = ctx.price(strike)
         equity, debt = equity_debt_values(
             call, put, strike, ctx.tau, params.rate_log
         )
@@ -425,7 +461,7 @@ class TestThresholdCalibration:
         assert debt == strike * math.exp(-ctx.tau * params.rate_log) - put
         threshold = ctx.calibrate_threshold()
         assert threshold > 0
-        assert 0.0 <= ctx.default_prob_private(threshold) <= 1.0
+        assert 0.0 <= ctx.default_prob(threshold) <= 1.0
         assert ctx.maturity - ctx.origin == ctx.tau
 
     def test_reprice_self_consistency(self, params):
@@ -436,7 +472,7 @@ class TestThresholdCalibration:
             params, series, 4, payout_future=np.log([0.08, 0.08])
         )
         threshold = ctx.calibrate_threshold()
-        repriced = ctx.price_private(threshold)[0]
+        repriced = ctx.price(threshold)[0]
         target = ctx.target_equity()
         assert abs(repriced - target) / target < 1e-8
 
@@ -449,13 +485,18 @@ class TestThresholdCalibration:
 class TestDefaultProbability:
     def test_median_threshold(self, params):
         ctx = pricing_fixture(params)
-        mu, var = ctx.asset_moments_private("real")
-        assert ctx.default_prob_private(math.exp(mu)) == pytest.approx(0.5, abs=1e-12)
+        mu, var = ctx.asset_moments("real")
+        assert ctx.default_prob(math.exp(mu)) == pytest.approx(0.5, abs=1e-12)
 
     def test_extreme_thresholds(self, params):
         ctx = pricing_fixture(params)
-        assert ctx.default_prob_private(1e-12) == pytest.approx(0.0, abs=1e-12)
-        assert ctx.default_prob_private(1e12) == pytest.approx(1.0, abs=1e-12)
+        assert ctx.default_prob(1e-12) == pytest.approx(0.0, abs=1e-12)
+        assert ctx.default_prob(1e12) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("threshold", [0.0, math.nan, math.inf])
+    def test_rejects_nonpositive_or_nonfinite_threshold(self, threshold):
+        with pytest.raises(DataValidationError):
+            default_probability(0.0, 0.04, threshold)
 
     def test_zero_variance_indicator(self):
         assert default_probability(0.0, 0.0, 1.5) == 1.0
@@ -464,10 +505,9 @@ class TestDefaultProbability:
     def test_public_equals_private_at_degenerate_posterior(self, params):
         ctx = pricing_fixture(params)
         m_t = ctx.filter_real.m_filt[ctx.origin]
-        mu_pub, var_pub = ctx.asset_moments_public(m_t, "real")
-        mu_priv, var_priv = asset_log_moments_private(
-            ctx.moments, m_t, np.zeros((2, 2)), ctx.log_books[ctx.origin],
-            ctx.schedule, "real",
+        mu_pub, var_pub = ctx.asset_moments("real", m_t)
+        mu_priv, var_priv = with_posterior(ctx, m_t, np.zeros((2, 2))).asset_moments(
+            "real"
         )
         thr = math.exp(mu_pub - 0.5 * math.sqrt(var_pub))
         assert default_probability(mu_priv, var_priv, thr) == pytest.approx(

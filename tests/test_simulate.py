@@ -24,8 +24,12 @@ from privcredit.simulate import (
     simulate_terminal,
 )
 
-from conftest import base_params, synthetic_series
-from reference import GaussianConditioningOracle, binned_error_curve
+from conftest import base_params, random_params, synthetic_series
+from reference import (
+    GaussianConditioningOracle,
+    binned_error_curve,
+    mean_log_book_path_reference,
+)
 
 
 def toy_schedule(params, periods, payout=0.25):
@@ -165,7 +169,7 @@ class TestSimulateTerminal:
         ctx = build_pricing_context(
             params, series, 6, payout_future=np.log([0.25, 0.25])
         )
-        mu, var = ctx.asset_moments_private(measure)
+        mu, var = ctx.asset_moments(measure)
         mean, cov = ctx.posterior(measure)
         n = 200_000
         sample = simulate_terminal(
@@ -244,6 +248,19 @@ class TestOracleSelfConsistency:
         with pytest.raises(DataValidationError, match="limited"):
             GaussianConditioningOracle(
                 params, sched, series.growth, real_intercepts(params, sched)
+            )
+
+
+class TestMeanLogBookPath:
+    def test_matches_the_period_loop(self, rng):
+        # the forecast sums the same terms in another order
+        lb0 = np.array([1.0, 1.2])
+        for p in (base_params(), random_params(rng)):
+            ratio = np.log(0.25) + 0.05 * rng.normal(size=(30, 2))
+            sched = build_linearization_schedule(p, ratio, 30)
+            np.testing.assert_allclose(
+                mean_log_book_path(p, sched, lb0),
+                mean_log_book_path_reference(p, sched, lb0), rtol=0, atol=1e-13,
             )
 
 

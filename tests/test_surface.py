@@ -18,18 +18,26 @@ REMOVED = {
         "horizon_cov_reference", "mean_log_multiplier", "asset_center",
         "LinearizationErrorReport", "linearization_error_report",
         "GaussianConditioningOracle", "oracle", "binned_error_curve",
+        "asset_log_moments_public", "asset_log_moments_private",
     ],
     "privcredit.pricing": [
         "RiskNeutralSystem", "build_risk_neutral", "PricingReport",
         "horizon_cov_reference", "_I2",
+        "asset_log_moments_public", "asset_log_moments_private",
     ],
     "privcredit.model": ["mean_log_multiplier", "asset_center"],
     "privcredit.simulate": [
         "LinearizationErrorReport", "linearization_error_report", "_normals",
         "binned_error_curve",
     ],
-    "privcredit.pricing.PricingContext": ["report_private"],
-    "privcredit.model.LinearizationSchedule": ["asset_gain", "gain_matrix"],
+    "privcredit.pricing.PricingContext": [
+        "report_private", "asset_moments_private", "asset_moments_public",
+        "price_private", "price_public", "default_prob_private",
+        "default_prob_public",
+    ],
+    "privcredit.model.LinearizationSchedule": [
+        "asset_gain", "gain_matrix", "has_asset_constants",
+    ],
     "privcredit.kalman.FilterOutput": ["multiplier_mean", "multiplier_cov"],
     "privcredit.em": ["_gaussian_block_term", "_residual_pieces"],
 }
