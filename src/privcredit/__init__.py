@@ -38,8 +38,8 @@ from .model import (
     ModelParams,
     ObservedSeries,
     asset_linearization,
+    asset_tangent,
     asset_weight_vector,
-    attach_asset_constants,
     build_linearization_schedule,
     derive_series,
     linearized_log_asset,
@@ -61,7 +61,6 @@ from .simulate import (
     SimulatedPanel,
     mc_default_probability,
     mc_option_price,
-    mean_log_book_path,
     simulate_panel,
     simulate_terminal,
 )

@@ -29,18 +29,12 @@ from .errors import (
     PrivCreditError,
 )
 from .kalman import forecast, run_filter
-from .model import (
-    ModelParams,
-    attach_asset_constants,
-    build_linearization_schedule,
-    real_intercepts,
-)
+from .model import ModelParams, build_linearization_schedule, real_intercepts
 from .pricing import build_pricing_context, equity_debt_values, extend_payout_ratio
 from .simulate import (
     SimConfig,
     mc_default_probability,
     mc_option_price,
-    mean_log_book_path,
     simulate_panel,
     simulate_terminal,
 )
@@ -89,6 +83,9 @@ def _params_from_config(cfg, rate):
     f = lambda key, default=None: pio.coerce(
         cfg, key, float, default=default, required=default is None
     )
+    for key in _PARAM_KEYS:
+        if key.startswith("sigma") and f(key) < 0:
+            raise DataValidationError(f"{key} must be nonnegative (got {f(key)!r})")
     return ModelParams(
         req_return=np.array([f("k_equity"), f("k_liability")]),
         init_mean=np.array([f("mu0_equity"), f("mu0_liability")]),
@@ -135,8 +132,11 @@ def _rate(args, cfg):
 
 def _em_settings(args, cfg):
     """EM iteration cap and tolerance."""
-    return (_option(args.max_iter, cfg, "max_iter", int, 200),
-            _option(args.tol, cfg, "tol", float, 1e-8))
+    max_iter = _option(args.max_iter, cfg, "max_iter", int, 200)
+    tol = _option(args.tol, cfg, "tol", float, 1e-8)
+    if max_iter < 0 or not 0 <= tol < math.inf:
+        raise DataValidationError("max_iter must be >= 0 and tol finite and >= 0")
+    return max_iter, tol
 
 
 def _fit_or_load(args, cfg, series):
@@ -171,6 +171,8 @@ def cmd_simulate(args):
             pio.coerce(cfg, "book0_liability", float, required=True),
         ]
     )
+    if not (np.isfinite(book0).all() and (book0 > 0).all()):
+        raise DataValidationError("book0 values must be strictly positive and finite")
     payout = np.array(
         [
             pio.coerce(cfg, "payout_ratio_equity", float, required=True),
@@ -183,10 +185,7 @@ def cmd_simulate(args):
     if not args.output:
         raise DataValidationError("simulate requires --output for the CSV panel")
     schedule = build_linearization_schedule(params, ratio, periods)
-    log_book0 = np.log(book0)
-    mean_books = mean_log_book_path(params, schedule, log_book0)
-    schedule = attach_asset_constants(schedule, params, mean_books)
-    panel = simulate_panel(params, schedule, config, log_book0)
+    panel = simulate_panel(params, schedule, config, np.log(book0))
     books = np.exp(panel.log_books[0])
     payouts = np.exp(ratio) * books[:-1]
     pio.write_panel_csv(args.output, books, payouts)
@@ -348,7 +347,7 @@ def _mc_terminal(args, cfg, ctx, measure):
     log_asset = simulate_terminal(
         ctx.params, ctx.schedule,
         SimConfig(paths, ctx.tau, seed, measure=measure),
-        ctx.log_books[ctx.origin], start=ctx.origin,
+        ctx.log_books[ctx.origin], ctx.tangent, start=ctx.origin,
         init_mean=mean, init_cov=cov,
     )
     return {"paths": paths, "seed": seed}, log_asset

@@ -60,13 +60,18 @@ def ingest(path):
                 f"not a number ({raw!r})"
             ) from None
 
-    first_period = int(cell(0, 0))
     n = len(rows)
     books = np.empty((n, 2))
     payouts = np.empty((n - 1, 2))
     for i in range(n):
         period = cell(i, 0)
-        if period != first_period + i:
+        if not period.is_integer():
+            raise DataValidationError(
+                f"{path}: row {i + 2}, column period: not a finite integer ({period!r})"
+            )
+        if i == 0:
+            first_period = int(period)
+        elif period != first_period + i:
             raise DataValidationError(
                 f"{path}: row {i + 2}: period {period:g} breaks the "
                 f"consecutive sequence starting at {first_period}"

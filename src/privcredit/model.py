@@ -190,20 +190,13 @@ def derive_series(raw_books, raw_payouts):
 class LinearizationSchedule:
     """Per-period linearization constants, indexed by absolute period.
 
-    Multiplier-level arrays (``gap``, ``gain``, ``shift``, ``center``,
-    ``payout_ratio``) have shape (H + 1, 2) with row 0 unused. Asset-level
-    arrays have shape (H + 1,) covering periods 0..H and are ``None`` until
-    :func:`attach_asset_constants` fills them.
+    Every array has shape (H + 1, 2) with row 0 unused.
     """
 
     gap: np.ndarray
     gain: np.ndarray
     shift: np.ndarray
-    center: np.ndarray
     payout_ratio: np.ndarray
-    asset_center: np.ndarray = None
-    asset_weight: np.ndarray = None
-    asset_shift: np.ndarray = None
 
     @property
     def horizon(self):
@@ -219,9 +212,9 @@ def build_linearization_schedule(params, payout_ratio, horizon=None):
 
         g_t = 1 / (1 − exp(gap)),
         h_t = −(gap·exp(gap) / (1 − exp(gap)) + ln(1 − exp(gap))),
-        center μ_t = gap + ln(g_t),
 
-    which satisfy h_t = g_t(ln g_t − μ_t) + μ_t.
+    which satisfy h_t = g_t(ln g_t − μ_t) + μ_t at the center
+    μ_t = gap + ln(g_t).
 
     Raises
     ------
@@ -248,13 +241,11 @@ def build_linearization_schedule(params, payout_ratio, horizon=None):
         raise InfeasibleLinearizationError(int(t) + 1, int(c), float(e[t, c]))
     gain = 1.0 / (1.0 - e)
     shift = -(gap * e / (1.0 - e) + np.log1p(-e))
-    center = gap + np.log(gain)
     pad = np.full((1, 2), np.nan)
     return LinearizationSchedule(
         gap=_freeze(np.vstack([pad, gap])),
         gain=_freeze(np.vstack([pad, gain])),
         shift=_freeze(np.vstack([pad, shift])),
-        center=_freeze(np.vstack([pad, center])),
         payout_ratio=_freeze(np.vstack([pad, ratio])),
     )
 
@@ -289,32 +280,17 @@ def linearized_log_asset(log_values, w_a, h_a):
     return (weights * log_values).sum(axis=-1) + w_a * h_a
 
 
-def attach_asset_constants(schedule, params, log_books):
-    """Return a copy of ``schedule`` with asset-level constants filled.
+def asset_tangent(params, period, log_books):
+    """Tangent (w_a, h_a) of the log asset value at ``period``.
 
-    The center at period t is the mean log equity-to-liability value gap:
-    the component difference of μ₀ + tφ plus that of the plug-in log books.
-
-    Parameters
-    ----------
-    log_books : (H + 1, 2) array
-        Plug-in log book values for periods 0..H.
+    The center is the mean log equity-to-liability value gap: the component
+    difference of μ₀ + tφ plus that of ``log_books``, the plug-in log book
+    pair at that period.
     """
-    lb = np.asarray(log_books, dtype=float)
-    if lb.shape != (schedule.horizon + 1, 2):
-        raise DataValidationError(
-            f"log_books must have shape ({schedule.horizon + 1}, 2), got {lb.shape}"
-        )
-    t = np.arange(schedule.horizon + 1)
-    mean_mult = params.init_mean + t[:, None] * params.drift
-    mu_a = mean_mult[:, 0] - mean_mult[:, 1] + lb[:, 0] - lb[:, 1]
+    mean_mult = params.init_mean + period * params.drift
+    mu_a = mean_mult[0] - mean_mult[1] + log_books[0] - log_books[1]
     _, w_a, h_a = asset_linearization(mu_a)
-    return dataclasses.replace(
-        schedule,
-        asset_center=_freeze(mu_a),
-        asset_weight=_freeze(w_a),
-        asset_shift=_freeze(h_a),
-    )
+    return float(w_a), float(h_a)
 
 
 def real_intercepts(params, schedule):

@@ -30,8 +30,8 @@ import numpy as np
 from .errors import DataValidationError, NoSolutionError
 from .kalman import forecast, run_filter
 from .model import (
+    asset_tangent,
     asset_weight_vector,
-    attach_asset_constants,
     build_linearization_schedule,
     real_intercepts,
     risk_neutral_intercepts,
@@ -180,8 +180,9 @@ class PricingContext:
     """Everything needed to price from the end of an observed sample.
 
     The origin is the last observed period; the schedule covers the sample
-    plus the pricing horizon with asset constants from observed books within
-    the sample and real-measure forecast books beyond.
+    plus the pricing horizon, and ``log_books`` the observed books within
+    the sample and real-measure forecast books beyond. ``tangent`` is the
+    asset tangent (w_a, h_a) at the maturity, centered on the forecast books.
     """
 
     params: object
@@ -192,6 +193,7 @@ class PricingContext:
     filter_real: object
     filter_rn: object
     moments: HorizonMoments
+    tangent: tuple
 
     @property
     def tau(self):
@@ -216,10 +218,10 @@ class PricingContext:
             mean, cov = self.posterior(measure)
         else:
             mean, cov = np.asarray(m_t, float), np.zeros((2, 2))
-        alpha, w_a = self.moments.alpha, self.schedule.asset_weight[self.maturity]
+        alpha, (w_a, h_a) = self.moments.alpha, self.tangent
         weights = asset_weight_vector(w_a)
         pair = alpha @ mean + self.moments.beta(measure) + self.log_books[self.origin]
-        mu = float(weights @ pair + w_a * self.schedule.asset_shift[self.maturity])
+        mu = float(weights @ pair + w_a * h_a)
         var = float(weights @ self.moments.cov @ weights)
         return mu, var + float(weights @ alpha @ cov @ alpha.T @ weights)
 
@@ -270,7 +272,8 @@ def extend_payout_ratio(series, maturity, future=None):
 
 
 def build_pricing_context(params, series, maturity, payout_future):
-    """Assemble schedule, filters, forecast books and horizon moments.
+    """Assemble schedule, filters, forecast books, horizon moments and the
+    maturity asset tangent.
 
     ``maturity`` counts periods beyond the last observation (the pricing
     origin). ``payout_future`` is a (maturity, 2) array or a single 2-vector
@@ -290,10 +293,9 @@ def build_pricing_context(params, series, maturity, payout_future):
     log_books_obs = series.log_books()
     future_books = log_books_obs[-1] + fc.b_mean[t0 + 1 : T + 1].cumsum(axis=0)
     log_books = np.vstack([log_books_obs, future_books])
-    schedule = attach_asset_constants(schedule, params, log_books)
     moments = horizon_moments(params, schedule, t0, T)
     return PricingContext(
         params=params, schedule=schedule, origin=t0, maturity=T,
         log_books=log_books, filter_real=filt_real, filter_rn=filt_rn,
-        moments=moments,
+        moments=moments, tangent=asset_tangent(params, T, log_books[T]),
     )

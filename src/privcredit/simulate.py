@@ -2,9 +2,10 @@
 
 The model is linear-Gaussian in logs, so paths are simulated exactly (no
 discretization error) under either measure; the only difference between the
-two is the measurement intercept. Panels carry both the exact log asset
-value ln(Vᵉ + Vˡ) and its linearized counterpart so approximation error can
-be quantified separately from formula correctness.
+two is the measurement intercept. Panels carry the exact log asset value
+ln(Vᵉ + Vˡ); the linearized value at any asset tangent follows from their
+log value pairs, so approximation error can be quantified separately from
+formula correctness.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
-from .kalman import forecast, run_filter
 from .model import linearized_log_asset, real_intercepts, risk_neutral_intercepts
 
 MEASURES = ("real", "risk_neutral")
@@ -46,9 +46,7 @@ class SimulatedPanel:
     """Simulated paths; time axis 1 runs over periods start..start+horizon.
 
     ``log_values`` is the log market value pair (multiplier plus log book
-    value by construction); ``log_asset_exact`` is ln(Vᵉ + Vˡ) and
-    ``log_asset_lin`` the tangent approximation with the schedule's
-    per-period asset constants.
+    value by construction); ``log_asset_exact`` is ln(Vᵉ + Vˡ).
     """
 
     multipliers: np.ndarray
@@ -56,15 +54,6 @@ class SimulatedPanel:
     log_books: np.ndarray
     log_values: np.ndarray
     log_asset_exact: np.ndarray
-    log_asset_lin: np.ndarray
-    start: int
-    config: SimConfig
-    asset_weight: np.ndarray
-    asset_shift: np.ndarray
-
-    @property
-    def n_periods(self):
-        return self.growth.shape[1]
 
 
 def psd_cholesky(m):
@@ -84,8 +73,6 @@ def psd_cholesky(m):
 
 def _setup(params, schedule, config, start, init_mean, init_cov):
     """Checks, start distribution, intercepts and generator of a simulation."""
-    if schedule.asset_weight is None:
-        raise DataValidationError("schedule lacks asset constants")
     if schedule.horizon < start + config.horizon:
         raise DataValidationError("schedule does not cover the simulation horizon")
     mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
@@ -119,15 +106,12 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
         Distribution of the log multiplier at the start period (defaults to
         the model prior; pass a zero matrix to pin a known multiplier).
 
-    Requires asset constants on the schedule (see
-    :func:`privcredit.model.attach_asset_constants`). Standard normal draws
-    are scaled by the lower Cholesky factors of the covariances
-    (:func:`psd_cholesky`), so the panel depends only on the config and the
-    inputs, not on the BLAS/LAPACK build.
+    Standard normal draws are scaled by the lower Cholesky factors of the
+    covariances (:func:`psd_cholesky`), so the panel depends only on the
+    config and the inputs, not on the BLAS/LAPACK build.
     """
     mean0, cov0, intercepts, rng = _setup(params, schedule, config, start,
                                           init_mean, init_cov)
-    end = start + config.horizon
     n, P = config.n_paths, config.horizon
     e0 = rng.standard_normal((n, 2))
     ev = rng.standard_normal((n, P, 2))
@@ -148,33 +132,31 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
         log_books[:, j] = log_books[:, j - 1] + growth[:, j - 1]
 
     log_values = mult + log_books
-    w = schedule.asset_weight[start : end + 1]
-    h = schedule.asset_shift[start : end + 1]
     exact = np.logaddexp(log_values[..., 0], log_values[..., 1])
-    lin = linearized_log_asset(log_values, w, h)
     return SimulatedPanel(
         multipliers=mult, growth=growth, log_books=log_books,
-        log_values=log_values, log_asset_exact=exact, log_asset_lin=lin,
-        start=start, config=config, asset_weight=w.copy(), asset_shift=h.copy(),
+        log_values=log_values, log_asset_exact=exact,
     )
 
 
-def _terminal_values(params, schedule, intercepts, start, m, log_books, shocks):
-    """Linearized log asset after the (r_v, r_u) of periods start+1, … in shocks."""
+def _terminal_values(params, schedule, intercepts, start, m, log_books, shocks,
+                     tangent):
+    """Log asset after the (r_v, r_u) of periods start+1, … in shocks,
+    linearized at the asset ``tangent`` (w_a, h_a)."""
     for t, (rv, ru) in enumerate(shocks, start + 1):
         m, growth = _step(params, schedule, intercepts, t, m, rv, ru)
         log_books = log_books + growth
-    return linearized_log_asset(m + log_books, schedule.asset_weight[t],
-                                schedule.asset_shift[t])
+    return linearized_log_asset(m + log_books, *tangent)
 
 
-def simulate_terminal(params, schedule, config, log_books0, start=0,
+def simulate_terminal(params, schedule, config, log_books0, tangent, start=0,
                       init_mean=None, init_cov=None):
-    """Maturity linearized log asset values Ṽᵃ_T of :func:`simulate_panel`'s
-    model and arguments, an (n_paths,) array. Blocks of ``_BLOCK_PATHS``
-    paths carry only their (b, 2) multiplier and log book state, so memory
-    does not grow with the paths or the horizon. Draws, per block: b start
-    draws, then per period b v and b u draws (not the panel's order)."""
+    """Maturity log asset values Ṽᵃ_T of :func:`simulate_panel`'s model and
+    arguments, linearized at the maturity asset ``tangent`` (w_a, h_a), an
+    (n_paths,) array. Blocks of ``_BLOCK_PATHS`` paths carry only their
+    (b, 2) multiplier and log book state, so memory does not grow with the
+    paths or the horizon. Draws, per block: b start draws, then per period
+    b v and b u draws (not the panel's order)."""
     mean0, cov0, intercepts, rng = _setup(params, schedule, config, start,
                                           init_mean, init_cov)
     l0, lv, lu = (psd_cholesky(c).T for c in (cov0, params.state_cov, params.meas_cov))
@@ -185,21 +167,9 @@ def simulate_terminal(params, schedule, config, log_books0, start=0,
         shocks = (rng.standard_normal((2, b, 2)) @ (lv, lu)
                   for _ in range(config.horizon))
         out[lo : lo + b] = _terminal_values(params, schedule, intercepts, start,
-                                            m0, np.asarray(log_books0, float), shocks)
+                                            m0, np.asarray(log_books0, float),
+                                            shocks, tangent)
     return out
-
-
-def mean_log_book_path(params, schedule, log_books0):
-    """Deterministic real-measure mean path of log books over periods 0..H.
-
-    This is the plug-in book path for asset centers in contexts with no
-    observed sample (the mean of the simulated panel's books): the growth
-    forecast from the prior, which the filter returns after no periods.
-    """
-    prior = run_filter(params, schedule, np.empty((0, 2)),
-                       real_intercepts(params, schedule))
-    growth = forecast(prior, params, schedule, schedule.horizon).b_mean
-    return np.asarray(log_books0, float) + growth.cumsum(axis=0)
 
 
 def _mc_mean_se(values):

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from privcredit.model import (
-    ModelParams,
-    ObservedSeries,
-    attach_asset_constants,
-    build_linearization_schedule,
-)
-from privcredit.simulate import SimConfig, mean_log_book_path, simulate_panel
+from privcredit.model import ModelParams, ObservedSeries, build_linearization_schedule
+from privcredit.simulate import SimConfig, simulate_panel
 
 
 def spd_matrix(rng, scale):
@@ -54,8 +49,6 @@ def synthetic_series(params, periods, seed, payout_level=0.25, jitter=0.03,
     ratio = feasible_payout_ratio(rng, periods, payout_level, jitter)
     schedule = build_linearization_schedule(params, ratio, periods)
     lb0 = np.asarray(log_books0, dtype=float)
-    books_path = mean_log_book_path(params, schedule, lb0)
-    schedule = attach_asset_constants(schedule, params, books_path)
     panel = simulate_panel(
         params, schedule, SimConfig(1, periods, seed), lb0
     )

@@ -13,7 +13,8 @@ objective built period by period from :func:`residual_pieces_reference`,
 layer's maturity covariance, :func:`asset_log_moments_public` and
 :func:`asset_log_moments_private` the separate public and private forms
 of its asset log moments, :func:`mean_log_book_path_reference` the
-per-period loop of the mean log book path, :func:`required_return_fixed_point` the
+per-period loop of the mean log book path and :func:`mean_path_tangents`
+the asset tangents centered on it, :func:`required_return_fixed_point` the
 numpy.linalg form of the M-step's required-return/measurement-covariance
 iteration, :func:`params_validation_error` the numpy form of
 ``ModelParams``' checks, and :func:`binned_error_curve` measures the asset linearization
@@ -41,8 +42,10 @@ from privcredit.errors import (
 )
 from privcredit.kalman import _LOG2PI, _RCOND, FilterOutput, SmootherOutput
 from privcredit.model import (
+    asset_tangent,
     asset_weight_vector,
     build_linearization_schedule,
+    linearized_log_asset,
     real_intercepts,
 )
 
@@ -205,32 +208,30 @@ def horizon_cov_reference(params, schedule, origin, maturity):
     return 0.5 * (total + total.T)
 
 
-def asset_log_moments_public(moments, maturity, m_t, log_books_t, schedule,
-                             measure):
+def asset_log_moments_public(moments, m_t, log_books_t, tangent, measure):
     """Mean and variance of the maturity log asset value given a known
-    period-t multiplier."""
-    T = maturity
-    weights = asset_weight_vector(schedule.asset_weight[T])
+    period-t multiplier, linearized at the maturity ``tangent`` (w_a, h_a)."""
+    w_a, h_a = tangent
+    weights = asset_weight_vector(w_a)
     mean_pair = (
         moments.alpha @ np.asarray(m_t, float)
         + moments.beta(measure)
         + np.asarray(log_books_t, float)
     )
-    mu = float(weights @ mean_pair
-               + schedule.asset_weight[T] * schedule.asset_shift[T])
+    mu = float(weights @ mean_pair + w_a * h_a)
     var = float(weights @ moments.cov @ weights)
     return mu, var
 
 
-def asset_log_moments_private(moments, maturity, m_mean, m_cov, log_books_t,
-                              schedule, measure):
+def asset_log_moments_private(moments, m_mean, m_cov, log_books_t, tangent,
+                              measure):
     """Asset log moments with the period-t multiplier integrated out: the
     public affine map at the posterior mean, plus the alpha-propagated
     posterior variance."""
     mu, var = asset_log_moments_public(
-        moments, maturity, m_mean, log_books_t, schedule, measure
+        moments, m_mean, log_books_t, tangent, measure
     )
-    weights = asset_weight_vector(schedule.asset_weight[maturity])
+    weights = asset_weight_vector(tangent[0])
     extra = weights @ moments.alpha @ np.asarray(m_cov, float) @ moments.alpha.T @ weights
     return mu, var + float(extra)
 
@@ -246,6 +247,14 @@ def mean_log_book_path_reference(params, schedule, log_books0):
         m_prev = params.init_mean + (t - 1) * params.drift
         out[t] = out[t - 1] - m_new + schedule.gain[t] * m_prev + intercepts[t]
     return out
+
+
+def mean_path_tangents(params, schedule, log_books0):
+    """Asset tangents of periods 0..H centered on the mean log book path, as
+    a (2, H + 1) array of rows (w_a, h_a): a simulated panel's plug-in
+    centers."""
+    books = mean_log_book_path_reference(params, schedule, log_books0)
+    return np.array([asset_tangent(params, t, b) for t, b in enumerate(books)]).T
 
 
 def _rows(flat, T, shape):
@@ -510,18 +519,18 @@ def params_validation_error(fields):
     return None
 
 
-def binned_error_curve(panel, period, n_bins=12):
+def binned_error_curve(panel, period, tangent, n_bins=12):
     """Mean absolute linearization error binned by |deviation from center|.
 
-    Returns (bin centers, mean errors) over paths at the given panel column;
-    used to check that the error grows (quadratically) in the deviation.
+    Returns (bin centers, mean errors) over paths at the given panel column
+    linearized at ``tangent`` (w_a, h_a); used to check that the error grows
+    (quadratically) in the deviation.
     """
     values = panel.log_values[:, period]
-    dev = np.abs(
-        (values[:, 0] - values[:, 1])
-        - (np.log(1.0 / panel.asset_weight[period] - 1.0))
-    )
-    err = np.abs(panel.log_asset_exact[:, period] - panel.log_asset_lin[:, period])
+    w_a, h_a = tangent
+    dev = np.abs((values[:, 0] - values[:, 1]) - np.log(1.0 / w_a - 1.0))
+    lin = linearized_log_asset(values, w_a, h_a)
+    err = np.abs(panel.log_asset_exact[:, period] - lin)
     edges = np.quantile(dev, np.linspace(0.0, 1.0, n_bins + 1))
     centers, means = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):

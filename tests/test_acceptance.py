@@ -22,7 +22,7 @@ from privcredit.model import (
     ModelParams,
     ObservedSeries,
     asset_linearization,
-    attach_asset_constants,
+    asset_tangent,
     build_linearization_schedule,
     linearized_log_asset,
     real_intercepts,
@@ -38,7 +38,6 @@ from privcredit.simulate import (
     SimConfig,
     mc_default_probability,
     mc_option_price,
-    mean_log_book_path,
     simulate_panel,
 )
 
@@ -47,6 +46,7 @@ from reference import (
     GaussianConditioningOracle,
     binned_error_curve,
     horizon_cov_reference,
+    mean_log_book_path_reference,
 )
 
 
@@ -236,8 +236,6 @@ def test_criterion_06_parameter_recovery():
         rng = np.random.default_rng(seed)
         ratio = np.log(0.35) + 0.02 * rng.normal(size=(periods, 2))
         sched = build_linearization_schedule(truth, ratio, periods)
-        books = mean_log_book_path(truth, sched, lb0)
-        sched = attach_asset_constants(sched, truth, books)
         panel = simulate_panel(truth, sched, SimConfig(1, periods, seed), lb0)
         series = ObservedSeries(np.exp(lb0), panel.growth[0], ratio)
         fitted, _ = em_fit(series, params_init=init, rate_log=truth.rate_log,
@@ -288,7 +286,8 @@ def pricing_battery():
             strike = factor * math.exp(mu)
             call, put = ctx.price(strike)
             (call_mc, call_se), (put_mc, put_se) = mc_option_price(
-                panel.log_asset_lin[:, -1], strike, ctx.tau, params.rate_log
+                linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
+                strike, ctx.tau, params.rate_log,
             )
             rows.append(
                 dict(
@@ -358,13 +357,15 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
             threshold = math.exp(mu + shift * sd)
             pd_closed = ctx.default_prob(threshold)
             pd_mc, pd_se = mc_default_probability(
-                panel_priv.log_asset_lin[:, -1], threshold
+                linearized_log_asset(panel_priv.log_values[:, -1], *ctx.tangent),
+                threshold,
             )
             worst = max(worst, abs(pd_closed - pd_mc) / pd_se)
             threshold_pub = math.exp(mu_pub + shift * math.sqrt(var_pub))
             pd_pub = default_probability(mu_pub, var_pub, threshold_pub)
             pd_pub_mc, pd_pub_se = mc_default_probability(
-                panel_pub.log_asset_lin[:, -1], threshold_pub
+                linearized_log_asset(panel_pub.log_values[:, -1], *ctx.tangent),
+                threshold_pub,
             )
             worst = max(worst, abs(pd_pub - pd_pub_mc) / pd_pub_se)
     assert worst <= 3.0
@@ -430,12 +431,12 @@ def test_criterion_12_linearization_exactness_and_scaling():
     params = base_params()
     ratio = np.log(0.25) * np.ones((4, 2))
     schedule = build_linearization_schedule(params, ratio, 4)
-    books = mean_log_book_path(params, schedule, np.array([1.0, 1.2]))
-    schedule = attach_asset_constants(schedule, params, books)
-    panel = simulate_panel(
-        params, schedule, SimConfig(400_000, 4, seed=5), np.array([1.0, 1.2])
+    lb0 = np.array([1.0, 1.2])
+    books = mean_log_book_path_reference(params, schedule, lb0)
+    panel = simulate_panel(params, schedule, SimConfig(400_000, 4, seed=5), lb0)
+    centers, means = binned_error_curve(
+        panel, 4, asset_tangent(params, 4, books[4]), n_bins=14
     )
-    centers, means = binned_error_curve(panel, period=4, n_bins=14)
     mask = (centers > 0) & (means > 0)
     slope = np.polyfit(np.log(centers[mask]), np.log(means[mask]), 1)[0]
     assert 1.8 <= slope <= 2.2

@@ -86,6 +86,17 @@ class TestIngest:
         with pytest.raises(DataValidationError, match="consecutive"):
             ingest(path)
 
+    @pytest.mark.parametrize("row", [0, 1])
+    @pytest.mark.parametrize("period", ["nan", "inf", "1.5"])
+    def test_period_not_a_finite_integer_names_cell(self, tmp_path, row, period):
+        lines = ["0,10,12,,", "1,11,12.5,0.5,0.6", "2,11,12.5,0.5,0.6"]
+        lines[row] = period + lines[row][1:]
+        path = tmp_path / "period.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError,
+                           match=f"row {row + 2}, column period: not a finite integer"):
+            ingest(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("period,foo,bar,baz,qux\n0,1,1,,\n1,1,1,1,1\n")
@@ -212,6 +223,59 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith("error: seed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["book0_equity", "book0_liability"])
+    @pytest.mark.parametrize("value", ["0", "nan", "-1", "inf"])
+    def test_nonpositive_or_nonfinite_book0_writes_nothing(
+        self, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(re.sub(rf"{key} = \S+", f"{key} = {value}", SIM_CONFIG))
+        out = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: book0 values must be strictly positive and finite\n"
+        )
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("key", ["sigma_u_equity", "sigma_v_liability",
+                                     "sigma0_equity"])
+    def test_negative_standard_deviation_fails_validation(
+        self, tmp_path, capsys, key
+    ):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(re.sub(rf"{key} = (\S+)", rf"{key} = -\1", SIM_CONFIG))
+        out = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be nonnegative")
+        assert not out.exists()
+
+    def test_runs_no_filter_or_forecast(self, tmp_path, sim_config, monkeypatch):
+        import sys
+
+        from privcredit import kalman
+
+        calls = []
+        for name in ("run_filter", "forecast"):
+            original = getattr(kalman, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "privcredit" and (
+                        getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(sim_config), "--output", str(out)]) == 0
+        assert calls == []
+        # the counters see the passes a forecast makes
+        cfg = tmp_path / "pricing.cfg"
+        cfg.write_text(PRICING_CONFIG)
+        assert main(["forecast", "--input", str(out), "--config", str(cfg),
+                     "--maturity", "2", "--output", str(tmp_path / "fc.json")]) == 0
+        assert calls == ["run_filter", "forecast"]
+
 
 class TestCliEstimate:
     def test_zero_iterations_echoes_initializer(self, tmp_path, panel_csv):
@@ -229,6 +293,33 @@ class TestCliEstimate:
             report["params"]["req_return"],
             [math.log(1.0101) + 0.02] * 2,
         )
+
+    @pytest.mark.parametrize("command", ["estimate", "filter"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value, code", [
+        ("max_iter", "-3", 1), ("tol", "-1e-8", 1), ("tol", "nan", 1),
+        ("tol", "inf", 1), ("max_iter", "0", 0), ("tol", "0", 0),
+    ])
+    def test_negative_max_iter_or_tol_and_nonfinite_tol_fail_validation(
+        self, tmp_path, panel_csv, capsys, command, source, key, value, code
+    ):
+        out = tmp_path / "report.json"
+        argv = [command, "--input", str(panel_csv), "--output", str(out),
+                "--rate", "0.0101"]
+        if source == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            cfg = tmp_path / "em.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        if key == "tol":
+            argv.append("--max-iter=2")
+        assert main(argv) == code
+        if code:
+            assert capsys.readouterr().err == (
+                "error: max_iter must be >= 0 and tol finite and >= 0\n"
+            )
+        assert out.exists() == (code == 0)
 
     def test_loglik_trace_nondecreasing(self, tmp_path, panel_csv):
         out = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,18 +10,19 @@ from privcredit.cli import _feasibility
 from privcredit.errors import DataValidationError, InfeasibleLinearizationError
 from privcredit.model import (
     ModelParams,
+    LinearizationSchedule,
     asset_linearization,
-    attach_asset_constants,
+    asset_tangent,
     build_linearization_schedule,
     derive_series,
     linearized_log_asset,
     real_intercepts,
     risk_neutral_intercepts,
 )
-from privcredit.simulate import SimConfig, mean_log_book_path, simulate_panel
+from privcredit.simulate import SimConfig, simulate_panel
 
 from conftest import base_params, synthetic_series
-from reference import params_validation_error
+from reference import mean_log_book_path_reference, params_validation_error
 
 
 class TestDeriveSeries:
@@ -94,7 +96,8 @@ class TestLinearizationSchedule:
     def test_symmetric_closed_form(self):
         _, sched = self._schedule_for_gap([-np.log(2), -np.log(2)])
         np.testing.assert_allclose(sched.gain[1], [2.0, 2.0], atol=1e-14)
-        np.testing.assert_allclose(sched.center[1], [0.0, 0.0], atol=1e-14)
+        center = sched.gap[1] + np.log(sched.gain[1])
+        np.testing.assert_allclose(center, [0.0, 0.0], atol=1e-14)
         np.testing.assert_allclose(
             sched.shift[1], [2 * np.log(2), 2 * np.log(2)], atol=1e-14
         )
@@ -111,7 +114,8 @@ class TestLinearizationSchedule:
     )
     def test_shift_identity(self, gap_e, gap_l):
         _, sched = self._schedule_for_gap([gap_e, gap_l])
-        g, mu, h = sched.gain[1], sched.center[1], sched.shift[1]
+        g, h = sched.gain[1], sched.shift[1]
+        mu = sched.gap[1] + np.log(g)
         np.testing.assert_allclose(h, g * (np.log(g) - mu) + mu, atol=1e-12)
         assert (g > 1).all()
 
@@ -159,12 +163,15 @@ class TestLinearizationSchedule:
         np.testing.assert_array_equal(margin, np.exp(sched.gap[1:]).max(axis=1))
         np.testing.assert_array_equal(margin, exp_gap.max(axis=1))
 
-    def test_center_consistency(self, params, rng):
+    def test_holds_only_the_per_period_arrays(self, params, rng):
         ratio = np.log(0.3) + 0.05 * rng.normal(size=(5, 2))
         sched = build_linearization_schedule(params, ratio, 5)
-        np.testing.assert_allclose(
-            sched.center[1:], sched.gap[1:] + np.log(sched.gain[1:]), atol=1e-13
-        )
+        names = [f.name for f in dataclasses.fields(LinearizationSchedule)]
+        assert names == ["gap", "gain", "shift", "payout_ratio"]
+        for name in names:
+            array = getattr(sched, name)
+            assert array.shape == (6, 2) and np.isnan(array[0]).all()
+            assert np.isfinite(array[1:]).all()
 
 
 class TestAssetLinearization:
@@ -197,26 +204,25 @@ class TestAssetLinearization:
         np.testing.assert_allclose(approx, exact, atol=1e-12)
 
 
-class TestAssetCenter:
+class TestAssetTangent:
     @staticmethod
-    def _centers(p, log_books):
-        horizon = log_books.shape[0] - 1
-        sched = build_linearization_schedule(
-            p, np.log(0.3) * np.ones((horizon, 2)), horizon
-        )
-        return attach_asset_constants(sched, p, log_books).asset_center
+    def _center(w_a):
+        """The center a tangent weight w_a = 1 / (1 + exp(center)) was taken at."""
+        return math.log(1.0 / w_a - 1.0)
 
     def test_symmetric_zero(self, params):
         p = params.replace(init_mean=np.zeros(2), drift=np.zeros(2))
-        assert self._centers(p, np.full((6, 2), 1.3))[4] == 0.0
+        w, h = asset_tangent(p, 4, np.array([1.3, 1.3]))
+        assert w == 0.5
+        assert h == pytest.approx(2 * math.log(2), abs=1e-15)
 
     def test_hand_arithmetic(self, params):
-        p = params.replace(
-            init_mean=np.array([0.2, 0.1]), drift=np.zeros(2)
-        )
-        log_books = np.zeros((6, 2))
-        log_books[5] = [0.3, 0.0]
-        assert self._centers(p, log_books)[5] == pytest.approx(0.4, abs=1e-15)
+        p = params.replace(init_mean=np.array([0.2, 0.1]), drift=np.array([0.01, 0.03]))
+        # (0.2 + 5·0.01) − (0.1 + 5·0.03) + 0.3 − 0 = 0.3
+        w, h = asset_tangent(p, 5, np.array([0.3, 0.0]))
+        _, w_ref, h_ref = asset_linearization(0.3)
+        assert w == pytest.approx(w_ref, abs=1e-15)
+        assert h == pytest.approx(h_ref, abs=1e-14)
 
     def test_matches_monte_carlo(self, params):
         lb0 = np.array([1.5, 1.8])
@@ -227,22 +233,15 @@ class TestAssetCenter:
         t = 6
         gap = panel.log_values[:, t, 0] - panel.log_values[:, t, 1]
         se = gap.std() / np.sqrt(gap.shape[0])
-        mean_books = mean_log_book_path(params, schedule, lb0)
-        center = attach_asset_constants(
-            schedule, params, mean_books
-        ).asset_center[t]
-        assert abs(gap.mean() - center) < 3 * se
+        mean_books = mean_log_book_path_reference(params, schedule, lb0)
+        w, _ = asset_tangent(params, t, mean_books[t])
+        assert abs(gap.mean() - self._center(w)) < 3 * se
 
-    def test_attach_asset_constants_internal_identities(self, params):
-        _, schedule, _ = synthetic_series(params, 6, seed=5)
-        t = np.arange(schedule.horizon + 1)
-        w, h = schedule.asset_weight, schedule.asset_shift
-        g = 1 / w
-        np.testing.assert_allclose(g, 1 + np.exp(schedule.asset_center), atol=1e-12)
-        np.testing.assert_allclose(
-            h, g * (np.log(g) - schedule.asset_center) + schedule.asset_center,
-            atol=1e-11,
-        )
+    def test_internal_identities(self, params, rng):
+        for t in range(7):
+            w, h = asset_tangent(params, t, 1.5 + rng.normal(size=2))
+            g, mu = 1.0 / w, self._center(w)
+            assert h == pytest.approx(g * (math.log(g) - mu) + mu, abs=1e-11)
 
 
 class TestIntercepts:

@@ -11,6 +11,7 @@ from privcredit.errors import DataValidationError, NoSolutionError
 from privcredit.model import (
     asset_weight_vector,
     build_linearization_schedule,
+    linearized_log_asset,
     real_intercepts,
     risk_neutral_intercepts,
 )
@@ -206,23 +207,19 @@ class TestAssetLogMoments:
         assert var == 0.0
 
     def test_degenerate_weight_selects_one_leg(self, params):
-        # a weight of one on the schedule keeps only the matching leg of the
-        # value pair plus the tangent intercept
+        # a tangent weight of one keeps only the matching leg of the value
+        # pair plus the tangent intercept
         ctx = pricing_fixture(params)
-        T = ctx.maturity
-        w = ctx.schedule.asset_weight.copy()
-        h = ctx.schedule.asset_shift.copy()
-        w[T] = 1.0
-        sched = dataclasses.replace(ctx.schedule, asset_weight=w, asset_shift=h)
+        h = ctx.tangent[1]
         m_t = params.init_mean
-        mu, var = dataclasses.replace(ctx, schedule=sched).asset_moments(
+        mu, var = dataclasses.replace(ctx, tangent=(1.0, h)).asset_moments(
             "risk_neutral", m_t
         )
         pair_mean = (
             ctx.moments.alpha @ m_t + ctx.moments.beta_rn
             + ctx.log_books[ctx.origin]
         )
-        assert mu == pytest.approx(pair_mean[1] + h[T], abs=1e-12)
+        assert mu == pytest.approx(pair_mean[1] + h, abs=1e-12)
         assert var == pytest.approx(ctx.moments.cov[1, 1], abs=1e-12)
 
     def test_private_variance_dominates_public(self, params):
@@ -230,7 +227,7 @@ class TestAssetLogMoments:
         _, var_pub = ctx.asset_moments("risk_neutral", params.init_mean)
         _, var_priv = ctx.asset_moments("risk_neutral")
         assert var_priv >= var_pub
-        weights = asset_weight_vector(ctx.schedule.asset_weight[ctx.maturity])
+        weights = asset_weight_vector(ctx.tangent[0])
         posterior = ctx.filter_rn.cov_m_filt[ctx.origin]
         gap = weights @ ctx.moments.alpha @ posterior @ ctx.moments.alpha.T @ weights
         assert var_priv - var_pub == pytest.approx(gap, rel=1e-12)
@@ -251,9 +248,9 @@ class TestAssetLogMoments:
         rng = np.random.default_rng(seed)
         ctx = pricing_fixture(random_params(rng), maturity=maturity, seed=seed)
         m_t = np.array(m_t)
-        args = (ctx.log_books[ctx.origin], ctx.schedule, measure)
+        args = (ctx.log_books[ctx.origin], ctx.tangent, measure)
         assert ctx.asset_moments(measure, m_t) == asset_log_moments_public(
-            ctx.moments, ctx.maturity, m_t, *args
+            ctx.moments, m_t, *args
         )
         if posterior == "filtered":
             mean, cov = ctx.posterior(measure)
@@ -264,7 +261,7 @@ class TestAssetLogMoments:
                    "rank_one": 0.01 * np.outer(root, root)}[posterior]
             ctx = with_posterior(ctx, mean, cov)
         assert ctx.asset_moments(measure) == asset_log_moments_private(
-            ctx.moments, ctx.maturity, mean, cov, *args
+            ctx.moments, mean, cov, *args
         )
 
 
@@ -374,7 +371,8 @@ class TestPrivatePricing:
             init_cov=ctx.filter_rn.cov_m_filt[ctx.origin],
         )
         (call_mc, call_se), (put_mc, put_se) = mc_option_price(
-            panel.log_asset_lin[:, -1], strike, ctx.tau, params.rate_log
+            linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
+            strike, ctx.tau, params.rate_log,
         )
         assert abs(call - call_mc) < 3 * call_se
         assert abs(put - put_mc) < 3 * put_se

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from privcredit.errors import DataValidationError
 from privcredit.kalman import run_filter
 from privcredit.model import (
-    attach_asset_constants,
     build_linearization_schedule,
+    linearized_log_asset,
     real_intercepts,
     risk_neutral_intercepts,
 )
@@ -18,7 +19,6 @@ from privcredit.simulate import (
     _terminal_values,
     mc_default_probability,
     mc_option_price,
-    mean_log_book_path,
     psd_cholesky,
     simulate_panel,
     simulate_terminal,
@@ -29,14 +29,26 @@ from reference import (
     GaussianConditioningOracle,
     binned_error_curve,
     mean_log_book_path_reference,
+    mean_path_tangents,
 )
+
+LB0 = np.array([1.0, 1.2])
 
 
 def toy_schedule(params, periods, payout=0.25):
     ratio = np.log(payout) * np.ones((periods, 2))
-    sched = build_linearization_schedule(params, ratio, periods)
-    books = mean_log_book_path(params, sched, np.array([1.0, 1.2]))
-    return attach_asset_constants(sched, params, books)
+    return build_linearization_schedule(params, ratio, periods)
+
+
+def linearized_panel(params, sched, panel):
+    """Each period's log asset value of a panel started at period 0 from
+    ``LB0``, linearized at the tangent centered on the mean book path."""
+    return linearized_log_asset(panel.log_values, *mean_path_tangents(params, sched, LB0))
+
+
+def maturity_tangent(params, sched):
+    """The asset tangent at the schedule's last period, mean-path centered."""
+    return tuple(mean_path_tangents(params, sched, LB0)[:, -1])
 
 
 class TestSimulatePanel:
@@ -55,6 +67,12 @@ class TestSimulatePanel:
             np.testing.assert_allclose(
                 panel.multipliers[0, t], p.init_mean + t * p.drift, atol=1e-12
             )
+
+    def test_panel_holds_paths_and_exact_asset_only(self, params):
+        panel = simulate_panel(params, toy_schedule(params, 3), SimConfig(4, 3, seed=2), LB0)
+        assert [f.name for f in dataclasses.fields(panel)] == [
+            "multipliers", "growth", "log_books", "log_values", "log_asset_exact"]
+        assert panel.log_asset_exact.shape == (4, 4)
 
     def test_seed_determinism_bit_identical(self, params):
         sched = toy_schedule(params, 4)
@@ -134,30 +152,33 @@ class TestSimulateTerminal:
         eu = rng.standard_normal((n, P, 2))
         rv = ev @ psd_cholesky(params.state_cov).T
         ru = eu @ psd_cholesky(params.meas_cov).T
+        tangent = maturity_tangent(params, sched)
         terminal = _terminal_values(
             params, sched, risk_neutral_intercepts(params, sched), start,
             m0 + e0 @ psd_cholesky(cov0).T, lb0,
-            zip(rv.transpose(1, 0, 2), ru.transpose(1, 0, 2)),
+            zip(rv.transpose(1, 0, 2), ru.transpose(1, 0, 2)), tangent,
         )
-        assert np.array_equal(terminal, panel.log_asset_lin[:, -1])
+        assert np.array_equal(
+            terminal, linearized_log_asset(panel.log_values[:, -1], *tangent)
+        )
 
     def test_noiseless_paths_equal_panel_across_blocks(self):
         zero = np.zeros((2, 2))
         p = base_params(init_cov=zero, meas_cov=zero, state_cov=zero)
         sched = toy_schedule(p, 5)
         cfg = SimConfig(_BLOCK_PATHS + 3, 5, seed=1)
-        lb0 = np.array([1.0, 1.2])
-        terminal = simulate_terminal(p, sched, cfg, lb0)
-        panel = simulate_panel(p, sched, SimConfig(3, 5, seed=1), lb0)
+        tangent = maturity_tangent(p, sched)
+        terminal = simulate_terminal(p, sched, cfg, LB0, tangent)
+        panel = simulate_panel(p, sched, SimConfig(3, 5, seed=1), LB0)
         assert terminal.shape == (_BLOCK_PATHS + 3,)
-        assert (terminal == panel.log_asset_lin[0, -1]).all()
+        assert (terminal == linearized_log_asset(panel.log_values[0, -1], *tangent)).all()
 
     def test_seed_determinism(self, params):
         sched = toy_schedule(params, 4)
-        lb0 = np.array([1.0, 1.2])
-        a = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), lb0)
-        b = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), lb0)
-        c = simulate_terminal(params, sched, SimConfig(100, 4, seed=100), lb0)
+        args = (LB0, maturity_tangent(params, sched))
+        a = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), *args)
+        b = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), *args)
+        c = simulate_terminal(params, sched, SimConfig(100, 4, seed=100), *args)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -174,7 +195,7 @@ class TestSimulateTerminal:
         n = 200_000
         sample = simulate_terminal(
             params, ctx.schedule, SimConfig(n, ctx.tau, 2024, measure=measure),
-            ctx.log_books[ctx.origin], start=ctx.origin,
+            ctx.log_books[ctx.origin], ctx.tangent, start=ctx.origin,
             init_mean=mean, init_cov=cov,
         )
         assert abs(sample.mean() - mu) < 4 * np.sqrt(var / n)
@@ -186,7 +207,7 @@ class TestSimulateTerminal:
         cfg = SimConfig(200_000, 60, seed=3, measure="risk_neutral")
         tracemalloc.start()
         try:
-            simulate_terminal(params, sched, cfg, np.array([1.0, 1.2]))
+            simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -252,15 +273,17 @@ class TestOracleSelfConsistency:
 
 
 class TestMeanLogBookPath:
-    def test_matches_the_period_loop(self, rng):
-        # the forecast sums the same terms in another order
-        lb0 = np.array([1.0, 1.2])
+    def test_is_the_noiseless_panel_books(self, rng):
+        # the centers of the panel tangents sit on the books of its mean path
+        zero = np.zeros((2, 2))
         for p in (base_params(), random_params(rng)):
+            p = p.replace(init_cov=zero, meas_cov=zero, state_cov=zero)
             ratio = np.log(0.25) + 0.05 * rng.normal(size=(30, 2))
             sched = build_linearization_schedule(p, ratio, 30)
+            panel = simulate_panel(p, sched, SimConfig(1, 30, seed=1), LB0)
             np.testing.assert_allclose(
-                mean_log_book_path(p, sched, lb0),
-                mean_log_book_path_reference(p, sched, lb0), rtol=0, atol=1e-13,
+                panel.log_books[0], mean_log_book_path_reference(p, sched, LB0),
+                rtol=0, atol=1e-13,
             )
 
 
@@ -271,12 +294,11 @@ class TestMonteCarloEstimators:
             params, sched, SimConfig(2000, 3, seed=3, measure="risk_neutral"),
             np.array([1.0, 1.2]),
         )
-        (estimate, _), _ = mc_option_price(
-            panel.log_asset_lin[:, -1], 0.0, 3, params.rate_log
-        )
+        log_asset = linearized_panel(params, sched, panel)[:, -1]
+        (estimate, _), _ = mc_option_price(log_asset, 0.0, 3, params.rate_log)
         disc = np.exp(-3 * params.rate_log)
         assert estimate == pytest.approx(
-            float(disc * np.exp(panel.log_asset_lin[:, -1]).mean()), rel=1e-12
+            float(disc * np.exp(log_asset).mean()), rel=1e-12
         )
 
     def test_deterministic_panel_prices_exactly(self):
@@ -291,10 +313,9 @@ class TestMonteCarloEstimators:
             np.array([1.0, 1.2]),
         )
         strike = 2.0
-        (call, se), (put, _) = mc_option_price(
-            panel.log_asset_lin[:, -1], strike, 3, p.rate_log
-        )
-        payoff = max(np.exp(panel.log_asset_lin[0, -1]) - strike, 0.0)
+        log_asset = linearized_panel(p, sched, panel)[:, -1]
+        (call, se), (put, _) = mc_option_price(log_asset, strike, 3, p.rate_log)
+        payoff = max(np.exp(log_asset[0]) - strike, 0.0)
         assert call == pytest.approx(np.exp(-3 * p.rate_log) * payoff, rel=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
 
@@ -303,8 +324,9 @@ class TestMonteCarloEstimators:
         panel = simulate_panel(
             params, sched, SimConfig(500, 3, seed=3), np.array([1.0, 1.2])
         )
-        low, _ = mc_default_probability(panel.log_asset_lin[:, -1], 1e-12)
-        high, _ = mc_default_probability(panel.log_asset_lin[:, -1], 1e12)
+        log_asset = linearized_panel(params, sched, panel)[:, -1]
+        low, _ = mc_default_probability(log_asset, 1e-12)
+        high, _ = mc_default_probability(log_asset, 1e12)
         assert low == 0.0
         assert high == 1.0
 
@@ -320,7 +342,7 @@ class TestLinearizationError:
         panel = simulate_panel(
             p, sched, SimConfig(3, 4, seed=1), np.array([1.0, 1.2])
         )
-        err = np.abs(panel.log_asset_exact - panel.log_asset_lin)
+        err = np.abs(panel.log_asset_exact - linearized_panel(p, sched, panel))
         assert err.max() < 1e-12
 
     def test_error_grows_with_deviation(self, params):
@@ -328,7 +350,9 @@ class TestLinearizationError:
         panel = simulate_panel(
             params, sched, SimConfig(200_000, 4, seed=7), np.array([1.0, 1.2])
         )
-        centers, means = binned_error_curve(panel, period=4, n_bins=10)
+        centers, means = binned_error_curve(
+            panel, 4, maturity_tangent(params, sched), n_bins=10
+        )
         assert len(means) >= 6
         assert (np.diff(means) > 0).mean() > 0.7
         assert means[-1] > means[0]
@@ -343,5 +367,5 @@ class TestLinearizationError:
         panel = simulate_panel(
             scaled, sched, SimConfig(50_000, 4, seed=7), np.array([1.0, 1.2])
         )
-        err = np.abs(panel.log_asset_exact - panel.log_asset_lin)
+        err = np.abs(panel.log_asset_exact - linearized_panel(scaled, sched, panel))
         assert err.max() < 1e-4

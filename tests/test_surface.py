@@ -19,16 +19,19 @@ REMOVED = {
         "LinearizationErrorReport", "linearization_error_report",
         "GaussianConditioningOracle", "oracle", "binned_error_curve",
         "asset_log_moments_public", "asset_log_moments_private",
+        "attach_asset_constants", "mean_log_book_path",
     ],
     "privcredit.pricing": [
         "RiskNeutralSystem", "build_risk_neutral", "PricingReport",
         "horizon_cov_reference", "_I2",
         "asset_log_moments_public", "asset_log_moments_private",
     ],
-    "privcredit.model": ["mean_log_multiplier", "asset_center"],
+    "privcredit.model": [
+        "mean_log_multiplier", "asset_center", "attach_asset_constants",
+    ],
     "privcredit.simulate": [
         "LinearizationErrorReport", "linearization_error_report", "_normals",
-        "binned_error_curve",
+        "binned_error_curve", "mean_log_book_path",
     ],
     "privcredit.pricing.PricingContext": [
         "report_private", "asset_moments_private", "asset_moments_public",
@@ -37,13 +40,18 @@ REMOVED = {
     ],
     "privcredit.model.LinearizationSchedule": [
         "asset_gain", "gain_matrix", "has_asset_constants",
+        "center", "asset_center", "asset_weight", "asset_shift",
+    ],
+    "privcredit.simulate.SimulatedPanel": [
+        "log_asset_lin", "asset_weight", "asset_shift", "start", "config",
+        "n_periods",
     ],
     "privcredit.kalman.FilterOutput": ["multiplier_mean", "multiplier_cov"],
     "privcredit.em": ["_gaussian_block_term", "_residual_pieces"],
 }
 
 _PROBE = """
-import importlib, json, pkgutil, sys
+import dataclasses, importlib, json, pkgutil, sys
 import privcredit.cli
 
 def resolve(path):
@@ -53,6 +61,11 @@ def resolve(path):
         obj = getattr(obj, part)
     return obj
 
+def defines(owner, name):
+    # a dataclass field without a default is no class attribute
+    fields = dataclasses.fields(owner) if dataclasses.is_dataclass(owner) else ()
+    return hasattr(owner, name) or name in {f.name for f in fields}
+
 before = "privcredit.oracle" in sys.modules
 modules = sorted(info.name for info in pkgutil.iter_modules(privcredit.__path__))
 for name in modules:
@@ -60,7 +73,7 @@ for name in modules:
 scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 removed = json.loads(sys.argv[1])
 present = [f"{owner}.{name}" for owner, names in removed.items()
-           for name in names if hasattr(resolve(owner), name)]
+           for name in names if defines(resolve(owner), name)]
 print(json.dumps({"oracle_loaded": before, "modules": modules,
                   "scipy": scipy, "present": present}))
 """
