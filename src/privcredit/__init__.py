@@ -30,6 +30,7 @@ from .kalman import (
     ForecastOutput,
     SmootherOutput,
     forecast,
+    intercept_shift,
     run_filter,
     smooth,
 )
@@ -52,6 +53,7 @@ from .pricing import (
     build_pricing_context,
     default_probability,
     equity_debt_values,
+    filter_and_forecast,
     horizon_moments,
     price_options,
     solve_threshold,

@@ -12,6 +12,7 @@ config and seed.
 """
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -28,9 +29,9 @@ from .errors import (
     NoSolutionError,
     PrivCreditError,
 )
-from .kalman import forecast, run_filter
-from .model import ModelParams, build_linearization_schedule, real_intercepts
-from .pricing import build_pricing_context, equity_debt_values, extend_payout_ratio
+from .kalman import run_filter  # noqa: F401  (bound here for tracers that rebind it)
+from .model import ModelParams, build_linearization_schedule
+from .pricing import build_pricing_context, equity_debt_values, filter_and_forecast
 from .simulate import (
     SimConfig,
     mc_default_probability,
@@ -95,18 +96,6 @@ def _params_from_config(cfg, rate):
         state_cov=_cov(f("sigma_v_equity"), f("sigma_v_liability"), f("rho_v", 0.0)),
         rate_log=rate,
     )
-
-
-def _params_dict(params):
-    return {
-        "req_return": params.req_return,
-        "init_mean": params.init_mean,
-        "init_cov": params.init_cov,
-        "drift": params.drift,
-        "meas_cov": params.meas_cov,
-        "state_cov": params.state_cov,
-        "rate_log": params.rate_log,
-    }
 
 
 def _feasibility(schedule):
@@ -192,7 +181,7 @@ def cmd_simulate(args):
     truth = {
         "command": "simulate",
         "seed": seed,
-        "params": _params_dict(params),
+        "params": dataclasses.asdict(params),
         "true_multipliers": panel.multipliers[0],
         "feasibility": _feasibility(schedule),
         "output": args.output,
@@ -201,7 +190,18 @@ def cmd_simulate(args):
     return 0
 
 
-def _series_report_core(args, series, params, estimation, trace=None):
+def _write(args, report, params, estimation):
+    """Write ``report`` with the command, the input and the parameters, and
+    the in-run fit's summary when there was one (keys print sorted)."""
+    report.update(command=args.command, input=args.input,
+                  params=dataclasses.asdict(params))
+    if estimation is not None:
+        report["estimation"] = estimation
+    pio.write_report(report, path=args.output, stream=sys.stdout)
+    return 0
+
+
+def _series_report_core(series, params, trace=None):
     """Filter and smoother fields at ``params``, smoothing the forward pass
     an EM ``trace`` ended with rather than running it again."""
     schedule, filt = (trace.schedule, trace.filter_output) if trace else (None, None)
@@ -212,16 +212,12 @@ def _series_report_core(args, series, params, estimation, trace=None):
     stats = e_step(params, series, schedule, filt)
     filt = stats.filter_output
     report = {
-        "input": args.input,
-        "params": _params_dict(params),
         "feasibility": _feasibility(schedule),
         "loglik": filt.loglik,
         "filtered_multipliers": filt.m_filt,
         "smoothed_multipliers": stats.m_smooth,
         "smoothed_market_values": smoothed_market_values(stats, series),
     }
-    if estimation is not None:
-        report["estimation"] = estimation
     return report, stats
 
 
@@ -242,64 +238,41 @@ def cmd_estimate(args):
         "lambda_after": trace.lambda_after,
         "max_change": trace.max_change,
     }
-    report, _ = _series_report_core(args, series, params, estimation, trace)
-    report["command"] = "estimate"
-    pio.write_report(report, path=args.output, stream=sys.stdout)
-    return 0
+    report, _ = _series_report_core(series, params, trace)
+    return _write(args, report, params, estimation)
 
 
 def cmd_filter(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
     params, estimation, trace = _fit_or_load(args, cfg, series)
-    report, stats = _series_report_core(args, series, params, estimation, trace)
-    report["command"] = "filter"
+    report, stats = _series_report_core(series, params, trace)
     report["filtered_multiplier_cov"] = stats.filter_output.cov_m_filt
     report["predicted_growth"] = stats.filter_output.b_pred[1:]
-    pio.write_report(report, path=args.output, stream=sys.stdout)
-    return 0
+    return _write(args, report, params, estimation)
 
 
 def cmd_smooth(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
     series = pio.ingest(args.input)
     params, estimation, trace = _fit_or_load(args, cfg, series)
-    report, stats = _series_report_core(args, series, params, estimation, trace)
-    report["command"] = "smooth"
+    report, stats = _series_report_core(series, params, trace)
     report["smoothed_multiplier_cov"] = stats.cov_m
-    pio.write_report(report, path=args.output, stream=sys.stdout)
-    return 0
+    return _write(args, report, params, estimation)
 
 
 def cmd_forecast(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
-    series = pio.ingest(args.input)
-    params, estimation, _ = _fit_or_load(args, cfg, series)
-    maturity = _option(args.maturity, cfg, "maturity", int)
-    if maturity is None or maturity < 1:
-        raise DataValidationError("forecast requires --maturity periods ahead")
-    ratio = extend_payout_ratio(series, maturity, _future_payout(cfg))
-    horizon = series.n_periods + maturity
-    schedule = build_linearization_schedule(params, ratio, horizon)
-    filt = run_filter(
-        params, schedule, series.growth, real_intercepts(params, schedule)
-    )
-    fc = forecast(filt, params, schedule, horizon)
+    params, estimation, (schedule, _, fc, log_books) = _horizon_setup(
+        args, cfg, filter_and_forecast, "forecast requires --maturity periods ahead")
     report = {
-        "command": "forecast",
-        "input": args.input,
-        "params": _params_dict(params),
         "feasibility": _feasibility(schedule),
         "forecast_growth": fc.b_mean[fc.start :],
         "forecast_growth_cov": fc.cov_b[fc.start :],
         "forecast_multipliers": fc.m_mean[fc.start :],
-        "forecast_log_books": series.log_books()[-1]
-        + fc.b_mean[fc.start :].cumsum(axis=0),
+        "forecast_log_books": log_books[fc.start :],
     }
-    if estimation is not None:
-        report["estimation"] = estimation
-    pio.write_report(report, path=args.output, stream=sys.stdout)
-    return 0
+    return _write(args, report, params, estimation)
 
 
 def _future_payout(cfg):
@@ -318,14 +291,16 @@ def _future_payout(cfg):
     return np.log([eq, li])
 
 
-def _pricing_setup(args, cfg):
+def _horizon_setup(args, cfg, build=build_pricing_context,
+                   missing="a positive --maturity is required"):
+    """Parameters, the in-run fit's summary (None for configured ones) and
+    ``build`` over the sample plus the maturity horizon."""
     series = pio.ingest(args.input)
     params, estimation, _ = _fit_or_load(args, cfg, series)
     maturity = _option(args.maturity, cfg, "maturity", int)
     if maturity is None or maturity < 1:
-        raise DataValidationError("a positive --maturity is required")
-    ctx = build_pricing_context(params, series, maturity, _future_payout(cfg))
-    return params, estimation, ctx
+        raise DataValidationError(missing)
+    return params, estimation, build(params, series, maturity, _future_payout(cfg))
 
 
 def _public_multiplier(cfg):
@@ -377,14 +352,11 @@ def _valuation(ctx, strike, m_t=None):
 
 def cmd_price(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
-    params, estimation, ctx = _pricing_setup(args, cfg)
+    params, estimation, ctx = _horizon_setup(args, cfg)
     strike = _option(args.strike, cfg, "strike", float)
     if strike is None:
         raise DataValidationError("price requires --strike (debt nominal)")
     report = {
-        "command": "price",
-        "input": args.input,
-        "params": _params_dict(params),
         "origin": ctx.origin,
         "maturity": ctx.maturity,
         "strike": strike,
@@ -394,8 +366,6 @@ def cmd_price(args):
     m_t = _public_multiplier(cfg)
     if m_t is not None:
         report["public"] = {"multiplier": m_t, **_valuation(ctx, strike, m_t)}
-    if estimation is not None:
-        report["estimation"] = estimation
     if args.check == "mc":
         check, log_asset = _mc_terminal(args, cfg, ctx, "risk_neutral")
         prices = mc_option_price(log_asset, strike, ctx.tau, params.rate_log)
@@ -403,22 +373,18 @@ def cmd_price(args):
         for name, (mc, se) in zip(("call", "put"), prices):
             check.update(_mc_fields(name, report["private"][name], mc, se, resolution))
         report["mc_check"] = check
-    pio.write_report(report, path=args.output, stream=sys.stdout)
-    return 0
+    return _write(args, report, params, estimation)
 
 
 def cmd_default_prob(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
-    params, estimation, ctx = _pricing_setup(args, cfg)
+    params, estimation, ctx = _horizon_setup(args, cfg)
     threshold = pio.coerce(cfg, "threshold", float, default=None)
     calibrated = threshold is None
     if calibrated:
         threshold = ctx.calibrate_threshold()
     pd_private = ctx.default_prob(threshold)
     report = {
-        "command": "default-prob",
-        "input": args.input,
-        "params": _params_dict(params),
         "origin": ctx.origin,
         "maturity": ctx.maturity,
         "threshold": threshold,
@@ -430,27 +396,21 @@ def cmd_default_prob(args):
     if m_t is not None:
         report["prob_default_public"] = ctx.default_prob(threshold, m_t)
         report["public_multiplier"] = m_t
-    if estimation is not None:
-        report["estimation"] = estimation
     if args.check == "mc":
         check, log_asset = _mc_terminal(args, cfg, ctx, "real")
         pd_mc, pd_se = mc_default_probability(log_asset, threshold)
         check.update(_mc_fields("pd", pd_private, pd_mc, pd_se, 1.0 / check["paths"]))
         report["mc_check"] = check
-    pio.write_report(report, path=args.output, stream=sys.stdout)
-    return 0
+    return _write(args, report, params, estimation)
 
 
 def cmd_calibrate_threshold(args):
     cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
-    params, estimation, ctx = _pricing_setup(args, cfg)
+    params, estimation, ctx = _horizon_setup(args, cfg)
     threshold = ctx.calibrate_threshold()
     target = ctx.target_equity()
     repriced = ctx.price(threshold)[0]
     report = {
-        "command": "calibrate-threshold",
-        "input": args.input,
-        "params": _params_dict(params),
         "origin": ctx.origin,
         "maturity": ctx.maturity,
         "threshold": threshold,
@@ -460,10 +420,7 @@ def cmd_calibrate_threshold(args):
         "prob_default_private": ctx.default_prob(threshold),
         "feasibility": _feasibility(ctx.schedule),
     }
-    if estimation is not None:
-        report["estimation"] = estimation
-    pio.write_report(report, path=args.output, stream=sys.stdout)
-    return 0
+    return _write(args, report, params, estimation)
 
 
 @functools.cache

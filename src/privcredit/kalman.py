@@ -47,8 +47,15 @@ the filter's F_t, F_t⁻¹, gains, predictions and innovations, its
 singularity test, which raises at the first singular period, and its
 log-likelihood terms; the smoother's means, covariances and
 cross-covariances. The off-diagonal of each covariance is the average of
-its two computed triangles, which keeps it exactly symmetric. Intercepts
-enter means only, so gains and covariances are intercept-free.
+its two computed triangles, which keeps it exactly symmetric.
+
+Intercepts enter the means only, so gains and covariances are
+intercept-free, and moving the intercepts from c to c̃ = c + Δc moves the
+filtered mean of m̃_t by δ_t, with δ_0 = 0 and
+
+    δ_t = δ_{t-1} − K_t (D_t δ_{t-1} + Δc_t),
+
+an O(T) recursion on the gains and loadings one filter pass returns.
 """
 
 import math
@@ -236,6 +243,20 @@ def run_filter(params, schedule, growth, intercepts):
         intercepts=intercepts,
         inv_cov_b_pred=out[6:10].T.reshape(T + 1, 2, 2),
     )
+
+
+def intercept_shift(filter_output, change):
+    """δ_T: the shift of the filtered mean of m̃_T when the measurement
+    intercepts the filter ran with move by ``change`` ((T, 2), periods
+    1..T)."""
+    x0 = x1 = 0.0
+    rows = zip(filter_output.gain[1:].reshape(-1, 4).tolist(),
+               filter_output.loading[1:].tolist(), change.tolist())
+    for (k00, k01, k10, k11), (d0, d1), (c0, c1) in rows:
+        # δ <- δ - K (D δ + Δc)
+        e0, e1 = d0 * x0 + c0, d1 * x1 + c1
+        x0, x1 = x0 - k00 * e0 - k01 * e1, x1 - k10 * e0 - k11 * e1
+    return np.array([x0, x1])
 
 
 def _smoother_recursion(l00, l01, l10, l11, u0, u1, g00, g01, g11):

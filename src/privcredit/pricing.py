@@ -20,6 +20,11 @@ integrated out against a Gaussian posterior, the filtered one for a private
 company and the point mass at the known multiplier (covariance zero) for a
 public one, which puts the mean at the posterior mean and adds the
 alpha-propagated posterior variance.
+
+One real-measure filter pass over the sample serves both measures: the
+intercepts enter the filtered means only, so the risk-neutral posterior is
+the real one with its mean moved by the intercept shift δ_T
+(:func:`privcredit.kalman.intercept_shift`).
 """
 
 import math
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, NoSolutionError
-from .kalman import forecast, run_filter
+from .kalman import forecast, intercept_shift, run_filter
 from .model import (
     asset_tangent,
     asset_weight_vector,
@@ -96,6 +101,12 @@ def price_options(mu_a, var_a, strike, tau, rate_log):
     ``mu_a``/``var_a`` are the conditional moments of the log asset value at
     maturity; ``tau`` the number of periods to maturity. The zero-variance
     case prices the deterministic payoff directly.
+
+    The call is the difference of its legs e^{μ−τr̃+σ²/2}Φ(d₁) and
+    e^{−τr̃}LΦ(d₂), each rounded to about ε(1 + |ln L|) relative, so its
+    relative error is that times the strike elasticity e^{−τr̃}LΦ(d₂)/C.
+    At variances below ~1e-11 and strikes far out of the money (calls
+    below ~3e-7 of the strike-free value) it exceeds 1e-8.
     """
     if not 0 < strike < math.inf:
         raise DataValidationError("strike must be positive and finite")
@@ -142,7 +153,9 @@ def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
     in x = ln L, where ln C is concave. A safeguarded Newton iteration on
     ln C (Press et al., Numerical Recipes §9.4, ``rtsafe``), with
     ∂C/∂L = −e^{−τ r̃} Φ(d₂), stops when |C − target| ≤ 1e-12 target or
-    when no float is left inside the bracket.
+    when no float is left inside the bracket. Where the call itself is
+    rounded beyond 1e-8 (see :func:`price_options`) no strike reprices the
+    target to 1e-8; the miss stays within 32ε(1 + |ln L|) of the larger leg.
     """
     if not 0 < target_equity < math.inf:
         raise DataValidationError("target equity value must be positive and finite")
@@ -181,8 +194,11 @@ class PricingContext:
 
     The origin is the last observed period; the schedule covers the sample
     plus the pricing horizon, and ``log_books`` the observed books within
-    the sample and real-measure forecast books beyond. ``tangent`` is the
-    asset tangent (w_a, h_a) at the maturity, centered on the forecast books.
+    the sample and real-measure forecast books beyond. The filtered origin
+    multiplier has mean ``origin_mean`` under the real intercepts and
+    ``origin_mean + origin_shift`` under the risk-neutral ones, and
+    covariance ``origin_cov`` under both. ``tangent`` is the asset tangent
+    (w_a, h_a) at the maturity, centered on the forecast books.
     """
 
     params: object
@@ -190,8 +206,9 @@ class PricingContext:
     origin: int
     maturity: int
     log_books: np.ndarray
-    filter_real: object
-    filter_rn: object
+    origin_mean: np.ndarray
+    origin_shift: np.ndarray
+    origin_cov: np.ndarray
     moments: HorizonMoments
     tangent: tuple
 
@@ -202,8 +219,9 @@ class PricingContext:
     def posterior(self, measure):
         """Filtered mean and covariance of the origin multiplier under the
         intercepts of ``measure``."""
-        filt = self.filter_rn if measure == "risk_neutral" else self.filter_real
-        return filt.m_filt[self.origin], filt.cov_m_filt[self.origin]
+        if measure == "risk_neutral":
+            return self.origin_mean + self.origin_shift, self.origin_cov
+        return self.origin_mean, self.origin_cov
 
     def asset_moments(self, measure, m_t=None):
         """Mean and variance of the maturity log asset value under
@@ -239,8 +257,7 @@ class PricingContext:
     def target_equity(self):
         """Market equity value implied by the filtered multiplier at the
         origin (filtered and smoothed coincide there)."""
-        m_eq = self.filter_real.m_filt[self.origin, 0]
-        return math.exp(m_eq + self.log_books[self.origin, 0])
+        return math.exp(self.origin_mean[0] + self.log_books[self.origin, 0])
 
     def calibrate_threshold(self):
         mu, var = self.asset_moments("risk_neutral")
@@ -249,53 +266,54 @@ class PricingContext:
         )
 
 
-def extend_payout_ratio(series, maturity, future=None):
-    """Payout-ratio rows covering the sample plus ``maturity`` extra periods.
+def filter_and_forecast(params, series, maturity, payout_future):
+    """One real-measure filter pass over the sample, and its forecast for
+    the ``maturity`` periods beyond.
 
-    Future log payout-to-book ratios are part of the period-0 information
-    set and cannot be derived from data; they must be supplied for pricing
-    horizons past the sample.
+    ``payout_future`` holds the log payout-to-book ratios past the sample,
+    a (maturity, 2) array or one 2-vector reused each period: they are part
+    of the period-0 information set and cannot be derived from data.
+    Returns the schedule over sample plus horizon, the filter output, the
+    forecast and the log books by period, observed and then forecast.
     """
-    if future is None:
-        raise DataValidationError(
-            "payout ratios beyond the sample must be supplied for the "
-            "pricing horizon"
-        )
-    future = np.asarray(future, dtype=float)
+    if maturity < 1:
+        raise DataValidationError("maturity must be at least one period")
+    future = np.asarray(payout_future, dtype=float)
     if future.shape == (2,):
         future = np.tile(future, (maturity, 1))
     if future.shape != (maturity, 2):
         raise DataValidationError(
             f"future payout ratios must have shape ({maturity}, 2)"
         )
-    return np.vstack([series.payout_ratio, future])
+    horizon = series.n_periods + maturity
+    schedule = build_linearization_schedule(
+        params, np.vstack([series.payout_ratio, future]), horizon)
+    filt = run_filter(params, schedule, series.growth,
+                      real_intercepts(params, schedule))
+    fc = forecast(filt, params, schedule, horizon)
+    log_books_obs = series.log_books()
+    future_books = log_books_obs[-1] + fc.b_mean[fc.start :].cumsum(axis=0)
+    return schedule, filt, fc, np.vstack([log_books_obs, future_books])
 
 
 def build_pricing_context(params, series, maturity, payout_future):
-    """Assemble schedule, filters, forecast books, horizon moments and the
+    """Assemble the schedule, the origin posterior under both measures from
+    one filter pass, the forecast books, the horizon moments and the
     maturity asset tangent.
 
     ``maturity`` counts periods beyond the last observation (the pricing
-    origin). ``payout_future`` is a (maturity, 2) array or a single 2-vector
-    reused each period.
+    origin); ``payout_future`` is as in :func:`filter_and_forecast`.
     """
-    if maturity < 1:
-        raise DataValidationError("maturity must be at least one period")
+    schedule, filt, _, log_books = filter_and_forecast(
+        params, series, maturity, payout_future)
     t0 = series.n_periods
     T = t0 + maturity
-    ratio = extend_payout_ratio(series, maturity, payout_future)
-    schedule = build_linearization_schedule(params, ratio, T)
-    filt_real = run_filter(params, schedule, series.growth,
-                           real_intercepts(params, schedule))
-    filt_rn = run_filter(params, schedule, series.growth,
-                         risk_neutral_intercepts(params, schedule))
-    fc = forecast(filt_real, params, schedule, T)
-    log_books_obs = series.log_books()
-    future_books = log_books_obs[-1] + fc.b_mean[t0 + 1 : T + 1].cumsum(axis=0)
-    log_books = np.vstack([log_books_obs, future_books])
-    moments = horizon_moments(params, schedule, t0, T)
+    change = (risk_neutral_intercepts(params, schedule) - filt.intercepts)[1 : t0 + 1]
     return PricingContext(
         params=params, schedule=schedule, origin=t0, maturity=T,
-        log_books=log_books, filter_real=filt_real, filter_rn=filt_rn,
-        moments=moments, tangent=asset_tangent(params, T, log_books[T]),
+        log_books=log_books, origin_mean=filt.m_filt[t0],
+        origin_shift=intercept_shift(filt, change),
+        origin_cov=filt.cov_m_filt[t0],
+        moments=horizon_moments(params, schedule, t0, T),
+        tangent=asset_tangent(params, T, log_books[T]),
     )

@@ -275,12 +275,12 @@ def pricing_battery():
             params, series, maturity, payout_future=np.log([0.25, 0.25])
         )
         mu, var = ctx.asset_moments("risk_neutral")
+        m_rn, cov_rn = ctx.posterior("risk_neutral")
         panel = simulate_panel(
             params, ctx.schedule,
             SimConfig(200_000, maturity, seed=555 + i, measure="risk_neutral"),
             ctx.log_books[ctx.origin], start=ctx.origin,
-            init_mean=ctx.filter_rn.m_filt[ctx.origin],
-            init_cov=ctx.filter_rn.cov_m_filt[ctx.origin],
+            init_mean=m_rn, init_cov=cov_rn,
         )
         for factor in (0.85, 1.0, 1.15):
             strike = factor * math.exp(mu)
@@ -338,14 +338,14 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
         )
         mu, var = ctx.asset_moments("real")
         sd = math.sqrt(var)
+        m_real, cov_real = ctx.posterior("real")
         panel_priv = simulate_panel(
             params, ctx.schedule,
             SimConfig(200_000, maturity, seed=765 + i, measure="real"),
             ctx.log_books[ctx.origin], start=ctx.origin,
-            init_mean=ctx.filter_real.m_filt[ctx.origin],
-            init_cov=ctx.filter_real.cov_m_filt[ctx.origin],
+            init_mean=m_real, init_cov=cov_real,
         )
-        m_pin = ctx.filter_real.m_filt[ctx.origin] + 0.05
+        m_pin = m_real + 0.05
         mu_pub, var_pub = ctx.asset_moments("real", m_pin)
         panel_pub = simulate_panel(
             params, ctx.schedule,

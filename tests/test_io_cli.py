@@ -424,6 +424,47 @@ class TestCliReportPasses:
         assert main(argv) == 0
         assert counts == {"run_filter": 1, "smooth": 1}
 
+    @pytest.mark.parametrize("argv", [
+        ["forecast"],
+        ["price", "--strike", "6.5"],
+        ["price", "--strike", "6.5", "--check", "mc", "--paths", "2000"],
+        ["default-prob"],
+        ["default-prob", "--check", "mc", "--paths", "2000"],
+        ["default-prob", "threshold"],
+        ["default-prob", "threshold", "--check", "mc", "--paths", "2000"],
+        ["calibrate-threshold"],
+    ])
+    def test_one_filter_pass_per_horizon_report(self, tmp_path, monkeypatch, argv):
+        # both measures' origin posteriors come from one real-measure pass;
+        # modest payouts keep the calibrations solvable
+        import sys
+
+        from privcredit import kalman
+
+        sim = tmp_path / "sim.cfg"
+        sim.write_text(SIM_CONFIG.replace("= 0.25", "= 0.08"))
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(sim), "--output", str(panel)]) == 0
+        cfg = tmp_path / "pricing.cfg"
+        cfg.write_text(PRICING_CONFIG.replace("= 0.25", "= 0.08")
+                       + ("threshold = 9.0\n" if "threshold" in argv else ""))
+        calls = []
+        original = kalman.run_filter
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "privcredit"
+                    and getattr(module, "run_filter", None) is original):
+                monkeypatch.setattr(module, "run_filter", counted)
+        out = tmp_path / "report.json"
+        argv = [arg for arg in argv if arg != "threshold"]
+        assert main(argv + ["--input", str(panel), "--config", str(cfg),
+                            "--maturity", "4", "--output", str(out)]) == 0
+        assert len(calls) == 1
+
 
 class TestEstimateReusesFitPass:
     """The report smooths the forward pass the fit ended with: no filter

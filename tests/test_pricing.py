@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from privcredit.errors import DataValidationError, NoSolutionError
+from privcredit.errors import (
+    DataValidationError,
+    IllConditionedInnovationError,
+    NoSolutionError,
+)
+from privcredit.kalman import run_filter
 from privcredit.model import (
     asset_weight_vector,
     build_linearization_schedule,
@@ -32,6 +37,7 @@ from reference import (
     asset_log_moments_public,
     horizon_cov_reference,
 )
+from test_kalman import _draw_cov
 
 
 def pricing_fixture(params, periods=10, maturity=4, seed=42):
@@ -42,14 +48,9 @@ def pricing_fixture(params, periods=10, maturity=4, seed=42):
 
 
 def with_posterior(ctx, mean, cov):
-    """``ctx`` with the origin posterior of both filters set to (mean, cov)."""
-    def pinned(filt):
-        m, c = filt.m_filt.copy(), filt.cov_m_filt.copy()
-        m[ctx.origin], c[ctx.origin] = mean, cov
-        return dataclasses.replace(filt, m_filt=m, cov_m_filt=c)
-
-    return dataclasses.replace(ctx, filter_real=pinned(ctx.filter_real),
-                               filter_rn=pinned(ctx.filter_rn))
+    """``ctx`` with the origin posterior under both measures set to (mean, cov)."""
+    return dataclasses.replace(ctx, origin_mean=mean, origin_shift=np.zeros(2),
+                               origin_cov=cov)
 
 
 class TestBuildRiskNeutral:
@@ -118,6 +119,52 @@ class TestBuildRiskNeutral:
         expected = np.exp(c_rn + 0.5 * np.diag(params.meas_cov))
         se = combo.std(axis=0) / np.sqrt(combo.shape[0])
         np.testing.assert_array_less(np.abs(combo.mean(axis=0) - expected), 3 * se)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        periods=st.integers(1, 400),
+        maturity=st.integers(1, 12),
+        init_kind=st.sampled_from(["spd", "zero", "rank_one"]),
+        state_kind=st.sampled_from(["spd", "zero", "rank_one"]),
+        meas_kind=st.sampled_from(["spd", "zero", "rank_one"]),
+    )
+    def test_shifted_posterior_equals_a_risk_neutral_filter(
+        self, seed, periods, maturity, init_kind, state_kind, meas_kind
+    ):
+        # the context's one real-measure pass plus the intercept shift gives
+        # the origin row of a filter run on the risk-neutral intercepts. Each
+        # period's update a_t = a_{t-1} + φ + K_t(b̃_t − D_t a_{t-1} + φ − c_t)
+        # rounds terms the size of a_t and of K_t times b̃_t, D_t a_{t-1} and
+        # c_t, and the origin mean carries them all: its scale is their sum
+        # over the pass. Near rank-one Σ_u and Σ_v make gains in the hundreds
+        # and means in the thousands, and the routes part by up to 1e-9
+        rng = np.random.default_rng(seed)
+        p = random_params(rng).replace(
+            init_cov=_draw_cov(rng, init_kind, 0.1),
+            drift=5e-4 * rng.normal(size=2),
+            meas_cov=_draw_cov(rng, meas_kind, 0.05),
+            state_cov=_draw_cov(rng, state_kind, 0.04),
+        )
+        series, _, _ = synthetic_series(p, periods, seed=seed)
+        future = np.log([0.25, 0.25])
+        ratio = np.vstack([series.payout_ratio, np.tile(future, (maturity, 1))])
+        schedule = build_linearization_schedule(p, ratio, periods + maturity)
+        try:
+            reference = run_filter(p, schedule, series.growth,
+                                   risk_neutral_intercepts(p, schedule))
+        except IllConditionedInnovationError:
+            with pytest.raises(IllConditionedInnovationError):
+                build_pricing_context(p, series, maturity, future)
+            return
+        mean, cov = build_pricing_context(p, series, maturity, future).posterior(
+            "risk_neutral")
+        a, gain = np.abs(reference.m_filt), np.abs(reference.gain[1:]).max(axis=(1, 2))
+        parts = (np.abs(series.growth) + np.abs(reference.loading[1:]) * a[:-1]
+                 + np.abs(reference.intercepts[1 : periods + 1]))
+        scale = (a[1:].max(axis=1) + gain * parts.max(axis=1)).sum()
+        assert np.abs(mean - reference.m_filt[periods]).max() <= 1e-13 * scale
+        assert np.array_equal(cov, reference.cov_m_filt[periods])
 
 
 class TestHorizonMoments:
@@ -228,7 +275,7 @@ class TestAssetLogMoments:
         _, var_priv = ctx.asset_moments("risk_neutral")
         assert var_priv >= var_pub
         weights = asset_weight_vector(ctx.tangent[0])
-        posterior = ctx.filter_rn.cov_m_filt[ctx.origin]
+        _, posterior = ctx.posterior("risk_neutral")
         gap = weights @ ctx.moments.alpha @ posterior @ ctx.moments.alpha.T @ weights
         assert var_priv - var_pub == pytest.approx(gap, rel=1e-12)
 
@@ -334,7 +381,7 @@ class TestPriceOptions:
 class TestPrivatePricing:
     def test_degenerate_posterior_equals_public(self, params):
         ctx = pricing_fixture(params)
-        m_t = ctx.filter_rn.m_filt[ctx.origin]
+        m_t, _ = ctx.posterior("risk_neutral")
         mu_pub, var_pub = ctx.asset_moments("risk_neutral", m_t)
         mu_priv, var_priv = with_posterior(ctx, m_t, np.zeros((2, 2))).asset_moments(
             "risk_neutral"
@@ -350,8 +397,7 @@ class TestPrivatePricing:
 
     def test_call_nondecreasing_in_posterior_scale(self, params):
         ctx = pricing_fixture(params)
-        m_t = ctx.filter_rn.m_filt[ctx.origin]
-        cov = ctx.filter_rn.cov_m_filt[ctx.origin]
+        m_t, cov = ctx.posterior("risk_neutral")
         mu0, _ = ctx.asset_moments("risk_neutral", m_t)
         strike = math.exp(mu0)
         prices = [with_posterior(ctx, m_t, scale * cov).price(strike)[0]
@@ -363,12 +409,12 @@ class TestPrivatePricing:
         mu, var = ctx.asset_moments("risk_neutral")
         strike = math.exp(mu + 0.2 * math.sqrt(var))
         call, put = ctx.price(strike)
+        m_rn, cov_rn = ctx.posterior("risk_neutral")
         panel = simulate_panel(
             params, ctx.schedule,
             SimConfig(200_000, ctx.tau, seed=77, measure="risk_neutral"),
             ctx.log_books[ctx.origin], start=ctx.origin,
-            init_mean=ctx.filter_rn.m_filt[ctx.origin],
-            init_cov=ctx.filter_rn.cov_m_filt[ctx.origin],
+            init_mean=m_rn, init_cov=cov_rn,
         )
         (call_mc, call_se), (put_mc, put_se) = mc_option_price(
             linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
@@ -444,6 +490,33 @@ class TestThresholdCalibration:
             repriced = price_options(mu, var, threshold, tau, rate)[0]
             assert abs(repriced - target) <= 1e-8 * target
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.floats(min_value=-14.0, max_value=1.5),
+        st.integers(min_value=1, max_value=240),
+        st.floats(min_value=-12.0, max_value=-1e-3),
+        st.floats(min_value=-0.02, max_value=0.05),
+    )
+    def test_reprices_to_the_call_resolution(self, mu, log_var, tau, log_share, rate):
+        # at variances below ~1e-11 and targets far below the strike-free
+        # call the call is the difference of two nearly equal legs, and no
+        # strike reprices the target to 1e-8. Each leg's exponential carries
+        # a relative rounding error of about ε times its argument, and
+        # |ln L| ≈ |μ − τr̃| there, so a residual above 1e-8 is within
+        # 32ε(1 + |ln L|) of the larger leg (at most 11.4 in 200 000 draws)
+        var = 10.0**log_var
+        target = 10.0**log_share * math.exp(mu + var / 2 - tau * rate)
+        threshold = solve_threshold(target, mu, var, tau, rate)
+        residual = abs(price_options(mu, var, threshold, tau, rate)[0] - target)
+        if residual <= 1e-8 * target:
+            return
+        x, sd = math.log(threshold), math.sqrt(var)
+        growth_leg = math.exp(mu - tau * rate + var / 2) * ndtr((mu + var - x) / sd)
+        strike_leg = math.exp(x - tau * rate) * ndtr((mu - x) / sd)
+        larger = max(growth_leg, strike_leg)
+        assert residual <= 32 * math.ulp(1.0) * (1 + abs(x)) * larger
+
     def test_report_bundle_consistency(self, params):
         series, _, _ = synthetic_series(params, 10, seed=42, payout_level=0.08)
         ctx = build_pricing_context(
@@ -502,7 +575,7 @@ class TestDefaultProbability:
 
     def test_public_equals_private_at_degenerate_posterior(self, params):
         ctx = pricing_fixture(params)
-        m_t = ctx.filter_real.m_filt[ctx.origin]
+        m_t, _ = ctx.posterior("real")
         mu_pub, var_pub = ctx.asset_moments("real", m_t)
         mu_priv, var_priv = with_posterior(ctx, m_t, np.zeros((2, 2))).asset_moments(
             "real"

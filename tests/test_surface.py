@@ -25,6 +25,7 @@ REMOVED = {
         "RiskNeutralSystem", "build_risk_neutral", "PricingReport",
         "horizon_cov_reference", "_I2",
         "asset_log_moments_public", "asset_log_moments_private",
+        "extend_payout_ratio",
     ],
     "privcredit.model": [
         "mean_log_multiplier", "asset_center", "attach_asset_constants",
@@ -36,8 +37,9 @@ REMOVED = {
     "privcredit.pricing.PricingContext": [
         "report_private", "asset_moments_private", "asset_moments_public",
         "price_private", "price_public", "default_prob_private",
-        "default_prob_public",
+        "default_prob_public", "filter_real", "filter_rn",
     ],
+    "privcredit.cli": ["_params_dict", "_pricing_setup"],
     "privcredit.model.LinearizationSchedule": [
         "asset_gain", "gain_matrix", "has_asset_constants",
         "center", "asset_center", "asset_weight", "asset_shift",
