@@ -8,7 +8,6 @@ closed form, validated against exact-simulation oracles.
 
 from .em import (
     EmTrace,
-    SmoothedStats,
     complete_loglik_gradient,
     default_initial_params,
     e_step,

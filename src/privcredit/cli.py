@@ -6,9 +6,9 @@ plus a truth sidecar; ``estimate`` fits the model; ``filter`` / ``smooth`` /
 ``default-prob`` and ``calibrate-threshold`` run the valuation layer, with
 ``--check mc`` embedding a Monte Carlo cross-check in the report.
 
-Exit codes: 0 success, 1 input/config validation, 2 numerical failure,
-3 calibration has no solution. All runs are deterministic for a fixed
-config and seed.
+Exit codes: 0 success, 1 input/config validation or a file that cannot be
+opened, 2 numerical failure, 3 calibration has no solution. All runs are
+deterministic for a fixed config and seed.
 """
 
 import argparse
@@ -190,6 +190,13 @@ def cmd_simulate(args):
     return 0
 
 
+def _read_panel(args):
+    """The panel CSV named by ``--input`` (all commands but ``simulate``)."""
+    if not args.input:
+        raise DataValidationError(f"{args.command} requires --input (panel CSV)")
+    return pio.ingest(args.input)
+
+
 def _write(args, report, params, estimation):
     """Write ``report`` with the command, the input and the parameters, and
     the in-run fit's summary when there was one (keys print sorted)."""
@@ -209,21 +216,21 @@ def _series_report_core(series, params, trace=None):
         schedule = build_linearization_schedule(
             params, series.payout_ratio, series.n_periods
         )
-    stats = e_step(params, series, schedule, filt)
-    filt = stats.filter_output
+    sums = e_step(params, series, schedule, filt)
+    filt, smoothed = sums.filter_output, sums.smoothed
     report = {
         "feasibility": _feasibility(schedule),
         "loglik": filt.loglik,
         "filtered_multipliers": filt.m_filt,
-        "smoothed_multipliers": stats.m_smooth,
-        "smoothed_market_values": smoothed_market_values(stats, series),
+        "smoothed_multipliers": smoothed.m_smooth,
+        "smoothed_market_values": smoothed_market_values(smoothed, series),
     }
-    return report, stats
+    return report, sums
 
 
 def cmd_estimate(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
-    series = pio.ingest(args.input)
+    series = _read_panel(args)
     rate_log = _rate(args, cfg)
     max_iter, tol = _em_settings(args, cfg)
     params, trace = em_fit(
@@ -244,20 +251,20 @@ def cmd_estimate(args):
 
 def cmd_filter(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
-    series = pio.ingest(args.input)
+    series = _read_panel(args)
     params, estimation, trace = _fit_or_load(args, cfg, series)
-    report, stats = _series_report_core(series, params, trace)
-    report["filtered_multiplier_cov"] = stats.filter_output.cov_m_filt
-    report["predicted_growth"] = stats.filter_output.b_pred[1:]
+    report, sums = _series_report_core(series, params, trace)
+    report["filtered_multiplier_cov"] = sums.filter_output.cov_m_filt
+    report["predicted_growth"] = sums.filter_output.b_pred[1:]
     return _write(args, report, params, estimation)
 
 
 def cmd_smooth(args):
     cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
-    series = pio.ingest(args.input)
+    series = _read_panel(args)
     params, estimation, trace = _fit_or_load(args, cfg, series)
-    report, stats = _series_report_core(series, params, trace)
-    report["smoothed_multiplier_cov"] = stats.cov_m
+    report, sums = _series_report_core(series, params, trace)
+    report["smoothed_multiplier_cov"] = sums.smoothed.cov_m_smooth
     return _write(args, report, params, estimation)
 
 
@@ -295,7 +302,7 @@ def _horizon_setup(args, cfg, build=build_pricing_context,
                    missing="a positive --maturity is required"):
     """Parameters, the in-run fit's summary (None for configured ones) and
     ``build`` over the sample plus the maturity horizon."""
-    series = pio.ingest(args.input)
+    series = _read_panel(args)
     params, estimation, _ = _fit_or_load(args, cfg, series)
     maturity = _option(args.maturity, cfg, "maturity", int)
     if maturity is None or maturity < 1:
@@ -466,7 +473,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DataValidationError as exc:
+    except (DataValidationError, OSError) as exc:
+        # an unreadable or unwritable file: the OSError message names it
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_VALIDATION
     except (InfeasibleLinearizationError, IllConditionedInnovationError,

@@ -5,14 +5,16 @@ Each iteration smooths the filter run at the current parameter vector
 the expected complete-data log-likelihood exactly with the schedule held
 frozen (M-step). With the schedule frozen that objective depends on the
 smoothed moments only through a few 2×2 sums (Shumway & Stoffer 1982;
-Durbin & Koopman 2012, §7.3), built once per iteration (`moment_sums`), so
-the objective at each line-search candidate is O(1) float algebra and an
-iteration costs one filter pass, one smoother pass and O(T) numpy work.
-Freezing makes this a generalized EM: the frozen objective never decreases,
-which is the ascent property tested downstream. The schedule's own parameter
-sensitivity shows up only in the analytic gradient of the schedule-varying
-objective, kept here as a diagnostic (`complete_loglik_gradient`) and
-validated against finite differences.
+Durbin & Koopman 2012, §7.3). The E-step returns them as one record,
+:class:`MomentSums`, together with the smoother output and the forward pass
+it smoothed; the objective, the M-step and the gradient read only that
+record. The objective at each line-search candidate is O(1) float algebra,
+so an iteration costs one filter pass, one smoother pass and O(T) numpy
+work. Freezing makes this a generalized EM: the frozen objective never
+decreases, which is the ascent property tested downstream. The schedule's
+own parameter sensitivity shows up only in the analytic gradient of the
+schedule-varying objective, kept here as a diagnostic
+(`complete_loglik_gradient`) and validated against finite differences.
 """
 
 import math
@@ -22,8 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataValidationError, DegenerateDesignError, PrivCreditError
-from .kalman import FilterOutput, run_filter, smooth
+from .kalman import FilterOutput, SmootherOutput, run_filter, smooth
 from .model import (
+    _COVARIANCES,
+    _VECTORS,
     ModelParams,
     _min_eigenvalue,
     build_linearization_schedule,
@@ -31,28 +35,6 @@ from .model import (
 )
 
 _LOG2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class SmoothedStats:
-    """Smoothed moments from one E-step.
-
-    The moments (``m_smooth``, ``cov_m``, ``cross_m``) are parameter-free
-    and support evaluating the objective at any candidate parameter vector.
-    ``cross_m[t]`` is Cov(m̃_{t-1}, m̃_t | full sample). ``filter_output``
-    is the forward pass the moments were smoothed from.
-    """
-
-    m_smooth: np.ndarray
-    cov_m: np.ndarray
-    cross_m: np.ndarray
-    growth: np.ndarray
-    payout_ratio: np.ndarray
-    filter_output: FilterOutput = None
-
-    @property
-    def n_periods(self):
-        return self.growth.shape[0]
 
 
 @dataclass
@@ -147,51 +129,37 @@ def _sym(m):
     return m00, 0.5 * (m01 + m10), m11
 
 
-def _gradient_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
-                     payout_ratio):
-    """Residuals u, v, the payout-gap sensitivities d and the matrices Z of
-    the objective's gradient at the given parameters, rows t = 1..T."""
-    T = growth.shape[0]
-    periods = np.arange(1, T + 1)
-    g = schedule.gain[1 : T + 1]
-    h = schedule.shift[1 : T + 1]
-    c = (g * params.req_return - (g - 1.0) * payout_ratio - h)
-    u = growth + m_smooth[1:] - g * m_smooth[:-1] - c
-    v = m_smooth[1:] - params.drift - m_smooth[:-1]
-    centers = params.init_mean + (periods - 1)[:, None] * params.drift
-    gg = g * (g - 1.0)
-    d = gg * (m_smooth[:-1] - centers)
-    z = gg[:, :, None] * (cross_m[1:] - cov_m[:-1] * g[:, None, :])
-    return u, v, d, z
-
-
 @dataclass(frozen=True)
 class MomentSums:
-    """What the frozen-schedule objective and the M-step read of one
-    E-step's smoothed moments, taken about reference required returns k₀
-    and drift φ₀ (``reference`` = (k₀, φ₀) as four floats).
+    """One E-step: the smoother output ``smoothed`` at ``params``, the
+    forward pass ``filter_output`` it smoothed (None for a record built from
+    given moments), and what the frozen-schedule objective, the M-step and
+    the gradient read of them, as sums about the required returns k₀ and
+    drift φ₀ of ``params``.
 
     With the smoothed means m̂, the residual with the required-return term
     removed u_free_t = b̃_t + m̂_t − G_t m̂_{t-1} + (G_t − I)ln π_t + h_t,
     u⁰_t = u_free_t − G_t k₀ and v⁰_t = m̂_t − m̂_{t-1} − φ₀, the fields
     ``uu`` = Σ u⁰u⁰ᵀ + S_u and ``vv`` = Σ v⁰v⁰ᵀ + S_v are the summed
-    second moments at the reference, S_u and S_v
+    second moments at ``params``, S_u and S_v
     (``meas_resid_sum``, ``state_resid_sum``) the parameter-free sums of
     the smoothed residual covariances, ``gu`` = Q = Σ g_t u⁰_tᵀ and
-    ``gg`` = Σ g_t g_tᵀ for the diagonals g_t of G_t, ``v_sum`` = Σ v⁰ and
-    ``init`` = (m̂_0, P_{0|T}). The 2×2 sums are floats, symmetric ones as
-    (s00, s01, s11). The per-period arrays serve the M-step (``u_free``)
-    and the point-mass test of an exactly-zero covariance.
+    ``gg`` = Σ g_t g_tᵀ for the diagonals g_t of G_t and ``v_sum`` = Σ v⁰.
+    The 2×2 sums are floats, symmetric ones as (s00, s01, s11). The
+    per-period arrays (``u_free``, ``gain``, ``steps`` = m̂_t − m̂_{t-1})
+    serve the M-step, the gradient and the point-mass test of an
+    exactly-zero covariance.
     """
 
+    params: ModelParams
+    smoothed: SmootherOutput
+    filter_output: FilterOutput
     n_periods: int
-    reference: tuple
     uu: tuple
     gu: tuple
     gg: tuple
     vv: tuple
     v_sum: tuple
-    init: tuple
     u_free: np.ndarray
     gain: np.ndarray
     steps: np.ndarray
@@ -201,37 +169,35 @@ class MomentSums:
     state_resid_sum: np.ndarray
 
 
-def moment_sums(stats, schedule, params):
-    """The :class:`MomentSums` of ``stats`` with the linearization frozen at
-    ``schedule``, about the required returns and drift of ``params``.
+def moment_sums(smoothed, series, schedule, params, filter_output=None):
+    """The :class:`MomentSums` of the smoother output ``smoothed`` of
+    ``series`` with the linearization frozen at ``schedule``, about the
+    required returns and drift of ``params``.
 
-    The reference only sets where the sums are centred: about the
-    parameters a line search starts from, the objective's cancellation is
-    confined to the step.
+    ``params`` only sets where the sums are centred: about the parameters a
+    line search starts from, the objective's cancellation is confined to the
+    step. ``filter_output`` is recorded as the pass ``smoothed`` came from.
     """
-    T = stats.n_periods
-    m = stats.m_smooth
+    T = series.n_periods
+    m, cov_m = smoothed.m_smooth, smoothed.cov_m_smooth
     g = schedule.gain[1 : T + 1]
     h = schedule.shift[1 : T + 1]
-    k0, phi0 = params.req_return, params.drift
-    u_free = stats.growth + m[1:] - g * m[:-1] + (g - 1.0) * stats.payout_ratio + h
-    u_ref = u_free - g * k0
+    u_free = series.growth + m[1:] - g * m[:-1] + (g - 1.0) * series.payout_ratio + h
+    u_ref = u_free - g * params.req_return
     steps = m[1:] - m[:-1]
-    v_ref = steps - phi0
-    meas_resid = _measurement_residual_cov(stats.cov_m, stats.cross_m, g)
-    state_resid = _state_residual_cov(stats.cov_m, stats.cross_m)
+    v_ref = steps - params.drift
+    meas_resid = _measurement_residual_cov(cov_m, smoothed.cross_m, g)
+    state_resid = _state_residual_cov(cov_m, smoothed.cross_m)
     meas_sum, state_sum = meas_resid.sum(axis=0), state_resid.sum(axis=0)
     (q00, q01), (q10, q11) = (g.T @ u_ref).tolist()
-    p00, p01, p11 = _sym(stats.cov_m[0])
     return MomentSums(
+        params=params, smoothed=smoothed, filter_output=filter_output,
         n_periods=T,
-        reference=tuple(k0.tolist() + phi0.tolist()),
         uu=_sym(u_ref.T @ u_ref + meas_sum),
         gu=(q00, q01, q10, q11),
         gg=_sym(g.T @ g),
         vv=_sym(v_ref.T @ v_ref + state_sum),
         v_sum=tuple(v_ref.sum(axis=0).tolist()),
-        init=tuple(m[0].tolist()) + (p00, p01, p11),
         u_free=u_free, gain=g, steps=steps,
         meas_resid_cov=meas_resid, state_resid_cov=state_resid,
         meas_resid_sum=meas_sum, state_resid_sum=state_sum,
@@ -239,34 +205,30 @@ def moment_sums(stats, schedule, params):
 
 
 def e_step(params, series, schedule=None, filter_output=None):
-    """Smooth the real-measure forward pass at ``params``; collect stats.
-    Without ``filter_output`` the filter runs here, over ``schedule`` or one
-    built at ``params``."""
+    """The :class:`MomentSums` of ``series`` at ``params``: smooth the
+    real-measure forward pass ``filter_output`` (run here when not given)
+    and sum its moments over ``schedule`` (built at ``params`` when not
+    given)."""
+    if schedule is None:
+        schedule = build_linearization_schedule(
+            params, series.payout_ratio, series.n_periods
+        )
     if filter_output is None:
         _, filter_output = _forward_pass(params, series, schedule)
-    smo = smooth(filter_output)
-    return SmoothedStats(
-        m_smooth=smo.m_smooth,
-        cov_m=smo.cov_m_smooth,
-        cross_m=smo.cross_m,
-        growth=series.growth,
-        payout_ratio=series.payout_ratio,
-        filter_output=filter_output,
-    )
+    return moment_sums(smooth(filter_output), series, schedule, params,
+                       filter_output)
 
 
-def expected_complete_loglik(params, stats, schedule=None, sums=None):
-    """Expected complete-data log-likelihood at ``params``.
+def expected_complete_loglik(params, sums):
+    """Expected complete-data log-likelihood at ``params`` from the E-step
+    record ``sums``, with the linearization constants frozen at the
+    schedule the record was summed over (the M-step objective). The
+    schedule-varying objective at q is this function of the record
+    :func:`e_step` builds at q from the same forward pass.
 
-    With ``schedule`` given, the linearization constants are held frozen at
-    that schedule (the M-step objective); with ``schedule=None`` they are
-    rebuilt from ``params`` so the objective carries its full parameter
-    dependence. ``sums`` are the :func:`moment_sums` of ``stats`` over that
-    schedule, built here when not given; a caller evaluating many
-    parameter vectors on one frozen schedule builds them once.
-
-    From the sums about (k₀, φ₀), with δk = k − k₀, δφ = φ − φ₀ and x =
-    m̂_0 − μ_0, the three blocks' summed second moments are
+    From the sums about (k₀, φ₀) = ``sums.params``, with δk = k − k₀,
+    δφ = φ − φ₀ and x = m̂_0 − μ_0, the three blocks' summed second moments
+    are
 
         Σ E[u uᵀ] = uu − diag(δk) Q − (diag(δk) Q)ᵀ + (δk δkᵀ) ∘ Σ g gᵀ,
         Σ E[v vᵀ] = vv − δφ sᵀ − s δφᵀ + T δφ δφᵀ,   E[x xᵀ] = P_{0|T} + x xᵀ,
@@ -276,16 +238,11 @@ def expected_complete_loglik(params, stats, schedule=None, sums=None):
     vanishing residual moments in every period contribute nothing
     (deterministic limits).
     """
-    if sums is None:
-        if schedule is None:
-            schedule = build_linearization_schedule(
-                params, stats.payout_ratio, stats.n_periods
-            )
-        sums = moment_sums(stats, schedule, params)
     T = sums.n_periods
     k0, k1 = params.req_return.tolist()
     phi0, phi1 = params.drift.tolist()
-    r0, r1, f0, f1 = sums.reference
+    r0, r1 = sums.params.req_return.tolist()
+    f0, f1 = sums.params.drift.tolist()
     dk0, dk1, dp0, dp1 = k0 - r0, k1 - r1, phi0 - f0, phi1 - f1
 
     u00, u01, u11 = sums.uu
@@ -313,7 +270,8 @@ def expected_complete_loglik(params, stats, schedule=None, sums=None):
             sums.steps - params.drift, sums.state_resid_cov
         ),
     )
-    a0, a1, p00, p01, p11 = sums.init
+    a0, a1 = sums.smoothed.m_smooth[0].tolist()
+    (p00, p01), (_, p11) = sums.smoothed.cov_m_smooth[0].tolist()
     mu0, mu1 = params.init_mean.tolist()
     x0, x1 = a0 - mu0, a1 - mu1
     init_moments = (p00 + x0 * x0, p01 + x0 * x1, p11 + x1 * x1)
@@ -324,53 +282,60 @@ def expected_complete_loglik(params, stats, schedule=None, sums=None):
     return float(term_u + term_v + term_0)
 
 
-def complete_loglik_gradient(params, stats):
-    """Analytic gradient of the schedule-varying objective.
+def _gradient_pieces(sums):
+    """Residuals u, v, the payout-gap sensitivities d and the matrices Z of
+    the objective's gradient at ``sums.params``, rows t = 1..T."""
+    params, smoothed, g = sums.params, sums.smoothed, sums.gain
+    m, cov_m = smoothed.m_smooth, smoothed.cov_m_smooth
+    u = sums.u_free - g * params.req_return
+    v = sums.steps - params.drift
+    centers = params.init_mean + np.arange(sums.n_periods)[:, None] * params.drift
+    gg = g * (g - 1.0)
+    d = gg * (m[:-1] - centers)
+    z = gg[:, :, None] * (smoothed.cross_m[1:] - cov_m[:-1] * g[:, None, :])
+    return u, v, d, z
+
+
+def complete_loglik_gradient(sums):
+    """Analytic gradient of the schedule-varying objective at
+    ``sums.params``, from the E-step record built there.
 
     Returns the 6-vector of derivatives in (required returns, initial mean,
     drift). The schedule terms contribute through the payout-gap sensitivity
     d_t = G_t(G_t − I)(m̃_{t-1|T} − center) and the smoothed covariance
     cross-term; validated against central finite differences.
     """
-    T = stats.n_periods
-    schedule = build_linearization_schedule(params, stats.payout_ratio, T)
+    params = sums.params
     inv_u, _ = _chol_inv_logdet(params.meas_cov, "meas_cov")
     inv_v, _ = _chol_inv_logdet(params.state_cov, "state_cov")
     inv_0, _ = _chol_inv_logdet(params.init_cov, "init_cov")
-    u, v, d, z = _gradient_pieces(
-        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
-        stats.growth, stats.payout_ratio,
-    )
-    g = schedule.gain[1 : T + 1]
+    u, v, d, z = _gradient_pieces(sums)
     # diag(E @ inv_u) row by row for the stacked (T, 2, 2) moments E
     diag_du = ((z + _outer(d, u)) * inv_u.T).sum(axis=2)
-    diag_dgu = ((z + _outer(d - g, u)) * inv_u.T).sum(axis=2)
+    diag_dgu = ((z + _outer(d - sums.gain, u)) * inv_u.T).sum(axis=2)
     grad_k = -diag_dgu.sum(axis=0)
-    grad_mu0 = inv_0 @ (stats.m_smooth[0] - params.init_mean) - diag_du.sum(axis=0)
-    grad_phi = inv_v @ v.sum(axis=0) - np.arange(T) @ diag_du
+    grad_mu0 = (inv_0 @ (sums.smoothed.m_smooth[0] - params.init_mean)
+                - diag_du.sum(axis=0))
+    grad_phi = inv_v @ v.sum(axis=0) - np.arange(sums.n_periods) @ diag_du
     return np.concatenate([grad_k, grad_mu0, grad_phi])
 
 
-def m_step(stats, schedule, params, sums=None):
-    """Exact maximizer of the frozen-schedule objective.
+def m_step(sums):
+    """Exact maximizer of the frozen-schedule objective of the E-step
+    record ``sums``.
 
     The initial mean and drift updates are closed-form in the smoothed
     moments; the required-return update solves the gain-weighted normal
-    equations and is iterated to a joint fixed point with the measurement
-    covariance (entries moving by under 1e-13, at most 200 rounds) so that
-    the full frozen-schedule gradient vanishes at the output. Covariance
-    estimates are symmetrized time averages of the smoothed second moments
-    and are PSD by construction. The parameter-free parts come from
-    ``sums``, the :func:`moment_sums` of ``stats`` over ``schedule`` (built
-    here when not given): u_free for the required-return normal equations
-    and the residual-covariance sums S_u and S_v, which the two covariance
-    updates add to the outer products of their residuals.
+    equations and is iterated from ``sums.params`` to a joint fixed point
+    with the measurement covariance (entries moving by under 1e-13, at most
+    200 rounds) so that the full frozen-schedule gradient vanishes at the
+    output. Covariance estimates are symmetrized time averages of the
+    smoothed second moments and are PSD by construction: u_free feeds the
+    required-return normal equations, and the residual-covariance sums S_u
+    and S_v are added to the outer products of the two residuals.
     """
-    T = stats.n_periods
-    if sums is None:
-        sums = moment_sums(stats, schedule, params)
-    m = stats.m_smooth
-    g = sums.gain
+    T, g, params = sums.n_periods, sums.gain, sums.params
+    m, cov0 = sums.smoothed.m_smooth, sums.smoothed.cov_m_smooth[0]
 
     if np.abs(g - 1.0).max() < 1e-6:
         warnings.warn(
@@ -380,7 +345,7 @@ def m_step(stats, schedule, params, sums=None):
         )
 
     mu0_new = m[0].copy()
-    cov0_new = 0.5 * (stats.cov_m[0] + stats.cov_m[0].T)
+    cov0_new = 0.5 * (cov0 + cov0.T)
     phi_new = (m[T] - m[0]) / T
 
     v = m[1:] - phi_new - m[:-1]
@@ -442,15 +407,8 @@ def _required_return_fixed_point(u_free, ucov, g, cov_u, k):
 
 
 def _param_change(old, new):
-    pairs = (
-        (old.req_return, new.req_return),
-        (old.init_mean, new.init_mean),
-        (old.drift, new.drift),
-        (old.init_cov, new.init_cov),
-        (old.meas_cov, new.meas_cov),
-        (old.state_cov, new.state_cov),
-    )
-    return max(np.abs(a - b).max() for a, b in pairs)
+    return max(np.abs(getattr(old, f) - getattr(new, f)).max()
+               for f in _VECTORS + _COVARIANCES)
 
 
 def default_initial_params(series, rate_log):
@@ -469,15 +427,10 @@ def default_initial_params(series, rate_log):
 def _blend_params(old, new, weight):
     if weight == 1.0:
         return new
-    mix = lambda a, b: (1.0 - weight) * a + weight * b
-    return old.replace(
-        req_return=mix(old.req_return, new.req_return),
-        init_mean=mix(old.init_mean, new.init_mean),
-        drift=mix(old.drift, new.drift),
-        init_cov=mix(old.init_cov, new.init_cov),
-        meas_cov=mix(old.meas_cov, new.meas_cov),
-        state_cov=mix(old.state_cov, new.state_cov),
-    )
+    return old.replace(**{
+        f: (1.0 - weight) * getattr(old, f) + weight * getattr(new, f)
+        for f in _VECTORS + _COVARIANCES
+    })
 
 
 def _forward_pass(params, series, schedule=None):
@@ -529,11 +482,10 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
         return params, trace
     filt = None
     for _ in range(max_iter):
-        stats = e_step(params, series, schedule, filt)
-        filt = stats.filter_output
-        sums = moment_sums(stats, schedule, params)
-        lambda_before = expected_complete_loglik(params, stats, schedule, sums)
-        full_step = m_step(stats, schedule, params, sums)
+        sums = e_step(params, series, schedule, filt)
+        filt = sums.filter_output
+        lambda_before = expected_complete_loglik(params, sums)
+        full_step = m_step(sums)
 
         weight = 1.0
         accepted = None
@@ -542,7 +494,7 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
         while weight > 1e-6:
             candidate = _blend_params(params, full_step, weight)
             try:
-                lam = expected_complete_loglik(candidate, stats, schedule, sums)
+                lam = expected_complete_loglik(candidate, sums)
                 rejected = lam < lambda_before - 1e-9
                 if not rejected:
                     forward = _forward_pass(candidate, series)
@@ -575,7 +527,8 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
     return params, trace
 
 
-def smoothed_market_values(stats, series):
-    """Smoothed market values: componentwise exp(m̃_{t|T}) times book values."""
+def smoothed_market_values(smoothed, series):
+    """Smoothed market values: componentwise exp(m̃_{t|T}) of the smoother
+    output ``smoothed`` times book values."""
     books = np.exp(series.log_books())
-    return np.exp(stats.m_smooth) * books
+    return np.exp(smoothed.m_smooth) * books

@@ -111,7 +111,6 @@ class ForecastOutput:
     """Out-of-sample moments for periods T+1..H (rows 0..T unused)."""
 
     m_mean: np.ndarray
-    cov_m: np.ndarray
     b_mean: np.ndarray
     cov_b: np.ndarray
     start: int
@@ -363,6 +362,6 @@ def forecast(filter_output, params, schedule, horizon):
         return np.concatenate([np.zeros((T + 1,) + a.shape[1:]), a])
 
     return ForecastOutput(
-        m_mean=pad(m_prev + params.drift), cov_m=pad(cov_prev + params.state_cov),
-        b_mean=pad(b), cov_b=pad(cov_b), start=T + 1,
+        m_mean=pad(m_prev + params.drift), b_mean=pad(b), cov_b=pad(cov_b),
+        start=T + 1,
     )

@@ -435,22 +435,25 @@ def gaussian_block_term_reference(cov, second_moments, count, name):
     return -count * _LOG2PI - 0.5 * count * logdet - 0.5 * quad
 
 
-def objective_reference(params, stats, schedule=None):
-    """The expected complete-data log-likelihood built period by period from
-    the residual pieces: what :func:`privcredit.em.expected_complete_loglik`
-    computes from moment sums."""
-    T = stats.n_periods
+def objective_reference(params, smoothed, series, schedule=None):
+    """The expected complete-data log-likelihood of the smoother output
+    ``smoothed`` of ``series``, built period by period from the residual
+    pieces over ``schedule`` (built at ``params`` when not given): what
+    :func:`privcredit.em.expected_complete_loglik` computes from moment
+    sums."""
+    T = series.n_periods
     if schedule is None:
-        schedule = build_linearization_schedule(params, stats.payout_ratio, T)
+        schedule = build_linearization_schedule(params, series.payout_ratio, T)
     *_, e_uu, e_vv = residual_pieces_reference(
-        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
-        stats.growth, stats.payout_ratio,
+        params, schedule, smoothed.m_smooth, smoothed.cov_m_smooth,
+        smoothed.cross_m, series.growth, series.payout_ratio,
     )
-    diff0 = stats.m_smooth[0] - params.init_mean
+    diff0 = smoothed.m_smooth[0] - params.init_mean
     term_u = gaussian_block_term_reference(params.meas_cov, e_uu, T, "meas_cov")
     term_v = gaussian_block_term_reference(params.state_cov, e_vv, T, "state_cov")
     term_0 = gaussian_block_term_reference(
-        params.init_cov, (stats.cov_m[0] + np.outer(diff0, diff0))[None], 1,
+        params.init_cov,
+        (smoothed.cov_m_smooth[0] + np.outer(diff0, diff0))[None], 1,
         "init_cov",
     )
     return float(term_u + term_v + term_0)

@@ -176,21 +176,22 @@ def test_criterion_04_em_gradient_consistency():
     for k in range(20):
         params = random_params(rng)
         series, _, _ = synthetic_series(params, 6, seed=9000 + k)
-        stats = e_step(params, series)
-        grad = complete_loglik_gradient(params, stats)
+        sums = e_step(params, series)
+        grad = complete_loglik_gradient(sums)
         fd = _fd_gradient(
-            lambda x: expected_complete_loglik(_unpack(params, x), stats, None),
+            lambda x: expected_complete_loglik(
+                _unpack(params, x),
+                e_step(_unpack(params, x), series,
+                       filter_output=sums.filter_output),
+            ),
             _pack(params),
         )
         rel = np.abs(grad - fd).max() / max(1.0, np.abs(grad).max())
         worst_rel = max(worst_rel, rel)
 
-        schedule = build_linearization_schedule(
-            params, series.payout_ratio, series.n_periods
-        )
-        new = m_step(stats, schedule, params)
+        new = m_step(sums)
         fd_frozen = _fd_gradient(
-            lambda x: expected_complete_loglik(_unpack(new, x), stats, schedule),
+            lambda x: expected_complete_loglik(_unpack(new, x), sums),
             _pack(new),
         )
         worst_stat = max(worst_stat, np.abs(fd_frozen).max())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from privcredit.em import (
     smoothed_market_values,
 )
 from privcredit.errors import DataValidationError, DegenerateDesignError
-from privcredit.kalman import run_filter
+from privcredit.kalman import SmootherOutput, run_filter
 from privcredit.model import (
     ObservedSeries,
     build_linearization_schedule,
@@ -50,6 +52,15 @@ def fd_gradient(fun, x0, h=1e-6):
     return out
 
 
+def varying(sums, series):
+    """The schedule-varying objective as a function of the parameters q: the
+    frozen objective of the record built at q from the forward pass that
+    ``sums`` smoothed."""
+    return lambda q: expected_complete_loglik(
+        q, e_step(q, series, filter_output=sums.filter_output)
+    )
+
+
 def pack(params):
     return np.concatenate([params.req_return, params.init_mean, params.drift])
 
@@ -70,19 +81,17 @@ class TestExpectedCompleteLoglik:
         )
         T = 4
         series, schedule = deterministic_series(p, T)
-        stats = e_step(p, series, schedule)
         # deterministic series + exact-mean smoothing: residuals are zero but
         # smoothed covariances are not; zero them by construction
-        stats_zero = stats.__class__(
+        smoothed_zero = SmootherOutput(
             m_smooth=np.array(
                 [p.init_mean + t * p.drift for t in range(T + 1)]
             ),
-            cov_m=np.zeros((T + 1, 2, 2)),
+            cov_m_smooth=np.zeros((T + 1, 2, 2)),
             cross_m=np.zeros((T + 1, 2, 2)),
-            growth=series.growth,
-            payout_ratio=series.payout_ratio,
         )
-        value = expected_complete_loglik(p, stats_zero, schedule)
+        sums = em.moment_sums(smoothed_zero, series, schedule, p)
+        value = expected_complete_loglik(p, sums)
         assert value == pytest.approx(-(2 * T + 1) * np.log(2 * np.pi), abs=1e-12)
 
     def test_single_period_reduces_to_measurement_density(self):
@@ -93,8 +102,7 @@ class TestExpectedCompleteLoglik:
         rng = np.random.default_rng(0)
         growth = series.growth + 0.03 * rng.normal(size=(1, 2))
         series = ObservedSeries(series.books0, growth, series.payout_ratio)
-        stats = e_step(p, series, schedule)
-        value = expected_complete_loglik(p, stats, schedule)
+        value = expected_complete_loglik(p, e_step(p, series, schedule))
         # the deterministic state and prior contribute nothing; what is left
         # is the single Gaussian measurement term
         filt = run_filter(p, schedule, growth, real_intercepts(p, schedule))
@@ -102,13 +110,13 @@ class TestExpectedCompleteLoglik:
 
     def test_rejects_singular_covariance(self, params):
         series, _, _ = synthetic_series(params, 3, seed=1)
-        stats = e_step(params, series)
+        objective = varying(e_step(params, series), series)
         rank_one = params.replace(init_cov=np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(Exception, match="positive definite"):
-            expected_complete_loglik(rank_one, stats)
+            objective(rank_one)
         zero_with_residuals = params.replace(init_cov=np.zeros((2, 2)))
         with pytest.raises(Exception, match="degenerate"):
-            expected_complete_loglik(zero_with_residuals, stats)
+            objective(zero_with_residuals)
 
 
 def assert_rel(actual, reference, rtol=1e-12):
@@ -116,19 +124,18 @@ def assert_rel(actual, reference, rtol=1e-12):
 
 
 def drift_stats(params, periods, jitter, schedule):
-    """Smoothed stats whose means follow the drift up to alternating
+    """Smoother output whose means follow the drift up to alternating
     deviations ±``jitter`` and whose smoothed covariances vanish, so each
-    period's state residual is 2 ``jitter`` in size."""
-    from privcredit.em import SmoothedStats
-
+    period's state residual is 2 ``jitter`` in size, and its series."""
     t = np.arange(periods + 1)[:, None]
     m = params.init_mean + t * params.drift + jitter * (-1.0) ** t
     g = schedule.gain[1 : periods + 1]
     growth = (real_intercepts(params, schedule)[1 : periods + 1]
               + g * m[:-1] - m[1:] + 0.01)
     zero = np.zeros((periods + 1, 2, 2))
-    return SmoothedStats(m_smooth=m, cov_m=zero, cross_m=zero, growth=growth,
-                         payout_ratio=schedule.payout_ratio[1 : periods + 1])
+    series = ObservedSeries(np.array([2.0, 3.0]), growth,
+                            schedule.payout_ratio[1 : periods + 1])
+    return SmootherOutput(m_smooth=m, cov_m_smooth=zero, cross_m=zero), series
 
 
 class TestObjectiveFromSums:
@@ -142,16 +149,17 @@ class TestObjectiveFromSums:
         p = truth.replace(req_return=truth.req_return + 0.002,
                           init_mean=truth.init_mean - 0.01)
         schedule = build_linearization_schedule(p, series.payout_ratio, periods)
-        stats = e_step(p, series, schedule)
-        sums = em.moment_sums(stats, schedule, p)
-        step = m_step(stats, schedule, p, sums)
+        sums = e_step(p, series, schedule)
+        step = m_step(sums)
+        smoothed = sums.smoothed
         for weight in (0.0, 0.25, 1.0):
             q = em._blend_params(p, step, weight)
-            want = objective_reference(q, stats, schedule)
-            assert_rel(expected_complete_loglik(q, stats, schedule, sums), want)
-            assert_rel(expected_complete_loglik(q, stats, schedule), want)
-            assert_rel(expected_complete_loglik(q, stats),
-                       objective_reference(q, stats))
+            want = objective_reference(q, smoothed, series, schedule)
+            assert_rel(expected_complete_loglik(q, sums), want)
+            assert_rel(expected_complete_loglik(
+                q, em.moment_sums(smoothed, series, schedule, q)), want)
+            assert_rel(varying(sums, series)(q),
+                       objective_reference(q, smoothed, series))
 
     def test_zero_state_cov_keeps_the_per_period_rule(self):
         # each period's state residual second moment is (2 · 3e-7)² =
@@ -161,19 +169,25 @@ class TestObjectiveFromSums:
         T = 40
         ratio = np.log(0.3) * np.ones((T, 2))
         schedule = build_linearization_schedule(p, ratio, T)
-        stats = drift_stats(p, T, 3e-7, schedule)
-        steps = np.diff(stats.m_smooth, axis=0) - p.drift
+        smoothed, series = drift_stats(p, T, 3e-7, schedule)
+        steps = np.diff(smoothed.m_smooth, axis=0) - p.drift
         assert (steps ** 2).max() < 1e-12 < (steps ** 2).sum()
-        want = objective_reference(p, stats, schedule)
-        assert_rel(expected_complete_loglik(p, stats, schedule), want)
-        sums = em.moment_sums(stats, schedule, p.replace(drift=p.drift + 1e-3))
-        assert_rel(expected_complete_loglik(p, stats, schedule, sums), want)
+        want = objective_reference(p, smoothed, series, schedule)
+        assert_rel(expected_complete_loglik(
+            p, em.moment_sums(smoothed, series, schedule, p)), want)
+        sums = em.moment_sums(smoothed, series, schedule,
+                              p.replace(drift=p.drift + 1e-3))
+        assert_rel(expected_complete_loglik(p, sums), want)
 
-        wide = drift_stats(p, T, 6e-7, schedule)
+        wide, series = drift_stats(p, T, 6e-7, schedule)
         messages = []
-        for objective in (expected_complete_loglik, objective_reference):
+        for objective in (
+            lambda: expected_complete_loglik(
+                p, em.moment_sums(wide, series, schedule, p)),
+            lambda: objective_reference(p, wide, series, schedule),
+        ):
             with pytest.raises(DataValidationError) as info:
-                objective(p, wide, schedule)
+                objective()
             messages.append(str(info.value))
         assert messages[0] == messages[1] == (
             "state_cov is degenerate (zero) but residual moments are not")
@@ -184,31 +198,32 @@ class TestGradient:
         for _ in range(4):
             p = random_params(rng)
             series, _, _ = synthetic_series(p, 7, seed=int(rng.integers(1e6)))
-            stats = e_step(p, series)
-            grad = complete_loglik_gradient(p, stats)
-            fd = fd_gradient(
-                lambda x: expected_complete_loglik(unpack(p, x), stats, None),
-                pack(p),
-            )
+            sums = e_step(p, series)
+            grad = complete_loglik_gradient(sums)
+            objective = varying(sums, series)
+            fd = fd_gradient(lambda x: objective(unpack(p, x)), pack(p))
             scale = max(1.0, np.abs(grad).max())
             assert np.abs(grad - fd).max() / scale < 1e-5
 
 
-def residual_pieces(params, schedule, stats):
+def residual_pieces(sums, series, schedule):
     """Residuals (u, v, d) and Z of the gradient, then the per-period second
-    moments E[uu'], E[vv'] of the objective's reference, from the smoothed
-    ``stats`` at ``params``; row i is period i + 1."""
-    args = (params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
-            stats.growth, stats.payout_ratio)
-    return em._gradient_pieces(*args) + residual_pieces_reference(*args)[4:]
+    moments E[uu'], E[vv'] of the objective's reference, from the E-step
+    record ``sums`` of ``series`` over ``schedule``; row i is period i + 1."""
+    smoothed = sums.smoothed
+    reference = residual_pieces_reference(
+        sums.params, schedule, smoothed.m_smooth, smoothed.cov_m_smooth,
+        smoothed.cross_m, series.growth, series.payout_ratio,
+    )
+    return em._gradient_pieces(sums) + reference[4:]
 
 
 class TestEStep:
     def test_deterministic_multiplier_zeroes_residual_structure(self):
         p = base_params(init_cov=np.zeros((2, 2)), state_cov=np.zeros((2, 2)))
         series, schedule = deterministic_series(p, 5)
-        stats = e_step(p, series, schedule)
-        _, v, d, z, _, _ = residual_pieces(p, schedule, stats)
+        sums = e_step(p, series, schedule)
+        _, v, d, z, _, _ = residual_pieces(sums, series, schedule)
         np.testing.assert_allclose(v, 0.0, atol=1e-10)
         np.testing.assert_allclose(d, 0.0, atol=1e-10)
         np.testing.assert_allclose(z, 0.0, atol=1e-10)
@@ -220,8 +235,8 @@ class TestEStep:
             params, 5, seed=3, payout_level=1e-9, jitter=0.0
         )
         schedule = build_linearization_schedule(params, series.payout_ratio, 5)
-        stats = e_step(params, series)
-        _, _, d, z, _, _ = residual_pieces(params, schedule, stats)
+        sums = e_step(params, series)
+        _, _, d, z, _, _ = residual_pieces(sums, series, schedule)
         np.testing.assert_allclose(d, 0.0, atol=1e-8)
         np.testing.assert_allclose(z, 0.0, atol=1e-8)
 
@@ -230,9 +245,9 @@ class TestEStep:
         series, _, _ = synthetic_series(p, 5, seed=11)
         schedule = build_linearization_schedule(p, series.payout_ratio, 5)
         intercepts = real_intercepts(p, schedule)
-        stats = e_step(p, series, schedule)
+        sums = e_step(p, series, schedule)
         u_res, _, d_res, z_mat, e_uu_res, e_vv_res = residual_pieces(
-            p, schedule, stats
+            sums, series, schedule
         )
         oracle = GaussianConditioningOracle(p, schedule, series.growth, intercepts)
         for t in range(1, 6):
@@ -266,8 +281,8 @@ class TestEStep:
         p = random_params(rng)
         series, _, _ = synthetic_series(p, 6, seed=13)
         schedule = build_linearization_schedule(p, series.payout_ratio, 6)
-        stats = e_step(p, series)
-        u_res, v_res, _, _, e_uu, e_vv = residual_pieces(p, schedule, stats)
+        sums = e_step(p, series)
+        u_res, v_res, _, _, e_uu, e_vv = residual_pieces(sums, series, schedule)
         for i in range(6):
             for total, res in ((e_uu[i], u_res[i]), (e_vv[i], v_res[i])):
                 correction = total - np.outer(res, res)
@@ -278,9 +293,9 @@ class TestMStep:
     def test_zero_residual_stats_flagged_degenerate(self):
         p = base_params(init_cov=np.zeros((2, 2)), state_cov=np.zeros((2, 2)))
         series, schedule = deterministic_series(p, 4)
-        stats = e_step(p, series, schedule)
+        sums = e_step(p, series, schedule)
         with pytest.warns(UserWarning, match="singular"):
-            new = m_step(stats, schedule, p)
+            new = m_step(sums)
         np.testing.assert_allclose(new.state_cov, 0.0, atol=1e-12)
         np.testing.assert_allclose(new.meas_cov, 0.0, atol=1e-12)
 
@@ -288,22 +303,22 @@ class TestMStep:
         p = random_params(rng)
         series, _, _ = synthetic_series(p, 6, seed=17)
         schedule = build_linearization_schedule(p, series.payout_ratio, 6)
-        stats = e_step(p, series, schedule)
-        new = m_step(stats, schedule, p)
-        np.testing.assert_array_equal(new.init_cov, 0.5 * (stats.cov_m[0] + stats.cov_m[0].T))
-        np.testing.assert_array_equal(new.init_mean, stats.m_smooth[0])
+        sums = e_step(p, series, schedule)
+        new = m_step(sums)
+        smoothed = sums.smoothed
+        cov0 = smoothed.cov_m_smooth[0]
+        np.testing.assert_array_equal(new.init_cov, 0.5 * (cov0 + cov0.T))
+        np.testing.assert_array_equal(new.init_mean, smoothed.m_smooth[0])
 
     def test_output_zeroes_frozen_gradient(self, rng):
         for _ in range(3):
             p = random_params(rng)
             series, _, _ = synthetic_series(p, 8, seed=int(rng.integers(1e6)))
             schedule = build_linearization_schedule(p, series.payout_ratio, 8)
-            stats = e_step(p, series, schedule)
-            new = m_step(stats, schedule, p)
+            sums = e_step(p, series, schedule)
+            new = m_step(sums)
             fd = fd_gradient(
-                lambda x: expected_complete_loglik(
-                    unpack(new, x), stats, schedule
-                ),
+                lambda x: expected_complete_loglik(unpack(new, x), sums),
                 pack(new),
             )
             assert np.abs(fd).max() < 1e-6
@@ -313,9 +328,9 @@ class TestMStep:
             params, 5, seed=3, payout_level=1e-9, jitter=0.0
         )
         schedule = build_linearization_schedule(params, series.payout_ratio, 5)
-        stats = e_step(params, series, schedule)
+        sums = e_step(params, series, schedule)
         with pytest.warns(UserWarning, match="weakly identified"):
-            m_step(stats, schedule, params)
+            m_step(sums)
 
 
 class TestRequiredReturnFixedPoint:
@@ -339,12 +354,12 @@ class TestRequiredReturnFixedPoint:
             p = random_params(rng)
             series, _, _ = synthetic_series(p, 40, seed=int(rng.integers(1e6)))
             schedule = build_linearization_schedule(p, series.payout_ratio, 40)
-            stats = e_step(p, series, schedule)
-            m, g = stats.m_smooth, schedule.gain[1:]
+            smoothed = e_step(p, series, schedule).smoothed
+            m, g = smoothed.m_smooth, schedule.gain[1:]
             u_free = (series.growth + m[1:] - g * m[:-1]
                       + (g - 1.0) * series.payout_ratio + schedule.shift[1:])
             ucov = em._measurement_residual_cov(
-                stats.cov_m, stats.cross_m, g).sum(axis=0)
+                smoothed.cov_m_smooth, smoothed.cross_m, g).sum(axis=0)
             args = (u_free, ucov, g, p.meas_cov, p.req_return)
             for got, want in zip(em._required_return_fixed_point(*args),
                                  required_return_fixed_point(*args)):
@@ -377,7 +392,8 @@ class TestRequiredReturnFixedPoint:
 
 
 def fixed_point_stats(params, periods, schedule):
-    """Fabricate smoothed stats making ``params`` an exact M-step fixed point.
+    """Fabricate an E-step record making ``params`` an exact M-step fixed
+    point.
 
     The smoothed means follow the drift exactly, the growth data is chosen
     so the measurement residual at the current required returns vanishes,
@@ -385,7 +401,6 @@ def fixed_point_stats(params, periods, schedule):
     identities so the time-averaged second moments reproduce the current
     noise covariances.
     """
-    from privcredit.em import SmoothedStats
     from privcredit.model import real_intercepts
 
     T = periods
@@ -407,10 +422,10 @@ def fixed_point_stats(params, periods, schedule):
         y = np.linalg.solve(eye - G, 0.5 * s)
         cross_m[t] = y
         cov_m[t] = params.state_cov - cov_m[t - 1] + y + y.T
-    return SmoothedStats(
-        m_smooth=m_hat, cov_m=cov_m, cross_m=cross_m, growth=growth,
-        payout_ratio=schedule.payout_ratio[1 : T + 1],
-    )
+    smoothed = SmootherOutput(m_smooth=m_hat, cov_m_smooth=cov_m, cross_m=cross_m)
+    series = ObservedSeries(np.array([2.0, 3.0]), growth,
+                            schedule.payout_ratio[1 : T + 1])
+    return em.moment_sums(smoothed, series, schedule, params)
 
 
 class TestEmFit:
@@ -418,8 +433,7 @@ class TestEmFit:
         T = 7
         ratio = np.log(0.3) * np.ones((T, 2))
         schedule = build_linearization_schedule(params, ratio, T)
-        stats = fixed_point_stats(params, T, schedule)
-        new = m_step(stats, schedule, params)
+        new = m_step(fixed_point_stats(params, T, schedule))
         assert np.abs(new.req_return - params.req_return).max() < 1e-12
         assert np.abs(new.init_mean - params.init_mean).max() < 1e-12
         assert np.abs(new.drift - params.drift).max() < 1e-12
@@ -482,9 +496,9 @@ class TestEmFit:
             built.append(real_sums(*args, **kwargs))
             return built[-1]
 
-        def counted_objective(params, stats, schedule=None, sums=None):
+        def counted_objective(params, sums):
             objective_sums.append(sums)
-            return real_objective(params, stats, schedule, sums)
+            return real_objective(params, sums)
 
         def counted_blend(*args, **kwargs):
             candidates.append(None)
@@ -563,28 +577,18 @@ class TestEmFit:
 class TestSmoothedMarketValues:
     def test_unit_multiplier(self, params):
         series, _, _ = synthetic_series(params, 4, seed=41)
-        stats = e_step(params, series)
-        zero_stats = stats.__class__(
-            **{
-                **{f: getattr(stats, f) for f in (
-                    "cov_m", "cross_m", "growth", "payout_ratio",
-                )},
-                "m_smooth": np.zeros_like(stats.m_smooth),
-            }
+        smoothed = e_step(params, series).smoothed
+        zero = dataclasses.replace(
+            smoothed, m_smooth=np.zeros_like(smoothed.m_smooth)
         )
-        values = smoothed_market_values(zero_stats, series)
+        values = smoothed_market_values(zero, series)
         np.testing.assert_allclose(values, np.exp(series.log_books()), atol=1e-12)
 
     def test_hand_values(self, params):
         series, _, _ = synthetic_series(params, 1, seed=43)
-        stats = e_step(params, series)
-        fixed = stats.__class__(
-            **{
-                **{f: getattr(stats, f) for f in (
-                    "cov_m", "cross_m", "growth", "payout_ratio",
-                )},
-                "m_smooth": np.tile(np.log([2.0, 3.0]), (2, 1)),
-            }
+        smoothed = e_step(params, series).smoothed
+        fixed = dataclasses.replace(
+            smoothed, m_smooth=np.tile(np.log([2.0, 3.0]), (2, 1))
         )
         books = np.exp(series.log_books())
         values = smoothed_market_values(fixed, series)
@@ -597,7 +601,6 @@ class TestSmoothedMarketValues:
             init_cov=1e-12 * np.eye(2), meas_cov=1e-12 * np.eye(2)
         )
         series, schedule, panel = synthetic_series(p, 12, seed=47)
-        stats = e_step(p, series)
-        recovered = smoothed_market_values(stats, series)
+        recovered = smoothed_market_values(e_step(p, series).smoothed, series)
         true_values = np.exp(panel.log_values[0])
         np.testing.assert_allclose(recovered, true_values, rtol=1e-3)

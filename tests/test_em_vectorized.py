@@ -59,14 +59,15 @@ def loop_residual_pieces(params, schedule, m_smooth, cov_m, cross_m, growth,
     return u, v, d, z, e_uu, e_vv
 
 
-def loop_m_step_sums(stats, g):
+def loop_m_step_sums(smoothed, g):
     """The two residual-covariance sums of the M-step."""
-    T = stats.n_periods
+    T = g.shape[0]
+    cov_m, cross_m = smoothed.cov_m_smooth, smoothed.cross_m
     vcov = sum(
-        loop_state_residual_cov(stats.cov_m, stats.cross_m, t) for t in range(1, T + 1)
+        loop_state_residual_cov(cov_m, cross_m, t) for t in range(1, T + 1)
     )
     ucov = sum(
-        loop_measurement_residual_cov(stats.cov_m, stats.cross_m, g[t - 1], t)
+        loop_measurement_residual_cov(cov_m, cross_m, g[t - 1], t)
         for t in range(1, T + 1)
     )
     return vcov, ucov
@@ -85,15 +86,14 @@ def loop_gaussian_block_term(cov, second_moments, count, name):
     return -count * em._LOG2PI - 0.5 * count * logdet - 0.5 * quad
 
 
-def loop_complete_loglik_gradient(params, stats):
-    T = stats.n_periods
-    schedule = build_linearization_schedule(params, stats.payout_ratio, T)
+def loop_complete_loglik_gradient(params, smoothed, series):
+    T = series.n_periods
+    schedule = build_linearization_schedule(params, series.payout_ratio, T)
     inv_u, _ = em._chol_inv_logdet(params.meas_cov, "meas_cov")
     inv_v, _ = em._chol_inv_logdet(params.state_cov, "state_cov")
     inv_0, _ = em._chol_inv_logdet(params.init_cov, "init_cov")
     u, v, d, z, _, _ = loop_residual_pieces(
-        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
-        stats.growth, stats.payout_ratio,
+        *smoothed_args(params, schedule, smoothed, series)
     )
     g = schedule.gain[1 : T + 1]
     grad_k = np.zeros(2)
@@ -106,9 +106,15 @@ def loop_complete_loglik_gradient(params, stats):
         diag_du = np.diag(e_du @ inv_u)
         grad_mu0 -= diag_du
         grad_phi -= i * diag_du
-    grad_mu0 += inv_0 @ (stats.m_smooth[0] - params.init_mean)
+    grad_mu0 += inv_0 @ (smoothed.m_smooth[0] - params.init_mean)
     grad_phi += inv_v @ v.sum(axis=0)
     return np.concatenate([grad_k, grad_mu0, grad_phi])
+
+
+def smoothed_args(params, schedule, smoothed, series):
+    """The arguments of the per-period residual references."""
+    return (params, schedule, smoothed.m_smooth, smoothed.cov_m_smooth,
+            smoothed.cross_m, series.growth, series.payout_ratio)
 
 
 def assert_close(actual, reference):
@@ -120,8 +126,8 @@ def assert_close(actual, reference):
 
 @pytest.fixture(scope="module", params=[100, 1600])
 def instance(request):
-    """E-step output on a panel of T periods, at parameters off the truth so
-    that every residual is nonzero."""
+    """Parameters off the truth, so that every residual is nonzero, their
+    schedule on a panel of T periods, the panel and its E-step record."""
     truth = base_params(drift=np.array([5e-4, -3e-4]))
     series, _, _ = synthetic_series(truth, request.param, seed=61, payout_level=0.35)
     params = truth.replace(
@@ -132,36 +138,33 @@ def instance(request):
     schedule = build_linearization_schedule(
         params, series.payout_ratio, series.n_periods
     )
-    return params, schedule, em.e_step(params, series, schedule)
+    return params, schedule, series, em.e_step(params, series, schedule)
 
 
 def test_residual_pieces_match_loop(instance):
-    params, schedule, stats = instance
-    args = (params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
-            stats.growth, stats.payout_ratio)
+    params, schedule, series, sums = instance
+    args = smoothed_args(params, schedule, sums.smoothed, series)
     loop = loop_residual_pieces(*args)
-    for vec, ref in zip(em._gradient_pieces(*args), loop[:4]):
+    for vec, ref in zip(em._gradient_pieces(sums), loop[:4]):
         assert_close(vec, ref)
     for vec, ref in zip(residual_pieces_reference(*args)[4:], loop[4:]):
         assert_close(vec, ref)
 
 
 def test_m_step_sums_match_loop(instance):
-    params, schedule, stats = instance
-    g = schedule.gain[1 : stats.n_periods + 1]
-    vcov, ucov = loop_m_step_sums(stats, g)
-    sums = em.moment_sums(stats, schedule, params)
+    params, schedule, series, sums = instance
+    g = schedule.gain[1 : series.n_periods + 1]
+    vcov, ucov = loop_m_step_sums(sums.smoothed, g)
     assert_close(sums.state_resid_sum, vcov)
     assert_close(sums.meas_resid_sum, ucov)
 
 
 def test_gaussian_block_term_matches_loop(instance):
     # the block term from summed moments against the per-period loop
-    params, schedule, stats = instance
-    T = stats.n_periods
+    params, schedule, series, sums = instance
+    T = series.n_periods
     *_, e_uu, e_vv = loop_residual_pieces(
-        params, schedule, stats.m_smooth, stats.cov_m, stats.cross_m,
-        stats.growth, stats.payout_ratio,
+        *smoothed_args(params, schedule, sums.smoothed, series)
     )
     for cov, moments, name in ((params.meas_cov, e_uu, "meas_cov"),
                                (params.state_cov, e_vv, "state_cov")):
@@ -174,8 +177,8 @@ def test_gaussian_block_term_matches_loop(instance):
 
 
 def test_complete_loglik_gradient_matches_loop(instance):
-    params, _, stats = instance
+    params, _, series, sums = instance
     assert_close(
-        em.complete_loglik_gradient(params, stats),
-        loop_complete_loglik_gradient(params, stats),
+        em.complete_loglik_gradient(sums),
+        loop_complete_loglik_gradient(params, sums.smoothed, series),
     )

@@ -365,6 +365,43 @@ class TestCliEstimate:
         assert code == 2
 
 
+PANEL_COMMANDS = ["estimate", "filter", "smooth", "forecast", "price",
+                  "default-prob", "calibrate-threshold"]
+
+
+class TestCliFileArguments:
+    """A file argument that cannot be opened exits 1 with an ``error:`` line
+    naming it, never a traceback."""
+
+    @pytest.mark.parametrize("command", PANEL_COMMANDS)
+    def test_missing_input(self, capsys, command):
+        assert main([command]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {command} requires --input (panel CSV)\n")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["estimate", "--input", "{missing}"], "{missing}"),
+        (["filter", "--input", "{dir}"], "{dir}"),
+        (["estimate", "--input", "{panel}", "--config", "{missing}"], "{missing}"),
+        (["smooth", "--input", "{panel}", "--config", "{dir}"], "{dir}"),
+        (["estimate", "--input", "{panel}", "--max-iter", "0",
+          "--output", "{missing}/report.json"], "{missing}/report.json"),
+        (["simulate", "--config", "{sim}", "--output", "{missing}/panel.csv"],
+         "{missing}/panel.csv"),
+    ], ids=["input-missing", "input-dir", "config-missing", "config-dir",
+            "estimate-output-dir-missing", "simulate-output-dir-missing"])
+    def test_unopenable_path(self, tmp_path, panel_csv, sim_config, capsys,
+                             argv, named):
+        paths = {"missing": tmp_path / "missing", "dir": tmp_path,
+                 "panel": panel_csv, "sim": sim_config}
+        capsys.readouterr()
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named.format(**paths) in err
+        assert not (tmp_path / "missing").exists()
+
+
 PRICING_CONFIG = """
 k_equity = 0.04
 k_liability = 0.03
@@ -524,7 +561,8 @@ class TestEstimateReusesFitPass:
         assert report["loglik"] == fresh.filter_output.loglik
         assert np.array_equal(report["filtered_multipliers"],
                               fresh.filter_output.m_filt)
-        assert np.array_equal(report["smoothed_multipliers"], fresh.m_smooth)
+        assert np.array_equal(report["smoothed_multipliers"],
+                              fresh.smoothed.m_smooth)
 
 
 class TestCliPricing:

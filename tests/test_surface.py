@@ -19,7 +19,7 @@ REMOVED = {
         "LinearizationErrorReport", "linearization_error_report",
         "GaussianConditioningOracle", "oracle", "binned_error_curve",
         "asset_log_moments_public", "asset_log_moments_private",
-        "attach_asset_constants", "mean_log_book_path",
+        "attach_asset_constants", "mean_log_book_path", "SmoothedStats",
     ],
     "privcredit.pricing": [
         "RiskNeutralSystem", "build_risk_neutral", "PricingReport",
@@ -49,7 +49,9 @@ REMOVED = {
         "n_periods",
     ],
     "privcredit.kalman.FilterOutput": ["multiplier_mean", "multiplier_cov"],
-    "privcredit.em": ["_gaussian_block_term", "_residual_pieces"],
+    "privcredit.kalman.ForecastOutput": ["cov_m"],
+    "privcredit.em": ["_gaussian_block_term", "_residual_pieces", "SmoothedStats"],
+    "privcredit.em.MomentSums": ["reference", "init"],
 }
 
 _PROBE = """
