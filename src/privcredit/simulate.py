@@ -8,22 +8,27 @@ log value pairs, so approximation error can be quantified separately from
 formula correctness.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataValidationError
-from .model import linearized_log_asset, real_intercepts, risk_neutral_intercepts
+from .model import real_intercepts, risk_neutral_intercepts
 
 MEASURES = ("real", "risk_neutral")
-_BLOCK_PATHS = 1 << 16  # paths held at once by simulate_terminal
+_BLOCK_PATHS = 1 << 14  # paths per simulate_terminal block, each its own stream
+_MAX_WORKERS = 4        # simulate_terminal threads: at most 2¹⁶ paths in memory
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation settings; identical configs give bit-identical panels on
-    every BLAS/LAPACK build (the noise factor is the closed-form lower
-    Cholesky factor :func:`psd_cholesky`, not an eigendecomposition)."""
+    """Simulation settings; identical configs give bit-identical paths on
+    every BLAS/LAPACK build, CPU and core count. The noise factor is the
+    closed-form lower Cholesky factor :func:`psd_cholesky`, applied with
+    elementwise products and sums (no LAPACK, no BLAS kernel), and
+    :func:`simulate_terminal` gives each block of paths its own stream."""
 
     n_paths: int
     horizon: int
@@ -71,8 +76,20 @@ def psd_cholesky(m):
     return np.array([[l11, 0.0], [l21, l22]])
 
 
+def _correlate(factor, e):
+    """Overwrite the standard normal pairs ``e`` (pair along axis 0) with
+    L e for the lower factor L: (l11 e₀, l21 e₀ + l22 e₁), each entry
+    rounded products and one sum, as plain floats give, where a BLAS ``@``
+    may fuse or reorder them by CPU."""
+    (l11, _), (l21, l22) = factor.tolist()
+    e[1] *= l22
+    e[1] += l21 * e[0]
+    e[0] *= l11
+    return e
+
+
 def _setup(params, schedule, config, start, init_mean, init_cov):
-    """Checks, start distribution, intercepts and generator of a simulation."""
+    """Checks, start distribution and intercepts of a simulation."""
     if schedule.horizon < start + config.horizon:
         raise DataValidationError("schedule does not cover the simulation horizon")
     mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
@@ -81,14 +98,14 @@ def _setup(params, schedule, config, start, init_mean, init_cov):
         intercepts = real_intercepts(params, schedule)
     else:
         intercepts = risk_neutral_intercepts(params, schedule)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    return mean0, cov0, intercepts, rng
+    return mean0, cov0, intercepts
 
 
-def _step(params, schedule, intercepts, t, m_prev, rv, ru):
-    """Period t: m′ = φ + m + r_v and book growth g = −m′ + G_t m + c_t + r_u."""
-    m_new = params.drift + m_prev + rv
-    return m_new, -m_new + schedule.gain[t] * m_prev + intercepts[t] + ru
+def _step(drift, gain, intercept, m_prev, rv, ru):
+    """One period: m′ = φ + m + r_v and book growth g = −m′ + G_t m + c_t + r_u,
+    with φ, G_t and c_t shaped to broadcast against the state's layout."""
+    m_new = drift + m_prev + rv
+    return m_new, -m_new + gain * m_prev + intercept + ru
 
 
 def simulate_panel(params, schedule, config, log_books0, start=0,
@@ -106,27 +123,31 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
         Distribution of the log multiplier at the start period (defaults to
         the model prior; pass a zero matrix to pin a known multiplier).
 
-    Standard normal draws are scaled by the lower Cholesky factors of the
-    covariances (:func:`psd_cholesky`), so the panel depends only on the
-    config and the inputs, not on the BLAS/LAPACK build.
+    Draws, from ``Philox(key=seed)``: n start pairs, then n × horizon state
+    noise pairs, then as many measurement noise pairs. They are scaled by
+    the lower Cholesky factors of the covariances (:func:`psd_cholesky`)
+    elementwise, so the panel depends only on the config and the inputs,
+    not on the BLAS/LAPACK build or the CPU.
     """
-    mean0, cov0, intercepts, rng = _setup(params, schedule, config, start,
-                                          init_mean, init_cov)
+    mean0, cov0, intercepts = _setup(params, schedule, config, start,
+                                     init_mean, init_cov)
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
     n, P = config.n_paths, config.horizon
     e0 = rng.standard_normal((n, 2))
-    ev = rng.standard_normal((n, P, 2))
-    eu = rng.standard_normal((n, P, 2))
+    rv = rng.standard_normal((n, P, 2))
+    ru = rng.standard_normal((n, P, 2))
+    for cov, e in ((cov0, e0), (params.state_cov, rv), (params.meas_cov, ru)):
+        _correlate(psd_cholesky(cov), np.moveaxis(e, -1, 0))
 
     mult = np.empty((n, P + 1, 2))
     growth = np.empty((n, P, 2))
     log_books = np.empty((n, P + 1, 2))
-    mult[:, 0] = mean0 + e0 @ psd_cholesky(cov0).T
+    mult[:, 0] = mean0 + e0
     log_books[:, 0] = np.asarray(log_books0, float)
-    rv = ev @ psd_cholesky(params.state_cov).T
-    ru = eu @ psd_cholesky(params.meas_cov).T
     for j in range(1, P + 1):
+        t = start + j
         mult[:, j], growth[:, j - 1] = _step(
-            params, schedule, intercepts, start + j, mult[:, j - 1],
+            params.drift, schedule.gain[t], intercepts[t], mult[:, j - 1],
             rv[:, j - 1], ru[:, j - 1],
         )
         log_books[:, j] = log_books[:, j - 1] + growth[:, j - 1]
@@ -139,36 +160,101 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
     )
 
 
-def _terminal_values(params, schedule, intercepts, start, m, log_books, shocks,
-                     tangent):
-    """Log asset after the (r_v, r_u) of periods start+1, … in shocks,
-    linearized at the asset ``tangent`` (w_a, h_a)."""
-    for t, (rv, ru) in enumerate(shocks, start + 1):
-        m, growth = _step(params, schedule, intercepts, t, m, rv, ru)
+def _terminal_values(drift, gains, intercepts, m, log_books, shocks, tangent):
+    """Log asset after the (r_v, r_u) pairs in ``shocks``, one per row of the
+    (periods, 2, 1) ``gains`` and ``intercepts``, from the (2, b) multiplier
+    state ``m`` and log books, linearized at the asset ``tangent`` (w_a, h_a)
+    as :func:`privcredit.model.linearized_log_asset` does."""
+    for gain, intercept, (rv, ru) in zip(gains, intercepts, shocks):
+        m, growth = _step(drift, gain, intercept, m, rv, ru)
         log_books = log_books + growth
-    return linearized_log_asset(m + log_books, *tangent)
+    w_a, h_a = tangent
+    values = m + log_books
+    return (1.0 - w_a) * values[0] + w_a * values[1] + w_a * h_a
+
+
+def _shocks(rng, state_factor, meas_factor, b, periods):
+    """Per period, b state noise pairs and b measurement noise pairs, each
+    scaled to a (2, b) array."""
+    for _ in range(periods):
+        ev, eu = rng.standard_normal((2, 2, b))
+        yield _correlate(state_factor, ev), _correlate(meas_factor, eu)
+
+
+def _cores():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(block, n_blocks):
+    """Call ``block(j)`` for j < n_blocks on min(n_blocks, cores,
+    ``_MAX_WORKERS``) threads, the calling one included. After every thread
+    has stopped, the error of the lowest failing block is raised; a failure
+    stops the threads from taking further blocks."""
+    todo = iter(range(n_blocks))
+    lock = threading.Lock()
+    errors = {}
+
+    def work():
+        while not errors:
+            with lock:
+                j = next(todo, None)
+            if j is None:
+                return
+            try:
+                block(j)
+            except BaseException as exc:  # re-raised by the calling thread
+                errors[j] = exc
+
+    threads = [threading.Thread(target=work)
+               for _ in range(min(n_blocks, _cores(), _MAX_WORKERS) - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def simulate_terminal(params, schedule, config, log_books0, tangent, start=0,
                       init_mean=None, init_cov=None):
     """Maturity log asset values Ṽᵃ_T of :func:`simulate_panel`'s model and
     arguments, linearized at the maturity asset ``tangent`` (w_a, h_a), an
-    (n_paths,) array. Blocks of ``_BLOCK_PATHS`` paths carry only their
-    (b, 2) multiplier and log book state, so memory does not grow with the
-    paths or the horizon. Draws, per block: b start draws, then per period
-    b v and b u draws (not the panel's order)."""
-    mean0, cov0, intercepts, rng = _setup(params, schedule, config, start,
-                                          init_mean, init_cov)
-    l0, lv, lu = (psd_cholesky(c).T for c in (cov0, params.state_cov, params.meas_cov))
-    out = np.empty(config.n_paths)
-    for lo in range(0, config.n_paths, _BLOCK_PATHS):
-        b = min(_BLOCK_PATHS, config.n_paths - lo)
-        m0 = mean0 + rng.standard_normal((b, 2)) @ l0
-        shocks = (rng.standard_normal((2, b, 2)) @ (lv, lu)
-                  for _ in range(config.horizon))
-        out[lo : lo + b] = _terminal_values(params, schedule, intercepts, start,
-                                            m0, np.asarray(log_books0, float),
-                                            shocks, tangent)
+    (n_paths,) array.
+
+    Paths run in blocks of ``_BLOCK_PATHS`` that carry only their (2, b)
+    multiplier and log book state, on up to ``_MAX_WORKERS`` threads, so
+    memory does not grow with the paths or the horizon. Block j draws from
+    ``Philox(key=seed).jumped(j)``: b start pairs, then per period b state
+    noise pairs and b measurement noise pairs (not the panel's order), each
+    pair's two normals drawn b apart. Each block writes its own slice, so
+    the result does not depend on the thread count or scheduling.
+    """
+    mean0, cov0, intercepts = _setup(params, schedule, config, start,
+                                     init_mean, init_cov)
+    l0, lv, lu = (psd_cholesky(c) for c in (cov0, params.state_cov, params.meas_cov))
+    periods = slice(start + 1, start + config.horizon + 1)
+    gains = schedule.gain[periods, :, None]
+    intercepts = intercepts[periods, :, None]
+    mean0, drift = mean0[:, None], params.drift[:, None]
+    log_books0 = np.asarray(log_books0, float)[:, None]
+    n = config.n_paths
+    out = np.empty(n)
+
+    def block(j):
+        lo = j * _BLOCK_PATHS
+        b = min(_BLOCK_PATHS, n - lo)
+        rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
+        m0 = mean0 + _correlate(l0, rng.standard_normal((2, b)))
+        out[lo : lo + b] = _terminal_values(
+            drift, gains, intercepts, m0, log_books0,
+            _shocks(rng, lv, lu, b, config.horizon), tangent,
+        )
+
+    _run_blocks(block, -(-n // _BLOCK_PATHS))
     return out
 
 

@@ -1,9 +1,13 @@
 import dataclasses
+import inspect
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import privcredit.simulate as sim
 from privcredit.errors import DataValidationError
 from privcredit.kalman import run_filter
 from privcredit.model import (
@@ -15,7 +19,9 @@ from privcredit.model import (
 from privcredit.pricing import build_pricing_context
 from privcredit.simulate import (
     _BLOCK_PATHS,
+    _MAX_WORKERS,
     SimConfig,
+    _correlate,
     _terminal_values,
     mc_default_probability,
     mc_option_price,
@@ -49,6 +55,34 @@ def linearized_panel(params, sched, panel):
 def maturity_tangent(params, sched):
     """The asset tangent at the schedule's last period, mean-path centered."""
     return tuple(mean_path_tangents(params, sched, LB0)[:, -1])
+
+
+def float_paths(params, sched, intercepts, start, m, books, shocks):
+    """Multipliers, growth and log books of one path in Python floats, which
+    round every product and sum on its own; ``shocks`` holds per period the
+    scaled (r_v, r_u) float pairs."""
+    drift = params.drift.tolist()
+    mults, growth, log_books = [m], [], [books]
+    for t, (rv, ru) in enumerate(shocks, start + 1):
+        gain, c = sched.gain[t].tolist(), intercepts[t].tolist()
+        m_new = [drift[k] + m[k] + rv[k] for k in range(2)]
+        g = [-m_new[k] + gain[k] * m[k] + c[k] + ru[k] for k in range(2)]
+        m, books = m_new, [books[k] + g[k] for k in range(2)]
+        mults.append(m)
+        growth.append(g)
+        log_books.append(books)
+    return mults, growth, log_books
+
+
+def float_scale(cov, e0, e1):
+    """L (e0, e1) in Python floats for the lower Cholesky factor L of cov."""
+    (l11, _), (l21, l22) = psd_cholesky(cov).tolist()
+    return [l11 * e0, l21 * e0 + l22 * e1]
+
+
+def force_cores(monkeypatch, cores):
+    """Make simulate_terminal see ``cores`` CPUs."""
+    monkeypatch.setattr(sim, "_cores", lambda: cores)
 
 
 class TestSimulatePanel:
@@ -150,13 +184,15 @@ class TestSimulateTerminal:
         e0 = rng.standard_normal((n, 2))
         ev = rng.standard_normal((n, P, 2))
         eu = rng.standard_normal((n, P, 2))
-        rv = ev @ psd_cholesky(params.state_cov).T
-        ru = eu @ psd_cholesky(params.meas_cov).T
+        for cov, e in ((cov0, e0), (params.state_cov, ev), (params.meas_cov, eu)):
+            _correlate(psd_cholesky(cov), np.moveaxis(e, -1, 0))
+        periods = slice(start + 1, start + P + 1)
         tangent = maturity_tangent(params, sched)
         terminal = _terminal_values(
-            params, sched, risk_neutral_intercepts(params, sched), start,
-            m0 + e0 @ psd_cholesky(cov0).T, lb0,
-            zip(rv.transpose(1, 0, 2), ru.transpose(1, 0, 2)), tangent,
+            params.drift[:, None], sched.gain[periods, :, None],
+            risk_neutral_intercepts(params, sched)[periods, :, None],
+            (m0 + e0).T, lb0[:, None],
+            zip(ev.transpose(1, 2, 0), eu.transpose(1, 2, 0)), tangent,
         )
         assert np.array_equal(
             terminal, linearized_log_asset(panel.log_values[:, -1], *tangent)
@@ -201,17 +237,96 @@ class TestSimulateTerminal:
         assert abs(sample.mean() - mu) < 4 * np.sqrt(var / n)
         assert abs(sample.var(ddof=1) - var) < 4 * var * np.sqrt(2 / (n - 1))
 
-    def test_memory_is_bounded_by_one_block(self, params):
-        # a 200 000-path, 60-period panel would hold about 2 GB
+    def test_memory_is_bounded_by_one_block(self, params, monkeypatch):
+        # a 200 000-path, 60-period panel would hold about 2 GB; the bound
+        # holds on this machine's cores and with every worker in flight
         sched = toy_schedule(params, 60)
         cfg = SimConfig(200_000, 60, seed=3, measure="risk_neutral")
-        tracemalloc.start()
+        for cores in (sim._cores(), _MAX_WORKERS):
+            force_cores(monkeypatch, cores)
+            tracemalloc.start()
+            try:
+                simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 32e6
+
+    def test_result_does_not_depend_on_worker_count(self, params, monkeypatch):
+        # three full blocks and a partial one, on one thread and then on
+        # four switching often; the first block is the single-block run of
+        # the same seed
+        sched = toy_schedule(params, 3)
+        args = (LB0, maturity_tangent(params, sched))
+        cfg = SimConfig(3 * _BLOCK_PATHS + 5, 3, seed=8, measure="risk_neutral")
+        runs = []
+        interval = sys.getswitchinterval()
         try:
-            simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
-            peak = tracemalloc.get_traced_memory()[1]
+            for cores, switch in ((1, interval), (64, 1e-5)):
+                force_cores(monkeypatch, cores)
+                sys.setswitchinterval(switch)
+                runs.append(simulate_terminal(params, sched, cfg, *args))
         finally:
-            tracemalloc.stop()
-        assert peak <= 32e6
+            sys.setswitchinterval(interval)
+        single = simulate_terminal(params, sched, dataclasses.replace(
+            cfg, n_paths=_BLOCK_PATHS), *args)
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0][:_BLOCK_PATHS], single)
+        assert not np.array_equal(runs[0][_BLOCK_PATHS : 2 * _BLOCK_PATHS], single)
+
+    def test_block_error_reaches_the_caller(self, params, monkeypatch, capfd):
+        # the barrier holds each of the four workers to one block, so three
+        # blocks fail off the calling thread
+        sched = toy_schedule(params, 2)
+        cfg = SimConfig(3 * _BLOCK_PATHS + 5, 2, seed=1)
+        barrier = threading.Barrier(_MAX_WORKERS, timeout=30)
+        terminal_values = sim._terminal_values
+
+        def failing(*args):
+            barrier.wait()
+            if threading.current_thread() is not threading.main_thread():
+                raise DataValidationError("block failed")
+            return terminal_values(*args)
+
+        monkeypatch.setattr(sim, "_terminal_values", failing)
+        force_cores(monkeypatch, 64)
+        threads = threading.active_count()
+        with pytest.raises(DataValidationError, match="block failed"):
+            simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
+        assert threading.active_count() == threads
+        assert capfd.readouterr().err == ""
+
+    def test_block_workers_call_no_public_function(self, params, monkeypatch):
+        # a layer tracer wraps each public function and keeps one span
+        # stack, so only the calling thread may enter a public function
+        modules = {name: module for name, module in list(sys.modules.items())
+                   if name.split(".")[0] == "privcredit"}
+        calls = []
+
+        def traced(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        wrappers = {}
+        for name, module in modules.items():
+            for key, obj in vars(module).items():
+                if (inspect.isfunction(obj) and not key.startswith("_")
+                        and obj.__module__ == name):
+                    wrappers[id(obj)] = (obj, traced(f"{name}.{key}", obj))
+        for module in modules.values():
+            for key, obj in list(vars(module).items()):
+                if id(obj) in wrappers and wrappers[id(obj)][0] is obj:
+                    monkeypatch.setattr(module, key, wrappers[id(obj)][1])
+        force_cores(monkeypatch, 64)
+        sched = toy_schedule(params, 3)
+        cfg = SimConfig(3 * _BLOCK_PATHS + 5, 3, seed=4, measure="risk_neutral")
+        sim.simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
+        names = {name for name, _ in calls}
+        assert {"privcredit.simulate.simulate_terminal",
+                "privcredit.simulate.psd_cholesky"} <= names
+        assert all(main for _, main in calls)
 
 
 class TestNoiseFactor:
@@ -233,6 +348,56 @@ class TestNoiseFactor:
         assert np.array_equal(flipped.multipliers, ref.multipliers)
         assert np.array_equal(flipped.growth, ref.growth)
         assert np.array_equal(flipped.log_asset_exact, ref.log_asset_exact)
+
+    def test_panel_and_terminal_equal_a_float_loop(self, params, monkeypatch):
+        # Python floats round each product and sum on its own, as no BLAS
+        # kernel is bound to; the terminal run spans three blocks, on threads
+        sched = toy_schedule(params, 7)
+        start, P, seed = 1, 5, 17
+        m0, cov0 = [0.3, 0.05], 0.5 * params.init_cov
+        w_a, h_a = tangent = maturity_tangent(params, sched)
+        intercepts = risk_neutral_intercepts(params, sched)
+        cfg = SimConfig(3, P, seed, measure="risk_neutral")
+        panel = simulate_panel(params, sched, cfg, LB0, start=start,
+                               init_mean=m0, init_cov=cov0)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        e0 = rng.standard_normal((3, 2)).tolist()
+        ev = rng.standard_normal((3, P, 2)).tolist()
+        eu = rng.standard_normal((3, P, 2)).tolist()
+        for i in range(3):
+            z = float_scale(cov0, *e0[i])
+            shocks = [(float_scale(params.state_cov, *v), float_scale(params.meas_cov, *u))
+                      for v, u in zip(ev[i], eu[i])]
+            mults, growth, books = float_paths(
+                params, sched, intercepts, start, [m0[0] + z[0], m0[1] + z[1]],
+                LB0.tolist(), shocks)
+            assert panel.multipliers[i].tolist() == mults
+            assert panel.growth[i].tolist() == growth
+            assert panel.log_books[i].tolist() == books
+            assert panel.log_values[i].tolist() == [
+                [m[0] + b[0], m[1] + b[1]] for m, b in zip(mults, books)]
+
+        monkeypatch.setattr(sim, "_BLOCK_PATHS", 2)
+        force_cores(monkeypatch, 64)
+        terminal = simulate_terminal(
+            params, sched, dataclasses.replace(cfg, n_paths=5), LB0, tangent,
+            start=start, init_mean=m0, init_cov=cov0)
+        expected = []
+        for j, b in enumerate((2, 2, 1)):
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(j))
+            z0 = rng.standard_normal((2, b)).tolist()
+            draws = [rng.standard_normal((2, 2, b)).tolist() for _ in range(P)]
+            for i in range(b):
+                z = float_scale(cov0, z0[0][i], z0[1][i])
+                shocks = [(float_scale(params.state_cov, v[0][i], v[1][i]),
+                           float_scale(params.meas_cov, u[0][i], u[1][i]))
+                          for v, u in draws]
+                mults, _, books = float_paths(
+                    params, sched, intercepts, start,
+                    [m0[0] + z[0], m0[1] + z[1]], LB0.tolist(), shocks)
+                v = [mults[-1][0] + books[-1][0], mults[-1][1] + books[-1][1]]
+                expected.append((1.0 - w_a) * v[0] + w_a * v[1] + w_a * h_a)
+        assert terminal.tolist() == expected
 
     @pytest.mark.parametrize(
         "cov",

@@ -1,5 +1,6 @@
 """The package exposes only what a program path uses, no module of it
-loads scipy, and estimation does its 2×2 algebra without numpy.linalg."""
+loads scipy, the CLI loads no ``concurrent.futures`` (its import costs every
+command's start-up), and estimation does its 2×2 algebra without numpy.linalg."""
 
 import json
 import os
@@ -71,6 +72,7 @@ def defines(owner, name):
     return hasattr(owner, name) or name in {f.name for f in fields}
 
 before = "privcredit.oracle" in sys.modules
+futures = "concurrent.futures" in sys.modules
 modules = sorted(info.name for info in pkgutil.iter_modules(privcredit.__path__))
 for name in modules:
     importlib.import_module("privcredit." + name)
@@ -78,8 +80,8 @@ scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 removed = json.loads(sys.argv[1])
 present = [f"{owner}.{name}" for owner, names in removed.items()
            for name in names if defines(resolve(owner), name)]
-print(json.dumps({"oracle_loaded": before, "modules": modules,
-                  "scipy": scipy, "present": present}))
+print(json.dumps({"oracle_loaded": before, "futures_loaded": futures,
+                  "modules": modules, "scipy": scipy, "present": present}))
 """
 
 
@@ -95,8 +97,8 @@ def test_cli_import_skips_oracle_and_removed_names_are_gone():
     )
     result = json.loads(done.stdout)
     assert "simulate" in modules and "oracle" not in modules
-    assert result == {"oracle_loaded": False, "modules": modules,
-                      "scipy": [], "present": []}
+    assert result == {"oracle_loaded": False, "futures_loaded": False,
+                      "modules": modules, "scipy": [], "present": []}
 
 
 _PANEL_CONFIG = """
