@@ -3,12 +3,15 @@
 Subcommands cover the full pipeline: ``simulate`` emits an ingestible panel
 plus a truth sidecar; ``estimate`` fits the model; ``filter`` / ``smooth`` /
 ``forecast`` expose the state-space inferences; ``price``,
-``default-prob`` and ``calibrate-threshold`` run the valuation layer, with
-``--check mc`` embedding a Monte Carlo cross-check in the report.
+``default-prob`` and ``calibrate-threshold`` run the valuation layer;
+``--check mc`` embeds a Monte Carlo cross-check in a ``price`` or
+``default-prob`` report. ``_COMMANDS`` declares each command's handler,
+config keys and the flags it reads, the only ones it accepts.
 
-Exit codes: 0 success, 1 input/config validation or a file that cannot be
-opened, 2 numerical failure, 3 calibration has no solution. All runs are
-deterministic for a fixed config and seed.
+Exit codes: 0 success or ``--help``, 1 a usage error, input/config
+validation or a file that cannot be opened, 2 numerical failure, 3
+calibration has no solution. All runs are deterministic for a fixed config
+and seed.
 """
 
 import argparse
@@ -20,7 +23,7 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .em import e_step, em_fit, smoothed_market_values
+from .em import _forward_pass, em_fit, smoothed_market_values
 from .errors import (
     DataValidationError,
     DegenerateDesignError,
@@ -29,7 +32,7 @@ from .errors import (
     NoSolutionError,
     PrivCreditError,
 )
-from .kalman import run_filter  # noqa: F401  (bound here for tracers that rebind it)
+from .kalman import run_filter, smooth  # noqa: F401  (tracers rebind run_filter here)
 from .model import ModelParams, build_linearization_schedule
 from .pricing import build_pricing_context, equity_debt_values, filter_and_forecast
 from .simulate import (
@@ -145,8 +148,7 @@ def _fit_or_load(args, cfg, series):
     return params, estimation, trace
 
 
-def cmd_simulate(args):
-    cfg = pio.parse_config(args.config, _SIM_KEYS) if args.config else {}
+def cmd_simulate(args, cfg):
     rate_log = _rate(args, cfg)
     params = _params_from_config(cfg, rate_log)
     if params is None:
@@ -154,20 +156,12 @@ def cmd_simulate(args):
     periods = pio.coerce(cfg, "periods", int, required=True)
     seed = _option(args.seed, cfg, "seed", int, 0)
     config = SimConfig(n_paths=1, horizon=periods, seed=seed, measure="real")
-    book0 = np.array(
-        [
-            pio.coerce(cfg, "book0_equity", float, required=True),
-            pio.coerce(cfg, "book0_liability", float, required=True),
-        ]
-    )
+    book0 = np.array([pio.coerce(cfg, f"book0_{side}", float, required=True)
+                      for side in ("equity", "liability")])
     if not (np.isfinite(book0).all() and (book0 > 0).all()):
         raise DataValidationError("book0 values must be strictly positive and finite")
-    payout = np.array(
-        [
-            pio.coerce(cfg, "payout_ratio_equity", float, required=True),
-            pio.coerce(cfg, "payout_ratio_liability", float, required=True),
-        ]
-    )
+    payout = np.array([pio.coerce(cfg, f"payout_ratio_{side}", float, required=True)
+                       for side in ("equity", "liability")])
     if not (payout > 0).all():
         raise DataValidationError("payout ratios must be strictly positive")
     ratio = np.tile(np.log(payout), (periods, 1))
@@ -176,6 +170,7 @@ def cmd_simulate(args):
     schedule = build_linearization_schedule(params, ratio, periods)
     panel = simulate_panel(params, schedule, config, np.log(book0))
     books = np.exp(panel.log_books[0])
+    books[0] = book0
     payouts = np.exp(ratio) * books[:-1]
     pio.write_panel_csv(args.output, books, payouts)
     truth = {
@@ -210,14 +205,11 @@ def _write(args, report, params, estimation):
 
 def _series_report_core(series, params, trace=None):
     """Filter and smoother fields at ``params``, smoothing the forward pass
-    an EM ``trace`` ended with rather than running it again."""
-    schedule, filt = (trace.schedule, trace.filter_output) if trace else (None, None)
-    if schedule is None:
-        schedule = build_linearization_schedule(
-            params, series.payout_ratio, series.n_periods
-        )
-    sums = e_step(params, series, schedule, filt)
-    filt, smoothed = sums.filter_output, sums.smoothed
+    an EM ``trace`` ended with, or one run here for configured parameters;
+    the report, that pass and its smoother output."""
+    schedule, filt = ((trace.schedule, trace.filter_output) if trace
+                      else _forward_pass(params, series))
+    smoothed = smooth(filt)
     report = {
         "feasibility": _feasibility(schedule),
         "loglik": filt.loglik,
@@ -225,11 +217,10 @@ def _series_report_core(series, params, trace=None):
         "smoothed_multipliers": smoothed.m_smooth,
         "smoothed_market_values": smoothed_market_values(smoothed, series),
     }
-    return report, sums
+    return report, filt, smoothed
 
 
-def cmd_estimate(args):
-    cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
+def cmd_estimate(args, cfg):
     series = _read_panel(args)
     rate_log = _rate(args, cfg)
     max_iter, tol = _em_settings(args, cfg)
@@ -245,33 +236,30 @@ def cmd_estimate(args):
         "lambda_after": trace.lambda_after,
         "max_change": trace.max_change,
     }
-    report, _ = _series_report_core(series, params, trace)
+    report, _, _ = _series_report_core(series, params, trace)
     return _write(args, report, params, estimation)
 
 
-def cmd_filter(args):
-    cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
+def cmd_filter(args, cfg):
     series = _read_panel(args)
     params, estimation, trace = _fit_or_load(args, cfg, series)
-    report, sums = _series_report_core(series, params, trace)
-    report["filtered_multiplier_cov"] = sums.filter_output.cov_m_filt
-    report["predicted_growth"] = sums.filter_output.b_pred[1:]
+    report, filt, _ = _series_report_core(series, params, trace)
+    report["filtered_multiplier_cov"] = filt.cov_m_filt
+    report["predicted_growth"] = filt.b_pred[1:]
     return _write(args, report, params, estimation)
 
 
-def cmd_smooth(args):
-    cfg = pio.parse_config(args.config, _ESTIMATE_KEYS) if args.config else {}
+def cmd_smooth(args, cfg):
     series = _read_panel(args)
     params, estimation, trace = _fit_or_load(args, cfg, series)
-    report, sums = _series_report_core(series, params, trace)
-    report["smoothed_multiplier_cov"] = sums.smoothed.cov_m_smooth
+    report, _, smoothed = _series_report_core(series, params, trace)
+    report["smoothed_multiplier_cov"] = smoothed.cov_m_smooth
     return _write(args, report, params, estimation)
 
 
-def cmd_forecast(args):
-    cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
+def cmd_forecast(args, cfg):
     params, estimation, (schedule, _, fc, log_books) = _horizon_setup(
-        args, cfg, filter_and_forecast, "forecast requires --maturity periods ahead")
+        args, cfg, filter_and_forecast)
     report = {
         "feasibility": _feasibility(schedule),
         "forecast_growth": fc.b_mean[fc.start :],
@@ -298,15 +286,14 @@ def _future_payout(cfg):
     return np.log([eq, li])
 
 
-def _horizon_setup(args, cfg, build=build_pricing_context,
-                   missing="a positive --maturity is required"):
+def _horizon_setup(args, cfg, build=build_pricing_context):
     """Parameters, the in-run fit's summary (None for configured ones) and
     ``build`` over the sample plus the maturity horizon."""
     series = _read_panel(args)
     params, estimation, _ = _fit_or_load(args, cfg, series)
     maturity = _option(args.maturity, cfg, "maturity", int)
     if maturity is None or maturity < 1:
-        raise DataValidationError(missing)
+        raise DataValidationError("a positive --maturity is required")
     return params, estimation, build(params, series, maturity, _future_payout(cfg))
 
 
@@ -357,8 +344,7 @@ def _valuation(ctx, strike, m_t=None):
     return {"call": call, "put": put, "equity_value": equity, "debt_value": debt}
 
 
-def cmd_price(args):
-    cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
+def cmd_price(args, cfg):
     params, estimation, ctx = _horizon_setup(args, cfg)
     strike = _option(args.strike, cfg, "strike", float)
     if strike is None:
@@ -383,8 +369,7 @@ def cmd_price(args):
     return _write(args, report, params, estimation)
 
 
-def cmd_default_prob(args):
-    cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
+def cmd_default_prob(args, cfg):
     params, estimation, ctx = _horizon_setup(args, cfg)
     threshold = pio.coerce(cfg, "threshold", float, default=None)
     calibrated = threshold is None
@@ -411,8 +396,7 @@ def cmd_default_prob(args):
     return _write(args, report, params, estimation)
 
 
-def cmd_calibrate_threshold(args):
-    cfg = pio.parse_config(args.config, _PRICING_KEYS) if args.config else {}
+def cmd_calibrate_threshold(args, cfg):
     params, estimation, ctx = _horizon_setup(args, cfg)
     threshold = ctx.calibrate_threshold()
     target = ctx.target_equity()
@@ -430,6 +414,36 @@ def cmd_calibrate_threshold(args):
     return _write(args, report, params, estimation)
 
 
+_FLAGS = {
+    "input": dict(help="panel CSV path"),
+    "config": dict(help="flat key = value config file"),
+    "output": dict(help="report path (stdout when omitted)"),
+    "rate": dict(type=float, help="per-period risk-free rate (not logged)"),
+    "max-iter": dict(type=int),
+    "tol": dict(type=float),
+    "maturity": dict(type=int, help="periods beyond the last observation"),
+    "strike": dict(type=float),
+    "check": dict(choices=["mc"]),
+    "paths": dict(type=int),
+    "seed": dict(type=int),
+}
+_FIT_FLAGS = ("input", "config", "output", "rate", "max-iter", "tol")
+_HORIZON_FLAGS = _FIT_FLAGS + ("maturity",)
+_MC_FLAGS = ("check", "paths", "seed")
+
+# command: (handler, config keys, flags it reads)
+_COMMANDS = {
+    "simulate": (cmd_simulate, _SIM_KEYS, ("config", "output", "rate", "seed")),
+    "estimate": (cmd_estimate, _ESTIMATE_KEYS, _FIT_FLAGS),
+    "filter": (cmd_filter, _ESTIMATE_KEYS, _FIT_FLAGS),
+    "smooth": (cmd_smooth, _ESTIMATE_KEYS, _FIT_FLAGS),
+    "forecast": (cmd_forecast, _PRICING_KEYS, _HORIZON_FLAGS),
+    "price": (cmd_price, _PRICING_KEYS, _HORIZON_FLAGS + ("strike",) + _MC_FLAGS),
+    "default-prob": (cmd_default_prob, _PRICING_KEYS, _HORIZON_FLAGS + _MC_FLAGS),
+    "calibrate-threshold": (cmd_calibrate_threshold, _PRICING_KEYS, _HORIZON_FLAGS),
+}
+
+
 @functools.cache
 def build_parser():
     """The command-line parser, built once per process: parsing leaves it
@@ -439,40 +453,23 @@ def build_parser():
         description="Structural credit risk for private companies from book data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "simulate": cmd_simulate,
-        "estimate": cmd_estimate,
-        "filter": cmd_filter,
-        "smooth": cmd_smooth,
-        "forecast": cmd_forecast,
-        "price": cmd_price,
-        "default-prob": cmd_default_prob,
-        "calibrate-threshold": cmd_calibrate_threshold,
-    }
-    for name, fn in commands.items():
+    for name, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", help="panel CSV path")
-        p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--output", help="report path (stdout when omitted)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--maturity", type=int, default=None,
-                       help="periods beyond the last observation")
-        p.add_argument("--strike", type=float, default=None)
-        p.add_argument("--rate", type=float, default=None,
-                       help="per-period risk-free rate (not logged)")
-        p.add_argument("--check", choices=["mc"], default=None)
-        p.add_argument("--max-iter", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.set_defaults(handler=fn)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or the usage and the error
+        return _EXIT_VALIDATION if exc.code else 0
+    handler, keys, _ = _COMMANDS[args.command]
+    try:
+        cfg = pio.parse_config(args.config, keys) if args.config else {}
+        return handler(args, cfg)
     except (DataValidationError, OSError) as exc:
         # an unreadable or unwritable file: the OSError message names it
         print(f"error: {exc}", file=sys.stderr)

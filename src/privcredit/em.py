@@ -1,7 +1,7 @@
 """Maximum-likelihood estimation via the EM zig-zag iteration.
 
 Each iteration smooths the filter run at the current parameter vector
-(E-step; the line search that accepted the vector ran it), then maximizes
+(E-step; the start pass or the accepting line search ran it), then maximizes
 the expected complete-data log-likelihood exactly with the schedule held
 frozen (M-step). With the schedule frozen that objective depends on the
 smoothed moments only through a few 2×2 sums (Shumway & Stoffer 1982;
@@ -47,7 +47,7 @@ class EmTrace:
     lambda_after: list = field(default_factory=list)
     max_change: list = field(default_factory=list)
     termination: str = ""
-    # schedule and forward pass at the returned parameters, where built
+    # schedule and forward pass at the returned parameters
     schedule: object = None
     filter_output: FilterOutput = None
 
@@ -456,14 +456,16 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
     schedule feasible, does not decrease the frozen-schedule objective (up
     to 1e-9), and lowers the observed likelihood by at most a relative 1e-8;
     the frozen objective is exactly non-decreasing along this segment, so
-    the generalized-EM ascent property is preserved. The accepted
-    candidate's schedule and filter are the next E-step's, and the last ones
-    go back on the trace: one accepted step costs one filter run.
+    the generalized-EM ascent property is preserved. After one filter run
+    at the start, the accepted candidate's schedule and filter are the next
+    E-step's, and the last ones go back on the trace: one accepted step
+    costs one filter run.
 
     Stops when the largest absolute parameter change falls below ``tol``,
     when no acceptable step remains ("stalled"), or after ``max_iter``
-    iterations. An infeasible schedule at entry aborts with the starting
-    parameters and a diagnostic on the trace.
+    iterations. An infeasible schedule or an ill-conditioned filter at the
+    start parameters raises (:class:`InfeasibleLinearizationError`,
+    :class:`IllConditionedInnovationError`).
 
     Returns
     -------
@@ -472,15 +474,7 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
     params = params_init or default_initial_params(series, rate_log)
     trace = EmTrace()
     trace.params.append(params)
-    try:
-        schedule = build_linearization_schedule(
-            params, series.payout_ratio, series.n_periods
-        )
-    except PrivCreditError as exc:
-        # infeasible starting point: keep the starting parameters
-        trace.termination = f"aborted: {exc}"
-        return params, trace
-    filt = None
+    schedule, filt = _forward_pass(params, series)
     for _ in range(max_iter):
         sums = e_step(params, series, schedule, filt)
         filt = sums.filter_output

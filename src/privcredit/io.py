@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -21,8 +22,10 @@ def ingest(path):
     """Read and validate a panel CSV into an :class:`ObservedSeries`.
 
     The first data row fixes the initial book values; its payout cells may
-    be empty. Periods must be consecutive integers and every value strictly
-    positive. Diagnostics name the offending row and column.
+    be empty, and a non-empty one must be a number. Periods must be
+    consecutive integers and every other book and payout value a strictly
+    positive, finite number. Diagnostics name the file, the offending row
+    (its line in the file) and the column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -34,67 +37,52 @@ def ingest(path):
             raise DataValidationError(
                 f"{path}: malformed header {header!r}, expected {CSV_HEADER}"
             )
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
+        rows = [(reader.line_num, row) for row in reader
+                if row and any(c.strip() for c in row)]
     if len(rows) < 2:
         raise DataValidationError(f"{path}: need at least 2 data rows")
 
-    def cell(row_idx, col_idx, allow_empty=False):
-        row = rows[row_idx]
+    def invalid(line, col, problem):
+        return DataValidationError(
+            f"{path}: row {line}, column {CSV_HEADER[col]}{problem}")
+
+    def cell(line, row, col, optional=False):
+        """Column ``col`` of ``row`` as a float; a book or payout value must
+        be strictly positive and finite unless ``optional`` (None if empty)."""
+        raw = row[col].strip()
+        if raw == "":
+            if optional:
+                return None
+            raise invalid(line, col, " is empty")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise invalid(line, col, f": not a number ({raw!r})") from None
+        if col and not optional and not 0.0 < value < math.inf:
+            raise invalid(line, col,
+                          f": must be strictly positive and finite (got {raw})")
+        return value
+
+    books, payouts = [], []
+    for i, (line, row) in enumerate(rows):
         if len(row) != len(CSV_HEADER):
             raise DataValidationError(
-                f"{path}: row {row_idx + 2} has {len(row)} fields, expected "
-                f"{len(CSV_HEADER)}"
+                f"{path}: row {line} has {len(row)} fields, expected {len(CSV_HEADER)}"
             )
-        raw = row[col_idx].strip()
-        if raw == "":
-            if allow_empty:
-                return None
-            raise DataValidationError(
-                f"{path}: row {row_idx + 2}, column {CSV_HEADER[col_idx]} is empty"
-            )
-        try:
-            return float(raw)
-        except ValueError:
-            raise DataValidationError(
-                f"{path}: row {row_idx + 2}, column {CSV_HEADER[col_idx]}: "
-                f"not a number ({raw!r})"
-            ) from None
-
-    n = len(rows)
-    books = np.empty((n, 2))
-    payouts = np.empty((n - 1, 2))
-    for i in range(n):
-        period = cell(i, 0)
+        period = cell(line, row, 0)
         if not period.is_integer():
-            raise DataValidationError(
-                f"{path}: row {i + 2}, column period: not a finite integer ({period!r})"
-            )
+            raise invalid(line, 0, f": not a finite integer ({period!r})")
         if i == 0:
             first_period = int(period)
         elif period != first_period + i:
             raise DataValidationError(
-                f"{path}: row {i + 2}: period {period:g} breaks the "
+                f"{path}: row {line}: period {period:g} breaks the "
                 f"consecutive sequence starting at {first_period}"
             )
-        for j, col in ((1, 0), (2, 1)):
-            value = cell(i, j)
-            if not value > 0:
-                raise DataValidationError(
-                    f"{path}: row {i + 2}, column {CSV_HEADER[j]}: must be "
-                    f"strictly positive (got {value:g})"
-                )
-            books[i, col] = value
-        for j, col in ((3, 0), (4, 1)):
-            value = cell(i, j, allow_empty=(i == 0))
-            if i == 0:
-                continue
-            if value is None or not value > 0:
-                shown = "empty" if value is None else f"{value:g}"
-                raise DataValidationError(
-                    f"{path}: row {i + 2}, column {CSV_HEADER[j]}: must be "
-                    f"strictly positive (got {shown})"
-                )
-            payouts[i - 1, col] = value
+        books.append((cell(line, row, 1), cell(line, row, 2)))
+        payout = cell(line, row, 3, i == 0), cell(line, row, 4, i == 0)
+        if i:
+            payouts.append(payout)
     return derive_series(books, payouts)
 
 

@@ -13,7 +13,11 @@ from privcredit.em import (
     m_step,
     smoothed_market_values,
 )
-from privcredit.errors import DataValidationError, DegenerateDesignError
+from privcredit.errors import (
+    DataValidationError,
+    DegenerateDesignError,
+    InfeasibleLinearizationError,
+)
 from privcredit.kalman import SmootherOutput, run_filter
 from privcredit.model import (
     ObservedSeries,
@@ -481,8 +485,9 @@ class TestEmFit:
                 assert np.linalg.eigvalsh(m).min() > -1e-12
 
     def test_one_filter_run_per_accepted_step(self, params, monkeypatch):
-        # only the first E-step filters; every later one smooths the pass
-        # the line search ran for the candidate it accepted. Each iteration
+        # no E-step filters: the first smooths the fit's start pass, every
+        # later one the pass the line search ran for the candidate it
+        # accepted. Each iteration
         # builds its moment sums once and evaluates the objective from them
         # at its start and at each line-search candidate.
         series, _, _ = synthetic_series(params, 60, seed=31)
@@ -524,8 +529,8 @@ class TestEmFit:
         start = default_initial_params(series, params.rate_log)
         fitted, trace = em_fit(series, params_init=start, max_iter=10, tol=0.0)
         assert trace.termination == "max_iter" and trace.n_iterations == 10
-        assert calls["e_step"] == 1
-        assert calls["search"] >= trace.n_iterations
+        assert calls["e_step"] == 0
+        assert calls["search"] >= trace.n_iterations + 1
         assert len(built) == trace.n_iterations
         assert len(objective_sums) == trace.n_iterations + len(candidates)
         # every evaluation uses the sums its own iteration built
@@ -539,15 +544,14 @@ class TestEmFit:
         assert trace.filter_output.loglik == fresh.filter_output.loglik
         assert np.array_equal(trace.filter_output.m_filt, fresh.filter_output.m_filt)
 
-    def test_infeasible_start_aborts_with_diagnostic(self, params):
+    def test_infeasible_start_raises(self, params):
         series, _, _ = synthetic_series(params, 5, seed=37)
         bad = params.replace(req_return=np.array([-2.0, -2.0]))
-        fitted, trace = em_fit(series, params_init=bad, max_iter=10)
-        assert trace.termination.startswith("aborted")
-        assert fitted is bad
+        with pytest.raises(InfeasibleLinearizationError, match="period 1"):
+            em_fit(series, params_init=bad, max_iter=10)
 
     def test_programming_error_in_line_search_propagates(self, params, monkeypatch):
-        # the first filter run is the E-step's; the next is the line search's
+        # the first filter run is the start pass; the next is the line search's
         series, _, _ = synthetic_series(params, 20, seed=39)
         real_filter = em.run_filter
         calls = []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from privcredit.cli import main
+from privcredit.cli import _COMMANDS, _FLAGS, main
 from privcredit.errors import DataValidationError
 from privcredit.io import CSV_HEADER, format_report, ingest, parse_config, write_panel_csv
 
@@ -96,6 +96,37 @@ class TestIngest:
         with pytest.raises(DataValidationError,
                            match=f"row {row + 2}, column period: not a finite integer"):
             ingest(path)
+
+    @pytest.mark.parametrize("column", ["book_equity", "payout_liability"])
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1"])
+    def test_nonfinite_or_negative_value_names_file_line_and_column(
+        self, tmp_path, column, value
+    ):
+        # the blank line 3 is skipped, so the fourth data row is line 6
+        cells = ["3", "12", "13", "0.5", "0.6"]
+        cells[CSV_HEADER.index(column)] = value
+        lines = [",".join(CSV_HEADER), "0,10,12,,", "", "1,11,12.5,0.5,0.6",
+                 "2,11,12.5,0.5,0.6", ",".join(cells)]
+        path = tmp_path / "value.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError) as info:
+            ingest(path)
+        assert str(info.value) == (
+            f"{path}: row 6, column {column}: must be strictly positive and "
+            f"finite (got {value})"
+        )
+
+    def test_first_row_payout_must_be_a_number_when_present(self, tmp_path):
+        path = tmp_path / "row0.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n0,10,12,x,\n1,11,12.5,0.5,0.6\n")
+        with pytest.raises(DataValidationError,
+                           match="row 2, column payout_equity: not a number"):
+            ingest(path)
+        # a number there, zero included, is read and left unused
+        path.write_text(",".join(CSV_HEADER) + "\n0,10,12,0,0\n1,11,12.5,0.5,0.6\n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text(",".join(CSV_HEADER) + "\n0,10,12,,\n1,11,12.5,0.5,0.6\n")
+        assert np.array_equal(ingest(path).payout_ratio, ingest(blank).payout_ratio)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
@@ -369,6 +400,39 @@ PANEL_COMMANDS = ["estimate", "filter", "smooth", "forecast", "price",
                   "default-prob", "calibrate-threshold"]
 
 
+class TestCliUsage:
+    """A command accepts only the flags it reads; every usage error exits 1
+    after argparse's usage message, and ``--help`` exits 0."""
+
+    VALUES = {"input": "x.csv", "config": "x.cfg", "output": "x.json",
+              "rate": "0.01", "max-iter": "1", "tol": "1e-8", "maturity": "4",
+              "strike": "1", "check": "mc", "paths": "10", "seed": "1"}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (_, _, flags) in _COMMANDS.items()
+        for flag in _FLAGS if flag not in flags
+    ])
+    def test_flag_outside_the_command_exits_1(self, capsys, command, flag):
+        assert main([command, f"--{flag}", self.VALUES[flag]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: privcredit")
+        assert f"unrecognized arguments: --{flag} {self.VALUES[flag]}" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--bogus"], ["price", "--maturity", "abc"], [],
+    ], ids=["unknown-flag", "bad-value", "no-command"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: privcredit")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["price", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: privcredit")
+
+
 class TestCliFileArguments:
     """A file argument that cannot be opened exits 1 with an ``error:`` line
     naming it, never a traceback."""
@@ -552,9 +616,9 @@ class TestEstimateReusesFitPass:
 
         report = json.loads(out.read_text())
         assert report["estimation"]["termination"] == termination
-        # with no iteration the fit runs no filter, so the report runs one
-        zero_iterations = report["estimation"]["iterations"] == 0
-        assert [len(filters) - n for n in after_fit] == [int(zero_iterations)]
+        # the fit filters at its start, so even with no iteration the
+        # report runs no filter of its own
+        assert [len(filters) - n for n in after_fit] == [0]
         fields = {k: np.array(v) for k, v in report["params"].items()}
         fields["rate_log"] = report["params"]["rate_log"]
         fresh = e_step(ModelParams(**fields), ingest(panel))
@@ -806,16 +870,14 @@ class TestCliPricing:
     @pytest.mark.parametrize("command", ["forecast", "price"])
     @pytest.mark.parametrize("maturity", ["0", "-2"])
     def test_nonpositive_maturity_fails_validation(
-        self, tmp_path, panel_csv, command, maturity
+        self, tmp_path, panel_csv, capsys, command, maturity
     ):
         cfg = self._pricing_cfg(tmp_path, extra="maturity = 4\n")
-        code = main(
-            [
-                command, "--input", str(panel_csv), "--config", str(cfg),
-                "--maturity", maturity, "--strike", "2.0",
-            ]
-        )
+        strike = ["--strike", "2.0"] if command == "price" else []
+        code = main([command, "--input", str(panel_csv), "--config", str(cfg),
+                     "--maturity", maturity, *strike])
         assert code == 1
+        assert capsys.readouterr().err == "error: a positive --maturity is required\n"
 
     def test_missing_future_payout_fails_validation(self, tmp_path, panel_csv):
         stripped = "\n".join(
@@ -841,8 +903,9 @@ class TestCliPricing:
     ):
         text = PRICING_CONFIG.replace("payout_future_equity = 0.25",
                                       f"payout_future_equity = {ratio}")
+        strike = ["--strike", "2.0"] if command == "price" else []
         code = main([command, "--input", str(panel_csv), "--maturity", "4",
-                     "--strike", "2.0", "--config",
+                     *strike, "--config",
                      str(self._pricing_cfg(tmp_path, text=text))])
         captured = capsys.readouterr()
         assert code == 1
@@ -879,8 +942,9 @@ class TestCliPricing:
         cfg = self._pricing_cfg(
             tmp_path, extra=f"m_t_equity = {m_t}\nm_t_liability = 0.1\n"
         )
+        strike = ["--strike", "2.0"] if command == "price" else []
         code = main([command, "--input", str(panel_csv), "--maturity", "4",
-                     "--strike", "2.0", "--config", str(cfg)])
+                     *strike, "--config", str(cfg)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert "m_t_equity and m_t_liability must be finite" in captured.err

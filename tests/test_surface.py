@@ -1,6 +1,7 @@
 """The package exposes only what a program path uses, no module of it
 loads scipy, the CLI loads no ``concurrent.futures`` (its import costs every
-command's start-up), and estimation does its 2×2 algebra without numpy.linalg."""
+command's start-up), estimation does its 2×2 algebra without numpy.linalg,
+and ``simulate`` writes the configured books unrounded."""
 
 import json
 import os
@@ -139,3 +140,16 @@ def test_estimate_calls_no_small_matrix_lapack(tmp_path, monkeypatch):
     assert main(["estimate", "--input", str(panel), "--rate", "0.0101",
                  "--max-iter", "40", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["estimation"]["iterations"] > 1
+
+
+def test_simulate_writes_the_configured_first_books(tmp_path):
+    # row 0 holds book0 itself, not exp(log book0), and the first payouts
+    # are taken from it; later rows come from the simulated log books
+    cfg, panel = tmp_path / "sim.cfg", tmp_path / "panel.csv"
+    cfg.write_text(_PANEL_CONFIG)
+    assert main(["simulate", "--config", str(cfg), "--output", str(panel)]) == 0
+    rows = [line.split(",") for line in panel.read_text().splitlines()]
+    assert rows[1] == ["0", "5.0", "6.0", "", ""]
+    assert rows[2][3:] == ["1.25", "1.5"]
+    truth = json.loads((tmp_path / "panel.csv.truth.json").read_text())
+    assert len(rows) == 2 + len(truth["true_multipliers"]) - 1
