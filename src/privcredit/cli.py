@@ -6,7 +6,8 @@ plus a truth sidecar; ``estimate`` fits the model; ``filter`` / ``smooth`` /
 ``default-prob`` and ``calibrate-threshold`` run the valuation layer;
 ``--check mc`` embeds a Monte Carlo cross-check in a ``price`` or
 ``default-prob`` report. ``_COMMANDS`` declares each command's handler,
-config keys and the flags it reads, the only ones it accepts.
+config keys and the flags it reads, the only ones it accepts, spelled in
+full.
 
 Exit codes: 0 success or ``--help``, 1 a usage error, input/config
 validation or a file that cannot be opened, 2 numerical failure, 3
@@ -119,7 +120,12 @@ def _option(value, cfg, key, kind, default=None):
 
 
 def _rate(args, cfg):
-    return float(np.log1p(_option(args.rate, cfg, "rate", float, 0.0)))
+    """ln(1 + r) of the per-period risk-free rate r, which must be finite
+    and above −1."""
+    rate = _option(args.rate, cfg, "rate", float, 0.0)
+    if not -1.0 < rate < math.inf:
+        raise DataValidationError(f"rate must be finite and above -1 (got {rate!r})")
+    return float(np.log1p(rate))
 
 
 def _em_settings(args, cfg):
@@ -171,7 +177,7 @@ def cmd_simulate(args, cfg):
     panel = simulate_panel(params, schedule, config, np.log(book0))
     books = np.exp(panel.log_books[0])
     books[0] = book0
-    payouts = np.exp(ratio) * books[:-1]
+    payouts = payout * books[:-1]
     pio.write_panel_csv(args.output, books, payouts)
     truth = {
         "command": "simulate",
@@ -298,10 +304,14 @@ def _horizon_setup(args, cfg, build=build_pricing_context):
 
 
 def _public_multiplier(cfg):
+    """The configured public multiplier m_t, None when neither half is given."""
     eq = pio.coerce(cfg, "m_t_equity", float, default=None)
     li = pio.coerce(cfg, "m_t_liability", float, default=None)
-    if eq is None or li is None:
+    if eq is None and li is None:
         return None
+    if eq is None or li is None:
+        missing = "m_t_equity" if eq is None else "m_t_liability"
+        raise DataValidationError(f"a public multiplier needs {missing} in the config too")
     if not (math.isfinite(eq) and math.isfinite(li)):
         raise DataValidationError("m_t_equity and m_t_liability must be finite")
     return np.array([eq, li])
@@ -454,7 +464,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser

@@ -22,10 +22,10 @@ def ingest(path):
     """Read and validate a panel CSV into an :class:`ObservedSeries`.
 
     The first data row fixes the initial book values; its payout cells may
-    be empty, and a non-empty one must be a number. Periods must be
-    consecutive integers and every other book and payout value a strictly
-    positive, finite number. Diagnostics name the file, the offending row
-    (its line in the file) and the column.
+    be empty, and a non-empty one must be nonnegative and finite. Periods
+    must be consecutive integers and every other book and payout value a
+    strictly positive, finite number. Diagnostics name the file, the
+    offending row (its line in the file) and the column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -48,7 +48,8 @@ def ingest(path):
 
     def cell(line, row, col, optional=False):
         """Column ``col`` of ``row`` as a float; a book or payout value must
-        be strictly positive and finite unless ``optional`` (None if empty)."""
+        be strictly positive and finite, or if ``optional`` empty (None) or
+        zero."""
         raw = row[col].strip()
         if raw == "":
             if optional:
@@ -58,9 +59,9 @@ def ingest(path):
             value = float(raw)
         except ValueError:
             raise invalid(line, col, f": not a number ({raw!r})") from None
-        if col and not optional and not 0.0 < value < math.inf:
-            raise invalid(line, col,
-                          f": must be strictly positive and finite (got {raw})")
+        if col and not (0.0 < value < math.inf or optional and value == 0.0):
+            sign = "nonnegative" if optional else "strictly positive"
+            raise invalid(line, col, f": must be {sign} and finite (got {raw})")
         return value
 
     books, payouts = [], []

@@ -18,17 +18,18 @@ from .errors import DataValidationError
 from .model import real_intercepts, risk_neutral_intercepts
 
 MEASURES = ("real", "risk_neutral")
-_BLOCK_PATHS = 1 << 14  # paths per simulate_terminal block, each its own stream
-_MAX_WORKERS = 4        # simulate_terminal threads: at most 2¹⁶ paths in memory
+_BLOCK_PATHS = 1 << 14  # paths per block, each block its own stream
+_MAX_WORKERS = 4        # threads; a terminal run holds at most 2¹⁶ paths
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation settings; identical configs give bit-identical paths on
-    every BLAS/LAPACK build, CPU and core count. The noise factor is the
-    closed-form lower Cholesky factor :func:`psd_cholesky`, applied with
-    elementwise products and sums (no LAPACK, no BLAS kernel), and
-    :func:`simulate_terminal` gives each block of paths its own stream."""
+    every BLAS/LAPACK build, CPU and core count, and :func:`simulate_panel`
+    and :func:`simulate_terminal` draw the same paths. Each block of paths
+    has its own stream, and the noise factor is the closed-form lower
+    Cholesky factor :func:`psd_cholesky`, applied with elementwise products
+    and sums (no LAPACK, no BLAS kernel)."""
 
     n_paths: int
     horizon: int
@@ -88,97 +89,18 @@ def _correlate(factor, e):
     return e
 
 
-def _setup(params, schedule, config, start, init_mean, init_cov):
-    """Checks, start distribution and intercepts of a simulation."""
-    if schedule.horizon < start + config.horizon:
-        raise DataValidationError("schedule does not cover the simulation horizon")
-    mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
-    cov0 = params.init_cov if init_cov is None else np.asarray(init_cov, float)
-    if config.measure == "real":
-        intercepts = real_intercepts(params, schedule)
-    else:
-        intercepts = risk_neutral_intercepts(params, schedule)
-    return mean0, cov0, intercepts
-
-
-def _step(drift, gain, intercept, m_prev, rv, ru):
-    """One period: m′ = φ + m + r_v and book growth g = −m′ + G_t m + c_t + r_u,
-    with φ, G_t and c_t shaped to broadcast against the state's layout."""
-    m_new = drift + m_prev + rv
-    return m_new, -m_new + gain * m_prev + intercept + ru
-
-
-def simulate_panel(params, schedule, config, log_books0, start=0,
-                   init_mean=None, init_cov=None):
-    """Simulate exact model paths.
-
-    Parameters
-    ----------
-    log_books0 : (2,) array
-        Log book values at the start period.
-    start : int
-        Absolute period of the initial condition; the panel covers periods
-        start..start+config.horizon and the schedule must reach the end.
-    init_mean, init_cov : optional
-        Distribution of the log multiplier at the start period (defaults to
-        the model prior; pass a zero matrix to pin a known multiplier).
-
-    Draws, from ``Philox(key=seed)``: n start pairs, then n × horizon state
-    noise pairs, then as many measurement noise pairs. They are scaled by
-    the lower Cholesky factors of the covariances (:func:`psd_cholesky`)
-    elementwise, so the panel depends only on the config and the inputs,
-    not on the BLAS/LAPACK build or the CPU.
-    """
-    mean0, cov0, intercepts = _setup(params, schedule, config, start,
-                                     init_mean, init_cov)
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    n, P = config.n_paths, config.horizon
-    e0 = rng.standard_normal((n, 2))
-    rv = rng.standard_normal((n, P, 2))
-    ru = rng.standard_normal((n, P, 2))
-    for cov, e in ((cov0, e0), (params.state_cov, rv), (params.meas_cov, ru)):
-        _correlate(psd_cholesky(cov), np.moveaxis(e, -1, 0))
-
-    mult = np.empty((n, P + 1, 2))
-    growth = np.empty((n, P, 2))
-    log_books = np.empty((n, P + 1, 2))
-    mult[:, 0] = mean0 + e0
-    log_books[:, 0] = np.asarray(log_books0, float)
-    for j in range(1, P + 1):
-        t = start + j
-        mult[:, j], growth[:, j - 1] = _step(
-            params.drift, schedule.gain[t], intercepts[t], mult[:, j - 1],
-            rv[:, j - 1], ru[:, j - 1],
-        )
-        log_books[:, j] = log_books[:, j - 1] + growth[:, j - 1]
-
-    log_values = mult + log_books
-    exact = np.logaddexp(log_values[..., 0], log_values[..., 1])
-    return SimulatedPanel(
-        multipliers=mult, growth=growth, log_books=log_books,
-        log_values=log_values, log_asset_exact=exact,
-    )
-
-
-def _terminal_values(drift, gains, intercepts, m, log_books, shocks, tangent):
-    """Log asset after the (r_v, r_u) pairs in ``shocks``, one per row of the
-    (periods, 2, 1) ``gains`` and ``intercepts``, from the (2, b) multiplier
-    state ``m`` and log books, linearized at the asset ``tangent`` (w_a, h_a)
-    as :func:`privcredit.model.linearized_log_asset` does."""
-    for gain, intercept, (rv, ru) in zip(gains, intercepts, shocks):
-        m, growth = _step(drift, gain, intercept, m, rv, ru)
-        log_books = log_books + growth
-    w_a, h_a = tangent
-    values = m + log_books
-    return (1.0 - w_a) * values[0] + w_a * values[1] + w_a * h_a
-
-
-def _shocks(rng, state_factor, meas_factor, b, periods):
-    """Per period, b state noise pairs and b measurement noise pairs, each
-    scaled to a (2, b) array."""
-    for _ in range(periods):
-        ev, eu = rng.standard_normal((2, 2, b))
-        yield _correlate(state_factor, ev), _correlate(meas_factor, eu)
+def _periods(rng, state_factor, meas_factor, drift, gains, intercepts, m, log_books):
+    """The (2, b) multiplier m′ = φ + m + r_v, log books and book growth
+    g = −m′ + G_t m + c_t + r_u after each row of the (periods, 2, 1)
+    ``gains`` and ``intercepts``, from the multiplier ``m`` and log books;
+    each period draws b state noise pairs, then b measurement noise pairs."""
+    for gain, intercept in zip(gains, intercepts):
+        ev, eu = rng.standard_normal((2,) + m.shape)
+        rv, ru = _correlate(state_factor, ev), _correlate(meas_factor, eu)
+        m_new = drift + m + rv
+        growth = -m_new + gain * m + intercept + ru
+        m, log_books = m_new, log_books + growth
+        yield m, log_books, growth
 
 
 def _cores():
@@ -219,22 +141,24 @@ def _run_blocks(block, n_blocks):
         raise errors[min(errors)]
 
 
-def simulate_terminal(params, schedule, config, log_books0, tangent, start=0,
-                      init_mean=None, init_cov=None):
-    """Maturity log asset values Ṽᵃ_T of :func:`simulate_panel`'s model and
-    arguments, linearized at the maturity asset ``tangent`` (w_a, h_a), an
-    (n_paths,) array.
+def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
+              keep):
+    """Run a simulation's blocks of ``_BLOCK_PATHS`` paths on up to
+    ``_MAX_WORKERS`` threads; ``keep(rows, m0, periods)`` gets each block's
+    slice of paths, (2, b) start multipliers and :func:`_periods` generator.
 
-    Paths run in blocks of ``_BLOCK_PATHS`` that carry only their (2, b)
-    multiplier and log book state, on up to ``_MAX_WORKERS`` threads, so
-    memory does not grow with the paths or the horizon. Block j draws from
-    ``Philox(key=seed).jumped(j)``: b start pairs, then per period b state
-    noise pairs and b measurement noise pairs (not the panel's order), each
-    pair's two normals drawn b apart. Each block writes its own slice, so
-    the result does not depend on the thread count or scheduling.
-    """
-    mean0, cov0, intercepts = _setup(params, schedule, config, start,
-                                     init_mean, init_cov)
+    Block j draws from ``Philox(key=seed).jumped(j)``: b start pairs, then
+    per period b state noise pairs and b measurement noise pairs, each
+    pair's two normals drawn b apart, so no path depends on the thread
+    count or scheduling."""
+    if schedule.horizon < start + config.horizon:
+        raise DataValidationError("schedule does not cover the simulation horizon")
+    mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
+    cov0 = params.init_cov if init_cov is None else np.asarray(init_cov, float)
+    if config.measure == "real":
+        intercepts = real_intercepts(params, schedule)
+    else:
+        intercepts = risk_neutral_intercepts(params, schedule)
     l0, lv, lu = (psd_cholesky(c) for c in (cov0, params.state_cov, params.meas_cov))
     periods = slice(start + 1, start + config.horizon + 1)
     gains = schedule.gain[periods, :, None]
@@ -242,19 +166,78 @@ def simulate_terminal(params, schedule, config, log_books0, tangent, start=0,
     mean0, drift = mean0[:, None], params.drift[:, None]
     log_books0 = np.asarray(log_books0, float)[:, None]
     n = config.n_paths
-    out = np.empty(n)
 
     def block(j):
         lo = j * _BLOCK_PATHS
         b = min(_BLOCK_PATHS, n - lo)
         rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
         m0 = mean0 + _correlate(l0, rng.standard_normal((2, b)))
-        out[lo : lo + b] = _terminal_values(
-            drift, gains, intercepts, m0, log_books0,
-            _shocks(rng, lv, lu, b, config.horizon), tangent,
-        )
+        keep(slice(lo, lo + b), m0,
+             _periods(rng, lv, lu, drift, gains, intercepts, m0, log_books0))
 
     _run_blocks(block, -(-n // _BLOCK_PATHS))
+
+
+def simulate_panel(params, schedule, config, log_books0, start=0,
+                   init_mean=None, init_cov=None):
+    """Simulate exact model paths, recording every period.
+
+    Parameters
+    ----------
+    log_books0 : (2,) array
+        Log book values at the start period.
+    start : int
+        Absolute period of the initial condition; the panel covers periods
+        start..start+config.horizon and the schedule must reach the end.
+    init_mean, init_cov : optional
+        Distribution of the log multiplier at the start period (defaults to
+        the model prior; pass a zero matrix to pin a known multiplier).
+
+    The paths are :func:`simulate_terminal`'s for the same arguments, drawn
+    block by block as :func:`_simulate` describes.
+    """
+    n, P = config.n_paths, config.horizon
+    mult = np.empty((n, P + 1, 2))
+    growth = np.empty((n, P, 2))
+    log_books = np.empty((n, P + 1, 2))
+    log_books[:, 0] = np.asarray(log_books0, float)
+
+    def keep(rows, m0, periods):
+        mult[rows, 0] = m0.T
+        for t, (m, books, g) in enumerate(periods, 1):
+            mult[rows, t] = m.T
+            log_books[rows, t] = books.T
+            growth[rows, t - 1] = g.T
+
+    _simulate(params, schedule, config, log_books0, start, init_mean, init_cov, keep)
+    log_values = mult + log_books
+    exact = np.logaddexp(log_values[..., 0], log_values[..., 1])
+    return SimulatedPanel(
+        multipliers=mult, growth=growth, log_books=log_books,
+        log_values=log_values, log_asset_exact=exact,
+    )
+
+
+def simulate_terminal(params, schedule, config, log_books0, tangent, start=0,
+                      init_mean=None, init_cov=None):
+    """Maturity log asset values Ṽᵃ_T of the paths :func:`simulate_panel`
+    draws for the same arguments, linearized at the maturity asset
+    ``tangent`` (w_a, h_a) as :func:`privcredit.model.linearized_log_asset`
+    does, an (n_paths,) array.
+
+    Each block keeps only its (2, b) multiplier and log book state, so
+    memory does not grow with the paths or the horizon.
+    """
+    out = np.empty(config.n_paths)
+    w_a, h_a = tangent
+
+    def keep(rows, m0, periods):
+        for m, log_books, _ in periods:
+            pass
+        values = m + log_books
+        out[rows] = (1.0 - w_a) * values[0] + w_a * values[1] + w_a * h_a
+
+    _simulate(params, schedule, config, log_books0, start, init_mean, init_cov, keep)
     return out
 
 

@@ -128,6 +128,18 @@ class TestIngest:
         blank.write_text(",".join(CSV_HEADER) + "\n0,10,12,,\n1,11,12.5,0.5,0.6\n")
         assert np.array_equal(ingest(path).payout_ratio, ingest(blank).payout_ratio)
 
+    @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+    def test_first_row_payout_must_be_nonnegative_and_finite(self, tmp_path, value):
+        # zero and empty cells there pass, as the test above shows
+        path = tmp_path / "row0.csv"
+        path.write_text(",".join(CSV_HEADER) + f"\n0,10,12,0,{value}\n1,11,12.5,0.5,0.6\n")
+        with pytest.raises(DataValidationError) as info:
+            ingest(path)
+        assert str(info.value) == (
+            f"{path}: row 2, column payout_liability: must be nonnegative and "
+            f"finite (got {value})"
+        )
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("period,foo,bar,baz,qux\n0,1,1,,\n1,1,1,1,1\n")
@@ -352,6 +364,25 @@ class TestCliEstimate:
             )
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("rate", ["-1", "-1.5", "nan", "inf"])
+    def test_rate_outside_its_range_fails_validation(
+        self, tmp_path, panel_csv, capsys, source, rate
+    ):
+        argv = ["estimate", "--input", str(panel_csv)]
+        if source == "flag":
+            argv.append(f"--rate={rate}")
+        else:
+            cfg = tmp_path / "rate.cfg"
+            cfg.write_text(f"rate = {rate}\n")
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: rate must be finite and above -1 (got {float(rate)!r})\n")
+
     def test_loglik_trace_nondecreasing(self, tmp_path, panel_csv):
         out = tmp_path / "report.json"
         code = main(
@@ -418,6 +449,17 @@ class TestCliUsage:
         assert captured.out == ""
         assert captured.err.startswith("usage: privcredit")
         assert f"unrecognized arguments: --{flag} {self.VALUES[flag]}" in captured.err
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_abbreviated_flag_exits_1(self, capsys, command):
+        # argparse would otherwise read an unambiguous prefix as the flag
+        for flag in _COMMANDS[command][2]:
+            for end in range(1, len(flag)):
+                prefix = f"--{flag[:end]}"
+                assert main([command, prefix, self.VALUES[flag]]) == 1
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert f"unrecognized arguments: {prefix} " in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--bogus"], ["price", "--maturity", "abc"], [],
@@ -576,7 +618,7 @@ class TestEstimateReusesFitPass:
         ("converged", 24, 7, ["--tol", "1e-3"]),
         ("max_iter", 24, 7, ["--max-iter", "5"]),
         ("max_iter", 24, 7, ["--max-iter", "0"]),
-        ("stalled", 400, 3, ["--config", "params", "--max-iter", "25"]),
+        ("stalled", 400, 22, ["--config", "params", "--max-iter", "25"]),
     ])
     def test_report_is_the_fit_final_pass(
         self, tmp_path, monkeypatch, termination, periods, seed, extra
@@ -634,6 +676,14 @@ class TestCliPricing:
         cfg = tmp_path / "price.cfg"
         cfg.write_text(text + extra)
         return cfg
+
+    def _context(self, tmp_path, panel_csv, maturity):
+        """The pricing context of ``PRICING_CONFIG`` over the panel."""
+        from privcredit.pricing import build_pricing_context
+
+        params = params_from(parse_config(self._pricing_cfg(tmp_path), parse_keys()))
+        return build_pricing_context(params, ingest(panel_csv), maturity,
+                                     payout_future=np.log([0.25, 0.25]))
 
     def test_price_with_mc_check(self, tmp_path, panel_csv):
         from privcredit.pricing import build_pricing_context
@@ -817,12 +867,16 @@ class TestCliPricing:
         assert check["put_se"] > 0 and abs(check["put_z"]) <= 3
 
     def test_zero_hit_default_check_matches_a_deep_tail_pd(self, tmp_path, panel_csv):
-        # the calibrated threshold one period ahead has a PD of about 5e-10
+        # a threshold six standard deviations below the maturity mean one
+        # period ahead has a PD of Φ(−6), about 1e-9
+        mu, var = self._context(tmp_path, panel_csv, 1).asset_moments("real")
+        threshold = math.exp(mu - 6.0 * math.sqrt(var))
         out = tmp_path / "pd.json"
         code = main(
             [
                 "default-prob", "--input", str(panel_csv),
-                "--config", str(self._pricing_cfg(tmp_path)),
+                "--config", str(self._pricing_cfg(
+                    tmp_path, extra=f"threshold = {threshold!r}\n")),
                 "--maturity", "1", "--output", str(out),
                 "--check", "mc", "--paths", "20000", "--seed", "5",
             ]
@@ -830,10 +884,49 @@ class TestCliPricing:
         assert code == 0
         report = json.loads(out.read_text())
         check = report["mc_check"]
-        assert report["threshold_calibrated"] is True
+        assert report["threshold"] == threshold
         assert 0.0 < report["prob_default_private"] < 1e-8
         assert check["pd_mc"] == 0.0 and check["pd_se"] == 0.0
         assert check["pd_z"] == 0.0
+
+    def test_calibrated_default_prob_is_the_context_pd(self, tmp_path, panel_csv):
+        # with no configured threshold the report calibrates one and gives
+        # the closed-form PD there
+        ctx = self._context(tmp_path, panel_csv, 1)
+        out = tmp_path / "pd.json"
+        assert main(["default-prob", "--input", str(panel_csv),
+                     "--config", str(self._pricing_cfg(tmp_path)),
+                     "--maturity", "1", "--output", str(out)]) == 0
+        report = json.loads(out.read_text())
+        threshold = ctx.calibrate_threshold()
+        assert report["threshold_calibrated"] is True
+        assert report["threshold"] == threshold
+        assert report["prob_default_private"] == ctx.default_prob(threshold)
+
+    def test_public_blocks_are_the_context_values(self, tmp_path, panel_csv):
+        # a configured m_t adds the public firm's valuation and PD
+        from privcredit.pricing import equity_debt_values
+
+        ctx = self._context(tmp_path, panel_csv, 4)
+        m_t = np.array([0.25, 0.3])
+        mu, var = ctx.asset_moments("real")
+        strike = math.exp(ctx.asset_moments("risk_neutral")[0])
+        threshold = math.exp(mu - 0.5 * math.sqrt(var))
+        cfg = self._pricing_cfg(tmp_path, extra=(
+            f"m_t_equity = 0.25\nm_t_liability = 0.3\nthreshold = {threshold!r}\n"))
+        common = ["--input", str(panel_csv), "--config", str(cfg), "--maturity", "4"]
+        price_out, pd_out = tmp_path / "price.json", tmp_path / "pd.json"
+        assert main(["price", *common, "--strike", repr(strike),
+                     "--output", str(price_out)]) == 0
+        assert main(["default-prob", *common, "--output", str(pd_out)]) == 0
+        call, put = ctx.price(strike, m_t)
+        equity, debt = equity_debt_values(call, put, strike, ctx.tau, ctx.params.rate_log)
+        assert json.loads(price_out.read_text())["public"] == {
+            "multiplier": [0.25, 0.3], "call": call, "put": put,
+            "equity_value": equity, "debt_value": debt}
+        report = json.loads(pd_out.read_text())
+        assert report["public_multiplier"] == [0.25, 0.3]
+        assert report["prob_default_public"] == ctx.default_prob(threshold, m_t)
 
     def test_repeated_main_calls_share_no_parsed_state(
         self, tmp_path, panel_csv, capsys
@@ -949,6 +1042,21 @@ class TestCliPricing:
         assert (code, captured.out) == (1, "")
         assert "m_t_equity and m_t_liability must be finite" in captured.err
 
+    @pytest.mark.parametrize("command", ["price", "default-prob"])
+    @pytest.mark.parametrize("given, missing", [
+        ("m_t_equity", "m_t_liability"), ("m_t_liability", "m_t_equity")])
+    def test_half_given_public_multiplier_fails_validation(
+        self, tmp_path, panel_csv, capsys, command, given, missing
+    ):
+        cfg = self._pricing_cfg(tmp_path, extra=f"{given} = 0.1\n")
+        strike = ["--strike", "2.0"] if command == "price" else []
+        code = main([command, "--input", str(panel_csv), "--maturity", "4",
+                     *strike, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (
+            f"error: a public multiplier needs {missing} in the config too\n")
+
     def test_infeasible_parameters_exit_numerical(self, tmp_path, panel_csv):
         # deeply negative required return pushes the expected payout above
         # the expected value: the linearization cannot be built
@@ -1031,7 +1139,7 @@ def parse_keys():
 
 
 def params_from(parsed):
+    """The parameters the CLI reads from a parsed config, rate_log included."""
     from privcredit.cli import _params_from_config
-    import math as _math
-    rate = _math.log(1 + float(parsed.get("rate", 0.0)))
+    rate = float(np.log1p(float(parsed.get("rate", 0.0))))
     return _params_from_config(parsed, rate)

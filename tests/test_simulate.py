@@ -21,8 +21,6 @@ from privcredit.simulate import (
     _BLOCK_PATHS,
     _MAX_WORKERS,
     SimConfig,
-    _correlate,
-    _terminal_values,
     mc_default_probability,
     mc_option_price,
     psd_cholesky,
@@ -81,8 +79,16 @@ def float_scale(cov, e0, e1):
 
 
 def force_cores(monkeypatch, cores):
-    """Make simulate_terminal see ``cores`` CPUs."""
+    """Make the simulators see ``cores`` CPUs."""
     monkeypatch.setattr(sim, "_cores", lambda: cores)
+
+
+def run_simulator(name, params, sched, cfg):
+    """``simulate_panel``, or ``simulate_terminal`` at the maturity tangent,
+    looked up on the module so that patches of it apply."""
+    if name == "simulate_panel":
+        return sim.simulate_panel(params, sched, cfg, LB0)
+    return sim.simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
 
 
 class TestSimulatePanel:
@@ -169,34 +175,25 @@ class TestSimConfig:
 
 
 class TestSimulateTerminal:
-    def test_shared_step_reproduces_panel_bit_for_bit(self, params):
-        # the panel's own scaled draws, recomputed from its seed and fed
-        # through the terminal loop, give its maturity column exactly
-        sched = toy_schedule(params, 9)
-        start, n, P, seed = 2, 300, 7, 41
-        m0, cov0 = np.array([0.3, 0.05]), 0.5 * params.init_cov
-        lb0 = np.array([1.0, 1.2])
-        panel = simulate_panel(
-            params, sched, SimConfig(n, P, seed, measure="risk_neutral"), lb0,
-            start=start, init_mean=m0, init_cov=cov0,
-        )
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        e0 = rng.standard_normal((n, 2))
-        ev = rng.standard_normal((n, P, 2))
-        eu = rng.standard_normal((n, P, 2))
-        for cov, e in ((cov0, e0), (params.state_cov, ev), (params.meas_cov, eu)):
-            _correlate(psd_cholesky(cov), np.moveaxis(e, -1, 0))
-        periods = slice(start + 1, start + P + 1)
+    @pytest.mark.parametrize("measure", ["real", "risk_neutral"])
+    @pytest.mark.parametrize("n", [1, 3, _BLOCK_PATHS, _BLOCK_PATHS + 3,
+                                   3 * _BLOCK_PATHS + 5])
+    def test_terminal_values_are_the_panel_maturity_column(
+        self, params, monkeypatch, n, measure
+    ):
+        # one draw layout: the terminal run keeps the last state of the
+        # panel's own paths, across block boundaries and thread counts
+        sched = toy_schedule(params, 6)
+        cfg = SimConfig(n, 4, seed=41, measure=measure)
+        kw = dict(start=2, init_mean=np.array([0.3, 0.05]),
+                  init_cov=0.5 * params.init_cov)
         tangent = maturity_tangent(params, sched)
-        terminal = _terminal_values(
-            params.drift[:, None], sched.gain[periods, :, None],
-            risk_neutral_intercepts(params, sched)[periods, :, None],
-            (m0 + e0).T, lb0[:, None],
-            zip(ev.transpose(1, 2, 0), eu.transpose(1, 2, 0)), tangent,
-        )
-        assert np.array_equal(
-            terminal, linearized_log_asset(panel.log_values[:, -1], *tangent)
-        )
+        for cores in (1, 64):
+            force_cores(monkeypatch, cores)
+            panel = simulate_panel(params, sched, cfg, LB0, **kw)
+            terminal = simulate_terminal(params, sched, cfg, LB0, tangent, **kw)
+            assert np.array_equal(
+                terminal, linearized_log_asset(panel.log_values[:, -1], *tangent))
 
     def test_noiseless_paths_equal_panel_across_blocks(self):
         zero = np.zeros((2, 2))
@@ -221,7 +218,7 @@ class TestSimulateTerminal:
     @pytest.mark.parametrize("measure", ["real", "risk_neutral"])
     def test_moments_match_closed_form(self, params, measure):
         # the linearized maturity log asset value is Gaussian with the
-        # closed-form private moments; 200 000 paths span four blocks
+        # closed-form private moments; 200 000 paths span thirteen blocks
         series, _, _ = synthetic_series(params, 10, seed=42)
         ctx = build_pricing_context(
             params, series, 6, payout_future=np.log([0.25, 0.25])
@@ -274,29 +271,31 @@ class TestSimulateTerminal:
         assert np.array_equal(runs[0][:_BLOCK_PATHS], single)
         assert not np.array_equal(runs[0][_BLOCK_PATHS : 2 * _BLOCK_PATHS], single)
 
-    def test_block_error_reaches_the_caller(self, params, monkeypatch, capfd):
+    @pytest.mark.parametrize("name", ["simulate_terminal", "simulate_panel"])
+    def test_block_error_reaches_the_caller(self, params, monkeypatch, capfd, name):
         # the barrier holds each of the four workers to one block, so three
         # blocks fail off the calling thread
         sched = toy_schedule(params, 2)
         cfg = SimConfig(3 * _BLOCK_PATHS + 5, 2, seed=1)
         barrier = threading.Barrier(_MAX_WORKERS, timeout=30)
-        terminal_values = sim._terminal_values
+        periods = sim._periods
 
         def failing(*args):
             barrier.wait()
             if threading.current_thread() is not threading.main_thread():
                 raise DataValidationError("block failed")
-            return terminal_values(*args)
+            return periods(*args)
 
-        monkeypatch.setattr(sim, "_terminal_values", failing)
+        monkeypatch.setattr(sim, "_periods", failing)
         force_cores(monkeypatch, 64)
         threads = threading.active_count()
         with pytest.raises(DataValidationError, match="block failed"):
-            simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
+            run_simulator(name, params, sched, cfg)
         assert threading.active_count() == threads
         assert capfd.readouterr().err == ""
 
-    def test_block_workers_call_no_public_function(self, params, monkeypatch):
+    @pytest.mark.parametrize("name", ["simulate_terminal", "simulate_panel"])
+    def test_block_workers_call_no_public_function(self, params, monkeypatch, name):
         # a layer tracer wraps each public function and keeps one span
         # stack, so only the calling thread may enter a public function
         modules = {name: module for name, module in list(sys.modules.items())
@@ -310,11 +309,11 @@ class TestSimulateTerminal:
             return wrapper
 
         wrappers = {}
-        for name, module in modules.items():
+        for module_name, module in modules.items():
             for key, obj in vars(module).items():
                 if (inspect.isfunction(obj) and not key.startswith("_")
-                        and obj.__module__ == name):
-                    wrappers[id(obj)] = (obj, traced(f"{name}.{key}", obj))
+                        and obj.__module__ == module_name):
+                    wrappers[id(obj)] = (obj, traced(f"{module_name}.{key}", obj))
         for module in modules.values():
             for key, obj in list(vars(module).items()):
                 if id(obj) in wrappers and wrappers[id(obj)][0] is obj:
@@ -322,10 +321,9 @@ class TestSimulateTerminal:
         force_cores(monkeypatch, 64)
         sched = toy_schedule(params, 3)
         cfg = SimConfig(3 * _BLOCK_PATHS + 5, 3, seed=4, measure="risk_neutral")
-        sim.simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
-        names = {name for name, _ in calls}
-        assert {"privcredit.simulate.simulate_terminal",
-                "privcredit.simulate.psd_cholesky"} <= names
+        run_simulator(name, params, sched, cfg)
+        names = {traced_name for traced_name, _ in calls}
+        assert {f"privcredit.simulate.{name}", "privcredit.simulate.psd_cholesky"} <= names
         assert all(main for _, main in calls)
 
 
@@ -351,38 +349,13 @@ class TestNoiseFactor:
 
     def test_panel_and_terminal_equal_a_float_loop(self, params, monkeypatch):
         # Python floats round each product and sum on its own, as no BLAS
-        # kernel is bound to; the terminal run spans three blocks, on threads
+        # kernel is bound to; five paths span three blocks, on threads
         sched = toy_schedule(params, 7)
         start, P, seed = 1, 5, 17
         m0, cov0 = [0.3, 0.05], 0.5 * params.init_cov
         w_a, h_a = tangent = maturity_tangent(params, sched)
         intercepts = risk_neutral_intercepts(params, sched)
-        cfg = SimConfig(3, P, seed, measure="risk_neutral")
-        panel = simulate_panel(params, sched, cfg, LB0, start=start,
-                               init_mean=m0, init_cov=cov0)
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        e0 = rng.standard_normal((3, 2)).tolist()
-        ev = rng.standard_normal((3, P, 2)).tolist()
-        eu = rng.standard_normal((3, P, 2)).tolist()
-        for i in range(3):
-            z = float_scale(cov0, *e0[i])
-            shocks = [(float_scale(params.state_cov, *v), float_scale(params.meas_cov, *u))
-                      for v, u in zip(ev[i], eu[i])]
-            mults, growth, books = float_paths(
-                params, sched, intercepts, start, [m0[0] + z[0], m0[1] + z[1]],
-                LB0.tolist(), shocks)
-            assert panel.multipliers[i].tolist() == mults
-            assert panel.growth[i].tolist() == growth
-            assert panel.log_books[i].tolist() == books
-            assert panel.log_values[i].tolist() == [
-                [m[0] + b[0], m[1] + b[1]] for m, b in zip(mults, books)]
-
-        monkeypatch.setattr(sim, "_BLOCK_PATHS", 2)
-        force_cores(monkeypatch, 64)
-        terminal = simulate_terminal(
-            params, sched, dataclasses.replace(cfg, n_paths=5), LB0, tangent,
-            start=start, init_mean=m0, init_cov=cov0)
-        expected = []
+        paths = []
         for j, b in enumerate((2, 2, 1)):
             rng = np.random.Generator(np.random.Philox(key=seed).jumped(j))
             z0 = rng.standard_normal((2, b)).tolist()
@@ -392,11 +365,25 @@ class TestNoiseFactor:
                 shocks = [(float_scale(params.state_cov, v[0][i], v[1][i]),
                            float_scale(params.meas_cov, u[0][i], u[1][i]))
                           for v, u in draws]
-                mults, _, books = float_paths(
+                paths.append(float_paths(
                     params, sched, intercepts, start,
-                    [m0[0] + z[0], m0[1] + z[1]], LB0.tolist(), shocks)
-                v = [mults[-1][0] + books[-1][0], mults[-1][1] + books[-1][1]]
-                expected.append((1.0 - w_a) * v[0] + w_a * v[1] + w_a * h_a)
+                    [m0[0] + z[0], m0[1] + z[1]], LB0.tolist(), shocks))
+
+        monkeypatch.setattr(sim, "_BLOCK_PATHS", 2)
+        force_cores(monkeypatch, 64)
+        cfg = SimConfig(5, P, seed, measure="risk_neutral")
+        kw = dict(start=start, init_mean=m0, init_cov=cov0)
+        panel = simulate_panel(params, sched, cfg, LB0, **kw)
+        terminal = simulate_terminal(params, sched, cfg, LB0, tangent, **kw)
+        expected = []
+        for i, (mults, growth, books) in enumerate(paths):
+            assert panel.multipliers[i].tolist() == mults
+            assert panel.growth[i].tolist() == growth
+            assert panel.log_books[i].tolist() == books
+            assert panel.log_values[i].tolist() == [
+                [m[0] + b[0], m[1] + b[1]] for m, b in zip(mults, books)]
+            v = panel.log_values[i, -1].tolist()
+            expected.append((1.0 - w_a) * v[0] + w_a * v[1] + w_a * h_a)
         assert terminal.tolist() == expected
 
     @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """The package exposes only what a program path uses, no module of it
 loads scipy, the CLI loads no ``concurrent.futures`` (its import costs every
 command's start-up), estimation does its 2×2 algebra without numpy.linalg,
-and ``simulate`` writes the configured books unrounded."""
+and ``simulate`` writes the configured books and payout ratios unrounded."""
 
 import json
 import os
@@ -34,7 +34,7 @@ REMOVED = {
     ],
     "privcredit.simulate": [
         "LinearizationErrorReport", "linearization_error_report", "_normals",
-        "binned_error_curve", "mean_log_book_path",
+        "binned_error_curve", "mean_log_book_path", "_terminal_values",
     ],
     "privcredit.pricing.PricingContext": [
         "report_private", "asset_moments_private", "asset_moments_public",
@@ -153,3 +153,16 @@ def test_simulate_writes_the_configured_first_books(tmp_path):
     assert rows[2][3:] == ["1.25", "1.5"]
     truth = json.loads((tmp_path / "panel.csv.truth.json").read_text())
     assert len(rows) == 2 + len(truth["true_multipliers"]) - 1
+
+
+def test_simulate_pays_the_configured_ratio_of_the_book(tmp_path):
+    # 0.08 × 5.0 is 0.4, where exp(ln 0.08) × 5.0 is 0.3999999999999999
+    cfg, panel = tmp_path / "sim.cfg", tmp_path / "panel.csv"
+    cfg.write_text(_PANEL_CONFIG.replace("payout_ratio_equity = 0.25",
+                                         "payout_ratio_equity = 0.08"))
+    assert main(["simulate", "--config", str(cfg), "--output", str(panel)]) == 0
+    rows = [line.split(",") for line in panel.read_text().splitlines()[1:]]
+    assert rows[1][3:] == ["0.4", "1.5"]
+    for prev, row in zip(rows, rows[1:]):
+        assert float(row[3]) == 0.08 * float(prev[1])
+        assert float(row[4]) == 0.25 * float(prev[2])
