@@ -26,9 +26,7 @@ from .errors import (
 )
 from .kalman import (
     FilterOutput,
-    ForecastOutput,
     SmootherOutput,
-    forecast,
     intercept_shift,
     run_filter,
     smooth,
@@ -52,7 +50,6 @@ from .pricing import (
     build_pricing_context,
     default_probability,
     equity_debt_values,
-    filter_and_forecast,
     horizon_moments,
     price_options,
     solve_threshold,

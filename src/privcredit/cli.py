@@ -35,7 +35,7 @@ from .errors import (
 )
 from .kalman import run_filter, smooth  # noqa: F401  (tracers rebind run_filter here)
 from .model import ModelParams, build_linearization_schedule
-from .pricing import build_pricing_context, equity_debt_values, filter_and_forecast
+from .pricing import build_pricing_context, equity_debt_values
 from .simulate import (
     SimConfig,
     mc_default_probability,
@@ -264,14 +264,13 @@ def cmd_smooth(args, cfg):
 
 
 def cmd_forecast(args, cfg):
-    params, estimation, (schedule, _, fc, log_books) = _horizon_setup(
-        args, cfg, filter_and_forecast)
+    params, estimation, ctx = _horizon_setup(args, cfg)
     report = {
-        "feasibility": _feasibility(schedule),
-        "forecast_growth": fc.b_mean[fc.start :],
-        "forecast_growth_cov": fc.cov_b[fc.start :],
-        "forecast_multipliers": fc.m_mean[fc.start :],
-        "forecast_log_books": log_books[fc.start :],
+        "feasibility": _feasibility(ctx.schedule),
+        "forecast_growth": ctx.moments.b_mean,
+        "forecast_growth_cov": ctx.moments.cov_b,
+        "forecast_multipliers": ctx.moments.m_mean,
+        "forecast_log_books": ctx.log_books[ctx.origin + 1 :],
     }
     return _write(args, report, params, estimation)
 
@@ -292,15 +291,16 @@ def _future_payout(cfg):
     return np.log([eq, li])
 
 
-def _horizon_setup(args, cfg, build=build_pricing_context):
+def _horizon_setup(args, cfg):
     """Parameters, the in-run fit's summary (None for configured ones) and
-    ``build`` over the sample plus the maturity horizon."""
+    the pricing context over the sample plus the maturity horizon."""
     series = _read_panel(args)
     params, estimation, _ = _fit_or_load(args, cfg, series)
     maturity = _option(args.maturity, cfg, "maturity", int)
     if maturity is None or maturity < 1:
         raise DataValidationError("a positive --maturity is required")
-    return params, estimation, build(params, series, maturity, _future_payout(cfg))
+    return params, estimation, build_pricing_context(
+        params, series, maturity, _future_payout(cfg))
 
 
 def _public_multiplier(cfg):

@@ -1,4 +1,4 @@
-"""Exact filtering, smoothing and forecasting for the latent multiplier.
+"""Exact filtering and smoothing for the latent multiplier.
 
 The model is
 
@@ -56,6 +56,8 @@ filtered mean of m̃_t by δ_t, with δ_0 = 0 and
     δ_t = δ_{t-1} − K_t (D_t δ_{t-1} + Δc_t),
 
 an O(T) recursion on the gains and loadings one filter pass returns.
+
+Forecasting past the sample is :func:`privcredit.pricing.horizon_moments`.
 """
 
 import math
@@ -104,16 +106,6 @@ class SmootherOutput:
     m_smooth: np.ndarray
     cov_m_smooth: np.ndarray
     cross_m: np.ndarray
-
-
-@dataclass(frozen=True)
-class ForecastOutput:
-    """Out-of-sample moments for periods T+1..H (rows 0..T unused)."""
-
-    m_mean: np.ndarray
-    b_mean: np.ndarray
-    cov_b: np.ndarray
-    start: int
 
 
 def _singular(det):
@@ -335,33 +327,3 @@ def smooth(filter_output):
         cross_m=cross.reshape(T + 1, 2, 2),
     )
 
-
-def forecast(filter_output, params, schedule, horizon):
-    """Conditional moments for periods T+1..horizon given the sample.
-
-    Uses the same intercept array the filter ran with. From the filtered
-    m̃_T, the multiplier k periods on has mean m̃_{T|T} + kφ and covariance
-    P_{T|T} + kΣ_v, and the growth moments follow from the lagged-state
-    observation equation.
-    """
-    T = filter_output.n_periods
-    if horizon <= T:
-        raise DataValidationError("forecast horizon must exceed the sample length")
-    if schedule.horizon < horizon:
-        raise DataValidationError("schedule does not cover the forecast horizon")
-    steps = np.arange(horizon - T, dtype=float)[:, None]
-    m_prev = filter_output.m_filt[T] + steps * params.drift
-    cov_prev = filter_output.cov_m_filt[T] + steps[:, :, None] * params.state_cov
-    d = schedule.gain[T + 1 : horizon + 1] - 1.0
-    b = d * m_prev - params.drift + filter_output.intercepts[T + 1 : horizon + 1]
-    cov_b = (d[:, :, None] * d[:, None, :]) * cov_prev + (
-        params.meas_cov + params.state_cov
-    )
-
-    def pad(a):
-        return np.concatenate([np.zeros((T + 1,) + a.shape[1:]), a])
-
-    return ForecastOutput(
-        m_mean=pad(m_prev + params.drift), b_mean=pad(b), cov_b=pad(cov_b),
-        start=T + 1,
-    )

@@ -125,8 +125,9 @@ class ObservedSeries:
 
     def __post_init__(self):
         b0 = np.asarray(self.books0, dtype=float)
-        if b0.shape != (2,) or not (b0 > 0).all():
-            raise DataValidationError("books0 must be a strictly positive 2-vector")
+        if b0.shape != (2,) or not ((b0 > 0) & np.isfinite(b0)).all():
+            raise DataValidationError(
+                "books0 must be a strictly positive, finite 2-vector")
         g = np.asarray(self.growth, dtype=float)
         p = np.asarray(self.payout_ratio, dtype=float)
         if g.ndim != 2 or g.shape[1] != 2 or g.shape[0] < 1:
@@ -173,12 +174,12 @@ def derive_series(raw_books, raw_payouts):
     for r, c in zip(*np.where(~(books > 0) | ~np.isfinite(books))):
         raise DataValidationError(
             f"book value at row {r}, {_COMPONENTS[c]} column must be strictly "
-            f"positive and finite (got {books[r, c]!r})"
+            f"positive and finite (got {float(books[r, c])!r})"
         )
     for r, c in zip(*np.where(~(payouts > 0) | ~np.isfinite(payouts))):
         raise DataValidationError(
             f"payout at row {r + 1}, {_COMPONENTS[c]} column must be strictly "
-            f"positive and finite (got {payouts[r, c]!r})"
+            f"positive and finite (got {float(payouts[r, c])!r})"
         )
     log_books = np.log(books)
     growth = np.diff(log_books, axis=0)

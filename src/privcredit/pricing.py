@@ -24,7 +24,9 @@ alpha-propagated posterior variance.
 One real-measure filter pass over the sample serves both measures: the
 intercepts enter the filtered means only, so the risk-neutral posterior is
 the real one with its mean moved by the intercept shift δ_T
-(:func:`privcredit.kalman.intercept_shift`).
+(:func:`privcredit.kalman.intercept_shift`). One propagation of the filtered
+origin, :func:`horizon_moments`, gives both the maturity pair's moments and
+the per-period forecasts that the ``forecast`` command reports.
 """
 
 import math
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError, NoSolutionError
-from .kalman import forecast, intercept_shift, run_filter
+from .kalman import intercept_shift, run_filter
 from .model import (
     asset_tangent,
     asset_weight_vector,
@@ -53,13 +55,18 @@ def _norm_cdf(x):
 
 @dataclass(frozen=True)
 class HorizonMoments:
-    """Conditional moments of the log value pair at maturity given period t.
+    """Moments of periods t+1..T past the origin t given the sample.
 
-    ``alpha`` multiplies the period-t multiplier; ``beta_rn``/``beta_real``
-    are the deterministic drifts under the two measures; ``cov`` is the
-    measure-free conditional covariance.
+    Row i − t − 1 of ``m_mean``, ``b_mean`` and ``cov_b`` holds the
+    real-measure mean of m̃_i and the mean and covariance of the growth b̃_i.
+    For the maturity log value pair, ``alpha`` multiplies the origin
+    multiplier, ``beta_rn``/``beta_real`` are the drifts under the two
+    measures and ``cov`` is the covariance given the origin multiplier.
     """
 
+    m_mean: np.ndarray
+    b_mean: np.ndarray
+    cov_b: np.ndarray
     alpha: np.ndarray
     beta_rn: np.ndarray
     beta_real: np.ndarray
@@ -69,28 +76,40 @@ class HorizonMoments:
         return self.beta_rn if measure == "risk_neutral" else self.beta_real
 
 
-def horizon_moments(params, schedule, origin, maturity):
-    """Closed-form conditional moments of the maturity log value pair."""
-    t, T = int(origin), int(maturity)
+def horizon_moments(params, schedule, filt, maturity, rn_intercepts):
+    """Propagate the filtered origin t = ``filt.n_periods`` to ``maturity``.
+
+    The real intercepts are the ones the filter ran with; ``rn_intercepts``
+    ((H + 1, 2), by absolute period) give the risk-neutral drift. From the
+    filtered m̃_t, the multiplier k periods on has mean m̃_{t|t} + kφ and
+    covariance P_{t|t} + kΣ_v, and the growth moments follow from the
+    lagged-state observation equation (Durbin & Koopman 2012, §4.10).
+    """
+    t, T = filt.n_periods, int(maturity)
     if t >= T:
         raise DataValidationError("maturity must exceed the origin period")
     if schedule.horizon < T:
         raise DataValidationError("schedule does not cover the maturity")
     g = schedule.gain[t + 1 : T + 1]
-    alpha = np.diag(g.sum(axis=0) - (T - t - 1))
-    c_rn = risk_neutral_intercepts(params, schedule)[t + 1 : T + 1]
-    c_real = real_intercepts(params, schedule)[t + 1 : T + 1]
-    lead = (np.arange(t + 1, T + 1) - t - 1)[:, None]
-    drift_terms = (lead * (g - 1.0) * params.drift).sum(axis=0)
-    beta_rn = c_rn.sum(axis=0) + drift_terms
-    beta_real = c_real.sum(axis=0) + drift_terms
+    load = g - 1.0
+    steps = np.arange(T - t, dtype=float)[:, None]
+    m_prev = filt.m_filt[t] + steps * params.drift
+    cov_prev = filt.cov_m_filt[t] + steps[:, :, None] * params.state_cov
+    c_real = filt.intercepts[t + 1 : T + 1]
+    drift_terms = (steps * load * params.drift).sum(axis=0)
     # C_i = diag(d_i) with d_i = Σ_{j>i} G_j − (T − i) for i = t+1..T−1, so
     # Σ_i C_i Σ_v C_i' = Σ_v ∘ DᵀD with the d_i as the rows of D
     d = (schedule.gain[t + 2 : T + 1][::-1].cumsum(axis=0)[::-1]
          - (T - np.arange(t + 1, T))[:, None])
     cov = (T - t) * params.meas_cov + params.state_cov * (d.T @ d)
     return HorizonMoments(
-        alpha=alpha, beta_rn=beta_rn, beta_real=beta_real,
+        m_mean=m_prev + params.drift,
+        b_mean=load * m_prev - params.drift + c_real,
+        cov_b=(load[:, :, None] * load[:, None, :]) * cov_prev
+        + (params.meas_cov + params.state_cov),
+        alpha=np.diag(g.sum(axis=0) - (T - t - 1)),
+        beta_rn=rn_intercepts[t + 1 : T + 1].sum(axis=0) + drift_terms,
+        beta_real=c_real.sum(axis=0) + drift_terms,
         cov=0.5 * (cov + cov.T),
     )
 
@@ -266,15 +285,17 @@ class PricingContext:
         )
 
 
-def filter_and_forecast(params, series, maturity, payout_future):
-    """One real-measure filter pass over the sample, and its forecast for
-    the ``maturity`` periods beyond.
+def build_pricing_context(params, series, maturity, payout_future):
+    """One real-measure filter pass over the sample and one propagation of
+    the horizon from its end: the schedule, the origin posterior under both
+    measures, the forecast books, the horizon moments and the maturity asset
+    tangent.
 
-    ``payout_future`` holds the log payout-to-book ratios past the sample,
-    a (maturity, 2) array or one 2-vector reused each period: they are part
-    of the period-0 information set and cannot be derived from data.
-    Returns the schedule over sample plus horizon, the filter output, the
-    forecast and the log books by period, observed and then forecast.
+    ``maturity`` counts periods beyond the last observation (the pricing
+    origin). ``payout_future`` holds the log payout-to-book ratios past the
+    sample, a (maturity, 2) array or one 2-vector reused each period: they
+    are part of the period-0 information set and cannot be derived from
+    data.
     """
     if maturity < 1:
         raise DataValidationError("maturity must be at least one period")
@@ -285,35 +306,22 @@ def filter_and_forecast(params, series, maturity, payout_future):
         raise DataValidationError(
             f"future payout ratios must have shape ({maturity}, 2)"
         )
-    horizon = series.n_periods + maturity
-    schedule = build_linearization_schedule(
-        params, np.vstack([series.payout_ratio, future]), horizon)
-    filt = run_filter(params, schedule, series.growth,
-                      real_intercepts(params, schedule))
-    fc = forecast(filt, params, schedule, horizon)
-    log_books_obs = series.log_books()
-    future_books = log_books_obs[-1] + fc.b_mean[fc.start :].cumsum(axis=0)
-    return schedule, filt, fc, np.vstack([log_books_obs, future_books])
-
-
-def build_pricing_context(params, series, maturity, payout_future):
-    """Assemble the schedule, the origin posterior under both measures from
-    one filter pass, the forecast books, the horizon moments and the
-    maturity asset tangent.
-
-    ``maturity`` counts periods beyond the last observation (the pricing
-    origin); ``payout_future`` is as in :func:`filter_and_forecast`.
-    """
-    schedule, filt, _, log_books = filter_and_forecast(
-        params, series, maturity, payout_future)
     t0 = series.n_periods
     T = t0 + maturity
-    change = (risk_neutral_intercepts(params, schedule) - filt.intercepts)[1 : t0 + 1]
+    schedule = build_linearization_schedule(
+        params, np.vstack([series.payout_ratio, future]), T)
+    filt = run_filter(params, schedule, series.growth,
+                      real_intercepts(params, schedule))
+    c_rn = risk_neutral_intercepts(params, schedule)
+    moments = horizon_moments(params, schedule, filt, T, c_rn)
+    log_books_obs = series.log_books()
+    log_books = np.vstack(
+        [log_books_obs, log_books_obs[-1] + moments.b_mean.cumsum(axis=0)])
     return PricingContext(
         params=params, schedule=schedule, origin=t0, maturity=T,
         log_books=log_books, origin_mean=filt.m_filt[t0],
-        origin_shift=intercept_shift(filt, change),
+        origin_shift=intercept_shift(filt, (c_rn - filt.intercepts)[1 : t0 + 1]),
         origin_cov=filt.cov_m_filt[t0],
-        moments=horizon_moments(params, schedule, t0, T),
+        moments=moments,
         tangent=asset_tangent(params, T, log_books[T]),
     )

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from privcredit.model import ModelParams, ObservedSeries, build_linearization_schedule
+from privcredit.kalman import run_filter
+from privcredit.model import (
+    ModelParams,
+    ObservedSeries,
+    build_linearization_schedule,
+    real_intercepts,
+    risk_neutral_intercepts,
+)
+from privcredit.pricing import horizon_moments
 from privcredit.simulate import SimConfig, simulate_panel
 
 
@@ -54,6 +62,17 @@ def synthetic_series(params, periods, seed, payout_level=0.25, jitter=0.03,
     )
     series = ObservedSeries(np.exp(lb0), panel.growth[0], ratio)
     return series, schedule, panel
+
+
+def maturity_moments(params, schedule, origin, maturity):
+    """Horizon moments from ``origin`` to ``maturity``, propagated from a
+    real-measure filter pass over ``origin`` periods of zero growth. The
+    maturity pair's alpha, betas and covariance depend on where the pass
+    ends, not on its data."""
+    filt = run_filter(params, schedule, np.zeros((origin, 2)),
+                      real_intercepts(params, schedule))
+    return horizon_moments(params, schedule, filt, maturity,
+                           risk_neutral_intercepts(params, schedule))
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from privcredit.em import (
     expected_complete_loglik,
     m_step,
 )
-from privcredit.kalman import forecast, run_filter, smooth
+from privcredit.kalman import run_filter, smooth
 from privcredit.model import (
     ModelParams,
     ObservedSeries,
@@ -41,7 +41,7 @@ from privcredit.simulate import (
     simulate_panel,
 )
 
-from conftest import base_params, random_params, synthetic_series
+from conftest import base_params, maturity_moments, random_params, synthetic_series
 from reference import (
     GaussianConditioningOracle,
     binned_error_curve,
@@ -83,7 +83,8 @@ def oracle_battery():
         intercepts = real_intercepts(params, schedule)
         filt = run_filter(params, schedule, growth, intercepts)
         smo = smooth(filt)
-        fc = forecast(filt, params, schedule, T + extra)
+        fc = horizon_moments(params, schedule, filt, T + extra,
+                             risk_neutral_intercepts(params, schedule))
         oracle = GaussianConditioningOracle(
             params, schedule, growth, intercepts, horizon=T + extra
         )
@@ -103,8 +104,8 @@ def oracle_battery():
                       np.abs(smo.cov_m_smooth[t] - sm.cov).max())
         for t in range(T + 1, T + extra + 1):
             fb = oracle.forecast_b(t)
-            err = max(err, np.abs(fc.b_mean[t] - fb.mean).max(),
-                      np.abs(fc.cov_b[t] - fb.cov).max())
+            err = max(err, np.abs(fc.b_mean[t - T - 1] - fb.mean).max(),
+                      np.abs(fc.cov_b[t - T - 1] - fb.cov).max())
         moment_err = max(moment_err, err)
         loglik_err = max(loglik_err, abs(filt.loglik - oracle.loglik()))
     return {
@@ -403,11 +404,11 @@ def test_criterion_11_one_step_and_reference_covariance():
         ratio = np.log(0.3) + 0.05 * rng.normal(size=(6, 2))
         schedule = build_linearization_schedule(params, ratio, 6)
         for t in range(0, 5):
-            mom = horizon_moments(params, schedule, t, t + 1)
+            mom = maturity_moments(params, schedule, t, t + 1)
             assert np.array_equal(mom.alpha, np.diag(schedule.gain[t + 1]))
             assert np.array_equal(mom.cov, params.meas_cov)
         for t, T in ((0, 2), (0, 3), (1, 4), (2, 5), (3, 6)):
-            direct = horizon_moments(params, schedule, t, T).cov
+            direct = maturity_moments(params, schedule, t, T).cov
             reference = horizon_cov_reference(params, schedule, t, T)
             worst_ref = max(worst_ref, np.abs(direct - reference).max())
     assert worst_ref < 1e-10

@@ -295,11 +295,11 @@ class TestCliSimulate:
     def test_runs_no_filter_or_forecast(self, tmp_path, sim_config, monkeypatch):
         import sys
 
-        from privcredit import kalman
+        from privcredit import kalman, pricing
 
         calls = []
-        for name in ("run_filter", "forecast"):
-            original = getattr(kalman, name)
+        for owner, name in ((kalman, "run_filter"), (pricing, "horizon_moments")):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
@@ -312,12 +312,13 @@ class TestCliSimulate:
         out = tmp_path / "panel.csv"
         assert main(["simulate", "--config", str(sim_config), "--output", str(out)]) == 0
         assert calls == []
-        # the counters see the passes a forecast makes
+        # the counters see the filter pass and the one horizon pass a
+        # forecast makes
         cfg = tmp_path / "pricing.cfg"
         cfg.write_text(PRICING_CONFIG)
         assert main(["forecast", "--input", str(out), "--config", str(cfg),
                      "--maturity", "2", "--output", str(tmp_path / "fc.json")]) == 0
-        assert calls == ["run_filter", "forecast"]
+        assert calls == ["run_filter", "horizon_moments"]
 
 
 class TestCliEstimate:
@@ -607,6 +608,40 @@ class TestCliReportPasses:
         assert main(argv + ["--input", str(panel), "--config", str(cfg),
                             "--maturity", "4", "--output", str(out)]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [["forecast"], ["price", "--strike", "6.5"]])
+    def test_one_context_and_one_intercept_array_per_measure(
+        self, tmp_path, panel_csv, monkeypatch, argv
+    ):
+        # the command looks the context builder up when it runs, so a
+        # rebinding of ``cli.build_pricing_context`` sees the call
+        import sys
+
+        from privcredit import cli, model
+
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_pricing_context", counted(
+            "build_pricing_context", cli.build_pricing_context))
+        for name in ("real_intercepts", "risk_neutral_intercepts"):
+            original = getattr(model, name)
+            for module_name, module in list(sys.modules.items()):
+                if (module_name.split(".")[0] == "privcredit"
+                        and getattr(module, name, None) is original):
+                    monkeypatch.setattr(module, name, counted(name, original))
+        cfg = tmp_path / "pricing.cfg"
+        cfg.write_text(PRICING_CONFIG)
+        assert main(argv + ["--input", str(panel_csv), "--config", str(cfg),
+                            "--maturity", "4",
+                            "--output", str(tmp_path / "report.json")]) == 0
+        assert sorted(calls) == ["build_pricing_context", "real_intercepts",
+                                 "risk_neutral_intercepts"]
 
 
 class TestEstimateReusesFitPass:

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from privcredit.errors import IllConditionedInnovationError
-from privcredit.kalman import forecast, run_filter, smooth
+from privcredit.kalman import run_filter, smooth
 from privcredit.model import (
     ModelParams,
     build_linearization_schedule,
     real_intercepts,
     risk_neutral_intercepts,
 )
+from privcredit.pricing import horizon_moments
 
 from conftest import base_params, random_params, spd_matrix, synthetic_series
 from reference import GaussianConditioningOracle, filter_reference, smooth_reference
@@ -232,37 +233,38 @@ class TestForecast:
         p = base_params(state_cov=np.zeros((2, 2)))
         series, schedule, intercepts = make_instance(p, 4, seed=31, horizon=6)
         out = run_filter(p, schedule, series.growth, intercepts)
-        fc = forecast(out, p, schedule, 6)
+        fc = horizon_moments(p, schedule, out, 6, risk_neutral_intercepts(p, schedule))
         # without state noise the multiplier keeps the covariance P_{T|T}
         # one and two periods on, so both growth covariances load on it
         for t in (5, 6):
             D = np.diag(schedule.gain[t] - 1.0)
             np.testing.assert_allclose(
-                fc.cov_b[t], D @ out.cov_m_filt[4] @ D + p.meas_cov, atol=1e-14
+                fc.cov_b[t - 5], D @ out.cov_m_filt[4] @ D + p.meas_cov, atol=1e-14
             )
 
     def test_drift_only_mean_path(self, params):
         series, schedule, intercepts = make_instance(params, 4, seed=33, horizon=8)
         out = run_filter(params, schedule, series.growth, intercepts)
-        fc = forecast(out, params, schedule, 8)
+        fc = horizon_moments(params, schedule, out, 8,
+                             risk_neutral_intercepts(params, schedule))
         m_T = out.m_filt[4]
         for k in range(1, 5):
             np.testing.assert_allclose(
-                fc.m_mean[4 + k], m_T + k * params.drift, atol=1e-12
+                fc.m_mean[k - 1], m_T + k * params.drift, atol=1e-12
             )
 
     def test_matches_oracle(self, rng):
         p = random_params(rng)
         series, schedule, intercepts = make_instance(p, 4, seed=37, horizon=7)
         out = run_filter(p, schedule, series.growth, intercepts)
-        fc = forecast(out, p, schedule, 7)
+        fc = horizon_moments(p, schedule, out, 7, risk_neutral_intercepts(p, schedule))
         oracle = GaussianConditioningOracle(
             p, schedule, series.growth, intercepts, horizon=7
         )
         for t in range(5, 8):
             fb = oracle.forecast_b(t)
-            np.testing.assert_allclose(fc.b_mean[t], fb.mean, atol=1e-8)
-            np.testing.assert_allclose(fc.cov_b[t], fb.cov, atol=1e-8)
+            np.testing.assert_allclose(fc.b_mean[t - 5], fb.mean, atol=1e-8)
+            np.testing.assert_allclose(fc.cov_b[t - 5], fb.cov, atol=1e-8)
 
 
 def _psd_sqrt(cov):

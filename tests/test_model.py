@@ -11,6 +11,7 @@ from privcredit.errors import DataValidationError, InfeasibleLinearizationError
 from privcredit.model import (
     ModelParams,
     LinearizationSchedule,
+    ObservedSeries,
     asset_linearization,
     asset_tangent,
     build_linearization_schedule,
@@ -48,6 +49,21 @@ class TestDeriveSeries:
             derive_series([(1, 1), (1, -2)], [(1, 1)])
         with pytest.raises(DataValidationError, match="row 1, equity"):
             derive_series([(1, 1), (1, 1)], [(0, 1)])
+
+    def test_error_prints_the_plain_float(self):
+        with pytest.raises(DataValidationError) as books:
+            derive_series([(1, 1), (np.inf, 1)], [(1, 1)])
+        assert str(books.value) == ("book value at row 1, equity column must be "
+                                    "strictly positive and finite (got inf)")
+        with pytest.raises(DataValidationError) as payouts:
+            derive_series([(1, 1), (1, 1)], [(1, -1)])
+        assert str(payouts.value) == ("payout at row 1, liability column must be "
+                                      "strictly positive and finite (got -1.0)")
+
+    @pytest.mark.parametrize("books0", [(np.inf, 1.0), (1.0, np.nan)])
+    def test_observed_series_rejects_nonfinite_books0(self, books0):
+        with pytest.raises(DataValidationError, match="books0 must be"):
+            ObservedSeries(books0, np.zeros((1, 2)), np.zeros((1, 2)))
 
     def test_round_trip_on_synthetic_series(self):
         params = base_params()

@@ -25,14 +25,20 @@ from privcredit.pricing import (
     build_pricing_context,
     default_probability,
     equity_debt_values,
-    horizon_moments,
     price_options,
     solve_threshold,
 )
 from privcredit.simulate import SimConfig, mc_option_price, simulate_panel
 
-from conftest import base_params, random_params, spd_matrix, synthetic_series
+from conftest import (
+    base_params,
+    maturity_moments,
+    random_params,
+    spd_matrix,
+    synthetic_series,
+)
 from reference import (
+    GaussianConditioningOracle,
     asset_log_moments_private,
     asset_log_moments_public,
     horizon_cov_reference,
@@ -171,7 +177,7 @@ class TestHorizonMoments:
     def test_one_step_cancellation(self, params, rng):
         ratio = np.log(0.3) + 0.03 * rng.normal(size=(5, 2))
         sched = build_linearization_schedule(params, ratio, 5)
-        mom = horizon_moments(params, sched, 3, 4)
+        mom = maturity_moments(params, sched, 3, 4)
         np.testing.assert_array_equal(mom.alpha, np.diag(sched.gain[4]))
         np.testing.assert_allclose(mom.cov, params.meas_cov, atol=1e-15)
 
@@ -179,7 +185,7 @@ class TestHorizonMoments:
         p = params.replace(init_mean=np.zeros(2), drift=np.zeros(2))
         ratio = np.log(1e-9) * np.ones((6, 2))
         sched = build_linearization_schedule(p, ratio, 6)
-        mom = horizon_moments(p, sched, 1, 5)
+        mom = maturity_moments(p, sched, 1, 5)
         np.testing.assert_allclose(mom.alpha, np.eye(2), atol=1e-8)
         np.testing.assert_allclose(mom.cov, 4 * p.meas_cov, atol=1e-8)
 
@@ -187,7 +193,7 @@ class TestHorizonMoments:
         ratio = np.log(0.3) * np.ones((3, 2))
         sched = build_linearization_schedule(params, ratio, 3)
         with pytest.raises(DataValidationError):
-            horizon_moments(params, sched, 3, 3)
+            maturity_moments(params, sched, 3, 3)
 
     def test_matches_monte_carlo(self, params):
         series, schedule, _ = synthetic_series(params, 4, seed=12)
@@ -198,7 +204,7 @@ class TestHorizonMoments:
             SimConfig(1_000_000, 4, seed=3, measure="risk_neutral"),
             lb0, init_mean=m0, init_cov=np.zeros((2, 2)),
         )
-        mom = horizon_moments(params, schedule, 0, 4)
+        mom = maturity_moments(params, schedule, 0, 4)
         values = panel.log_values[:, 4]
         mean_cf = mom.alpha @ m0 + mom.beta_rn + lb0
         se = values.std(axis=0) / np.sqrt(values.shape[0])
@@ -228,10 +234,35 @@ class TestHorizonMoments:
             sched = build_linearization_schedule(p, ratio, 280)
             for t in range(41):
                 for h in (1, 2, 3, 4, 7, 12, 24, 60, 120, 240):
-                    direct = horizon_moments(p, sched, t, t + h).cov
+                    direct = maturity_moments(p, sched, t, t + h).cov
                     reference = loop_cov(p, sched, t, t + h)
                     scale = np.abs(reference).max()
                     assert np.abs(direct - reference).max() <= 1e-12 * scale
+
+    def test_real_pair_matches_oracle(self, rng):
+        # ln V_T = m̃_T + ln B_t + Σ_{i=t+1}^T b̃_i given the sample, by dense
+        # conditioning, against the affine map at the filtered posterior
+        periods, maturity = 6, 3
+        horizon = periods + maturity
+        for k in range(20):
+            p = random_params(rng)
+            series, _, _ = synthetic_series(p, periods, seed=300 + k)
+            ctx = build_pricing_context(p, series, maturity, np.log([0.25, 0.25]))
+            oracle = GaussianConditioningOracle(
+                p, ctx.schedule, series.growth, real_intercepts(p, ctx.schedule),
+                horizon=horizon,
+            )
+            idx = oracle._m_idx(horizon) + [
+                i for t in range(periods + 1, horizon + 1) for i in oracle._b_idx(t)]
+            joint = oracle.conditional(idx, periods)
+            total = np.tile(np.eye(2), maturity + 1)
+            alpha, mean, cov = ctx.moments.alpha, *ctx.posterior("real")
+            pair_mean = alpha @ mean + ctx.moments.beta_real + ctx.log_books[periods]
+            np.testing.assert_allclose(
+                pair_mean, total @ joint.mean + ctx.log_books[periods], rtol=0, atol=1e-8)
+            np.testing.assert_allclose(
+                ctx.moments.cov + alpha @ cov @ alpha.T, total @ joint.cov @ total.T,
+                rtol=0, atol=1e-8)
 
     def test_reference_assembly_agrees(self, rng):
         for _ in range(4):
@@ -239,7 +270,7 @@ class TestHorizonMoments:
             ratio = np.log(0.3) + 0.05 * rng.normal(size=(6, 2))
             sched = build_linearization_schedule(p, ratio, 6)
             for t, T in ((2, 3), (2, 4), (2, 5), (0, 3)):
-                direct = horizon_moments(p, sched, t, T).cov
+                direct = maturity_moments(p, sched, t, T).cov
                 reference = horizon_cov_reference(p, sched, t, T)
                 np.testing.assert_allclose(direct, reference, atol=1e-10)
 

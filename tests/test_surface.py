@@ -22,12 +22,13 @@ REMOVED = {
         "GaussianConditioningOracle", "oracle", "binned_error_curve",
         "asset_log_moments_public", "asset_log_moments_private",
         "attach_asset_constants", "mean_log_book_path", "SmoothedStats",
+        "ForecastOutput", "forecast", "filter_and_forecast",
     ],
     "privcredit.pricing": [
         "RiskNeutralSystem", "build_risk_neutral", "PricingReport",
         "horizon_cov_reference", "_I2",
         "asset_log_moments_public", "asset_log_moments_private",
-        "extend_payout_ratio",
+        "extend_payout_ratio", "filter_and_forecast",
     ],
     "privcredit.model": [
         "mean_log_multiplier", "asset_center", "attach_asset_constants",
@@ -51,7 +52,7 @@ REMOVED = {
         "n_periods",
     ],
     "privcredit.kalman.FilterOutput": ["multiplier_mean", "multiplier_cov"],
-    "privcredit.kalman.ForecastOutput": ["cov_m"],
+    "privcredit.kalman": ["ForecastOutput", "forecast"],
     "privcredit.em": ["_gaussian_block_term", "_residual_pieces", "SmoothedStats"],
     "privcredit.em.MomentSums": ["reference", "init"],
 }
