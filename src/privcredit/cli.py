@@ -10,9 +10,9 @@ config keys and the flags it reads, the only ones it accepts, spelled in
 full.
 
 Exit codes: 0 success or ``--help``, 1 a usage error, input/config
-validation or a file that cannot be opened, 2 numerical failure, 3
-calibration has no solution. All runs are deterministic for a fixed config
-and seed.
+validation, a file that cannot be opened or an allocation that fails, 2
+numerical failure, 3 calibration has no solution. All runs are
+deterministic for a fixed config and seed.
 """
 
 import argparse
@@ -34,7 +34,7 @@ from .errors import (
     PrivCreditError,
 )
 from .kalman import run_filter, smooth  # noqa: F401  (tracers rebind run_filter here)
-from .model import ModelParams, build_linearization_schedule
+from .model import ModelParams, build_linearization_schedule, linearized_log_asset
 from .pricing import build_pricing_context, equity_debt_values
 from .simulate import (
     SimConfig,
@@ -318,18 +318,17 @@ def _public_multiplier(cfg):
 
 
 def _mc_terminal(args, cfg, ctx, measure):
-    """Paths and seed of a Monte Carlo check, and its maturity linearized
-    log asset values simulated from the origin posterior under ``measure``."""
+    """Paths and seed of a Monte Carlo check, and the asset tangent applied to
+    the maturity pairs simulated from the origin posterior under ``measure``."""
     paths = _option(args.paths, cfg, "paths", int, 200_000)
     seed = _option(args.seed, cfg, "seed", int, 0)
     mean, cov = ctx.posterior(measure)
-    log_asset = simulate_terminal(
+    pair = simulate_terminal(
         ctx.params, ctx.schedule,
         SimConfig(paths, ctx.tau, seed, measure=measure),
-        ctx.log_books[ctx.origin], ctx.tangent, start=ctx.origin,
-        init_mean=mean, init_cov=cov,
+        ctx.log_books[ctx.origin], start=ctx.origin, init_mean=mean, init_cov=cov,
     )
-    return {"paths": paths, "seed": seed}, log_asset
+    return {"paths": paths, "seed": seed}, linearized_log_asset(pair, *ctx.tangent)
 
 
 def _mc_fields(name, value, mc, se, resolution):
@@ -483,6 +482,10 @@ def main(argv=None):
     except (DataValidationError, OSError) as exc:
         # an unreadable or unwritable file: the OSError message names it
         print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_VALIDATION
+    except MemoryError as exc:
+        # numpy names the array it could not allocate, e.g. for a --paths too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return _EXIT_VALIDATION
     except (InfeasibleLinearizationError, IllConditionedInnovationError,
             DegenerateDesignError) as exc:

@@ -411,7 +411,7 @@ def _param_change(old, new):
                for f in _VECTORS + _COVARIANCES)
 
 
-def default_initial_params(series, rate_log):
+def default_initial_params(rate_log):
     """Deterministic default starting point (overridable by the caller)."""
     return ModelParams(
         req_return=np.full(2, rate_log + 0.02),
@@ -471,7 +471,7 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
     -------
     (ModelParams, EmTrace)
     """
-    params = params_init or default_initial_params(series, rate_log)
+    params = params_init or default_initial_params(rate_log)
     trace = EmTrace()
     trace.params.append(params)
     schedule, filt = _forward_pass(params, series)

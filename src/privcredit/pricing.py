@@ -292,24 +292,20 @@ def build_pricing_context(params, series, maturity, payout_future):
     tangent.
 
     ``maturity`` counts periods beyond the last observation (the pricing
-    origin). ``payout_future`` holds the log payout-to-book ratios past the
-    sample, a (maturity, 2) array or one 2-vector reused each period: they
-    are part of the period-0 information set and cannot be derived from
-    data.
+    origin). ``payout_future`` is the finite log payout-to-book ratio pair
+    of every period past the sample: it is part of the period-0 information
+    set and cannot be derived from data.
     """
     if maturity < 1:
         raise DataValidationError("maturity must be at least one period")
     future = np.asarray(payout_future, dtype=float)
-    if future.shape == (2,):
-        future = np.tile(future, (maturity, 1))
-    if future.shape != (maturity, 2):
+    if future.shape != (2,):
         raise DataValidationError(
-            f"future payout ratios must have shape ({maturity}, 2)"
-        )
+            f"future payout ratios must be one pair, shape (2,), got {future.shape}")
     t0 = series.n_periods
     T = t0 + maturity
     schedule = build_linearization_schedule(
-        params, np.vstack([series.payout_ratio, future]), T)
+        params, np.vstack([series.payout_ratio, np.tile(future, (maturity, 1))]), T)
     filt = run_filter(params, schedule, series.growth,
                       real_intercepts(params, schedule))
     c_rn = risk_neutral_intercepts(params, schedule)

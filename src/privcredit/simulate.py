@@ -218,27 +218,22 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
     )
 
 
-def simulate_terminal(params, schedule, config, log_books0, tangent, start=0,
+def simulate_terminal(params, schedule, config, log_books0, start=0,
                       init_mean=None, init_cov=None):
-    """Maturity log asset values Ṽᵃ_T of the paths :func:`simulate_panel`
-    draws for the same arguments, linearized at the maturity asset
-    ``tangent`` (w_a, h_a) as :func:`privcredit.model.linearized_log_asset`
-    does, an (n_paths,) array.
-
-    Each block keeps only its (2, b) multiplier and log book state, so
-    memory does not grow with the paths or the horizon.
-    """
-    out = np.empty(config.n_paths)
-    w_a, h_a = tangent
+    """Maturity log value pairs, an (n_paths, 2) array equal to
+    ``simulate_panel(...).log_values[:, -1]`` for the same arguments and
+    stored leg by leg, so each column is contiguous. Each block keeps only
+    its (2, b) multiplier and log book state, so memory does not grow with
+    the horizon."""
+    out = np.empty((2, config.n_paths))
 
     def keep(rows, m0, periods):
         for m, log_books, _ in periods:
             pass
-        values = m + log_books
-        out[rows] = (1.0 - w_a) * values[0] + w_a * values[1] + w_a * h_a
+        out[:, rows] = m + log_books
 
     _simulate(params, schedule, config, log_books0, start, init_mean, init_cov, keep)
-    return out
+    return out.T
 
 
 def _mc_mean_se(values):

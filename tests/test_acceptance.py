@@ -210,7 +210,7 @@ def test_criterion_05_generalized_em_ascent():
     series, _, _ = synthetic_series(params, 120, seed=314, payout_level=0.3)
     from privcredit.em import default_initial_params
 
-    start = default_initial_params(series, params.rate_log)
+    start = default_initial_params(params.rate_log)
     _, trace = em_fit(series, params_init=start, max_iter=100, tol=0.0)
     assert trace.n_iterations == 100
     gaps = np.array(trace.lambda_after) - np.array(trace.lambda_before)

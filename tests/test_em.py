@@ -476,7 +476,7 @@ class TestEmFit:
 
     def test_ascent_and_psd_every_iteration(self, params):
         series, _, _ = synthetic_series(params, 60, seed=31)
-        start = default_initial_params(series, params.rate_log)
+        start = default_initial_params(params.rate_log)
         fitted, trace = em_fit(series, params_init=start, max_iter=25, tol=0.0)
         gaps = np.array(trace.lambda_after) - np.array(trace.lambda_before)
         assert gaps.min() > -1e-9
@@ -526,7 +526,7 @@ class TestEmFit:
         monkeypatch.setattr(em, "moment_sums", counted_sums)
         monkeypatch.setattr(em, "expected_complete_loglik", counted_objective)
         monkeypatch.setattr(em, "_blend_params", counted_blend)
-        start = default_initial_params(series, params.rate_log)
+        start = default_initial_params(params.rate_log)
         fitted, trace = em_fit(series, params_init=start, max_iter=10, tol=0.0)
         assert trace.termination == "max_iter" and trace.n_iterations == 10
         assert calls["e_step"] == 0

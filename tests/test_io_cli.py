@@ -1040,6 +1040,28 @@ class TestCliPricing:
         assert captured.out == ""
         assert "future payout ratios must be strictly positive" in captured.err
 
+    @pytest.mark.parametrize("message, err", [
+        ("Unable to allocate 14.6 TiB for an array with shape (2, 1000000000000) "
+         "and data type float64",
+         "error: Unable to allocate 14.6 TiB for an array with shape "
+         "(2, 1000000000000) and data type float64\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_failed_allocation_is_an_error_line(
+        self, tmp_path, panel_csv, capsys, monkeypatch, message, err
+    ):
+        # the patched simulator fails as numpy does, so nothing is allocated
+        from privcredit import cli
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "simulate_terminal", no_memory)
+        code = main(["price", "--input", str(panel_csv), "--maturity", "4",
+                     "--config", str(self._pricing_cfg(tmp_path)), "--strike", "2.0",
+                     "--check", "mc", "--paths", "1000000000000"])
+        assert (code, *capsys.readouterr()) == (1, "", err)
+
     @pytest.mark.parametrize("strike", ["nan", "inf"])
     def test_nonfinite_strike_fails_validation(
         self, tmp_path, panel_csv, capsys, strike

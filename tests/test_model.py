@@ -219,6 +219,18 @@ class TestAssetLinearization:
         exact = np.logaddexp(x, x - mu_a)
         np.testing.assert_allclose(approx, exact, atol=1e-12)
 
+    @pytest.mark.parametrize("mu_a", [709.9, 710.0, 800.0, 1e4])
+    def test_finite_and_exact_where_exp_overflows(self, mu_a):
+        # exp(mu_a) overflows past about 709.78; the tangent stays finite and
+        # exact at its center without a floating-point warning
+        xs = (-1.0, 0.3, 2.0)
+        with np.errstate(all="raise"):
+            _, w, h = asset_linearization(mu_a)
+            assert np.isfinite([w, h, w * h]).all()
+            approx = [linearized_log_asset(np.array([x, x - mu_a]), w, h) for x in xs]
+        exact = [np.logaddexp(x, x - mu_a) for x in xs]  # underflows inside
+        np.testing.assert_allclose(approx, exact, rtol=1e-12, atol=0)
+
 
 class TestAssetTangent:
     @staticmethod

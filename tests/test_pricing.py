@@ -275,6 +275,16 @@ class TestHorizonMoments:
                 np.testing.assert_allclose(direct, reference, atol=1e-10)
 
 
+class TestPricingContext:
+    @pytest.mark.parametrize("shape", [(4, 2), (3,)])
+    def test_future_payout_must_be_one_pair(self, params, shape):
+        # one ratio pair serves every period past the sample; a per-period
+        # (maturity, 2) array is rejected like any other shape
+        series, _, _ = synthetic_series(params, 10, seed=42)
+        with pytest.raises(DataValidationError, match=r"one pair, shape \(2,\)"):
+            build_pricing_context(params, series, 4, np.full(shape, np.log(0.25)))
+
+
 class TestAssetLogMoments:
     def test_zero_covariance_gives_zero_variance(self, params):
         ctx = pricing_fixture(params)

@@ -84,11 +84,9 @@ def force_cores(monkeypatch, cores):
 
 
 def run_simulator(name, params, sched, cfg):
-    """``simulate_panel``, or ``simulate_terminal`` at the maturity tangent,
-    looked up on the module so that patches of it apply."""
-    if name == "simulate_panel":
-        return sim.simulate_panel(params, sched, cfg, LB0)
-    return sim.simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
+    """``simulate_panel`` or ``simulate_terminal``, looked up on the module
+    so that patches of it apply."""
+    return getattr(sim, name)(params, sched, cfg, LB0)
 
 
 class TestSimulatePanel:
@@ -181,56 +179,64 @@ class TestSimulateTerminal:
     def test_terminal_values_are_the_panel_maturity_column(
         self, params, monkeypatch, n, measure
     ):
-        # one draw layout: the terminal run keeps the last state of the
+        # one draw layout: the terminal run keeps the last value pair of the
         # panel's own paths, across block boundaries and thread counts
         sched = toy_schedule(params, 6)
         cfg = SimConfig(n, 4, seed=41, measure=measure)
         kw = dict(start=2, init_mean=np.array([0.3, 0.05]),
                   init_cov=0.5 * params.init_cov)
-        tangent = maturity_tangent(params, sched)
         for cores in (1, 64):
             force_cores(monkeypatch, cores)
             panel = simulate_panel(params, sched, cfg, LB0, **kw)
-            terminal = simulate_terminal(params, sched, cfg, LB0, tangent, **kw)
-            assert np.array_equal(
-                terminal, linearized_log_asset(panel.log_values[:, -1], *tangent))
+            terminal = simulate_terminal(params, sched, cfg, LB0, **kw)
+            assert terminal.shape == (n, 2)
+            assert np.array_equal(terminal, panel.log_values[:, -1])
 
     def test_noiseless_paths_equal_panel_across_blocks(self):
         zero = np.zeros((2, 2))
         p = base_params(init_cov=zero, meas_cov=zero, state_cov=zero)
         sched = toy_schedule(p, 5)
         cfg = SimConfig(_BLOCK_PATHS + 3, 5, seed=1)
-        tangent = maturity_tangent(p, sched)
-        terminal = simulate_terminal(p, sched, cfg, LB0, tangent)
+        terminal = simulate_terminal(p, sched, cfg, LB0)
         panel = simulate_panel(p, sched, SimConfig(3, 5, seed=1), LB0)
-        assert terminal.shape == (_BLOCK_PATHS + 3,)
-        assert (terminal == linearized_log_asset(panel.log_values[0, -1], *tangent)).all()
+        assert terminal.shape == (_BLOCK_PATHS + 3, 2)
+        assert (terminal == panel.log_values[0, -1]).all()
 
     def test_seed_determinism(self, params):
         sched = toy_schedule(params, 4)
-        args = (LB0, maturity_tangent(params, sched))
-        a = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), *args)
-        b = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), *args)
-        c = simulate_terminal(params, sched, SimConfig(100, 4, seed=100), *args)
+        a = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), LB0)
+        b = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), LB0)
+        c = simulate_terminal(params, sched, SimConfig(100, 4, seed=100), LB0)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("measure", ["real", "risk_neutral"])
-    def test_moments_match_closed_form(self, params, measure):
-        # the linearized maturity log asset value is Gaussian with the
-        # closed-form private moments; 200 000 paths span thirteen blocks
+    @pytest.mark.parametrize("maturity", [4, 6, 12])
+    def test_moments_match_closed_form(self, params, maturity, measure):
+        # from the origin posterior (m, P) the maturity log value pair is
+        # Gaussian with mean alpha m + beta + ln B_t and covariance
+        # cov + alpha P alphaᵀ, and its linearized value has the closed-form
+        # private moments; 200 000 paths span thirteen blocks
         series, _, _ = synthetic_series(params, 10, seed=42)
         ctx = build_pricing_context(
-            params, series, 6, payout_future=np.log([0.25, 0.25])
+            params, series, maturity, payout_future=np.log([0.25, 0.25])
         )
-        mu, var = ctx.asset_moments(measure)
         mean, cov = ctx.posterior(measure)
         n = 200_000
-        sample = simulate_terminal(
+        pair = simulate_terminal(
             params, ctx.schedule, SimConfig(n, ctx.tau, 2024, measure=measure),
-            ctx.log_books[ctx.origin], ctx.tangent, start=ctx.origin,
-            init_mean=mean, init_cov=cov,
+            ctx.log_books[ctx.origin], start=ctx.origin, init_mean=mean, init_cov=cov,
         )
+        alpha = ctx.moments.alpha
+        pair_mean = alpha @ mean + ctx.moments.beta(measure) + ctx.log_books[ctx.origin]
+        pair_cov = ctx.moments.cov + alpha @ cov @ alpha.T
+        var_pair = np.diag(pair_cov)
+        np.testing.assert_array_less(
+            np.abs(pair.mean(axis=0) - pair_mean), 4 * np.sqrt(var_pair / n))
+        se_cov = np.sqrt((np.outer(var_pair, var_pair) + pair_cov**2) / n)
+        np.testing.assert_array_less(np.abs(np.cov(pair.T) - pair_cov), 4 * se_cov)
+        sample = linearized_log_asset(pair, *ctx.tangent)
+        mu, var = ctx.asset_moments(measure)
         assert abs(sample.mean() - mu) < 4 * np.sqrt(var / n)
         assert abs(sample.var(ddof=1) - var) < 4 * var * np.sqrt(2 / (n - 1))
 
@@ -243,7 +249,7 @@ class TestSimulateTerminal:
             force_cores(monkeypatch, cores)
             tracemalloc.start()
             try:
-                simulate_terminal(params, sched, cfg, LB0, maturity_tangent(params, sched))
+                simulate_terminal(params, sched, cfg, LB0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -254,7 +260,6 @@ class TestSimulateTerminal:
         # four switching often; the first block is the single-block run of
         # the same seed
         sched = toy_schedule(params, 3)
-        args = (LB0, maturity_tangent(params, sched))
         cfg = SimConfig(3 * _BLOCK_PATHS + 5, 3, seed=8, measure="risk_neutral")
         runs = []
         interval = sys.getswitchinterval()
@@ -262,11 +267,11 @@ class TestSimulateTerminal:
             for cores, switch in ((1, interval), (64, 1e-5)):
                 force_cores(monkeypatch, cores)
                 sys.setswitchinterval(switch)
-                runs.append(simulate_terminal(params, sched, cfg, *args))
+                runs.append(simulate_terminal(params, sched, cfg, LB0))
         finally:
             sys.setswitchinterval(interval)
         single = simulate_terminal(params, sched, dataclasses.replace(
-            cfg, n_paths=_BLOCK_PATHS), *args)
+            cfg, n_paths=_BLOCK_PATHS), LB0)
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0][:_BLOCK_PATHS], single)
         assert not np.array_equal(runs[0][_BLOCK_PATHS : 2 * _BLOCK_PATHS], single)
@@ -353,7 +358,6 @@ class TestNoiseFactor:
         sched = toy_schedule(params, 7)
         start, P, seed = 1, 5, 17
         m0, cov0 = [0.3, 0.05], 0.5 * params.init_cov
-        w_a, h_a = tangent = maturity_tangent(params, sched)
         intercepts = risk_neutral_intercepts(params, sched)
         paths = []
         for j, b in enumerate((2, 2, 1)):
@@ -374,17 +378,14 @@ class TestNoiseFactor:
         cfg = SimConfig(5, P, seed, measure="risk_neutral")
         kw = dict(start=start, init_mean=m0, init_cov=cov0)
         panel = simulate_panel(params, sched, cfg, LB0, **kw)
-        terminal = simulate_terminal(params, sched, cfg, LB0, tangent, **kw)
-        expected = []
+        terminal = simulate_terminal(params, sched, cfg, LB0, **kw)
         for i, (mults, growth, books) in enumerate(paths):
+            values = [[m[0] + b[0], m[1] + b[1]] for m, b in zip(mults, books)]
             assert panel.multipliers[i].tolist() == mults
             assert panel.growth[i].tolist() == growth
             assert panel.log_books[i].tolist() == books
-            assert panel.log_values[i].tolist() == [
-                [m[0] + b[0], m[1] + b[1]] for m, b in zip(mults, books)]
-            v = panel.log_values[i, -1].tolist()
-            expected.append((1.0 - w_a) * v[0] + w_a * v[1] + w_a * h_a)
-        assert terminal.tolist() == expected
+            assert panel.log_values[i].tolist() == values
+            assert terminal[i].tolist() == values[-1]
 
     @pytest.mark.parametrize(
         "cov",
