@@ -8,6 +8,7 @@ log value pairs, so approximation error can be quantified separately from
 formula correctness.
 """
 
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ from .errors import DataValidationError
 from .model import real_intercepts, risk_neutral_intercepts
 
 MEASURES = ("real", "risk_neutral")
-_BLOCK_PATHS = 1 << 14  # paths per block, each block its own stream
+_BLOCK_PATHS = 1 << 14  # most paths in a block, each block its own stream
+_SMALL_PATHS = 1 << 12  # a run of at most this many paths is one block
 _MAX_WORKERS = 4        # threads; a terminal run holds at most 2¹⁶ paths
 
 
@@ -26,10 +28,12 @@ _MAX_WORKERS = 4        # threads; a terminal run holds at most 2¹⁶ paths
 class SimConfig:
     """Simulation settings; identical configs give bit-identical paths on
     every BLAS/LAPACK build, CPU and core count, and :func:`simulate_panel`
-    and :func:`simulate_terminal` draw the same paths. Each block of paths
-    has its own stream, and the noise factor is the closed-form lower
-    Cholesky factor :func:`psd_cholesky`, applied with elementwise products
-    and sums (no LAPACK, no BLAS kernel)."""
+    and :func:`simulate_terminal` draw the same paths. The paths split into
+    near-equal blocks whose layout depends on ``n_paths`` alone
+    (:func:`_block_bounds`), each block with its own stream, and the noise
+    factor is the closed-form lower Cholesky factor :func:`psd_cholesky`,
+    applied with elementwise products and sums (no LAPACK, no BLAS kernel).
+    ``n_paths``, ``horizon`` and ``seed`` must be integers."""
 
     n_paths: int
     horizon: int
@@ -37,6 +41,11 @@ class SimConfig:
     measure: str = "real"
 
     def __post_init__(self):
+        for name in ("n_paths", "horizon", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise DataValidationError(f"{name} must be an integer") from None
         if self.n_paths < 1:
             raise DataValidationError("n_paths must be >= 1")
         if self.horizon < 1:
@@ -141,9 +150,20 @@ def _run_blocks(block, n_blocks):
         raise errors[min(errors)]
 
 
+def _block_bounds(n):
+    """Row bounds of an n-path run's k blocks, block j covering rows
+    ⌊jn/k⌋ to ⌊(j+1)n/k⌋, with k = min(⌈n/2¹²⌉, 4⌈n/2¹⁶⌉): one block up to
+    2¹² paths, at most 2¹⁴ paths a block, sizes differing by at most one,
+    and above 3·2¹² paths a multiple of ``_MAX_WORKERS`` blocks, so every
+    worker gets the same share."""
+    k = min(-(-n // _SMALL_PATHS),
+            _MAX_WORKERS * -(-n // (_MAX_WORKERS * _BLOCK_PATHS)))
+    return [j * n // k for j in range(k + 1)]
+
+
 def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
               keep):
-    """Run a simulation's blocks of ``_BLOCK_PATHS`` paths on up to
+    """Run a simulation's blocks (:func:`_block_bounds`) on up to
     ``_MAX_WORKERS`` threads; ``keep(rows, m0, periods)`` gets each block's
     slice of paths, (2, b) start multipliers and :func:`_periods` generator.
 
@@ -165,17 +185,16 @@ def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
     intercepts = intercepts[periods, :, None]
     mean0, drift = mean0[:, None], params.drift[:, None]
     log_books0 = np.asarray(log_books0, float)[:, None]
-    n = config.n_paths
+    bounds = _block_bounds(config.n_paths)
 
     def block(j):
-        lo = j * _BLOCK_PATHS
-        b = min(_BLOCK_PATHS, n - lo)
+        lo, hi = bounds[j], bounds[j + 1]
         rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
-        m0 = mean0 + _correlate(l0, rng.standard_normal((2, b)))
-        keep(slice(lo, lo + b), m0,
+        m0 = mean0 + _correlate(l0, rng.standard_normal((2, hi - lo)))
+        keep(slice(lo, hi), m0,
              _periods(rng, lv, lu, drift, gains, intercepts, m0, log_books0))
 
-    _run_blocks(block, -(-n // _BLOCK_PATHS))
+    _run_blocks(block, len(bounds) - 1)
 
 
 def simulate_panel(params, schedule, config, log_books0, start=0,

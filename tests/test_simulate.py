@@ -20,6 +20,8 @@ from privcredit.pricing import build_pricing_context
 from privcredit.simulate import (
     _BLOCK_PATHS,
     _MAX_WORKERS,
+    _SMALL_PATHS,
+    _block_bounds,
     SimConfig,
     mc_default_probability,
     mc_option_price,
@@ -171,6 +173,39 @@ class TestSimConfig:
     def test_seed_range_ends_are_accepted(self, seed):
         assert SimConfig(10, 2, seed=seed).seed == seed
 
+    @pytest.mark.parametrize("field", ["n_paths", "horizon", "seed"])
+    @pytest.mark.parametrize("value", [4.0, 1.5, "4"])
+    def test_non_integer_settings_fail_validation(self, field, value):
+        kw = {"n_paths": 10, "horizon": 2, "seed": 1, field: value}
+        with pytest.raises(DataValidationError, match=f"{field} must be an integer"):
+            SimConfig(**kw)
+
+    @pytest.mark.parametrize("field", ["n_paths", "horizon", "seed"])
+    def test_numpy_integer_settings_become_ints(self, field):
+        kw = {"n_paths": 10, "horizon": 2, "seed": 1}
+        cfg = SimConfig(**{**kw, field: np.int64(kw[field])})
+        assert type(getattr(cfg, field)) is int
+        assert cfg == SimConfig(10, 2, seed=1)
+
+
+class TestBlockLayout:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4096, 4097, 12_288, 12_289, 20_000,
+                                   65_536, 65_537, 200_000, 3 * 2**14 + 5])
+    def test_blocks_tile_the_paths_in_near_equal_shares(self, n):
+        bounds = _block_bounds(n)
+        sizes = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert (sizes >= 1).all() and sizes.max() <= 2**14
+        assert sizes.max() - sizes.min() <= 1
+        assert (len(sizes) == 1) == (n <= 2**12)
+        if n > 3 * 2**12:
+            assert len(sizes) % _MAX_WORKERS == 0
+
+    @pytest.mark.parametrize("n, blocks", [(20_000, [5_000] * 4),
+                                           (200_000, [12_500] * 16)])
+    def test_mc_check_sizes_split_evenly(self, n, blocks):
+        assert np.diff(_block_bounds(n)).tolist() == blocks
+
 
 class TestSimulateTerminal:
     @pytest.mark.parametrize("measure", ["real", "risk_neutral"])
@@ -216,7 +251,7 @@ class TestSimulateTerminal:
         # from the origin posterior (m, P) the maturity log value pair is
         # Gaussian with mean alpha m + beta + ln B_t and covariance
         # cov + alpha P alphaᵀ, and its linearized value has the closed-form
-        # private moments; 200 000 paths span thirteen blocks
+        # private moments; 200 000 paths span sixteen blocks
         series, _, _ = synthetic_series(params, 10, seed=42)
         ctx = build_pricing_context(
             params, series, maturity, payout_future=np.log([0.25, 0.25])
@@ -256,11 +291,13 @@ class TestSimulateTerminal:
             assert peak <= 32e6
 
     def test_result_does_not_depend_on_worker_count(self, params, monkeypatch):
-        # three full blocks and a partial one, on one thread and then on
-        # four switching often; the first block is the single-block run of
-        # the same seed
+        # four blocks, on one thread and then on four switching often; the
+        # first block is small enough to be the single-block run of its
+        # size and the same seed
         sched = toy_schedule(params, 3)
-        cfg = SimConfig(3 * _BLOCK_PATHS + 5, 3, seed=8, measure="risk_neutral")
+        cfg = SimConfig(3 * _SMALL_PATHS + 5, 3, seed=8, measure="risk_neutral")
+        b = _block_bounds(cfg.n_paths)[1]
+        assert b <= _SMALL_PATHS
         runs = []
         interval = sys.getswitchinterval()
         try:
@@ -271,10 +308,10 @@ class TestSimulateTerminal:
         finally:
             sys.setswitchinterval(interval)
         single = simulate_terminal(params, sched, dataclasses.replace(
-            cfg, n_paths=_BLOCK_PATHS), LB0)
+            cfg, n_paths=b), LB0)
         assert np.array_equal(runs[0], runs[1])
-        assert np.array_equal(runs[0][:_BLOCK_PATHS], single)
-        assert not np.array_equal(runs[0][_BLOCK_PATHS : 2 * _BLOCK_PATHS], single)
+        assert np.array_equal(runs[0][:b], single)
+        assert not np.array_equal(runs[0][b : 2 * b], single)
 
     @pytest.mark.parametrize("name", ["simulate_terminal", "simulate_panel"])
     def test_block_error_reaches_the_caller(self, params, monkeypatch, capfd, name):
@@ -354,13 +391,15 @@ class TestNoiseFactor:
 
     def test_panel_and_terminal_equal_a_float_loop(self, params, monkeypatch):
         # Python floats round each product and sum on its own, as no BLAS
-        # kernel is bound to; five paths span three blocks, on threads
+        # kernel is bound to; five paths forced into blocks of 2, 2 and 1,
+        # on threads
         sched = toy_schedule(params, 7)
         start, P, seed = 1, 5, 17
         m0, cov0 = [0.3, 0.05], 0.5 * params.init_cov
         intercepts = risk_neutral_intercepts(params, sched)
+        bounds = [0, 2, 4, 5]
         paths = []
-        for j, b in enumerate((2, 2, 1)):
+        for j, b in enumerate(np.diff(bounds).tolist()):
             rng = np.random.Generator(np.random.Philox(key=seed).jumped(j))
             z0 = rng.standard_normal((2, b)).tolist()
             draws = [rng.standard_normal((2, 2, b)).tolist() for _ in range(P)]
@@ -373,7 +412,7 @@ class TestNoiseFactor:
                     params, sched, intercepts, start,
                     [m0[0] + z[0], m0[1] + z[1]], LB0.tolist(), shocks))
 
-        monkeypatch.setattr(sim, "_BLOCK_PATHS", 2)
+        monkeypatch.setattr(sim, "_block_bounds", lambda n: bounds)
         force_cores(monkeypatch, 64)
         cfg = SimConfig(5, P, seed, measure="risk_neutral")
         kw = dict(start=start, init_mean=m0, init_cov=cov0)
