@@ -17,12 +17,14 @@ per-period loop of the mean log book path and :func:`mean_path_tangents`
 the asset tangents centered on it, :func:`required_return_fixed_point` the
 numpy.linalg form of the M-step's required-return/measurement-covariance
 iteration, :func:`params_validation_error` the numpy form of
-``ModelParams``' checks, and :func:`binned_error_curve` measures the asset linearization
-error of a simulated panel.
+``ModelParams``' checks, :func:`binned_error_curve` measures the asset linearization
+error of a simulated panel, and :func:`ingest_reference` reads a panel CSV
+one cell at a time, checking each cell as it goes.
 
 Tests import this module the way they import ``conftest``.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -40,11 +42,13 @@ from privcredit.errors import (
     DegenerateDesignError,
     IllConditionedInnovationError,
 )
+from privcredit.io import CSV_HEADER
 from privcredit.kalman import _LOG2PI, _RCOND, FilterOutput, SmootherOutput
 from privcredit.model import (
     asset_tangent,
     asset_weight_vector,
     build_linearization_schedule,
+    derive_series,
     linearized_log_asset,
     real_intercepts,
 )
@@ -542,3 +546,61 @@ def binned_error_curve(panel, period, tangent, n_bins=12):
             centers.append(dev[mask].mean())
             means.append(err[mask].mean())
     return np.array(centers), np.array(means)
+
+
+def ingest_reference(path):
+    """``io.ingest`` as a loop over rows and cells that raises at the first
+    faulty one: per row, the field count, the period cell, the period as an
+    integer and in the sequence, then the four values."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataValidationError(f"{path}: empty file") from None
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise DataValidationError(
+                f"{path}: malformed header {header!r}, expected {CSV_HEADER}")
+        rows = [(reader.line_num, row) for row in reader
+                if row and any(c.strip() for c in row)]
+    if len(rows) < 2:
+        raise DataValidationError(f"{path}: need at least 2 data rows")
+
+    def invalid(line, col, problem):
+        return DataValidationError(
+            f"{path}: row {line}, column {CSV_HEADER[col]}{problem}")
+
+    def cell(line, row, col, optional=False):
+        raw = row[col].strip()
+        if raw == "":
+            if optional:
+                return None
+            raise invalid(line, col, " is empty")
+        try:
+            value = float(raw)
+        except ValueError:
+            raise invalid(line, col, f": not a number ({raw!r})") from None
+        if col and not (0.0 < value < math.inf or optional and value == 0.0):
+            sign = "nonnegative" if optional else "strictly positive"
+            raise invalid(line, col, f": must be {sign} and finite (got {raw})")
+        return value
+
+    books, payouts = [], []
+    for i, (line, row) in enumerate(rows):
+        if len(row) != len(CSV_HEADER):
+            raise DataValidationError(
+                f"{path}: row {line} has {len(row)} fields, expected {len(CSV_HEADER)}")
+        period = cell(line, row, 0)
+        if not period.is_integer():
+            raise invalid(line, 0, f": not a finite integer ({period!r})")
+        if i == 0:
+            first_period = int(period)
+        elif period != first_period + i:
+            raise DataValidationError(
+                f"{path}: row {line}: period {period:g} breaks the "
+                f"consecutive sequence starting at {first_period}")
+        books.append((cell(line, row, 1), cell(line, row, 2)))
+        payout = cell(line, row, 3, i == 0), cell(line, row, 4, i == 0)
+        if i:
+            payouts.append(payout)
+    return derive_series(books, payouts)

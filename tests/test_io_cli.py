@@ -13,6 +13,7 @@ from privcredit.errors import DataValidationError
 from privcredit.io import CSV_HEADER, format_report, ingest, parse_config, write_panel_csv
 
 from conftest import base_params, synthetic_series
+from reference import ingest_reference
 
 SIM_CONFIG = """
 # synthetic company
@@ -140,6 +141,16 @@ class TestIngest:
             f"finite (got {value})"
         )
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(",".join(CSV_HEADER).encode()
+                         + b"\n0,10,12,,\n1,11,12.5,0.5,\xe9\n2,11,12.5,0.5,0.6\n")
+        with pytest.raises(DataValidationError) as info:
+            ingest(path)
+        assert str(info.value) == f"{path}: line 3: not valid UTF-8 (byte 0xe9)"
+        assert main(["filter", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("period,foo,bar,baz,qux\n0,1,1,,\n1,1,1,1,1\n")
@@ -205,6 +216,203 @@ class TestConfig:
         with pytest.raises(DataValidationError, match="duplicate"):
             parse_config(cfg, ("alpha",))
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, panel_csv, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"# company\nk_equity = 0.04  # caf\xe9 data\n")
+        with pytest.raises(DataValidationError) as info:
+            parse_config(cfg, ("k_equity",))
+        assert str(info.value) == f"{cfg}: line 2: not valid UTF-8 (byte 0xe9)"
+        assert main(["filter", "--input", str(panel_csv), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_utf8_comment_is_read(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes("alpha = 3  # café\n".encode("utf-8"))
+        assert parse_config(cfg, ("alpha",)) == {"alpha": "3"}
+
+
+def _long_panel_lines(periods=1600):
+    """The data lines of a valid panel of ``periods`` periods."""
+    lines = ["0,10.0,12.0,,"]
+    lines += [f"{t},{10 + 0.01 * t!r},{12 + 0.02 * t!r},0.5,0.6"
+              for t in range(1, periods + 1)]
+    return lines
+
+
+def _with_cells(line, **cells):
+    """``line`` with the named columns replaced; ``None`` drops the cell."""
+    row = line.split(",")
+    for column, value in cells.items():
+        row[CSV_HEADER.index(column)] = value
+    return ",".join(cell for cell in row if cell is not None)
+
+
+# cell texts that break one check or another, and some that pass
+_CELL_TEXTS = st.sampled_from([
+    "", " ", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "-0", "1.5", " 3 ",
+    "1_0", "1.5\x1c", "\x1c", "1e20", "9007199254740993", "-9007199254740992",
+])
+
+
+@st.composite
+def _faulty_panels(draw):
+    """A small panel CSV text with up to three cells replaced, fields added
+    or dropped, and blank lines between rows."""
+    periods = draw(st.integers(1, 6))
+    start = draw(st.sampled_from([0, 1, -3, 2**53 - 2, 2**53, -2**53]))
+    rows = [[str(start), "10", "12", draw(st.sampled_from(["", " ", "0"])), ""]]
+    rows += [[str(start + t), "11", "12.5", "0.5", "0.6"] for t in range(1, periods + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        change = draw(st.sampled_from(["cell", "cell", "cell", "add", "drop"]))
+        if change == "add":
+            row.append("1")
+        elif change == "drop" and row:
+            row.pop()
+        elif row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_CELL_TEXTS)
+    lines = [",".join(CSV_HEADER)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " , ,"])))
+    return "\n".join(lines) + "\n"
+
+
+class TestIngestDiagnostics:
+    """Every diagnostic of a 1600-period panel, placed where a column-wise
+    pass must still find it: in the last data row (file line 1602), and
+    against a second fault elsewhere."""
+
+    def _ingest_error(self, tmp_path, lines):
+        path = tmp_path / "long.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(lines) + "\n")
+        with pytest.raises(DataValidationError) as info:
+            ingest(path)
+        prefix = f"{path}: "
+        assert str(info.value).startswith(prefix)
+        return str(info.value)[len(prefix):]
+
+    @pytest.mark.parametrize("cells, message", [
+        ({"payout_liability": None}, "row 1602 has 4 fields, expected 5"),
+        ({"book_equity": ""}, "row 1602, column book_equity is empty"),
+        ({"period": " "}, "row 1602, column period is empty"),
+        ({"book_liability": "12,5"}, "row 1602 has 6 fields, expected 5"),
+        ({"payout_equity": "abc"}, "row 1602, column payout_equity: not a number ('abc')"),
+        ({"period": "1600.5"}, "row 1602, column period: not a finite integer (1600.5)"),
+        ({"period": "1e400"}, "row 1602, column period: not a finite integer (inf)"),
+        ({"period": "1601"},
+         "row 1602: period 1601 breaks the consecutive sequence starting at 0"),
+        ({"book_liability": "0"},
+         "row 1602, column book_liability: must be strictly positive and finite (got 0)"),
+        ({"payout_equity": "-2.5"},
+         "row 1602, column payout_equity: must be strictly positive and finite (got -2.5)"),
+        ({"payout_liability": "nan"},
+         "row 1602, column payout_liability: must be strictly positive and finite (got nan)"),
+        ({"book_equity": "inf"},
+         "row 1602, column book_equity: must be strictly positive and finite (got inf)"),
+    ])
+    def test_fault_in_last_row(self, tmp_path, cells, message):
+        lines = _long_panel_lines()
+        lines[-1] = _with_cells(lines[-1], **cells)
+        assert self._ingest_error(tmp_path, lines) == message
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "row 2, column payout_equity: not a number ('x')"),
+        ("-1", "row 2, column payout_equity: must be nonnegative and finite (got -1)"),
+        ("inf", "row 2, column payout_equity: must be nonnegative and finite (got inf)"),
+    ])
+    def test_bad_first_row_payout(self, tmp_path, value, message):
+        lines = _long_panel_lines()
+        lines[0] = _with_cells(lines[0], payout_equity=value)
+        assert self._ingest_error(tmp_path, lines) == message
+
+    @pytest.mark.parametrize("early, late, message", [
+        # a value fault before a cell that does not parse
+        ({"book_equity": "-1"}, {"period": "x"},
+         "row 801, column book_equity: must be strictly positive and finite (got -1)"),
+        # a cell that does not parse before a value fault
+        ({"payout_liability": "abc"}, {"book_equity": "0"},
+         "row 801, column payout_liability: not a number ('abc')"),
+        # a period break before a wrong field count
+        ({"period": "7"}, {"payout_liability": None},
+         "row 801: period 7 breaks the consecutive sequence starting at 0"),
+        # an empty cell before a non-finite period
+        ({"payout_equity": ""}, {"period": "nan"}, "row 801, column payout_equity is empty"),
+    ])
+    def test_first_fault_in_file_order_wins(self, tmp_path, early, late, message):
+        lines = _long_panel_lines()
+        lines[799] = _with_cells(lines[799], **early)
+        lines[-1] = _with_cells(lines[-1], **late)
+        assert self._ingest_error(tmp_path, lines) == message
+
+    def test_field_count_beats_cells_of_its_row(self, tmp_path):
+        lines = _long_panel_lines()
+        lines[-1] = "x,,-1,abc,nan,1"
+        assert self._ingest_error(tmp_path, lines) == "row 1602 has 6 fields, expected 5"
+        # in the row before, a cell fault still comes first
+        lines[-2] = _with_cells(lines[-2], book_liability="0")
+        assert self._ingest_error(tmp_path, lines) == (
+            "row 1601, column book_liability: must be strictly positive and finite (got 0)")
+
+    @settings(max_examples=400, deadline=None)
+    @given(_faulty_panels())
+    def test_matches_the_per_cell_reference(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("faulty") / "panel.csv"
+        path.write_text(text)
+
+        def outcome(read):
+            try:
+                series = read(path)
+            except DataValidationError as exc:
+                return str(exc)
+            return series.books0.tolist(), series.growth.tolist(), series.payout_ratio.tolist()
+
+        assert outcome(ingest) == outcome(ingest_reference)
+
+    def test_the_valid_panel_reads(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + "\n".join(_long_panel_lines()) + "\n")
+        series = ingest(path)
+        assert series.n_periods == 1600
+        np.testing.assert_array_equal(series.books0, [10.0, 12.0])
+
+
+def _plain(obj):
+    """``obj`` with numpy arrays and scalars as their ``tolist()``, tuples
+    as lists: what ``json.dumps`` takes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    return obj
+
+
+_JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308])
+_SHAPES = st.lists(st.integers(0, 3), min_size=0, max_size=3).map(tuple)
+_REPORT_LEAVES = (
+    _JSON_FLOATS
+    | st.integers(-10**20, 10**20)
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | st.sampled_from(["héllo", "債務", "tab\t\"quote\"\\", " ", "😀"])
+    | _JSON_FLOATS.map(np.float64)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.lists(_JSON_FLOATS)
+    | arrays(np.float64, _SHAPES, elements=_JSON_FLOATS)
+    | arrays(np.int64, _SHAPES)
+    | arrays(np.bool_, _SHAPES)
+)
+_REPORTS = st.recursive(
+    _REPORT_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
 
 class TestReportSerialization:
     def test_round_trips_losslessly(self):
@@ -213,6 +421,63 @@ class TestReportSerialization:
         parsed = json.loads(text)
         assert parsed["x"] == 0.1 + 0.2
         assert parsed["arr"][1] == math.pi
+
+    @settings(max_examples=300, deadline=None)
+    @given(_REPORTS)
+    def test_bytes_are_json_dumps(self, report):
+        # json's own encoder is the oracle of the layout, byte for byte
+        expected = json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
+        assert format_report(report) == expected
+
+    def test_types_json_rejects_raise_type_error(self):
+        with pytest.raises(TypeError):
+            format_report({"when": object()})
+        with pytest.raises(TypeError):
+            format_report({"z": np.array([1 + 2j])})
+
+
+class TestReportLayout:
+    """Every command's JSON report is ``json.dumps(..., sort_keys=True,
+    indent=2)`` of itself, and a rerun writes the same bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--max-iter", "3"],
+        ["filter"],
+        ["smooth"],
+        ["forecast", "--maturity", "4"],
+        ["price", "--maturity", "4", "--strike", "5.0"],
+        ["price", "--maturity", "4", "--strike", "5.0", "--check", "mc",
+         "--paths", "1", "--seed", "7"],
+        ["default-prob", "--maturity", "4"],
+        ["default-prob", "--maturity", "4", "--check", "mc", "--paths", "1"],
+        ["calibrate-threshold", "--maturity", "1"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:1] + argv[-2:]))
+    def test_stdout_is_sorted_two_space_json(self, tmp_path, panel_csv, capsys, argv):
+        cfg = tmp_path / "run.cfg"
+        fits = argv[0] in ("estimate", "filter", "smooth")
+        cfg.write_text(PARAMS_CONFIG if fits else PRICING_CONFIG)
+        argv = argv[:1] + ["--input", str(panel_csv), "--config", str(cfg)] + argv[1:]
+        capsys.readouterr()
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert out.isascii()
+        if argv[0] == "price" and "--paths" in argv:
+            # one path has no spread, so the check's z scores are infinite
+            assert "Infinity" in out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+    def test_simulate_truth_is_sorted_two_space_json(self, tmp_path, sim_config):
+        texts = []
+        for name in ("a", "b"):
+            out = tmp_path / name / "panel.csv"
+            out.parent.mkdir()
+            assert main(["simulate", "--config", str(sim_config), "--output", str(out)]) == 0
+            texts.append((tmp_path / name / "panel.csv.truth.json").read_text())
+        text = texts[0]
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert texts[1] == text.replace(f"{tmp_path}/a/", f"{tmp_path}/b/")
 
 
 class TestCliSimulate:

@@ -43,6 +43,7 @@ REMOVED = {
         "default_prob_public", "filter_real", "filter_rn",
     ],
     "privcredit.cli": ["_params_dict", "_pricing_setup"],
+    "privcredit.io": ["_to_jsonable"],
     "privcredit.model.LinearizationSchedule": [
         "asset_gain", "gain_matrix", "has_asset_constants",
         "center", "asset_center", "asset_weight", "asset_shift",
