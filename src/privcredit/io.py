@@ -21,16 +21,19 @@ CSV_HEADER = [
 
 
 def _read_text(path):
-    """The file's text, decoded as UTF-8; a byte sequence that does not
-    decode is a :class:`DataValidationError` naming the file and line."""
+    """The file's text, decoded as UTF-8 without a leading byte-order mark;
+    a byte sequence that does not decode is a :class:`DataValidationError`
+    naming the file and line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # the decoder's offsets count from after the byte-order mark
+        rest = exc.object
+        line = rest.count(b"\n", 0, exc.start) + 1
         raise DataValidationError(
-            f"{path}: line {line}: not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+            f"{path}: line {line}: not valid UTF-8 (byte 0x{rest[exc.start]:02x})"
         ) from None
 
 
@@ -55,14 +58,16 @@ def ingest(path):
     """
     reader = csv.reader(StringIO(_read_text(path), newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataValidationError(f"{path}: empty file") from None
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise DataValidationError(
-            f"{path}: malformed header {header!r}, expected {CSV_HEADER}"
-        )
-    rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
+        header = next(reader, None)
+        if header is None:
+            raise DataValidationError(f"{path}: empty file")
+        if [h.strip() for h in header] != CSV_HEADER:
+            raise DataValidationError(
+                f"{path}: malformed header {header!r}, expected {CSV_HEADER}"
+            )
+        rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise DataValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(rows) < 2:
         raise DataValidationError(f"{path}: need at least 2 data rows")
 

@@ -28,7 +28,9 @@ _MAX_WORKERS = 4        # threads; a terminal run holds at most 2¹⁶ paths
 class SimConfig:
     """Simulation settings; identical configs give bit-identical paths on
     every BLAS/LAPACK build, CPU and core count, and :func:`simulate_panel`
-    and :func:`simulate_terminal` draw the same paths. The paths split into
+    and :func:`simulate_terminal` draw the same start multipliers, and at
+    horizon 1 the same paths (the terminal run draws the measurement noise
+    only as its sum over the horizon). The paths split into
     near-equal blocks whose layout depends on ``n_paths`` alone
     (:func:`_block_bounds`), each block with its own stream, and the noise
     factor is the closed-form lower Cholesky factor :func:`psd_cholesky`,
@@ -86,30 +88,45 @@ def psd_cholesky(m):
     return np.array([[l11, 0.0], [l21, l22]])
 
 
-def _correlate(factor, e):
+def _correlate(factor, e, row):
     """Overwrite the standard normal pairs ``e`` (pair along axis 0) with
     L e for the lower factor L: (l11 e₀, l21 e₀ + l22 e₁), each entry
     rounded products and one sum, as plain floats give, where a BLAS ``@``
-    may fuse or reorder them by CPU."""
+    may fuse or reorder them by CPU; ``row`` is scratch of one leg's shape."""
     (l11, _), (l21, l22) = factor.tolist()
+    np.multiply(e[0], l21, out=row)
     e[1] *= l22
-    e[1] += l21 * e[0]
+    e[1] += row
     e[0] *= l11
     return e
 
 
-def _periods(rng, state_factor, meas_factor, drift, gains, intercepts, m, log_books):
+def _periods(rng, state_factor, meas_factors, drift, gains, intercepts, m, log_books):
     """The (2, b) multiplier m′ = φ + m + r_v, log books and book growth
     g = −m′ + G_t m + c_t + r_u after each row of the (periods, 2, 1)
-    ``gains`` and ``intercepts``, from the multiplier ``m`` and log books;
-    each period draws b state noise pairs, then b measurement noise pairs."""
-    for gain, intercept in zip(gains, intercepts):
-        ev, eu = rng.standard_normal((2,) + m.shape)
-        rv, ru = _correlate(state_factor, ev), _correlate(meas_factor, eu)
-        m_new = drift + m + rv
-        growth = -m_new + gain * m + intercept + ru
-        m, log_books = m_new, log_books + growth
-        yield m, log_books, growth
+    ``gains`` and ``intercepts``, from the multiplier ``m`` and (2, 1) log
+    books. Each period draws b state noise pairs; a period whose entry of
+    ``meas_factors`` is a lower factor then draws b measurement noise pairs
+    r_u scaled by it, and a period whose entry is None has no r_u term.
+
+    The update runs in place, in the operation order of the formulas, on
+    buffers allocated once: ``m`` and one more multiplier buffer take turns,
+    so each yielded (m′, log books, g) is overwritten by the next period."""
+    m_new, growth, noise, books = (np.empty_like(m) for _ in range(4))
+    books[...] = log_books
+    row = np.empty_like(m[0])
+    for gain, intercept, meas_factor in zip(gains, intercepts, meas_factors):
+        _correlate(state_factor, rng.standard_normal(out=noise), row)
+        np.add(drift, m, out=m_new)
+        m_new += noise
+        np.multiply(gain, m, out=growth)
+        growth -= m_new
+        growth += intercept
+        if meas_factor is not None:
+            growth += _correlate(meas_factor, rng.standard_normal(out=noise), row)
+        books += growth
+        m, m_new = m_new, m
+        yield m, books, growth
 
 
 def _cores():
@@ -162,15 +179,17 @@ def _block_bounds(n):
 
 
 def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              keep):
+              meas_factors, keep):
     """Run a simulation's blocks (:func:`_block_bounds`) on up to
     ``_MAX_WORKERS`` threads; ``keep(rows, m0, periods)`` gets each block's
-    slice of paths, (2, b) start multipliers and :func:`_periods` generator.
+    slice of paths, (2, b) start multipliers and :func:`_periods` generator,
+    which scales each period's measurement noise by that period's entry of
+    ``meas_factors`` (None: no measurement noise that period).
 
     Block j draws from ``Philox(key=seed).jumped(j)``: b start pairs, then
-    per period b state noise pairs and b measurement noise pairs, each
-    pair's two normals drawn b apart, so no path depends on the thread
-    count or scheduling."""
+    per period b state noise pairs and, where the period has a measurement
+    factor, b measurement noise pairs, each pair's two normals drawn b
+    apart, so no path depends on the thread count or scheduling."""
     if schedule.horizon < start + config.horizon:
         raise DataValidationError("schedule does not cover the simulation horizon")
     mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
@@ -179,7 +198,7 @@ def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
         intercepts = real_intercepts(params, schedule)
     else:
         intercepts = risk_neutral_intercepts(params, schedule)
-    l0, lv, lu = (psd_cholesky(c) for c in (cov0, params.state_cov, params.meas_cov))
+    l0, lv = psd_cholesky(cov0), psd_cholesky(params.state_cov)
     periods = slice(start + 1, start + config.horizon + 1)
     gains = schedule.gain[periods, :, None]
     intercepts = intercepts[periods, :, None]
@@ -190,9 +209,9 @@ def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
     def block(j):
         lo, hi = bounds[j], bounds[j + 1]
         rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
-        m0 = mean0 + _correlate(l0, rng.standard_normal((2, hi - lo)))
-        keep(slice(lo, hi), m0,
-             _periods(rng, lv, lu, drift, gains, intercepts, m0, log_books0))
+        m0 = mean0 + _correlate(l0, rng.standard_normal((2, hi - lo)), np.empty(hi - lo))
+        keep(slice(lo, hi), m0, _periods(rng, lv, meas_factors, drift, gains,
+                                         intercepts, m0, log_books0))
 
     _run_blocks(block, len(bounds) - 1)
 
@@ -212,8 +231,8 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
         Distribution of the log multiplier at the start period (defaults to
         the model prior; pass a zero matrix to pin a known multiplier).
 
-    The paths are :func:`simulate_terminal`'s for the same arguments, drawn
-    block by block as :func:`_simulate` describes.
+    The paths are drawn block by block as :func:`_simulate` describes, with
+    a measurement noise pair scaled by the factor of Σ_u every period.
     """
     n, P = config.n_paths, config.horizon
     mult = np.empty((n, P + 1, 2))
@@ -228,7 +247,8 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
             log_books[rows, t] = books.T
             growth[rows, t - 1] = g.T
 
-    _simulate(params, schedule, config, log_books0, start, init_mean, init_cov, keep)
+    _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
+              [psd_cholesky(params.meas_cov)] * P, keep)
     log_values = mult + log_books
     exact = np.logaddexp(log_values[..., 0], log_values[..., 1])
     return SimulatedPanel(
@@ -239,11 +259,17 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
 
 def simulate_terminal(params, schedule, config, log_books0, start=0,
                       init_mean=None, init_cov=None):
-    """Maturity log value pairs, an (n_paths, 2) array equal to
-    ``simulate_panel(...).log_values[:, -1]`` for the same arguments and
-    stored leg by leg, so each column is contiguous. Each block keeps only
-    its (2, b) multiplier and log book state, so memory does not grow with
-    the horizon."""
+    """Maturity log value pairs, an (n_paths, 2) array stored leg by leg,
+    so each column is contiguous.
+
+    The measurement noise reaches the pair at horizon P only through its sum
+    Σ_t r_u ~ N(0, P Σ_u), so each path draws that sum as one pair, scaled
+    by the factor of P Σ_u, at period P: a block draws b start pairs, P
+    state noise pairs and one summed measurement pair. At horizon 1 the
+    result is ``simulate_panel(...).log_values[:, -1]`` for the same
+    arguments, bit for bit. Each block
+    keeps only its (2, b) multiplier and log book state, so memory does not
+    grow with the horizon."""
     out = np.empty((2, config.n_paths))
 
     def keep(rows, m0, periods):
@@ -251,7 +277,10 @@ def simulate_terminal(params, schedule, config, log_books0, start=0,
             pass
         out[:, rows] = m + log_books
 
-    _simulate(params, schedule, config, log_books0, start, init_mean, init_cov, keep)
+    P = config.horizon
+    summed = psd_cholesky(P * params.meas_cov)
+    _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
+              [None] * (P - 1) + [summed], keep)
     return out.T
 
 

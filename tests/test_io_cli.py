@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,41 @@ class TestIngest:
         assert main(["filter", "--input", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {info.value}\n"
 
+    def test_byte_order_mark_is_not_text(self, tmp_path, panel_csv):
+        # a UTF-8 byte-order mark leaves the header and every report alone
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + panel_csv.read_bytes())
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(PARAMS_CONFIG)
+        reports = []
+        for path in (panel_csv, marked):
+            out = tmp_path / f"{path.stem}.json"
+            assert main(["filter", "--input", str(path), "--config", str(cfg),
+                         "--output", str(out)]) == 0
+            reports.append(out.read_text().replace(str(path), "<input>"))
+        assert reports[0] == reports[1]
+
+    def test_non_utf8_byte_after_byte_order_mark_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ",".join(CSV_HEADER).encode()
+                         + b"\n0,10,12,,\n1,11,12.5,0.5,\xe9\n2,11,12.5,0.5,0.6\n")
+        assert main(["filter", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 3: not valid UTF-8 (byte 0xe9)\n")
+
+    def test_field_over_the_csv_size_limit_is_an_error_line(
+        self, tmp_path, panel_csv, capsys
+    ):
+        path = tmp_path / "wide.csv"
+        lines = panel_csv.read_text().splitlines()
+        lines[2] = lines[2] + "1" * 200_000
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["calibrate-threshold", "--input", str(path),
+                     "--maturity", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line 3: field larger than field limit")
+        assert err.count("\n") == 1
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("period,foo,bar,baz,qux\n0,1,1,,\n1,1,1,1,1\n")
@@ -224,6 +260,17 @@ class TestConfig:
         assert str(info.value) == f"{cfg}: line 2: not valid UTF-8 (byte 0xe9)"
         assert main(["filter", "--input", str(panel_csv), "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path, panel_csv):
+        reports = []
+        for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(mark + PARAMS_CONFIG.encode())
+            out = tmp_path / f"{name}.json"
+            assert main(["filter", "--input", str(panel_csv), "--config", str(cfg),
+                         "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_utf8_comment_is_read(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -1227,6 +1274,38 @@ class TestCliPricing:
         report = json.loads(pd_out.read_text())
         assert report["public_multiplier"] == [0.25, 0.3]
         assert report["prob_default_public"] == ctx.default_prob(threshold, m_t)
+
+    def test_mc_check_reports_do_not_depend_on_core_count(
+        self, tmp_path, panel_csv, monkeypatch
+    ):
+        # four blocks of about 12 290 paths, run by one, two and four
+        # threads switching often, give the user one report each
+        import privcredit.simulate as sim
+
+        ctx = self._context(tmp_path, panel_csv, 4)
+        mu, var = ctx.asset_moments("real")
+        strike = math.exp(ctx.asset_moments("risk_neutral")[0])
+        threshold = math.exp(mu - 0.5 * math.sqrt(var))
+        cfg = self._pricing_cfg(tmp_path, extra=f"threshold = {threshold!r}\n")
+        common = ["--input", str(panel_csv), "--config", str(cfg), "--maturity", "4",
+                  "--check", "mc", "--paths", str(3 * sim._BLOCK_PATHS + 5),
+                  "--seed", "5"]
+        commands = {"price": ["price", *common, "--strike", repr(strike)],
+                    "default-prob": ["default-prob", *common]}
+        reports = {name: set() for name in commands}
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for cores in (1, 2, 64):
+                monkeypatch.setattr(sim, "_cores", lambda: cores)
+                for name, argv in commands.items():
+                    out = tmp_path / f"{name}-{cores}.json"
+                    assert main([*argv, "--output", str(out)]) == 0
+                    assert "mc_check" in json.loads(out.read_text())
+                    reports[name].add(out.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(texts) for texts in reports.values()] == [1, 1]
 
     def test_repeated_main_calls_share_no_parsed_state(
         self, tmp_path, panel_csv, capsys

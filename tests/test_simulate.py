@@ -60,13 +60,15 @@ def maturity_tangent(params, sched):
 def float_paths(params, sched, intercepts, start, m, books, shocks):
     """Multipliers, growth and log books of one path in Python floats, which
     round every product and sum on its own; ``shocks`` holds per period the
-    scaled (r_v, r_u) float pairs."""
+    scaled (r_v, r_u) float pairs, r_u None in a period without one."""
     drift = params.drift.tolist()
     mults, growth, log_books = [m], [], [books]
     for t, (rv, ru) in enumerate(shocks, start + 1):
         gain, c = sched.gain[t].tolist(), intercepts[t].tolist()
         m_new = [drift[k] + m[k] + rv[k] for k in range(2)]
-        g = [-m_new[k] + gain[k] * m[k] + c[k] + ru[k] for k in range(2)]
+        g = [-m_new[k] + gain[k] * m[k] + c[k] for k in range(2)]
+        if ru is not None:
+            g = [g[k] + ru[k] for k in range(2)]
         m, books = m_new, [books[k] + g[k] for k in range(2)]
         mults.append(m)
         growth.append(g)
@@ -214,10 +216,11 @@ class TestSimulateTerminal:
     def test_terminal_values_are_the_panel_maturity_column(
         self, params, monkeypatch, n, measure
     ):
-        # one draw layout: the terminal run keeps the last value pair of the
+        # one draw layout: at horizon 1 the summed measurement noise is the
+        # period's own, so the terminal run keeps the last value pair of the
         # panel's own paths, across block boundaries and thread counts
         sched = toy_schedule(params, 6)
-        cfg = SimConfig(n, 4, seed=41, measure=measure)
+        cfg = SimConfig(n, 1, seed=41, measure=measure)
         kw = dict(start=2, init_mean=np.array([0.3, 0.05]),
                   init_cov=0.5 * params.init_cov)
         for cores in (1, 64):
@@ -392,25 +395,38 @@ class TestNoiseFactor:
     def test_panel_and_terminal_equal_a_float_loop(self, params, monkeypatch):
         # Python floats round each product and sum on its own, as no BLAS
         # kernel is bound to; five paths forced into blocks of 2, 2 and 1,
-        # on threads
+        # on threads. A panel block draws per period a state and a
+        # measurement pair; a terminal block draws P state pairs, then one
+        # measurement pair scaled by the factor of P Σ_u
         sched = toy_schedule(params, 7)
         start, P, seed = 1, 5, 17
         m0, cov0 = [0.3, 0.05], 0.5 * params.init_cov
         intercepts = risk_neutral_intercepts(params, sched)
         bounds = [0, 2, 4, 5]
-        paths = []
+        paths, ends = [], []
         for j, b in enumerate(np.diff(bounds).tolist()):
-            rng = np.random.Generator(np.random.Philox(key=seed).jumped(j))
+            rng, rng_terminal = (np.random.Generator(
+                np.random.Philox(key=seed).jumped(j)) for _ in range(2))
             z0 = rng.standard_normal((2, b)).tolist()
             draws = [rng.standard_normal((2, 2, b)).tolist() for _ in range(P)]
+            rng_terminal.standard_normal((2, b))  # the start pairs z0 again
+            state = [rng_terminal.standard_normal((2, b)).tolist() for _ in range(P)]
+            summed = rng_terminal.standard_normal((2, b)).tolist()
             for i in range(b):
                 z = float_scale(cov0, z0[0][i], z0[1][i])
+                start_pair = [m0[0] + z[0], m0[1] + z[1]]
                 shocks = [(float_scale(params.state_cov, v[0][i], v[1][i]),
                            float_scale(params.meas_cov, u[0][i], u[1][i]))
                           for v, u in draws]
                 paths.append(float_paths(
-                    params, sched, intercepts, start,
-                    [m0[0] + z[0], m0[1] + z[1]], LB0.tolist(), shocks))
+                    params, sched, intercepts, start, start_pair, LB0.tolist(), shocks))
+                shocks = [(float_scale(params.state_cov, v[0][i], v[1][i]), None)
+                          for v in state]
+                shocks[-1] = (shocks[-1][0], float_scale(
+                    P * params.meas_cov, summed[0][i], summed[1][i]))
+                mults, _, books = float_paths(
+                    params, sched, intercepts, start, start_pair, LB0.tolist(), shocks)
+                ends.append([mults[-1][k] + books[-1][k] for k in range(2)])
 
         monkeypatch.setattr(sim, "_block_bounds", lambda n: bounds)
         force_cores(monkeypatch, 64)
@@ -424,7 +440,7 @@ class TestNoiseFactor:
             assert panel.growth[i].tolist() == growth
             assert panel.log_books[i].tolist() == books
             assert panel.log_values[i].tolist() == values
-            assert terminal[i].tolist() == values[-1]
+            assert terminal[i].tolist() == ends[i]
 
     @pytest.mark.parametrize(
         "cov",
