@@ -85,9 +85,13 @@ def _params_from_config(cfg, rate):
         raise DataValidationError(
             f"config supplies some parameters but misses {missing}"
         )
-    f = lambda key, default=None: pio.coerce(
-        cfg, key, float, default=default, required=default is None
-    )
+
+    def f(key, default=None):
+        value = pio.coerce(cfg, key, float, default=default, required=default is None)
+        if not math.isfinite(value):
+            raise DataValidationError(f"{key} must be finite (got {value!r})")
+        return value
+
     for key in _PARAM_KEYS:
         if key.startswith("sigma") and f(key) < 0:
             raise DataValidationError(f"{key} must be nonnegative (got {f(key)!r})")

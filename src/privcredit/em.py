@@ -9,12 +9,16 @@ Durbin & Koopman 2012, §7.3). The E-step returns them as one record,
 :class:`MomentSums`, together with the smoother output and the forward pass
 it smoothed; the objective, the M-step and the gradient read only that
 record. The objective at each line-search candidate is O(1) float algebra,
-so an iteration costs one filter pass, one smoother pass and O(T) numpy
-work. Freezing makes this a generalized EM: the frozen objective never
-decreases, which is the ascent property tested downstream. The schedule's
-own parameter sensitivity shows up only in the analytic gradient of the
-schedule-varying objective, kept here as a diagnostic
-(`complete_loglik_gradient`) and validated against finite differences.
+so an iteration costs one filter pass and one smoother pass, the only
+Python loops over the periods, plus a fixed number of numpy calls on whole
+columns (the sums, the M-step) and float algebra on 2×2 entries (the
+objective, the M-step's fixed point, the parameter checks and blends),
+whatever the sample length. Freezing makes this a generalized EM: the
+frozen objective never decreases, which is the ascent property tested
+downstream. The schedule's own parameter sensitivity shows up only in the
+analytic gradient of the schedule-varying objective, kept here as a
+diagnostic (`complete_loglik_gradient`) and validated against finite
+differences.
 """
 
 import math
@@ -26,8 +30,6 @@ import numpy as np
 from .errors import DataValidationError, DegenerateDesignError, PrivCreditError
 from .kalman import FilterOutput, SmootherOutput, run_filter, smooth
 from .model import (
-    _COVARIANCES,
-    _VECTORS,
     ModelParams,
     _min_eigenvalue,
     build_linearization_schedule,
@@ -56,10 +58,11 @@ class EmTrace:
         return len(self.max_change)
 
 
-def _chol_pivots(m, name):
-    """Entries a, b, c of the symmetric 2×2 ``m`` and its second Cholesky
-    pivot c − b²/a; both pivots must be positive (``m`` positive definite)."""
-    (a, b), (_, c) = m.tolist()
+def _chol_pivots(rows, name):
+    """Entries a, b, c of the symmetric 2×2 matrix with nested float
+    ``rows`` and its second Cholesky pivot c − b²/a; both pivots must be
+    positive (the matrix positive definite)."""
+    (a, b), (_, c) = rows
     pivot = c - b * b / a if a > 0.0 else 0.0
     if not pivot > 0.0:
         raise DataValidationError(f"{name} must be positive definite")
@@ -68,7 +71,7 @@ def _chol_pivots(m, name):
 
 def _chol_inv_logdet(m, name):
     """Inverse and log-determinant of the positive definite 2×2 ``m``."""
-    a, b, c, pivot = _chol_pivots(m, name)
+    a, b, c, pivot = _chol_pivots(m.tolist(), name)
     return np.array([[c, -b], [-b, a]]) / (a * pivot), math.log(a) + math.log(pivot)
 
 
@@ -82,13 +85,14 @@ def _block_term(cov, moments, count, name, per_period):
     ``per_period()``, are within 1e-12 of zero, and is rejected otherwise
     (the density does not exist off its support).
     """
-    if not cov.any():
+    rows = cov.tolist()
+    if not any(rows[0] + rows[1]):
         if np.abs(per_period()).max() > 1e-12:
             raise DataValidationError(
                 f"{name} is degenerate (zero) but residual moments are not"
             )
         return 0.0
-    a, b, c, pivot = _chol_pivots(cov, name)
+    a, b, c, pivot = _chol_pivots(rows, name)
     s00, s01, s11 = moments
     quad = (c * s00 - 2.0 * b * s01 + a * s11) / (a * pivot)
     return (-count * _LOG2PI - 0.5 * count * (math.log(a) + math.log(pivot))
@@ -96,21 +100,29 @@ def _block_term(cov, moments, count, name, per_period):
 
 
 def _measurement_residual_cov(cov_m, cross_m, g):
-    """Var(m̃_t − G_t m̃_{t-1} | full sample) for t = 1..T, shape (T, 2, 2)."""
-    x = cross_m[1:]
-    g_col, g_row = g[:, :, None], g[:, None, :]
-    return (
-        cov_m[1:]
-        + g_col * cov_m[:-1] * g_row
-        - x.transpose(0, 2, 1) * g_row
-        - g_col * x
-    )
+    """Var(m̃_t − G_t m̃_{t-1} | full sample) for t = 1..T, shape (T, 2, 2):
+    P_t + G P_{t-1} G − Cᵀ G − G C with C = Cov(m̃_{t-1}, m̃_t | all data).
+    The diagonals g_t are spread over whole (T, 2, 2) blocks first, so that
+    no product broadcasts."""
+    T, x = g.shape[0], cross_m[1:]
+    g_col, g_row = np.empty((2, T, 2, 2))
+    g_col[:] = g[:, :, None]
+    g_row[:] = g[:, None, :]
+    out = g_col * cov_m[:-1]
+    out *= g_row
+    out += cov_m[1:]
+    out -= x.transpose(0, 2, 1) * g_row
+    out -= g_col * x
+    return out
 
 
 def _state_residual_cov(cov_m, cross_m):
     """Var(m̃_t − m̃_{t-1} | full sample) for t = 1..T, shape (T, 2, 2)."""
     x = cross_m[1:]
-    return cov_m[1:] + cov_m[:-1] - x - x.transpose(0, 2, 1)
+    out = cov_m[1:] + cov_m[:-1]
+    out -= x
+    out -= x.transpose(0, 2, 1)
+    return out
 
 
 def _outer(a, b):
@@ -239,10 +251,8 @@ def expected_complete_loglik(params, sums):
     (deterministic limits).
     """
     T = sums.n_periods
-    k0, k1 = params.req_return.tolist()
-    phi0, phi1 = params.drift.tolist()
-    r0, r1 = sums.params.req_return.tolist()
-    f0, f1 = sums.params.drift.tolist()
+    k0, k1, mu0, mu1, phi0, phi1 = params._entries[:6]
+    r0, r1, _, _, f0, f1 = sums.params._entries[:6]
     dk0, dk1, dp0, dp1 = k0 - r0, k1 - r1, phi0 - f0, phi1 - f1
 
     u00, u01, u11 = sums.uu
@@ -272,7 +282,6 @@ def expected_complete_loglik(params, sums):
     )
     a0, a1 = sums.smoothed.m_smooth[0].tolist()
     (p00, p01), (_, p11) = sums.smoothed.cov_m_smooth[0].tolist()
-    mu0, mu1 = params.init_mean.tolist()
     x0, x1 = a0 - mu0, a1 - mu1
     init_moments = (p00 + x0 * x0, p01 + x0 * x1, p11 + x1 * x1)
     term_0 = _block_term(
@@ -344,39 +353,48 @@ def m_step(sums):
             stacklevel=2,
         )
 
-    mu0_new = m[0].copy()
-    cov0_new = 0.5 * (cov0 + cov0.T)
     phi_new = (m[T] - m[0]) / T
-
     v = m[1:] - phi_new - m[:-1]
-    cov_v_new = (v.T @ v + sums.state_resid_sum) / T
-    cov_v_new = 0.5 * (cov_v_new + cov_v_new.T)
+    cov_v_new = _symmetrized((v.T @ v + sums.state_resid_sum) / T)
 
     k_new, cov_u = _required_return_fixed_point(
         sums.u_free, sums.meas_resid_sum, g, params.meas_cov, params.req_return
     )
 
-    for name, cov in (("meas", cov_u), ("state", cov_v_new)):
-        (a, b), (_, c) = cov.tolist()
+    for name, ((a, b), (_, c)) in (("meas", cov_u), ("state", cov_v_new)):
         if _min_eigenvalue(a, b, c) < 1e-14:
             warnings.warn(f"{name} covariance update is singular (degenerate fit)",
                           stacklevel=2)
-    return params.replace(
-        req_return=k_new, init_mean=mu0_new, init_cov=cov0_new,
+    return ModelParams(
+        req_return=k_new, init_mean=m[0], init_cov=_symmetrized(cov0),
         drift=phi_new, meas_cov=cov_u, state_cov=cov_v_new,
+        rate_log=params.rate_log,
     )
+
+
+def _symmetrized(m):
+    """The rows of 0.5 (m + mᵀ) for a 2×2 array ``m``, as nested floats."""
+    (a, b), (b_low, c) = m.tolist()
+    a, b, c = 0.5 * (a + a), 0.5 * (b + b_low), 0.5 * (c + c)
+    return [[a, b], [b, c]]
 
 
 def _required_return_fixed_point(u_free, ucov, g, cov_u, k):
     """Joint fixed point of the required returns k and Σ_u from ``k`` and
     ``cov_u``, in closed-form 2×2 algebra on floats: given Σ_u, k solves
     N k = r with N = Σ_u⁻¹ ∘ Σ_t g_t g_tᵀ and r = Σ_t g_t ∘ Σ_u⁻¹ u_free_t;
-    given k, Σ_u = (uᵀu + ``ucov``)/T with u = u_free − g k."""
+    given k, Σ_u = (uᵀu + ``ucov``)/T with u = u_free − g k.
+
+    Returns k and the rows of Σ_u as nested floats.
+    """
+    T = len(g)
     (s00, s01), (_, s11) = (g.T @ g).tolist()
     # q[j][i] = Σ_t g_tj u_free_ti
     (q00, q01), (q10, q11) = (g.T @ u_free).tolist()
     (c00, c01), (_, c11) = cov_u.tolist()
+    (v00, v01), (v10, v11) = ucov.tolist()
     k0, k1 = k.tolist()
+    k_new, u = np.empty(2), np.empty((T, 2))
     for _ in range(200):
         det = c00 * c11 - c01 * c01
         if det == 0.0:
@@ -395,20 +413,24 @@ def _required_return_fixed_point(u_free, ucov, g, cov_u, k):
             )
         k0_new = (n11 * r0 - n01 * r1) / n_det
         k1_new = (n00 * r1 - n01 * r0) / n_det
-        u = u_free - g * (k0_new, k1_new)
-        (e00, e01), (e10, e11) = ((u.T @ u + ucov) / len(g)).tolist()
+        k_new[0], k_new[1] = k0_new, k1_new
+        np.multiply(g, k_new, out=u)
+        np.subtract(u_free, u, out=u)
+        (e00, e01), (e10, e11) = (u.T @ u).tolist()
+        e00, e01, e10, e11 = ((e00 + v00) / T, (e01 + v01) / T,
+                              (e10 + v10) / T, (e11 + v11) / T)
         e01 = 0.5 * (e01 + e10)
         done = max(abs(k0_new - k0), abs(k1_new - k1), abs(e00 - c00),
                    abs(e01 - c01), abs(e11 - c11)) < 1e-13
         k0, k1, c00, c01, c11 = k0_new, k1_new, e00, e01, e11
         if done:
             break
-    return np.array([k0, k1]), np.array([[c00, c01], [c01, c11]])
+    return [k0, k1], [[c00, c01], [c01, c11]]
 
 
 def _param_change(old, new):
-    return max(np.abs(getattr(old, f) - getattr(new, f)).max()
-               for f in _VECTORS + _COVARIANCES)
+    """The largest absolute change of any vector or covariance entry."""
+    return max(abs(x - y) for x, y in zip(old._entries, new._entries))
 
 
 def default_initial_params(rate_log):
@@ -427,10 +449,13 @@ def default_initial_params(rate_log):
 def _blend_params(old, new, weight):
     if weight == 1.0:
         return new
-    return old.replace(**{
-        f: (1.0 - weight) * getattr(old, f) + weight * getattr(new, f)
-        for f in _VECTORS + _COVARIANCES
-    })
+    x = [(1.0 - weight) * a + weight * b
+         for a, b in zip(old._entries, new._entries)]
+    return ModelParams(
+        req_return=x[0:2], init_mean=x[2:4], drift=x[4:6],
+        init_cov=(x[6:8], x[8:10]), meas_cov=(x[10:12], x[12:14]),
+        state_cov=(x[14:16], x[16:18]), rate_log=old.rate_log,
+    )
 
 
 def _forward_pass(params, series, schedule=None):

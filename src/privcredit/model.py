@@ -43,8 +43,9 @@ def _min_eigenvalue(a, b, c):
 
 
 def _check_covariance(name, m):
-    """The symmetrized 2×2 ``m``: symmetric by ``numpy.allclose(m, m.T,
-    atol=1e-12)`` and, where finite, no eigenvalue below −1e-10."""
+    """The entries (a, b, c) of the symmetrized 2×2 ``m``: symmetric by
+    ``numpy.allclose(m, m.T, atol=1e-12)`` and, where finite, no eigenvalue
+    below −1e-10."""
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise DataValidationError(f"{name} must be 2x2, got shape {m.shape}")
@@ -57,7 +58,7 @@ def _check_covariance(name, m):
     if (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)
             and _min_eigenvalue(a, b, c) < -1e-10):
         raise DataValidationError(f"{name} must be positive semidefinite")
-    return np.array([[a, b], [b, c]])
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -92,19 +93,29 @@ class ModelParams:
     rate_log: float
 
     def __post_init__(self):
+        # the checks run on Python floats; the fields are then read-only
+        # views of one array holding every entry, and ``_entries`` keeps
+        # those floats (vectors, then covariances row by row) for EM's
+        # float algebra
+        entries = []
         for name in _VECTORS:
-            # a copy: freezing must not touch the caller's own array
-            v = np.array(getattr(self, name), dtype=float)
+            v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (2,):
                 raise DataValidationError(f"{name} must be a 2-vector")
-            object.__setattr__(self, name, _freeze(v))
+            entries += v.tolist()
         for name in _COVARIANCES:
-            m = _check_covariance(name, getattr(self, name))
-            object.__setattr__(self, name, _freeze(m))
-        object.__setattr__(self, "rate_log", float(self.rate_log))
-        if not (math.isfinite(self.rate_log) and all(
-                np.isfinite(getattr(self, f)).all() for f in _VECTORS + _COVARIANCES)):
+            a, b, c = _check_covariance(name, getattr(self, name))
+            entries += (a, b, b, c)
+        rate_log = float(self.rate_log)
+        if not (math.isfinite(rate_log) and all(map(math.isfinite, entries))):
             raise DataValidationError("all parameter entries must be finite")
+        block = _freeze(entries)
+        for name, v in zip(_VECTORS, block[:6].reshape(3, 2)):
+            object.__setattr__(self, name, v)
+        for name, m in zip(_COVARIANCES, block[6:].reshape(3, 2, 2)):
+            object.__setattr__(self, name, m)
+        object.__setattr__(self, "rate_log", rate_log)
+        object.__setattr__(self, "_entries", tuple(entries))
 
     def replace(self, **kwargs):
         return dataclasses.replace(self, **kwargs)
@@ -231,24 +242,26 @@ def build_linearization_schedule(params, payout_ratio, horizon=None):
         )
     if not np.isfinite(ratio).all():
         raise DataValidationError("payout_ratio must be finite")
-    periods = np.arange(1, horizon + 1)
-    gap = ratio - params.req_return - (
-        params.init_mean + (periods - 1)[:, None] * params.drift
-    )
+    # rows gap, gain, shift and payout ratio, each with a NaN period 0
+    block = np.empty((4, horizon + 1, 2))
+    block[:, 0] = np.nan
+    gap, gain, shift, padded_ratio = block[:, 1:]
+    padded_ratio[:] = ratio
+    lag = np.arange(horizon, dtype=float)[:, None]
+    np.subtract(ratio, params.req_return, out=gap)
+    gap -= params.init_mean + lag * params.drift
     e = np.exp(gap)
-    bad = np.argwhere(e >= 1.0)
-    if bad.size:
-        t, c = bad[0]
+    if (e >= 1.0).any():
+        t, c = np.argwhere(e >= 1.0)[0]
         raise InfeasibleLinearizationError(int(t) + 1, int(c), float(e[t, c]))
-    gain = 1.0 / (1.0 - e)
-    shift = -(gap * e / (1.0 - e) + np.log1p(-e))
-    pad = np.full((1, 2), np.nan)
-    return LinearizationSchedule(
-        gap=_freeze(np.vstack([pad, gap])),
-        gain=_freeze(np.vstack([pad, gain])),
-        shift=_freeze(np.vstack([pad, shift])),
-        payout_ratio=_freeze(np.vstack([pad, ratio])),
-    )
+    one_minus_e = 1.0 - e
+    np.divide(1.0, one_minus_e, out=gain)
+    np.multiply(gap, e, out=shift)
+    shift /= one_minus_e
+    shift += np.log1p(-e)
+    np.negative(shift, out=shift)
+    block.flags.writeable = False
+    return LinearizationSchedule(*block)
 
 
 def asset_linearization(mu_a):

@@ -31,20 +31,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import multivariate_normal
 
-from privcredit.em import (
-    _chol_inv_logdet,
-    _measurement_residual_cov,
-    _outer,
-    _state_residual_cov,
-)
+from privcredit.em import MomentSums, _chol_inv_logdet, _outer
 from privcredit.errors import (
     DataValidationError,
     DegenerateDesignError,
     IllConditionedInnovationError,
+    InfeasibleLinearizationError,
 )
 from privcredit.io import CSV_HEADER
 from privcredit.kalman import _LOG2PI, _RCOND, FilterOutput, SmootherOutput
 from privcredit.model import (
+    LinearizationSchedule,
     asset_tangent,
     asset_weight_vector,
     build_linearization_schedule,
@@ -404,6 +401,24 @@ def smooth_reference(filter_output):
     )
 
 
+def _measurement_residual_cov(cov_m, cross_m, g):
+    """Var(m̃_t − G_t m̃_{t-1} | full sample), t = 1..T, by broadcasting."""
+    x = cross_m[1:]
+    g_col, g_row = g[:, :, None], g[:, None, :]
+    return (
+        cov_m[1:]
+        + g_col * cov_m[:-1] * g_row
+        - x.transpose(0, 2, 1) * g_row
+        - g_col * x
+    )
+
+
+def _state_residual_cov(cov_m, cross_m):
+    """Var(m̃_t − m̃_{t-1} | full sample), t = 1..T."""
+    x = cross_m[1:]
+    return cov_m[1:] + cov_m[:-1] - x - x.transpose(0, 2, 1)
+
+
 def residual_pieces_reference(params, schedule, m_smooth, cov_m, cross_m,
                               growth, payout_ratio):
     """Residuals u, v, d, the matrices Z and the per-period expected outer
@@ -604,3 +619,288 @@ def ingest_reference(path):
         if i:
             payouts.append(payout)
     return derive_series(books, payouts)
+
+
+def schedule_reference(params, payout_ratio, horizon=None):
+    """:func:`privcredit.model.build_linearization_schedule` as whole-array
+    expressions on fresh arrays, each field padded and frozen on its own."""
+    ratio = np.atleast_2d(np.asarray(payout_ratio, dtype=float))
+    if horizon is None:
+        horizon = ratio.shape[0]
+    if ratio.shape != (horizon, 2):
+        raise DataValidationError(
+            f"payout_ratio must have shape ({horizon}, 2), got {ratio.shape}"
+        )
+    if not np.isfinite(ratio).all():
+        raise DataValidationError("payout_ratio must be finite")
+    periods = np.arange(1, horizon + 1)
+    gap = ratio - params.req_return - (
+        params.init_mean + (periods - 1)[:, None] * params.drift
+    )
+    e = np.exp(gap)
+    bad = np.argwhere(e >= 1.0)
+    if bad.size:
+        t, c = bad[0]
+        raise InfeasibleLinearizationError(int(t) + 1, int(c), float(e[t, c]))
+    gain = 1.0 / (1.0 - e)
+    shift = -(gap * e / (1.0 - e) + np.log1p(-e))
+    pad = np.full((1, 2), np.nan)
+    return LinearizationSchedule(*(
+        _frozen(np.vstack([pad, a])) for a in (gap, gain, shift, ratio)))
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+def _entries(m):
+    return m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+
+
+def filter_columns_reference(params, schedule, growth, intercepts):
+    """:func:`privcredit.kalman.run_filter` with its loop reading three
+    nested (T, 2) lists and every column expression on its own (T,) arrays:
+    the form the stacked column code must match bit for bit."""
+    growth = np.asarray(growth, dtype=float)
+    intercepts = np.asarray(intercepts, dtype=float)
+    T = growth.shape[0]
+    if schedule.horizon < T:
+        raise DataValidationError("schedule does not cover the sample")
+    phi0, phi1 = params.drift.tolist()
+    (q00, q01), (_, q11) = params.state_cov.tolist()
+    (r00, r01), (_, r11) = params.meas_cov.tolist()
+    w00, w01, w11 = r00 + q00, r01 + q01, r11 + q11
+    a0, a1 = params.init_mean.tolist()
+    (p00, p01), (_, p11) = params.init_cov.tolist()
+    loading = schedule.gain[1 : T + 1] - 1.0
+    c = intercepts[1 : T + 1]
+
+    record = [a0, a1, p00, p01, p01, p11]
+    for (d0, d1), (c0, c1), (y0, y1) in zip(loading.tolist(), c.tolist(),
+                                            growth.tolist()):
+        f00 = d0 * d0 * p00 + w00
+        f01 = d0 * d1 * p01 + w01
+        f11 = d1 * d1 * p11 + w11
+        det = f00 * f11 - f01 * f01
+        if not 0.0 < det < math.inf:
+            break
+        i00, i01, i11 = f11 / det, -f01 / det, f00 / det
+        e0 = y0 - (d0 * a0 - phi0 + c0)
+        e1 = y1 - (d1 * a1 - phi1 + c1)
+        m00, m01 = p00 * d0 - q00, p01 * d1 - q01
+        m10, m11 = p01 * d0 - q01, p11 * d1 - q11
+        k00, k01 = m00 * i00 + m01 * i01, m00 * i01 + m01 * i11
+        k10, k11 = m10 * i00 + m11 * i01, m10 * i01 + m11 * i11
+        a0 += phi0 + k00 * e0 + k01 * e1
+        a1 += phi1 + k10 * e0 + k11 * e1
+        p01 += q01 - 0.5 * (k00 * m10 + k01 * m11 + k10 * m00 + k11 * m01)
+        p00 += q00 - k00 * m00 - k01 * m01
+        p11 += q11 - k10 * m10 - k11 * m11
+        record += (a0, a1, p00, p01, p01, p11)
+
+    state = np.fromiter(record, float, len(record)).reshape(-1, 6)
+    n = state.shape[0] - 1
+    a0, a1, p00, p01, _, p11 = state[:n].T
+    d0, d1 = loading[:n].T
+    f00 = d0 * d0 * p00 + w00
+    f01 = d0 * d1 * p01 + w01
+    f11 = d1 * d1 * p11 + w11
+    var = np.empty((n, 2))
+    var[:] = q00, q11
+    var[:1] = record[2], record[5]
+    v00, v11 = var.cumsum(axis=0).T
+    with np.errstate(all="ignore"):
+        dets = f00 * f11 - f01 * f01
+        trace = f00 + f11
+        lam_min = 0.5 * (trace - np.sqrt(np.maximum(trace * trace - 4.0 * dets, 0.0)))
+        scale = d0 * d0 * v00 + d1 * d1 * v11 + w00 + w11
+        singular = lam_min <= _RCOND * scale
+    if singular.any():
+        raise IllConditionedInnovationError(
+            f"innovation covariance numerically singular (det={dets[singular.argmax()]:.3e})")
+    if n < T:
+        raise IllConditionedInnovationError(
+            f"innovation covariance numerically singular (det={det:.3e})")
+    i00, i01, i11 = f11 / dets, -f01 / dets, f00 / dets
+    c0, c1 = c.T
+    y0, y1 = growth.T
+    b0, b1 = d0 * a0 - phi0 + c0, d1 * a1 - phi1 + c1
+    e0, e1 = y0 - b0, y1 - b1
+    m00, m01 = p00 * d0 - q00, p01 * d1 - q01
+    m10, m11 = p01 * d0 - q01, p11 * d1 - q11
+    k00, k01 = m00 * i00 + m01 * i01, m00 * i01 + m01 * i11
+    k10, k11 = m10 * i00 + m11 * i01, m10 * i01 + m11 * i11
+    loglik = (-_LOG2PI - 0.5 * np.log(dets)
+              - 0.5 * (e0 * (i00 * e0 + i01 * e1) + e1 * (i01 * e0 + i11 * e1))).sum()
+    out = np.zeros((18, T + 1))
+    out[:, 1:] = (b0, b1, f00, f01, f01, f11, i00, i01, i01, i11,
+                  k00, k01, k10, k11, e0, e1, d0, d1)
+    return FilterOutput(
+        m_filt=state[:, :2],
+        cov_m_filt=state[:, 2:].reshape(T + 1, 2, 2),
+        b_pred=out[0:2].T,
+        cov_b_pred=out[2:6].T.reshape(T + 1, 2, 2),
+        gain=out[10:14].T.reshape(T + 1, 2, 2),
+        innovation=out[14:16].T,
+        loading=out[16:18].T,
+        loglik=float(loglik),
+        intercepts=intercepts,
+        inv_cov_b_pred=out[6:10].T.reshape(T + 1, 2, 2),
+    )
+
+
+def smooth_columns_reference(filter_output):
+    """:func:`privcredit.kalman.smooth` with every column expression on its
+    own (T,) arrays and the recursion reading nine reversed columns."""
+    T = filter_output.n_periods
+    d0, d1 = filter_output.loading[1:].T
+    k00, k01, k10, k11 = _entries(filter_output.gain[1:])
+    i00, i01, _, i11 = _entries(filter_output.inv_cov_b_pred[1:])
+    e0, e1 = filter_output.innovation[1:].T
+    l00, l01, l10, l11 = 1.0 - k00 * d0, -k01 * d1, -k10 * d0, 1.0 - k11 * d1
+    columns = (l00, l01, l10, l11,
+               d0 * (i00 * e0 + i01 * e1), d1 * (i01 * e0 + i11 * e1),
+               d0 * i00 * d0, d0 * i01 * d1, d1 * i11 * d1)
+    record = []
+    r0 = r1 = n00 = n01 = n11 = 0.0
+    for x00, x01, x10, x11, u0, u1, g00, g01, g11 in zip(
+            *(column[::-1].tolist() for column in columns)):
+        r0, r1 = u0 + x00 * r0 + x10 * r1, u1 + x01 * r0 + x11 * r1
+        nl00, nl01 = n00 * x00 + n01 * x10, n00 * x01 + n01 * x11
+        nl10, nl11 = n01 * x00 + n11 * x10, n01 * x01 + n11 * x11
+        n00, n01, n11 = (
+            g00 + x00 * nl00 + x10 * nl10,
+            g01 + 0.5 * (x00 * nl01 + x10 * nl11 + x01 * nl00 + x11 * nl10),
+            g11 + x01 * nl01 + x11 * nl11,
+        )
+        record += (r0, r1, n00, n01, n11)
+    rn = np.zeros((T + 1, 5))
+    rn[:T] = np.fromiter(record, float, len(record)).reshape(T, 5)[::-1]
+    r0, r1, n00, n01, n11 = rn.T
+
+    m_filt, cov_filt = filter_output.m_filt, filter_output.cov_m_filt
+    a0, a1 = m_filt[:T].T
+    p00, p01, _, p11 = _entries(cov_filt[:T])
+    nt00, nt01, nt11 = n00[1:], n01[1:], n11[1:]
+    r0, r1, n00, n01, n11 = r0[:T], r1[:T], n00[:T], n01[:T], n11[:T]
+    m0, m1 = a0 + p00 * r0 + p01 * r1, a1 + p01 * r0 + p11 * r1
+    pn00, pn01 = p00 * n00 + p01 * n01, p00 * n01 + p01 * n11
+    pn10, pn11 = p01 * n00 + p11 * n01, p01 * n01 + p11 * n11
+    s00 = p00 - pn00 * p00 - pn01 * p01
+    s01 = p01 - 0.5 * (pn00 * p01 + pn01 * p11 + pn10 * p00 + pn11 * p01)
+    s11 = p11 - pn10 * p01 - pn11 * p11
+    m_smooth = np.empty((T + 1, 2))
+    m_smooth.T[:, :T] = m0, m1
+    m_smooth[T] = m_filt[T]
+    cov_smooth = np.empty((T + 1, 4))
+    cov_smooth.T[:, :T] = s00, s01, s01, s11
+    cov_smooth[T] = cov_filt[T].reshape(4)
+    q00, q01, _, q11 = _entries(cov_filt[1:])
+    x00, x01 = 1.0 - nt00 * q00 - nt01 * q01, -nt00 * q01 - nt01 * q11
+    x10, x11 = -nt01 * q00 - nt11 * q01, 1.0 - nt01 * q01 - nt11 * q11
+    y00, y01 = l00 * x00 + l10 * x10, l00 * x01 + l10 * x11
+    y10, y11 = l01 * x00 + l11 * x10, l01 * x01 + l11 * x11
+    cross = np.zeros((T + 1, 4))
+    cross.T[:, 1:] = (p00 * y00 + p01 * y10, p00 * y01 + p01 * y11,
+                      p01 * y00 + p11 * y10, p01 * y01 + p11 * y11)
+    return SmootherOutput(
+        m_smooth=m_smooth,
+        cov_m_smooth=cov_smooth.reshape(T + 1, 2, 2),
+        cross_m=cross.reshape(T + 1, 2, 2),
+    )
+
+
+def _sym(m):
+    (m00, m01), (m10, m11) = m.tolist()
+    return m00, 0.5 * (m01 + m10), m11
+
+
+def moment_sums_reference(smoothed, series, schedule, params, filter_output=None):
+    """:func:`privcredit.em.moment_sums` as whole-array expressions on
+    fresh (T, 2) and (T, 2, 2) arrays."""
+    T = series.n_periods
+    m, cov_m = smoothed.m_smooth, smoothed.cov_m_smooth
+    g = schedule.gain[1 : T + 1]
+    h = schedule.shift[1 : T + 1]
+    u_free = series.growth + m[1:] - g * m[:-1] + (g - 1.0) * series.payout_ratio + h
+    u_ref = u_free - g * params.req_return
+    steps = m[1:] - m[:-1]
+    v_ref = steps - params.drift
+    meas_resid = _measurement_residual_cov(cov_m, smoothed.cross_m, g)
+    state_resid = _state_residual_cov(cov_m, smoothed.cross_m)
+    meas_sum, state_sum = meas_resid.sum(axis=0), state_resid.sum(axis=0)
+    (q00, q01), (q10, q11) = (g.T @ u_ref).tolist()
+    return MomentSums(
+        params=params, smoothed=smoothed, filter_output=filter_output,
+        n_periods=T,
+        uu=_sym(u_ref.T @ u_ref + meas_sum),
+        gu=(q00, q01, q10, q11),
+        gg=_sym(g.T @ g),
+        vv=_sym(v_ref.T @ v_ref + state_sum),
+        v_sum=tuple(v_ref.sum(axis=0).tolist()),
+        u_free=u_free, gain=g, steps=steps,
+        meas_resid_cov=meas_resid, state_resid_cov=state_resid,
+        meas_resid_sum=meas_sum, state_resid_sum=state_sum,
+    )
+
+
+def param_change_reference(old, new):
+    """The largest absolute change of any parameter entry, as numpy
+    reductions per field."""
+    return max(np.abs(getattr(old, f) - getattr(new, f)).max()
+               for f in ("req_return", "init_mean", "drift",
+                         "init_cov", "meas_cov", "state_cov"))
+
+
+def m_step_reference(sums):
+    """:func:`privcredit.em.m_step` with its 2×2 results as numpy arrays and
+    the parameters built by ``ModelParams.replace``."""
+    T, g, params = sums.n_periods, sums.gain, sums.params
+    m, cov0 = sums.smoothed.m_smooth, sums.smoothed.cov_m_smooth[0]
+    cov0_new = 0.5 * (cov0 + cov0.T)
+    phi_new = (m[T] - m[0]) / T
+    v = m[1:] - phi_new - m[:-1]
+    cov_v_new = (v.T @ v + sums.state_resid_sum) / T
+    cov_v_new = 0.5 * (cov_v_new + cov_v_new.T)
+    (s00, s01), (_, s11) = (g.T @ g).tolist()
+    (q00, q01), (q10, q11) = (g.T @ sums.u_free).tolist()
+    (c00, c01), (_, c11) = params.meas_cov.tolist()
+    k0, k1 = params.req_return.tolist()
+    for _ in range(200):
+        det = c00 * c11 - c01 * c01
+        if det == 0.0:
+            raise DegenerateDesignError(
+                "measurement covariance collapsed during the update")
+        i00, i01, i11 = c11 / det, -c01 / det, c00 / det
+        n00, n01, n11 = i00 * s00, i01 * s01, i11 * s11
+        r0, r1 = i00 * q00 + i01 * q01, i01 * q10 + i11 * q11
+        n_det = n00 * n11 - n01 * n01
+        lam_max = 0.5 * abs(n00 + n11) + math.hypot(0.5 * (n00 - n11), n01)
+        if not lam_max * lam_max <= 1e12 * abs(n_det):
+            raise DegenerateDesignError(
+                "required-return normal equations numerically singular")
+        k0_new = (n11 * r0 - n01 * r1) / n_det
+        k1_new = (n00 * r1 - n01 * r0) / n_det
+        u = sums.u_free - g * (k0_new, k1_new)
+        (e00, e01), (e10, e11) = ((u.T @ u + sums.meas_resid_sum) / len(g)).tolist()
+        e01 = 0.5 * (e01 + e10)
+        done = max(abs(k0_new - k0), abs(k1_new - k1), abs(e00 - c00),
+                   abs(e01 - c01), abs(e11 - c11)) < 1e-13
+        k0, k1, c00, c01, c11 = k0_new, k1_new, e00, e01, e11
+        if done:
+            break
+    return params.replace(
+        req_return=np.array([k0, k1]), init_mean=m[0].copy(), init_cov=cov0_new,
+        drift=phi_new, meas_cov=np.array([[c00, c01], [c01, c11]]),
+        state_cov=cov_v_new,
+    )
+
+
+def blend_reference(old, new, weight):
+    """:func:`privcredit.em._blend_params` field by field on arrays."""
+    return old.replace(**{
+        f: (1.0 - weight) * getattr(old, f) + weight * getattr(new, f)
+        for f in ("req_return", "init_mean", "drift",
+                  "init_cov", "meas_cov", "state_cov")
+    })

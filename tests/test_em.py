@@ -20,6 +20,7 @@ from privcredit.errors import (
 )
 from privcredit.kalman import SmootherOutput, run_filter
 from privcredit.model import (
+    ModelParams,
     ObservedSeries,
     build_linearization_schedule,
     real_intercepts,
@@ -489,13 +490,27 @@ class TestEmFit:
         # later one the pass the line search ran for the candidate it
         # accepted. Each iteration
         # builds its moment sums once and evaluates the objective from them
-        # at its start and at each line-search candidate.
-        series, _, _ = synthetic_series(params, 60, seed=31)
+        # at its start and at each line-search candidate. Each filter run
+        # has its own schedule build, and parameters are built once by the
+        # M-step and once by each line-search candidate short of the full step.
+        # from the default start every step is taken whole; from the truth
+        # on a longer sample the line search halves one
+        fits = [(synthetic_series(params, periods, seed=31)[0], start, iterations)
+                for start, periods, iterations in (
+                    (default_initial_params(params.rate_log), 60, 10),
+                    (params, 800, 4))]
         real_filter, real_e_step = em.run_filter, em.e_step
         real_sums, real_objective = em.moment_sums, em.expected_complete_loglik
-        real_blend = em._blend_params
-        calls, passes, in_e_step = {"e_step": 0, "search": 0}, [], []
-        built, objective_sums, candidates = [], [], []
+        real_blend, real_schedule = em._blend_params, em.build_linearization_schedule
+        real_post_init = ModelParams.__post_init__
+
+        def counted_schedule(*args, **kwargs):
+            schedules.append(None)
+            return real_schedule(*args, **kwargs)
+
+        def counted_post_init(self):
+            constructed.append(None)
+            real_post_init(self)
 
         def counted_sums(*args, **kwargs):
             built.append(real_sums(*args, **kwargs))
@@ -505,9 +520,9 @@ class TestEmFit:
             objective_sums.append(sums)
             return real_objective(params, sums)
 
-        def counted_blend(*args, **kwargs):
-            candidates.append(None)
-            return real_blend(*args, **kwargs)
+        def counted_blend(old, new, weight):
+            candidates.append(weight)
+            return real_blend(old, new, weight)
 
         def counted_filter(*args, **kwargs):
             calls["e_step" if in_e_step else "search"] += 1
@@ -526,18 +541,29 @@ class TestEmFit:
         monkeypatch.setattr(em, "moment_sums", counted_sums)
         monkeypatch.setattr(em, "expected_complete_loglik", counted_objective)
         monkeypatch.setattr(em, "_blend_params", counted_blend)
-        start = default_initial_params(params.rate_log)
-        fitted, trace = em_fit(series, params_init=start, max_iter=10, tol=0.0)
-        assert trace.termination == "max_iter" and trace.n_iterations == 10
-        assert calls["e_step"] == 0
-        assert calls["search"] >= trace.n_iterations + 1
-        assert len(built) == trace.n_iterations
-        assert len(objective_sums) == trace.n_iterations + len(candidates)
-        # every evaluation uses the sums its own iteration built
-        runs = [s for i, s in enumerate(objective_sums)
-                if i == 0 or s is not objective_sums[i - 1]]
-        assert len(runs) == len(built)
-        assert all(s is b for s, b in zip(runs, built))
+        monkeypatch.setattr(em, "build_linearization_schedule", counted_schedule)
+        monkeypatch.setattr(ModelParams, "__post_init__", counted_post_init)
+        for series, start, iterations in fits:
+            calls, passes, in_e_step = {"e_step": 0, "search": 0}, [], []
+            built, objective_sums, candidates = [], [], []
+            schedules, constructed = [], []
+            fitted, trace = em_fit(series, params_init=start,
+                                   max_iter=iterations, tol=0.0)
+            assert trace.termination == "max_iter"
+            assert trace.n_iterations == iterations
+            assert len(schedules) == len(passes)
+            short_steps = sum(w < 1.0 for w in candidates)
+            assert len(constructed) == trace.n_iterations + short_steps
+            assert (short_steps > 0) == (start is params)
+            assert calls["e_step"] == 0
+            assert calls["search"] >= trace.n_iterations + 1
+            assert len(built) == trace.n_iterations
+            assert len(objective_sums) == trace.n_iterations + len(candidates)
+            # every evaluation uses the sums its own iteration built
+            runs = [s for i, s in enumerate(objective_sums)
+                    if i == 0 or s is not objective_sums[i - 1]]
+            assert len(runs) == len(built)
+            assert all(s is b for s, b in zip(runs, built))
         assert trace.filter_output is passes[-1]
         monkeypatch.undo()
         fresh = e_step(fitted, series)

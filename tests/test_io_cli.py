@@ -604,6 +604,31 @@ class TestCliSimulate:
         assert capsys.readouterr().err.startswith(f"error: {key} must be nonnegative")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "price"])
+    @pytest.mark.parametrize("key", ["sigma0_equity", "rho_v", "k_equity"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_parameter_names_its_key(
+        self, tmp_path, panel_csv, capsys, command, key, value
+    ):
+        # a non-finite standard deviation used to surface as a covariance
+        # that is not symmetric, a non-finite return without its key
+        text = re.sub(rf"{key} = \S+", f"{key} = {value}", SIM_CONFIG)
+        out = tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", "--output", str(out)]
+        else:
+            text = "".join(line + "\n" for line in text.splitlines()
+                           if not line.startswith(("periods", "book0", "payout")))
+            argv = ["price", "--input", str(panel_csv), "--output", str(out),
+                    "--maturity", "4", "--strike", "5.0"]
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        capsys.readouterr()
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {key} must be finite (got {float(value)!r})\n")
+        assert not out.exists()
+
     def test_runs_no_filter_or_forecast(self, tmp_path, sim_config, monkeypatch):
         import sys
 
