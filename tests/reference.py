@@ -21,6 +21,14 @@ iteration, :func:`params_validation_error` the numpy form of
 error of a simulated panel, and :func:`ingest_reference` reads a panel CSV
 one cell at a time, checking each cell as it goes.
 
+:func:`schedule_reference`, :func:`filter_columns_reference`,
+:func:`smooth_columns_reference`, :func:`moment_sums_reference`,
+:func:`m_step_reference`, :func:`blend_reference` and
+:func:`param_change_reference` are the per-iteration layers as they were
+written before their column code moved to stacked blocks and Python
+floats: every entry on its own fresh array, in the same order of
+operations, so the current layers must match them bit for bit.
+
 Tests import this module the way they import ``conftest``.
 """
 
