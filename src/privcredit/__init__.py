@@ -59,6 +59,7 @@ from .simulate import (
     SimulatedPanel,
     mc_default_probability,
     mc_option_price,
+    reduce_terminal,
     simulate_panel,
     simulate_terminal,
 )

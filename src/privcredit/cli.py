@@ -34,14 +34,14 @@ from .errors import (
     PrivCreditError,
 )
 from .kalman import run_filter, smooth  # noqa: F401  (tracers rebind run_filter here)
-from .model import ModelParams, build_linearization_schedule, linearized_log_asset
+from .model import ModelParams, _linearized_log_asset, build_linearization_schedule
 from .pricing import build_pricing_context, equity_debt_values
 from .simulate import (
     SimConfig,
-    mc_default_probability,
-    mc_option_price,
+    _default_estimator,
+    _option_estimator,
+    reduce_terminal,
     simulate_panel,
-    simulate_terminal,
 )
 
 _PARAM_KEYS = (
@@ -321,18 +321,27 @@ def _public_multiplier(cfg):
     return np.array([eq, li])
 
 
-def _mc_terminal(args, cfg, ctx, measure):
-    """Paths and seed of a Monte Carlo check, and the asset tangent applied to
-    the maturity pairs simulated from the origin posterior under ``measure``."""
+def _mc_terminal(args, cfg, ctx, measure, estimator):
+    """Paths and seed of a Monte Carlo check, and the ``estimator`` of
+    :mod:`simulate` over the asset tangent applied to the maturity pairs
+    simulated from the origin posterior under ``measure``. Each block of
+    paths meets the tangent and the estimator's block statistic in the
+    worker thread that simulated it, so no array spans all paths."""
     paths = _option(args.paths, cfg, "paths", int, 200_000)
     seed = _option(args.seed, cfg, "seed", int, 0)
     mean, cov = ctx.posterior(measure)
-    pair = simulate_terminal(
-        ctx.params, ctx.schedule,
-        SimConfig(paths, ctx.tau, seed, measure=measure),
-        ctx.log_books[ctx.origin], start=ctx.origin, init_mean=mean, init_cov=cov,
+    block, merge, finish = estimator
+    w_a, h_a = ctx.tangent
+
+    def reduce(rows, pairs):
+        return block(_linearized_log_asset(pairs.T, w_a, h_a))
+
+    merged = reduce_terminal(
+        ctx.params, ctx.schedule, SimConfig(paths, ctx.tau, seed, measure=measure),
+        ctx.log_books[ctx.origin], reduce, merge,
+        start=ctx.origin, init_mean=mean, init_cov=cov,
     )
-    return {"paths": paths, "seed": seed}, linearized_log_asset(pair, *ctx.tangent)
+    return {"paths": paths, "seed": seed}, finish(merged)
 
 
 def _mc_fields(name, value, mc, se, resolution):
@@ -373,8 +382,8 @@ def cmd_price(args, cfg):
     if m_t is not None:
         report["public"] = {"multiplier": m_t, **_valuation(ctx, strike, m_t)}
     if args.check == "mc":
-        check, log_asset = _mc_terminal(args, cfg, ctx, "risk_neutral")
-        prices = mc_option_price(log_asset, strike, ctx.tau, params.rate_log)
+        check, prices = _mc_terminal(args, cfg, ctx, "risk_neutral", _option_estimator(
+            strike, ctx.tau, params.rate_log))
         resolution = strike * math.exp(-ctx.tau * params.rate_log) / check["paths"]
         for name, (mc, se) in zip(("call", "put"), prices):
             check.update(_mc_fields(name, report["private"][name], mc, se, resolution))
@@ -402,8 +411,8 @@ def cmd_default_prob(args, cfg):
         report["prob_default_public"] = ctx.default_prob(threshold, m_t)
         report["public_multiplier"] = m_t
     if args.check == "mc":
-        check, log_asset = _mc_terminal(args, cfg, ctx, "real")
-        pd_mc, pd_se = mc_default_probability(log_asset, threshold)
+        check, (pd_mc, pd_se) = _mc_terminal(args, cfg, ctx, "real",
+                                             _default_estimator(threshold))
         check.update(_mc_fields("pd", pd_private, pd_mc, pd_se, 1.0 / check["paths"]))
         report["mc_check"] = check
     return _write(args, report, params, estimation)

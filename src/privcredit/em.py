@@ -517,7 +517,7 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
                 rejected = lam < lambda_before - 1e-9
                 if not rejected:
                     forward = _forward_pass(candidate, series)
-                    rejected = forward[1].loglik < filt.loglik - ll_slack
+                    rejected = not forward[1].loglik >= filt.loglik - ll_slack
             except PrivCreditError:
                 rejected = True
             if not rejected:

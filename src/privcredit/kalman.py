@@ -129,6 +129,13 @@ def _singular(det):
     )
 
 
+def _not_finite():
+    return IllConditionedInnovationError(
+        "filter diverged: a filtered mean or covariance or the log-likelihood "
+        "is not finite"
+    )
+
+
 def run_filter(params, schedule, growth, intercepts):
     """Full forward pass over the sample.
 
@@ -149,7 +156,9 @@ def run_filter(params, schedule, growth, intercepts):
     ------
     IllConditionedInnovationError
         At the first period whose innovation covariance is numerically
-        singular.
+        singular; otherwise when a filtered mean or covariance or the
+        log-likelihood is not finite, as when data the model cannot have
+        produced drive the filtered mean (with Σ_u = Σ₀ = 0) to overflow.
     """
     growth = np.asarray(growth, dtype=float)
     intercepts = np.asarray(intercepts, dtype=float)
@@ -246,6 +255,8 @@ def run_filter(params, schedule, growth, intercepts):
     quad += inv[:, 1] * e[1]
     quad *= e
     loglik = (-_LOG2PI - 0.5 * np.log(dets) - 0.5 * (quad[0] + quad[1])).sum()
+    if not (math.isfinite(loglik) and np.isfinite(state).all()):
+        raise _not_finite()
 
     # the outputs are transposed views of pairs of rows, zero at period 0
     out = np.zeros((18, T + 1))

@@ -297,7 +297,12 @@ def asset_weight_vector(w_a):
 def linearized_log_asset(log_values, w_a, h_a):
     """Apply the asset tangent w̄′Ṽ + w_a h_a along the last axis, one column
     per leg (a sum over the length-2 axis takes about ten times as long)."""
-    log_values = np.asarray(log_values)
+    return _linearized_log_asset(np.asarray(log_values), w_a, h_a)
+
+
+def _linearized_log_asset(log_values, w_a, h_a):
+    """:func:`linearized_log_asset` of an array, for worker threads, which
+    may call no public function (a layer tracer keeps one span stack)."""
     return (1.0 - w_a) * log_values[..., 0] + w_a * log_values[..., 1] + w_a * h_a
 
 

@@ -30,6 +30,7 @@ the per-period forecasts that the ``forecast`` command reports.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,8 @@ from .model import (
 )
 
 _SQRT_HALF = math.sqrt(0.5)
+_FLOAT_MAX = sys.float_info.max
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)  # the largest x whose exp is finite
 
 
 def _norm_cdf(x):
@@ -175,27 +178,44 @@ def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
     when no float is left inside the bracket. Where the call itself is
     rounded beyond 1e-8 (see :func:`price_options`) no strike reprices the
     target to 1e-8; the miss stays within 32ε(1 + |ln L|) of the larger leg.
+
+    No strike is priced whose value or discounted value exceeds the largest
+    float: an iterate x beyond that counts as a strike whose call is below
+    the target, so a root beyond it leaves the bracket at the limit, and
+    raises :class:`NoSolutionError`.
     """
     if not 0 < target_equity < math.inf:
         raise DataValidationError("target equity value must be positive and finite")
-    strike_free = math.exp(mu_a + 0.5 * var_a - tau * rate_log)
+    log_strike_free = mu_a + 0.5 * var_a - tau * rate_log
+    if log_strike_free > _LOG_FLOAT_MAX:
+        raise _beyond_float_range(target_equity)
+    strike_free = math.exp(log_strike_free)
     if target_equity >= strike_free:
         raise NoSolutionError(
             f"target equity {target_equity:.6g} is not attainable: the "
             f"strike-free call value is {strike_free:.6g}"
         )
     disc = math.exp(-tau * rate_log)
+    # by parity C(L) > strike_free − disc L, so the root lies above this
+    floor = (strike_free - target_equity) / disc
+    if floor > _FLOAT_MAX:
+        raise _beyond_float_range(target_equity)
     if var_a == 0.0:
-        return math.exp(mu_a) - target_equity / disc
-    lo = math.log((strike_free - target_equity) / disc)
+        return math.exp(mu_a) - target_equity / disc if mu_a <= _LOG_FLOAT_MAX else floor
+    lo = math.log(floor)
     hi = 2.0 * (mu_a + var_a) - tau * rate_log - math.log(2.0 * target_equity)
+    # strike and discounted strike stay floats up to here, with a margin of
+    # 1e-9 relative for the rounding of e^x and of the discount
+    x_max = _LOG_FLOAT_MAX + min(0.0, tau * rate_log) - 1e-9
     x, last, step = lo, hi - lo, hi - lo
     while True:
-        call = price_options(mu_a, var_a, math.exp(x), tau, rate_log)[0]
+        call = (price_options(mu_a, var_a, math.exp(x), tau, rate_log)[0]
+                if x <= x_max else 0.0)
         if abs(call - target_equity) <= 1e-12 * target_equity:
             return math.exp(x)
         lo, hi = (x, hi) if call > target_equity else (lo, x)
-        slope = disc * math.exp(x) * _norm_cdf((mu_a - x) / math.sqrt(var_a))
+        slope = (disc * math.exp(x) * _norm_cdf((mu_a - x) / math.sqrt(var_a))
+                 if call > 0.0 else 0.0)
         newton = (x + (math.log(call) - math.log(target_equity)) * call / slope
                   if call > 0.0 and slope > 0.0 else math.nan)
         # bisect unless Newton stays inside and halves the step before last
@@ -204,7 +224,16 @@ def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
         else:
             last, step, x = step, 0.5 * (hi - lo), 0.5 * (lo + hi)
         if not lo < x < hi:
+            if hi > x_max:  # so lo is the largest x priced
+                raise _beyond_float_range(target_equity)
             return math.exp(x)
+
+
+def _beyond_float_range(target_equity):
+    return NoSolutionError(
+        f"target equity {target_equity:.6g} needs a threshold beyond the "
+        f"float range"
+    )
 
 
 @dataclass(frozen=True)

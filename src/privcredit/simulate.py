@@ -6,8 +6,18 @@ two is the measurement intercept. Panels carry the exact log asset value
 ln(Vᵉ + Vˡ); the linearized value at any asset tangent follows from their
 log value pairs, so approximation error can be quantified separately from
 formula correctness.
+
+One engine (:func:`_simulate` over :func:`_periods`) runs blocks of paths on
+worker threads and merges each block's result in block order. A Monte Carlo
+check reduces each block of maturity pairs where it was simulated
+(:func:`reduce_terminal`), so its memory does not grow with the path count;
+:func:`simulate_terminal` is the reduction that collects the pairs, and the
+array estimators reduce over the same blocks, so both routes give the same
+estimates bit for bit.
 """
 
+import functools
+import math
 import operator
 import os
 import threading
@@ -136,23 +146,34 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _run_blocks(block, n_blocks):
+def _run_blocks(block, n_blocks, merge):
     """Call ``block(j)`` for j < n_blocks on min(n_blocks, cores,
-    ``_MAX_WORKERS``) threads, the calling one included. After every thread
+    ``_MAX_WORKERS``) threads, the calling one included, and return the
+    results merged in block order, merge(…merge(r₀, r₁)…, r_{k−1}): a
+    finished block waits only for the blocks before it, and the thread that
+    completes a run of them merges it under the lock. After every thread
     has stopped, the error of the lowest failing block is raised; a failure
     stops the threads from taking further blocks."""
     todo = iter(range(n_blocks))
     lock = threading.Lock()
-    errors = {}
+    errors, finished = {}, {}
+    merged, ready = None, 0
 
     def work():
+        nonlocal merged, ready
         while not errors:
             with lock:
                 j = next(todo, None)
             if j is None:
                 return
             try:
-                block(j)
+                result = block(j)
+                with lock:
+                    finished[j] = result
+                    while ready in finished:
+                        result = finished.pop(ready)
+                        merged = result if ready == 0 else merge(merged, result)
+                        ready += 1
             except BaseException as exc:  # re-raised by the calling thread
                 errors[j] = exc
 
@@ -165,6 +186,7 @@ def _run_blocks(block, n_blocks):
         thread.join()
     if errors:
         raise errors[min(errors)]
+    return merged
 
 
 def _block_bounds(n):
@@ -179,12 +201,14 @@ def _block_bounds(n):
 
 
 def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              meas_factors, keep):
+              meas_factors, keep, merge):
     """Run a simulation's blocks (:func:`_block_bounds`) on up to
-    ``_MAX_WORKERS`` threads; ``keep(rows, m0, periods)`` gets each block's
+    ``_MAX_WORKERS`` threads and return their results merged in block order
+    (:func:`_run_blocks`); ``keep(rows, m0, periods)`` gets each block's
     slice of paths, (2, b) start multipliers and :func:`_periods` generator,
     which scales each period's measurement noise by that period's entry of
-    ``meas_factors`` (None: no measurement noise that period).
+    ``meas_factors`` (None: no measurement noise that period), and returns
+    the block's result.
 
     Block j draws from ``Philox(key=seed).jumped(j)``: b start pairs, then
     per period b state noise pairs and, where the period has a measurement
@@ -210,10 +234,14 @@ def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
         lo, hi = bounds[j], bounds[j + 1]
         rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
         m0 = mean0 + _correlate(l0, rng.standard_normal((2, hi - lo)), np.empty(hi - lo))
-        keep(slice(lo, hi), m0, _periods(rng, lv, meas_factors, drift, gains,
-                                         intercepts, m0, log_books0))
+        return keep(slice(lo, hi), m0, _periods(rng, lv, meas_factors, drift, gains,
+                                                intercepts, m0, log_books0))
 
-    _run_blocks(block, len(bounds) - 1)
+    return _run_blocks(block, len(bounds) - 1, merge)
+
+
+def _discard(earlier, later):
+    """The merge of blocks that write their paths into a shared result."""
 
 
 def simulate_panel(params, schedule, config, log_books0, start=0,
@@ -248,7 +276,7 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
             growth[rows, t - 1] = g.T
 
     _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              [psd_cholesky(params.meas_cov)] * P, keep)
+              [psd_cholesky(params.meas_cov)] * P, keep, _discard)
     log_values = mult + log_books
     exact = np.logaddexp(log_values[..., 0], log_values[..., 1])
     return SimulatedPanel(
@@ -257,61 +285,150 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
     )
 
 
-def simulate_terminal(params, schedule, config, log_books0, start=0,
-                      init_mean=None, init_cov=None):
-    """Maturity log value pairs, an (n_paths, 2) array stored leg by leg,
-    so each column is contiguous.
+def reduce_terminal(params, schedule, config, log_books0, reduce, merge,
+                    start=0, init_mean=None, init_cov=None):
+    """Simulate maturity log value pairs block by block and reduce each
+    block where it was simulated; arguments after ``merge`` are those of
+    :func:`simulate_panel`.
+
+    ``reduce(rows, pairs)`` gets a block's slice of paths and its (2, b)
+    pairs, legs along axis 0, in the worker thread that simulated the block,
+    and returns the block's result; ``merge(earlier, later)`` joins the
+    results in block order, and the merged result is returned. Neither may
+    call a public function of the package: a layer tracer wraps those
+    around a single span stack. No array spans all n paths: besides what
+    ``reduce`` keeps, at most min(cores, 4) blocks of at most 2¹⁴ paths are
+    in flight (:func:`_block_bounds`).
 
     The measurement noise reaches the pair at horizon P only through its sum
     Σ_t r_u ~ N(0, P Σ_u), so each path draws that sum as one pair, scaled
     by the factor of P Σ_u, at period P: a block draws b start pairs, P
-    state noise pairs and one summed measurement pair. At horizon 1 the
-    result is ``simulate_panel(...).log_values[:, -1]`` for the same
-    arguments, bit for bit. Each block
-    keeps only its (2, b) multiplier and log book state, so memory does not
-    grow with the horizon."""
-    out = np.empty((2, config.n_paths))
+    state noise pairs and one summed measurement pair. Each block keeps only
+    its (2, b) multiplier and log book state, so memory does not grow with
+    the horizon either."""
 
     def keep(rows, m0, periods):
         for m, log_books, _ in periods:
             pass
-        out[:, rows] = m + log_books
+        m += log_books  # the state buffers are free once the periods end
+        return reduce(rows, m)
 
     P = config.horizon
     summed = psd_cholesky(P * params.meas_cov)
-    _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              [None] * (P - 1) + [summed], keep)
+    return _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
+                     [None] * (P - 1) + [summed], keep, merge)
+
+
+def simulate_terminal(params, schedule, config, log_books0, start=0,
+                      init_mean=None, init_cov=None):
+    """Maturity log value pairs, an (n_paths, 2) array stored leg by leg,
+    so each column is contiguous: the reduction of :func:`reduce_terminal`
+    that collects every block's pairs. At horizon 1 the result is
+    ``simulate_panel(...).log_values[:, -1]`` for the same arguments, bit
+    for bit."""
+    out = np.empty((2, config.n_paths))
+
+    def collect(rows, pairs):
+        out[:, rows] = pairs
+
+    reduce_terminal(params, schedule, config, log_books0, collect, _discard,
+                    start, init_mean, init_cov)
     return out.T
 
 
-def _mc_mean_se(values):
-    """Mean and standard error."""
-    n = values.shape[0]
-    se = values.std(ddof=1) / np.sqrt(n) if n > 1 else np.inf
-    return float(values.mean()), float(se)
+def _moments(values):
+    """Count, sum and centred sum of squares of one block's values: the sums
+    numpy's ``mean`` and ``std(ddof=1)`` take of the same array."""
+    total = values.sum()
+    dev = values - total / values.shape[0]
+    np.square(dev, out=dev)
+    return values.shape[0], float(total), float(dev.sum())
+
+
+def _merge_moments(a, b):
+    """Moments of two blocks' values together (Chan, Golub & LeVeque 1983)."""
+    (na, sa, qa), (nb, sb, qb) = a, b
+    delta = sb / nb - sa / na
+    return na + nb, sa + sb, qa + qb + delta * delta * (na * nb / (na + nb))
+
+
+def _mean_se(moments):
+    """Mean and standard error from moments; one block's equal the mean and
+    ``std(ddof=1) / sqrt(n)`` of its values."""
+    n, total, squares = moments
+    se = math.sqrt(squares / (n - 1)) / math.sqrt(n) if n > 1 else math.inf
+    return total / n, se
+
+
+def _option_estimator(strike, tau, rate_log):
+    """Estimator of the discounted call and put at ``strike``: a triple
+    (block, merge, finish). ``block`` maps one block's maturity log asset
+    values to the :func:`_moments` of both payoffs, ``merge`` joins two
+    blocks' and ``finish`` gives ((call, call_se), (put, put_se))."""
+    if not 0 <= strike < np.inf:
+        raise DataValidationError("strike must be nonnegative and finite")
+    disc = np.exp(-tau * rate_log)
+
+    def block(log_asset):
+        asset = np.exp(log_asset)
+        return (_moments(disc * np.maximum(asset - strike, 0.0)),
+                _moments(disc * np.maximum(strike - asset, 0.0)))
+
+    def merge(a, b):
+        return _merge_moments(a[0], b[0]), _merge_moments(a[1], b[1])
+
+    def finish(moments):
+        return _mean_se(moments[0]), _mean_se(moments[1])
+
+    return block, merge, finish
+
+
+def _default_estimator(threshold):
+    """Estimator of the frequency of {Ṽᵃ_T <= ln threshold}, as
+    :func:`_option_estimator`: a block gives its path and default counts,
+    and ``finish`` the frequency with its binomial standard error."""
+    if not 0 < threshold < np.inf:
+        raise DataValidationError("threshold must be positive and finite")
+    log_threshold = np.log(threshold)
+
+    def block(log_asset):
+        return log_asset.shape[0], int(np.count_nonzero(log_asset <= log_threshold))
+
+    def merge(a, b):
+        return a[0] + b[0], a[1] + b[1]
+
+    def finish(counts):
+        n, hits = counts
+        p = hits / n
+        return p, math.sqrt(max(p * (1.0 - p), 0.0) / n)
+
+    return block, merge, finish
+
+
+def _estimate(log_asset, estimator):
+    """Run an estimator over the :func:`_block_bounds` slices of an array of
+    maturity log asset values, merging in block order, as a streamed check
+    reduces the same values block by block."""
+    block, merge, finish = estimator
+    log_asset = np.asarray(log_asset)
+    if log_asset.shape[0] < 1:
+        raise DataValidationError("Monte Carlo estimates need at least one path")
+    bounds = _block_bounds(log_asset.shape[0])
+    return finish(functools.reduce(
+        merge, [block(log_asset[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]))
 
 
 def mc_option_price(log_asset, strike, tau, rate_log):
     """Discounted Monte Carlo call/put prices off maturity values Ṽᵃ_T.
 
     Returns ((call, call_se), (put, put_se)); they must be simulated
-    under the risk-neutral measure for prices to be meaningful.
+    under the risk-neutral measure for prices to be meaningful. Up to 2¹²
+    values these are the mean and ``std(ddof=1) / sqrt(n)`` of the payoffs;
+    above, the per-block moments merged in block order.
     """
-    if not 0 <= strike < np.inf:
-        raise DataValidationError("strike must be nonnegative and finite")
-    disc = np.exp(-tau * rate_log)
-    asset = np.exp(log_asset)
-    call, call_se = _mc_mean_se(disc * np.maximum(asset - strike, 0.0))
-    put, put_se = _mc_mean_se(disc * np.maximum(strike - asset, 0.0))
-    return (call, call_se), (put, put_se)
+    return _estimate(log_asset, _option_estimator(strike, tau, rate_log))
 
 
 def mc_default_probability(log_asset, threshold):
     """Default frequency {Ṽᵃ_T <= ln threshold} with binomial standard error."""
-    if not 0 < threshold < np.inf:
-        raise DataValidationError("threshold must be positive and finite")
-    hits = log_asset <= np.log(threshold)
-    n = hits.shape[0]
-    p = float(hits.mean())
-    se = float(np.sqrt(max(p * (1.0 - p), 0.0) / n))
-    return p, se
+    return _estimate(log_asset, _default_estimator(threshold))

@@ -21,6 +21,12 @@ iteration, :func:`params_validation_error` the numpy form of
 error of a simulated panel, and :func:`ingest_reference` reads a panel CSV
 one cell at a time, checking each cell as it goes.
 
+:func:`mc_option_price_reference` and
+:func:`mc_default_probability_reference` are the Monte Carlo estimators as
+they were written before they reduced block by block: every sum over the
+whole array at once, which a one-block run (up to 2¹² values) must match
+bit for bit.
+
 :func:`schedule_reference`, :func:`filter_columns_reference`,
 :func:`smooth_columns_reference`, :func:`moment_sums_reference`,
 :func:`m_step_reference`, :func:`blend_reference` and
@@ -741,6 +747,10 @@ def filter_columns_reference(params, schedule, growth, intercepts):
     k10, k11 = m10 * i00 + m11 * i01, m10 * i01 + m11 * i11
     loglik = (-_LOG2PI - 0.5 * np.log(dets)
               - 0.5 * (e0 * (i00 * e0 + i01 * e1) + e1 * (i01 * e0 + i11 * e1))).sum()
+    if not (np.isfinite(state).all() and np.isfinite(loglik)):
+        raise IllConditionedInnovationError(
+            "filter diverged: a filtered mean or covariance or the "
+            "log-likelihood is not finite")
     out = np.zeros((18, T + 1))
     out[:, 1:] = (b0, b1, f00, f01, f01, f11, i00, i01, i01, i11,
                   k00, k01, k10, k11, e0, e1, d0, d1)
@@ -912,3 +922,30 @@ def blend_reference(old, new, weight):
         for f in ("req_return", "init_mean", "drift",
                   "init_cov", "meas_cov", "state_cov")
     })
+
+
+def _mc_mean_se_reference(values):
+    n = values.shape[0]
+    se = values.std(ddof=1) / np.sqrt(n) if n > 1 else np.inf
+    return float(values.mean()), float(se)
+
+
+def mc_option_price_reference(log_asset, strike, tau, rate_log):
+    """:func:`privcredit.simulate.mc_option_price` over the whole array."""
+    if not 0 <= strike < np.inf:
+        raise DataValidationError("strike must be nonnegative and finite")
+    disc = np.exp(-tau * rate_log)
+    asset = np.exp(log_asset)
+    call = _mc_mean_se_reference(disc * np.maximum(asset - strike, 0.0))
+    put = _mc_mean_se_reference(disc * np.maximum(strike - asset, 0.0))
+    return call, put
+
+
+def mc_default_probability_reference(log_asset, threshold):
+    """:func:`privcredit.simulate.mc_default_probability` over the whole
+    array."""
+    if not 0 < threshold < np.inf:
+        raise DataValidationError("threshold must be positive and finite")
+    hits = log_asset <= np.log(threshold)
+    p = float(hits.mean())
+    return p, float(np.sqrt(max(p * (1.0 - p), 0.0) / hits.shape[0]))

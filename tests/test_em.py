@@ -593,6 +593,28 @@ class TestEmFit:
             em_fit(series, params_init=params, max_iter=3)
         assert len(calls) == 2
 
+    def test_line_search_rejects_a_nan_likelihood(self, params, monkeypatch):
+        # a candidate's filter with a NaN log-likelihood is never accepted,
+        # though NaN < floor is false as NaN >= floor is
+        series, _, _ = synthetic_series(params, 60, seed=31)
+        real_pass = em._forward_pass
+        passes = []
+
+        def nan_candidates(*args, **kwargs):
+            schedule, filt = real_pass(*args, **kwargs)
+            if passes:
+                filt = dataclasses.replace(filt, loglik=float("nan"))
+            passes.append(filt)
+            return schedule, filt
+
+        monkeypatch.setattr(em, "_forward_pass", nan_candidates)
+        start = default_initial_params(params.rate_log)
+        fitted, trace = em_fit(series, params_init=start, rate_log=params.rate_log,
+                               max_iter=5)
+        assert len(passes) > 1
+        assert trace.termination == "stalled" and fitted is start
+        assert trace.filter_output is passes[0]
+
     def test_programming_error_in_schedule_build_propagates(self, params, monkeypatch):
         series, _, _ = synthetic_series(params, 5, seed=37)
 

@@ -981,6 +981,39 @@ class TestCliReportPasses:
                                  "risk_neutral_intercepts"]
 
 
+class TestCliDivergingFilter:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_filtered_mean_is_a_numerical_error(self, tmp_path, capsys):
+        # configured Σ_u = Σ₀ = 0 pin m̃_t = G_t m̃_{t−1} + c_t − b̃_t, and with
+        # G_t near 2 (payout ratios near 0.6) growth not from the model
+        # drives the filtered mean past 1e100 by period 170 and out of the
+        # float range, where the log-likelihood was NaN
+        rng = np.random.default_rng(1)
+        k, mu0 = np.array([0.04, 0.03]) + 0.01 * rng.normal(size=2), 0.2 * rng.normal(size=2)
+        phi = 2e-4 * rng.normal(size=2)
+        sigma_v, rho_v = 0.04 + 0.02 * rng.random(2), rng.uniform(-0.5, 0.5)
+        ratio = np.log(0.6) + 0.05 * rng.normal(size=(1600, 2))
+        growth = 0.05 * rng.normal(size=(1600, 2))
+        books = np.array([4.0, 6.0]) * np.exp(np.vstack([np.zeros(2), growth.cumsum(axis=0)]))
+        panel = tmp_path / "panel.csv"
+        write_panel_csv(panel, books, np.exp(ratio) * books[:-1])
+        values = dict(
+            k_equity=k[0], k_liability=k[1], mu0_equity=mu0[0], mu0_liability=mu0[1],
+            phi_equity=phi[0], phi_liability=phi[1],
+            sigma_u_equity=0.0, sigma_u_liability=0.0, rho_u=0.0,
+            sigma_v_equity=sigma_v[0], sigma_v_liability=sigma_v[1], rho_v=rho_v,
+            sigma0_equity=0.0, sigma0_liability=0.0, rho0=0.0, rate=0.01)
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("".join(f"{key} = {float(value)!r}\n" for key, value in values.items()))
+        out = tmp_path / "filter.json"
+        code = main(["filter", "--input", str(panel), "--config", str(cfg),
+                     "--output", str(out)])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "numerical error: filter diverged: a filtered mean or covariance "
+                   "or the log-likelihood is not finite\n")
+        assert not out.exists()
+
+
 class TestEstimateReusesFitPass:
     """The report smooths the forward pass the fit ended with: no filter
     runs after ``em_fit`` returns, and the report equals a fresh E-step at
@@ -1332,6 +1365,121 @@ class TestCliPricing:
             sys.setswitchinterval(interval)
         assert [len(texts) for texts in reports.values()] == [1, 1]
 
+    def _mc_commands(self, tmp_path, panel_csv):
+        """The maturity-4 context, a strike at the risk-neutral median, a
+        threshold half a standard deviation below the real one, and the
+        argv of a ``price`` and a ``default-prob`` Monte Carlo check."""
+        ctx = self._context(tmp_path, panel_csv, 4)
+        mu, var = ctx.asset_moments("real")
+        strike = math.exp(ctx.asset_moments("risk_neutral")[0])
+        threshold = math.exp(mu - 0.5 * math.sqrt(var))
+        cfg = self._pricing_cfg(tmp_path, extra=f"threshold = {threshold!r}\n")
+        common = ["--input", str(panel_csv), "--config", str(cfg), "--maturity", "4",
+                  "--check", "mc"]
+        return ctx, strike, threshold, {
+            "price": ["price", *common, "--strike", repr(strike)],
+            "default-prob": ["default-prob", *common]}
+
+    @pytest.mark.parametrize("paths", [1, 3, 4096, 4097, 20_000, 49_157])
+    def test_mc_check_equals_the_estimators_on_simulated_pairs(
+        self, tmp_path, panel_csv, paths
+    ):
+        # the check reduces each block in the worker that simulated it, the
+        # array estimators on simulate_terminal's pairs slice the same
+        # blocks, so the two agree bit for bit under both measures; one
+        # block (up to 2¹² paths) gives the whole-array forms' values
+        from privcredit.model import linearized_log_asset
+        from privcredit.simulate import (
+            SimConfig,
+            mc_default_probability,
+            mc_option_price,
+            simulate_terminal,
+        )
+        from reference import mc_default_probability_reference, mc_option_price_reference
+
+        ctx, strike, threshold, commands = self._mc_commands(tmp_path, panel_csv)
+        checks = {}
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}.json"
+            assert main([*argv, "--paths", str(paths), "--seed", "3",
+                         "--output", str(out)]) == 0
+            checks[name] = json.loads(out.read_text())["mc_check"]
+        log_asset = {}
+        for measure in ("risk_neutral", "real"):
+            mean, cov = ctx.posterior(measure)
+            pair = simulate_terminal(
+                ctx.params, ctx.schedule, SimConfig(paths, ctx.tau, 3, measure=measure),
+                ctx.log_books[ctx.origin], start=ctx.origin, init_mean=mean, init_cov=cov)
+            log_asset[measure] = linearized_log_asset(pair, *ctx.tangent)
+        forms = [(mc_option_price, mc_default_probability)]
+        if paths <= 4096:
+            forms.append((mc_option_price_reference, mc_default_probability_reference))
+        for option, default in forms:
+            (call, call_se), (put, put_se) = option(
+                log_asset["risk_neutral"], strike, ctx.tau, ctx.params.rate_log)
+            assert [checks["price"][key] for key in (
+                "call_mc", "call_se", "put_mc", "put_se")] == [call, call_se, put, put_se]
+            pd, pd_se = default(log_asset["real"], threshold)
+            assert [checks["default-prob"][key] for key in ("pd_mc", "pd_se")] == [pd, pd_se]
+
+    def test_mc_check_memory_does_not_grow_with_paths(
+        self, tmp_path, panel_csv, monkeypatch
+    ):
+        # 200 000 paths on one worker: each block of 12 500 is simulated,
+        # meets the tangent and shrinks to its statistics before the next, so
+        # the check stays below the 16 bytes a path that the maturity pairs
+        # alone take (the whole-array check peaked at about 6.4 MB)
+        import tracemalloc
+
+        import privcredit.simulate as sim
+
+        _, _, _, commands = self._mc_commands(tmp_path, panel_csv)
+        monkeypatch.setattr(sim, "_cores", lambda: 1)
+        paths = 200_000
+        for name, argv in commands.items():
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--paths", str(paths),
+                             "--output", str(tmp_path / f"{name}.json")]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * paths, name
+
+    def test_mc_check_workers_call_no_public_function(
+        self, tmp_path, panel_csv, monkeypatch
+    ):
+        # a layer tracer wraps every public function around one span stack;
+        # four workers each reduce one of the four blocks (the barrier holds
+        # them until all four have one), and only the calling thread enters
+        # a public function
+        import threading
+
+        import privcredit.simulate as sim
+        from privcredit import cli
+        from test_simulate import trace_public_calls
+
+        _, _, _, commands = self._mc_commands(tmp_path, panel_csv)
+        calls = trace_public_calls(monkeypatch)
+        barrier = threading.Barrier(4, timeout=30)
+        reducers = set()
+        tangent = cli._linearized_log_asset
+
+        def held_tangent(*args):
+            reducers.add(threading.current_thread())
+            barrier.wait()
+            return tangent(*args)
+
+        monkeypatch.setattr(cli, "_linearized_log_asset", held_tangent)
+        monkeypatch.setattr(sim, "_cores", lambda: 4)
+        for name, argv in commands.items():
+            reducers.clear()
+            assert main([*argv, "--paths", "49157",
+                         "--output", str(tmp_path / f"{name}.json")]) == 0
+            assert len(reducers) == 4, name
+        assert "privcredit.simulate.reduce_terminal" in {name for name, _ in calls}
+        assert all(thread is threading.main_thread() for _, thread in calls)
+
     def test_repeated_main_calls_share_no_parsed_state(
         self, tmp_path, panel_csv, capsys
     ):
@@ -1409,6 +1557,26 @@ class TestCliPricing:
         assert captured.out == ""
         assert "future payout ratios must be strictly positive" in captured.err
 
+    def test_calibration_past_the_float_bracket_reports(self, tmp_path, capsys):
+        # an in-run fit on a long panel leaves a target equity of 5.6e-163
+        # against a strike-free call of about e^525: the threshold's bracket
+        # reaches ln L ≈ 1423, beyond the float range, and the search once
+        # raised OverflowError there; the threshold itself is about e^555
+        sim = tmp_path / "sim.cfg"
+        sim.write_text(SIM_CONFIG.replace("periods = 24", "periods = 1600")
+                       .replace("seed = 7", "seed = 2")
+                       .replace("phi_equity = 0.002", "phi_equity = 0.0002")
+                       .replace("phi_liability = -0.001", "phi_liability = -0.0001"))
+        panel, out = tmp_path / "panel.csv", tmp_path / "threshold.json"
+        assert main(["simulate", "--config", str(sim), "--output", str(panel)]) == 0
+        cfg = self._pricing_cfg(tmp_path, text=(
+            "rate = 0.0101\npayout_future_equity = 0.25\n"
+            "payout_future_liability = 0.25\n"))
+        code = main(["calibrate-threshold", "--input", str(panel), "--config", str(cfg),
+                     "--max-iter", "30", "--maturity", "4", "--output", str(out)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert 554 < math.log(json.loads(out.read_text())["threshold"]) < 556
+
     @pytest.mark.parametrize("message, err", [
         ("Unable to allocate 14.6 TiB for an array with shape (2, 1000000000000) "
          "and data type float64",
@@ -1425,7 +1593,7 @@ class TestCliPricing:
         def no_memory(*args, **kwargs):
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "simulate_terminal", no_memory)
+        monkeypatch.setattr(cli, "reduce_terminal", no_memory)
         code = main(["price", "--input", str(panel_csv), "--maturity", "4",
                      "--config", str(self._pricing_cfg(tmp_path)), "--strike", "2.0",
                      "--check", "mc", "--paths", "1000000000000"])

@@ -173,6 +173,29 @@ class TestRunFilter:
             assert np.array_equal(getattr(real, name), getattr(rn, name)), name
         assert not np.array_equal(real.m_filt, rn.m_filt)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("intercepts", [real_intercepts, risk_neutral_intercepts])
+    def test_overflowing_mean_raises(self, intercepts):
+        # with Σ_u = Σ₀ = 0 the mean update m̃_t = G_t m̃_{t−1} + c_t − b̃_t
+        # has G_t > 1, and growth not from the model drives the filtered
+        # mean to about 1.4e299 by period 1600, where the innovations'
+        # quadratic form overflows into a NaN log-likelihood
+        rng = np.random.default_rng(1)
+        p = ModelParams(
+            req_return=np.array([0.04, 0.03]) + 0.01 * rng.normal(size=2),
+            init_mean=0.2 * rng.normal(size=2),
+            init_cov=np.zeros((2, 2)),
+            drift=2e-4 * rng.normal(size=2),
+            meas_cov=np.zeros((2, 2)),
+            state_cov=spd_matrix(rng, 0.04),
+            rate_log=0.01,
+        )
+        ratio = np.log(0.3) + 0.05 * rng.normal(size=(1600, 2))
+        schedule = build_linearization_schedule(p, ratio, 1600)
+        growth = 0.05 * rng.normal(size=(1600, 2))
+        with pytest.raises(IllConditionedInnovationError, match="filter diverged"):
+            run_filter(p, schedule, growth, intercepts(p, schedule))
+
     def test_matches_oracle(self, rng):
         for _ in range(3):
             p = random_params(rng)

@@ -501,6 +501,27 @@ class TestThresholdCalibration:
         with pytest.raises(DataValidationError):
             solve_threshold(target, 0.0, 0.04, 2, 0.01)
 
+    def test_root_inside_the_float_range_past_the_bracket(self):
+        # the moments of a calibration after an in-run fit on a long panel:
+        # the bracket's upper end, ln L ≈ 1423, lies beyond the float range
+        # (exp raised OverflowError there), the root, ln L ≈ 555, does not
+        target, mu, var, tau, rate = (5.590730571437984e-163, 524.5651559553241,
+                                      0.5904834415732209, 4, 0.01004933585300144)
+        threshold = solve_threshold(target, mu, var, tau, rate)
+        assert 554 < math.log(threshold) < 556
+
+    @pytest.mark.parametrize("target, mu, var, tau, rate", [
+        (1.0, 800.0, 1.0, 1, 0.01),           # strike-free call beyond floats
+        (2.8e153, 713.07, 9.3e-9, 56, 0.067),  # the parity bound beyond floats
+        (1e-300, 700.0, 1.0, 4, 0.01),        # the bracket closes at the limit
+        (2.5568577870266976e279, 709.4817801334463, 1.1096611408248403e-7, 15,
+         -0.019847811163264836),              # the discounted strike beyond
+    ])
+    def test_root_beyond_the_float_range_has_no_solution(self, target, mu, var,
+                                                         tau, rate):
+        with pytest.raises(NoSolutionError, match="beyond the float range"):
+            solve_threshold(target, mu, var, tau, rate)
+
     def test_deterministic_limit_closed_form(self):
         mu, tau, rate = math.log(50.0), 3, 0.02
         target = 12.0

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -85,6 +86,33 @@ def float_scale(cov, e0, e1):
 def force_cores(monkeypatch, cores):
     """Make the simulators see ``cores`` CPUs."""
     monkeypatch.setattr(sim, "_cores", lambda: cores)
+
+
+def trace_public_calls(monkeypatch):
+    """Wrap every public function of the package as a layer tracer does and
+    rebind it wherever a module holds it; returns the list that each call
+    appends its (qualified name, calling thread) to."""
+    modules = {name: module for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "privcredit"}
+    calls = []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {}
+    for module_name, module in modules.items():
+        for key, obj in vars(module).items():
+            if (inspect.isfunction(obj) and not key.startswith("_")
+                    and obj.__module__ == module_name):
+                wrappers[id(obj)] = (obj, traced(f"{module_name}.{key}", obj))
+    for module in modules.values():
+        for key, obj in list(vars(module).items()):
+            if id(obj) in wrappers and wrappers[id(obj)][0] is obj:
+                monkeypatch.setattr(module, key, wrappers[id(obj)][1])
+    return calls
 
 
 def run_simulator(name, params, sched, cfg):
@@ -207,6 +235,23 @@ class TestBlockLayout:
                                            (200_000, [12_500] * 16)])
     def test_mc_check_sizes_split_evenly(self, n, blocks):
         assert np.diff(_block_bounds(n)).tolist() == blocks
+
+    def test_blocks_merge_once_each_in_block_order(self, monkeypatch):
+        # four workers switching often finish 64 blocks out of order; each
+        # result is merged exactly once, as ((r0 + r1) + r2) + …
+        force_cores(monkeypatch, 64)
+        interval = sys.getswitchinterval()
+
+        def block(j):
+            time.sleep(0.001 * (j % 3))
+            return [j]
+
+        try:
+            sys.setswitchinterval(1e-5)
+            merged = sim._run_blocks(block, 64, lambda earlier, later: earlier + later)
+        finally:
+            sys.setswitchinterval(interval)
+        assert merged == list(range(64))
 
 
 class TestSimulateTerminal:
@@ -343,33 +388,14 @@ class TestSimulateTerminal:
     def test_block_workers_call_no_public_function(self, params, monkeypatch, name):
         # a layer tracer wraps each public function and keeps one span
         # stack, so only the calling thread may enter a public function
-        modules = {name: module for name, module in list(sys.modules.items())
-                   if name.split(".")[0] == "privcredit"}
-        calls = []
-
-        def traced(name, fn):
-            def wrapper(*args, **kwargs):
-                calls.append((name, threading.current_thread() is threading.main_thread()))
-                return fn(*args, **kwargs)
-            return wrapper
-
-        wrappers = {}
-        for module_name, module in modules.items():
-            for key, obj in vars(module).items():
-                if (inspect.isfunction(obj) and not key.startswith("_")
-                        and obj.__module__ == module_name):
-                    wrappers[id(obj)] = (obj, traced(f"{module_name}.{key}", obj))
-        for module in modules.values():
-            for key, obj in list(vars(module).items()):
-                if id(obj) in wrappers and wrappers[id(obj)][0] is obj:
-                    monkeypatch.setattr(module, key, wrappers[id(obj)][1])
+        calls = trace_public_calls(monkeypatch)
         force_cores(monkeypatch, 64)
         sched = toy_schedule(params, 3)
         cfg = SimConfig(3 * _BLOCK_PATHS + 5, 3, seed=4, measure="risk_neutral")
         run_simulator(name, params, sched, cfg)
         names = {traced_name for traced_name, _ in calls}
         assert {f"privcredit.simulate.{name}", "privcredit.simulate.psd_cholesky"} <= names
-        assert all(main for _, main in calls)
+        assert all(thread is threading.main_thread() for _, thread in calls)
 
 
 class TestNoiseFactor:
