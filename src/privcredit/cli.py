@@ -141,6 +141,12 @@ def _em_settings(args, cfg):
     return max_iter, tol
 
 
+def _fit_summary(trace):
+    """The iteration count, termination and log-likelihood trace of a fit."""
+    return {"iterations": trace.n_iterations, "termination": trace.termination,
+            "loglik_trace": trace.loglik}
+
+
 def _fit_or_load(args, cfg, series):
     """Use configured parameters when supplied, otherwise estimate in-run
     (the fit's trace comes back too)."""
@@ -150,11 +156,7 @@ def _fit_or_load(args, cfg, series):
     if params is None:
         max_iter, tol = _em_settings(args, cfg)
         params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
-        estimation = {
-            "iterations": trace.n_iterations,
-            "termination": trace.termination,
-            "loglik_trace": trace.loglik,
-        }
+        estimation = _fit_summary(trace)
     return params, estimation, trace
 
 
@@ -239,9 +241,7 @@ def cmd_estimate(args, cfg):
         rate_log=rate_log, max_iter=max_iter, tol=tol,
     )
     estimation = {
-        "iterations": trace.n_iterations,
-        "termination": trace.termination,
-        "loglik_trace": trace.loglik,
+        **_fit_summary(trace),
         "lambda_before": trace.lambda_before,
         "lambda_after": trace.lambda_after,
         "max_change": trace.max_change,
@@ -326,22 +326,21 @@ def _mc_terminal(args, cfg, ctx, measure, estimator):
     :mod:`simulate` over the asset tangent applied to the maturity pairs
     simulated from the origin posterior under ``measure``. Each block of
     paths meets the tangent and the estimator's block statistic in the
-    worker thread that simulated it, so no array spans all paths."""
+    worker thread that simulated it, so no array spans all paths, and the
+    calling thread folds the block statistics in block order."""
     paths = _option(args.paths, cfg, "paths", int, 200_000)
     seed = _option(args.seed, cfg, "seed", int, 0)
     mean, cov = ctx.posterior(measure)
-    block, merge, finish = estimator
+    block, finish = estimator
     w_a, h_a = ctx.tangent
 
     def reduce(rows, pairs):
         return block(_linearized_log_asset(pairs.T, w_a, h_a))
 
-    merged = reduce_terminal(
+    return {"paths": paths, "seed": seed}, finish(reduce_terminal(
         ctx.params, ctx.schedule, SimConfig(paths, ctx.tau, seed, measure=measure),
-        ctx.log_books[ctx.origin], reduce, merge,
-        start=ctx.origin, init_mean=mean, init_cov=cov,
-    )
-    return {"paths": paths, "seed": seed}, finish(merged)
+        ctx.log_books[ctx.origin], reduce, start=ctx.origin, init_mean=mean,
+        init_cov=cov))
 
 
 def _mc_fields(name, value, mc, se, resolution):

@@ -47,7 +47,16 @@ from .model import (
 
 _SQRT_HALF = math.sqrt(0.5)
 _FLOAT_MAX = sys.float_info.max
+_EPS = sys.float_info.epsilon
 _LOG_FLOAT_MAX = math.log(_FLOAT_MAX)  # the largest x whose exp is finite
+
+
+def _exp(x):
+    """e^x, infinite where it exceeds the largest float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _norm_cdf(x):
@@ -128,22 +137,28 @@ def price_options(mu_a, var_a, strike, tau, rate_log):
     e^{−τr̃}LΦ(d₂), each rounded to about ε(1 + |ln L|) relative, so its
     relative error is that times the strike elasticity e^{−τr̃}LΦ(d₂)/C.
     At variances below ~1e-11 and strikes far out of the money (calls
-    below ~3e-7 of the strike-free value) it exceeds 1e-8.
+    below ~3e-7 of the strike-free value) it exceeds 1e-8. A discount factor,
+    discounted strike or growth leg beyond the largest float raises
+    :class:`DataValidationError`.
     """
     if not 0 < strike < math.inf:
         raise DataValidationError("strike must be positive and finite")
     if var_a < 0:
         raise DataValidationError("variance must be nonnegative")
-    disc = math.exp(-tau * rate_log)
+    disc = _exp(-tau * rate_log)
     if var_a == 0.0:
-        fwd = math.exp(mu_a)
-        return disc * max(fwd - strike, 0.0), disc * max(strike - fwd, 0.0)
-    sd = math.sqrt(var_a)
-    d1 = (mu_a + var_a - math.log(strike)) / sd
-    d2 = d1 - sd
-    growth_leg = math.exp(mu_a - tau * rate_log + 0.5 * var_a)
-    call = growth_leg * _norm_cdf(d1) - disc * strike * _norm_cdf(d2)
-    put = disc * strike * _norm_cdf(-d2) - growth_leg * _norm_cdf(-d1)
+        fwd = _exp(mu_a)
+        call, put = disc * max(fwd - strike, 0.0), disc * max(strike - fwd, 0.0)
+    else:
+        sd = math.sqrt(var_a)
+        d1 = (mu_a + var_a - math.log(strike)) / sd
+        d2 = d1 - sd
+        growth_leg = _exp(mu_a - tau * rate_log + 0.5 * var_a)
+        call = growth_leg * _norm_cdf(d1) - disc * strike * _norm_cdf(d2)
+        put = disc * strike * _norm_cdf(-d2) - growth_leg * _norm_cdf(-d1)
+    # an infinite leg makes a price infinite or NaN
+    if not (disc * strike < math.inf and math.isfinite(call) and math.isfinite(put)):
+        raise _beyond_floats(tau, rate_log)
     return call, put
 
 
@@ -178,6 +193,8 @@ def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
     when no float is left inside the bracket. Where the call itself is
     rounded beyond 1e-8 (see :func:`price_options`) no strike reprices the
     target to 1e-8; the miss stays within 32ε(1 + |ln L|) of the larger leg.
+    A bracket that closes on a miss beyond both bounds leaves the target
+    below the call's resolution and raises :class:`NoSolutionError`.
 
     No strike is priced whose value or discounted value exceeds the largest
     float: an iterate x beyond that counts as a strike whose call is below
@@ -195,7 +212,9 @@ def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
             f"target equity {target_equity:.6g} is not attainable: the "
             f"strike-free call value is {strike_free:.6g}"
         )
-    disc = math.exp(-tau * rate_log)
+    disc = _exp(-tau * rate_log)
+    if disc == math.inf:
+        raise _beyond_floats(tau, rate_log)
     # by parity C(L) > strike_free − disc L, so the root lies above this
     floor = (strike_free - target_equity) / disc
     if floor > _FLOAT_MAX:
@@ -226,7 +245,16 @@ def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
         if not lo < x < hi:
             if hi > x_max:  # so lo is the largest x priced
                 raise _beyond_float_range(target_equity)
-            return math.exp(x)
+            threshold, sd = math.exp(x), math.sqrt(var_a)
+            call = price_options(mu_a, var_a, threshold, tau, rate_log)[0]
+            larger_leg = max(strike_free * _norm_cdf((mu_a + var_a - x) / sd),
+                             disc * threshold * _norm_cdf((mu_a - x) / sd))
+            if abs(call - target_equity) > max(1e-8 * target_equity,
+                                               32 * _EPS * (1 + abs(x)) * larger_leg):
+                raise NoSolutionError(
+                    f"target equity {target_equity:.6g} is below the call's "
+                    f"resolution: threshold {threshold:.6g} reprices it as {call:.6g}")
+            return threshold
 
 
 def _beyond_float_range(target_equity):
@@ -234,6 +262,12 @@ def _beyond_float_range(target_equity):
         f"target equity {target_equity:.6g} needs a threshold beyond the "
         f"float range"
     )
+
+
+def _beyond_floats(tau, rate_log):
+    return DataValidationError(
+        f"maturity {tau} at rate {math.expm1(rate_log):.6g} takes the discount "
+        f"factor, the discounted strike or the growth leg beyond the float range")
 
 
 @dataclass(frozen=True)

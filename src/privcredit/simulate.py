@@ -8,12 +8,12 @@ log value pairs, so approximation error can be quantified separately from
 formula correctness.
 
 One engine (:func:`_simulate` over :func:`_periods`) runs blocks of paths on
-worker threads and merges each block's result in block order. A Monte Carlo
-check reduces each block of maturity pairs where it was simulated
-(:func:`reduce_terminal`), so its memory does not grow with the path count;
-:func:`simulate_terminal` is the reduction that collects the pairs, and the
-array estimators reduce over the same blocks, so both routes give the same
-estimates bit for bit.
+worker threads and returns their results in block order. A Monte Carlo check
+reduces each block of maturity pairs where it was simulated
+(:func:`reduce_terminal`) and folds the block statistics in order after the
+join, so its memory does not grow with the path count; :func:`simulate_terminal`
+is the reduction that collects the pairs, and the array estimators reduce over
+the same blocks, so both routes give the same estimates bit for bit.
 """
 
 import functools
@@ -146,34 +146,26 @@ def _cores():
     return os.cpu_count() or 1
 
 
-def _run_blocks(block, n_blocks, merge):
+def _run_blocks(block, n_blocks):
     """Call ``block(j)`` for j < n_blocks on min(n_blocks, cores,
     ``_MAX_WORKERS``) threads, the calling one included, and return the
-    results merged in block order, merge(…merge(r₀, r₁)…, r_{k−1}): a
-    finished block waits only for the blocks before it, and the thread that
-    completes a run of them merges it under the lock. After every thread
-    has stopped, the error of the lowest failing block is raised; a failure
-    stops the threads from taking further blocks."""
+    results in block order, [block(0), …, block(n_blocks − 1)]; ``block``
+    may not call a public function of the package, which a layer tracer
+    wraps around a single span stack. After every thread has stopped, the
+    error of the lowest failing block is raised; a failure stops the
+    threads from taking further blocks."""
     todo = iter(range(n_blocks))
-    lock = threading.Lock()
-    errors, finished = {}, {}
-    merged, ready = None, 0
+    lock = threading.Lock()  # guards the block counter only
+    results, errors = [None] * n_blocks, {}
 
     def work():
-        nonlocal merged, ready
         while not errors:
             with lock:
                 j = next(todo, None)
             if j is None:
                 return
             try:
-                result = block(j)
-                with lock:
-                    finished[j] = result
-                    while ready in finished:
-                        result = finished.pop(ready)
-                        merged = result if ready == 0 else merge(merged, result)
-                        ready += 1
+                results[j] = block(j)
             except BaseException as exc:  # re-raised by the calling thread
                 errors[j] = exc
 
@@ -186,7 +178,7 @@ def _run_blocks(block, n_blocks, merge):
         thread.join()
     if errors:
         raise errors[min(errors)]
-    return merged
+    return results
 
 
 def _block_bounds(n):
@@ -201,14 +193,14 @@ def _block_bounds(n):
 
 
 def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              meas_factors, keep, merge):
+              meas_factors, keep):
     """Run a simulation's blocks (:func:`_block_bounds`) on up to
-    ``_MAX_WORKERS`` threads and return their results merged in block order
+    ``_MAX_WORKERS`` threads and return their results in block order
     (:func:`_run_blocks`); ``keep(rows, m0, periods)`` gets each block's
     slice of paths, (2, b) start multipliers and :func:`_periods` generator,
     which scales each period's measurement noise by that period's entry of
     ``meas_factors`` (None: no measurement noise that period), and returns
-    the block's result.
+    the block's result, in a worker thread.
 
     Block j draws from ``Philox(key=seed).jumped(j)``: b start pairs, then
     per period b state noise pairs and, where the period has a measurement
@@ -237,11 +229,7 @@ def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
         return keep(slice(lo, hi), m0, _periods(rng, lv, meas_factors, drift, gains,
                                                 intercepts, m0, log_books0))
 
-    return _run_blocks(block, len(bounds) - 1, merge)
-
-
-def _discard(earlier, later):
-    """The merge of blocks that write their paths into a shared result."""
+    return _run_blocks(block, len(bounds) - 1)
 
 
 def simulate_panel(params, schedule, config, log_books0, start=0,
@@ -276,7 +264,7 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
             growth[rows, t - 1] = g.T
 
     _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              [psd_cholesky(params.meas_cov)] * P, keep, _discard)
+              [psd_cholesky(params.meas_cov)] * P, keep)
     log_values = mult + log_books
     exact = np.logaddexp(log_values[..., 0], log_values[..., 1])
     return SimulatedPanel(
@@ -285,18 +273,17 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
     )
 
 
-def reduce_terminal(params, schedule, config, log_books0, reduce, merge,
+def reduce_terminal(params, schedule, config, log_books0, reduce,
                     start=0, init_mean=None, init_cov=None):
     """Simulate maturity log value pairs block by block and reduce each
-    block where it was simulated; arguments after ``merge`` are those of
+    block where it was simulated; arguments after ``reduce`` are those of
     :func:`simulate_panel`.
 
     ``reduce(rows, pairs)`` gets a block's slice of paths and its (2, b)
     pairs, legs along axis 0, in the worker thread that simulated the block,
-    and returns the block's result; ``merge(earlier, later)`` joins the
-    results in block order, and the merged result is returned. Neither may
-    call a public function of the package: a layer tracer wraps those
-    around a single span stack. No array spans all n paths: besides what
+    and returns the block's result, and may not call a public function of
+    the package (:func:`_run_blocks`); the blocks' results come back as a
+    list in block order. No array spans all n paths: besides what
     ``reduce`` keeps, at most min(cores, 4) blocks of at most 2¹⁴ paths are
     in flight (:func:`_block_bounds`).
 
@@ -316,7 +303,7 @@ def reduce_terminal(params, schedule, config, log_books0, reduce, merge,
     P = config.horizon
     summed = psd_cholesky(P * params.meas_cov)
     return _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-                     [None] * (P - 1) + [summed], keep, merge)
+                     [None] * (P - 1) + [summed], keep)
 
 
 def simulate_terminal(params, schedule, config, log_books0, start=0,
@@ -331,7 +318,7 @@ def simulate_terminal(params, schedule, config, log_books0, start=0,
     def collect(rows, pairs):
         out[:, rows] = pairs
 
-    reduce_terminal(params, schedule, config, log_books0, collect, _discard,
+    reduce_terminal(params, schedule, config, log_books0, collect,
                     start, init_mean, init_cov)
     return out.T
 
@@ -361,10 +348,11 @@ def _mean_se(moments):
 
 
 def _option_estimator(strike, tau, rate_log):
-    """Estimator of the discounted call and put at ``strike``: a triple
-    (block, merge, finish). ``block`` maps one block's maturity log asset
-    values to the :func:`_moments` of both payoffs, ``merge`` joins two
-    blocks' and ``finish`` gives ((call, call_se), (put, put_se))."""
+    """Estimator of the discounted call and put at ``strike``: a pair
+    (block, finish). ``block`` maps one block's maturity log asset values to
+    the :func:`_moments` of both payoffs, calling no public function, so a
+    worker thread may run it; ``finish`` merges the list of the blocks'
+    moments in block order into ((call, call_se), (put, put_se))."""
     if not 0 <= strike < np.inf:
         raise DataValidationError("strike must be nonnegative and finite")
     disc = np.exp(-tau * rate_log)
@@ -374,19 +362,18 @@ def _option_estimator(strike, tau, rate_log):
         return (_moments(disc * np.maximum(asset - strike, 0.0)),
                 _moments(disc * np.maximum(strike - asset, 0.0)))
 
-    def merge(a, b):
-        return _merge_moments(a[0], b[0]), _merge_moments(a[1], b[1])
+    def finish(blocks):
+        return tuple(_mean_se(functools.reduce(_merge_moments, payoff))
+                     for payoff in zip(*blocks))
 
-    def finish(moments):
-        return _mean_se(moments[0]), _mean_se(moments[1])
-
-    return block, merge, finish
+    return block, finish
 
 
 def _default_estimator(threshold):
     """Estimator of the frequency of {Ṽᵃ_T <= ln threshold}, as
     :func:`_option_estimator`: a block gives its path and default counts,
-    and ``finish`` the frequency with its binomial standard error."""
+    and ``finish`` the frequency of the summed counts with its binomial
+    standard error."""
     if not 0 < threshold < np.inf:
         raise DataValidationError("threshold must be positive and finite")
     log_threshold = np.log(threshold)
@@ -394,28 +381,24 @@ def _default_estimator(threshold):
     def block(log_asset):
         return log_asset.shape[0], int(np.count_nonzero(log_asset <= log_threshold))
 
-    def merge(a, b):
-        return a[0] + b[0], a[1] + b[1]
-
-    def finish(counts):
-        n, hits = counts
+    def finish(blocks):
+        n, hits = (sum(counts) for counts in zip(*blocks))
         p = hits / n
         return p, math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
-    return block, merge, finish
+    return block, finish
 
 
 def _estimate(log_asset, estimator):
     """Run an estimator over the :func:`_block_bounds` slices of an array of
-    maturity log asset values, merging in block order, as a streamed check
+    maturity log asset values and finish their list, as a streamed check
     reduces the same values block by block."""
-    block, merge, finish = estimator
+    block, finish = estimator
     log_asset = np.asarray(log_asset)
     if log_asset.shape[0] < 1:
         raise DataValidationError("Monte Carlo estimates need at least one path")
     bounds = _block_bounds(log_asset.shape[0])
-    return finish(functools.reduce(
-        merge, [block(log_asset[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]))
+    return finish([block(log_asset[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def mc_option_price(log_asset, strike, tau, rate_log):

@@ -1557,11 +1557,14 @@ class TestCliPricing:
         assert captured.out == ""
         assert "future payout ratios must be strictly positive" in captured.err
 
-    def test_calibration_past_the_float_bracket_reports(self, tmp_path, capsys):
+    def test_calibration_below_the_call_resolution_has_no_solution(
+        self, tmp_path, capsys
+    ):
         # an in-run fit on a long panel leaves a target equity of 5.6e-163
         # against a strike-free call of about e^525: the threshold's bracket
         # reaches ln L ≈ 1423, beyond the float range, and the search once
-        # raised OverflowError there; the threshold itself is about e^555
+        # raised OverflowError there; it closes at ln L ≈ 555, whose call
+        # of 4.2e-96 does not reprice the target, and once reported it
         sim = tmp_path / "sim.cfg"
         sim.write_text(SIM_CONFIG.replace("periods = 24", "periods = 1600")
                        .replace("seed = 7", "seed = 2")
@@ -1574,8 +1577,23 @@ class TestCliPricing:
             "payout_future_liability = 0.25\n"))
         code = main(["calibrate-threshold", "--input", str(panel), "--config", str(cfg),
                      "--max-iter", "30", "--maturity", "4", "--output", str(out)])
-        assert (code, capsys.readouterr().err) == (0, "")
-        assert 554 < math.log(json.loads(out.read_text())["threshold"]) < 556
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("no solution: target equity 5.59073e-163 is "
+                                       "below the call's resolution")
+        assert not out.exists()
+
+    def test_discount_factor_beyond_the_float_range_is_an_error_line(
+        self, tmp_path, panel_csv, capsys
+    ):
+        # e^{-τ ln(1 + r)} = 2^1100 once raised a bare OverflowError
+        cfg = self._pricing_cfg(
+            tmp_path, text=PRICING_CONFIG.replace("rate = 0.0101", "rate = -0.5"))
+        code = main(["price", "--input", str(panel_csv), "--config", str(cfg),
+                     "--maturity", "1100", "--strike", "2.0"])
+        assert (code, *capsys.readouterr()) == (1, "", (
+            "error: maturity 1100 at rate -0.5 takes the discount factor, the "
+            "discounted strike or the growth leg beyond the float range\n"))
 
     @pytest.mark.parametrize("message, err", [
         ("Unable to allocate 14.6 TiB for an array with shape (2, 1000000000000) "

@@ -384,6 +384,23 @@ class TestPriceOptions:
         with pytest.raises(DataValidationError):
             price_options(0.0, 0.04, strike, 1, 0.0)
 
+    @pytest.mark.parametrize("mu, var, strike, tau, rate", [
+        (0.5, 0.1, 2.0, 1100, math.log(0.5)),     # the discount factor
+        (709.48, 1.1e-7, 1.34e308, 15, -0.0198),  # the discounted strike
+        (800.0, 0.1, 1.0, 1, 0.0),                # the growth leg
+        (800.0, 0.0, 1.0, 1, 0.0),                # the forward, zero variance
+        (709.7, 0.0, 1.0, 10, -0.01),             # its discounted value
+        (709.71, 0.0, 1.5e308, 10, -0.02),        # the strike alone
+    ])
+    def test_prices_beyond_the_float_range_fail_validation(self, mu, var, strike,
+                                                           tau, rate):
+        # these once raised OverflowError, returned a call of -inf or, in the
+        # last case, a finite call beside a discounted strike (the debt's
+        # nominal leg) of inf
+        with pytest.raises(DataValidationError,
+                           match=f"^maturity {tau} at rate .* beyond the float range$"):
+            price_options(mu, var, strike, tau, rate)
+
     def test_matches_lognormal_monte_carlo(self):
         mu, sd, strike, rate = 0.0, 0.3, 1.0, 0.05
         rng = np.random.default_rng(8)
@@ -501,14 +518,17 @@ class TestThresholdCalibration:
         with pytest.raises(DataValidationError):
             solve_threshold(target, 0.0, 0.04, 2, 0.01)
 
-    def test_root_inside_the_float_range_past_the_bracket(self):
+    def test_target_below_the_call_resolution_has_no_solution(self):
         # the moments of a calibration after an in-run fit on a long panel:
         # the bracket's upper end, ln L ≈ 1423, lies beyond the float range
-        # (exp raised OverflowError there), the root, ln L ≈ 555, does not
+        # (exp once raised OverflowError there). The bracket closes at
+        # ln L ≈ 555, where the strike leg has underflowed and the call
+        # reads 4.2e-96, 1e67 times the target of 5.6e-163: far beyond the
+        # 32ε(1 + |ln L|) of the larger leg that rounding explains
         target, mu, var, tau, rate = (5.590730571437984e-163, 524.5651559553241,
                                       0.5904834415732209, 4, 0.01004933585300144)
-        threshold = solve_threshold(target, mu, var, tau, rate)
-        assert 554 < math.log(threshold) < 556
+        with pytest.raises(NoSolutionError, match="below the call's resolution"):
+            solve_threshold(target, mu, var, tau, rate)
 
     @pytest.mark.parametrize("target, mu, var, tau, rate", [
         (1.0, 800.0, 1.0, 1, 0.01),           # strike-free call beyond floats
@@ -521,6 +541,23 @@ class TestThresholdCalibration:
                                                          tau, rate):
         with pytest.raises(NoSolutionError, match="beyond the float range"):
             solve_threshold(target, mu, var, tau, rate)
+
+    def test_reprices_within_1e8_beyond_the_leg_bound(self):
+        # a draw of test_reprices_to_the_call_resolution: the bracket closes
+        # on a miss above 32ε(1 + |ln L|) of the larger leg but within 1e-8
+        # of the target, which is a solution and must not raise
+        var = 10.0**-5.8125
+        target = 1e-12 * math.exp(var / 2)
+        threshold = solve_threshold(target, 0.0, var, 1, 0.0)
+        residual = abs(price_options(0.0, var, threshold, 1, 0.0)[0] - target)
+        x, sd = math.log(threshold), math.sqrt(var)
+        larger = max(math.exp(var / 2) * ndtr((var - x) / sd), math.exp(x) * ndtr(-x / sd))
+        assert 32 * math.ulp(1.0) * (1 + abs(x)) * larger < residual <= 1e-8 * target
+
+    def test_discount_factor_beyond_the_float_range_fails_validation(self):
+        # a strike-free call in range, its discount factor e^762 not
+        with pytest.raises(DataValidationError, match="^maturity 1100 at rate -0.5 "):
+            solve_threshold(1e-30, -60.0, 0.1, 1100, math.log(0.5))
 
     def test_deterministic_limit_closed_form(self):
         mu, tau, rate = math.log(50.0), 3, 0.02

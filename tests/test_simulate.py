@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import sys
 import threading
 import time
@@ -236,22 +237,25 @@ class TestBlockLayout:
     def test_mc_check_sizes_split_evenly(self, n, blocks):
         assert np.diff(_block_bounds(n)).tolist() == blocks
 
-    def test_blocks_merge_once_each_in_block_order(self, monkeypatch):
+    def test_blocks_run_once_each_and_return_in_block_order(self, monkeypatch):
         # four workers switching often finish 64 blocks out of order; each
-        # result is merged exactly once, as ((r0 + r1) + r2) + …
+        # block runs exactly once and its result lands at its own index
         force_cores(monkeypatch, 64)
         interval = sys.getswitchinterval()
+        calls = []
 
         def block(j):
+            calls.append(j)
             time.sleep(0.001 * (j % 3))
             return [j]
 
         try:
             sys.setswitchinterval(1e-5)
-            merged = sim._run_blocks(block, 64, lambda earlier, later: earlier + later)
+            results = sim._run_blocks(block, 64)
         finally:
             sys.setswitchinterval(interval)
-        assert merged == list(range(64))
+        assert sorted(calls) == list(range(64))
+        assert results == [[j] for j in range(64)]
 
 
 class TestSimulateTerminal:
@@ -552,6 +556,33 @@ class TestMonteCarloEstimators:
         payoff = max(np.exp(log_asset[0]) - strike, 0.0)
         assert call == pytest.approx(np.exp(-3 * p.rate_log) * payoff, rel=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
+
+    def test_multi_block_moments_fold_in_block_order(self):
+        # above 2¹² paths the blocks' moments merge left to right,
+        # ((b0 ∘ b1) ∘ b2) ∘ … (Chan, Golub & LeVeque 1983), written out
+        # here from each block's numpy sums; 16 blocks, whose reversed fold
+        # rounds differently
+        log_asset = np.random.default_rng(5).normal(0.2, 0.4, 200_000)
+        strike, tau, rate = 1.1, 4, 0.01
+        disc = np.exp(-tau * rate)
+        bounds = _block_bounds(log_asset.shape[0])
+        expected = []
+        for sign in (1.0, -1.0):
+            n = 0
+            for lo, hi in zip(bounds, bounds[1:]):
+                asset = np.exp(log_asset[lo:hi])
+                values = disc * np.maximum(sign * (asset - strike), 0.0)
+                nb, sb = hi - lo, values.sum()
+                qb = float(np.square(values - sb / nb).sum())
+                if n == 0:
+                    n, total, squares = nb, float(sb), qb
+                    continue
+                delta = float(sb) / nb - total / n
+                squares = squares + qb + delta * delta * (n * nb / (n + nb))
+                n, total = n + nb, total + float(sb)
+            expected.append((total / n, math.sqrt(squares / (n - 1)) / math.sqrt(n)))
+        assert len(bounds) == 17
+        assert mc_option_price(log_asset, strike, tau, rate) == tuple(expected)
 
     def test_default_frequency_limits(self, params):
         sched = toy_schedule(params, 3)

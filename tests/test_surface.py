@@ -36,6 +36,7 @@ REMOVED = {
     "privcredit.simulate": [
         "LinearizationErrorReport", "linearization_error_report", "_normals",
         "binned_error_curve", "mean_log_book_path", "_terminal_values",
+        "_discard",
     ],
     "privcredit.pricing.PricingContext": [
         "report_private", "asset_moments_private", "asset_moments_public",
