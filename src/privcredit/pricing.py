@@ -163,8 +163,13 @@ def price_options(mu_a, var_a, strike, tau, rate_log):
 
 
 def equity_debt_values(call, put, strike, tau, rate_log):
-    """Equity is the call; debt is the discounted nominal less the put."""
-    return call, strike * math.exp(-tau * rate_log) - put
+    """Equity is the call; debt is the discounted nominal less the put. A
+    discounted nominal beyond the largest float raises
+    :class:`DataValidationError`, as in :func:`price_options`."""
+    nominal = strike * _exp(-tau * rate_log)
+    if not nominal < math.inf:
+        raise _beyond_floats(tau, rate_log)
+    return call, nominal - put
 
 
 def default_probability(mu_a_real, var_a, threshold):

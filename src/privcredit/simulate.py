@@ -8,8 +8,12 @@ log value pairs, so approximation error can be quantified separately from
 formula correctness.
 
 One engine (:func:`_simulate` over :func:`_periods`) runs blocks of paths on
-worker threads and returns their results in block order. A Monte Carlo check
-reduces each block of maturity pairs where it was simulated
+worker threads and returns their results in block order, each block drawing
+from its own stream, which the caller picks: a panel's block j is Philox keyed
+by the seed and jumped j times (:func:`_panel_stream`), a Monte Carlo check's
+is SFC64 seeded by the j-th child of the seed's ``SeedSequence``
+(:func:`_check_stream`), whose normals cost about 30 % less. A Monte Carlo
+check reduces each block of maturity pairs where it was simulated
 (:func:`reduce_terminal`) and folds the block statistics in order after the
 join, so its memory does not grow with the path count; :func:`simulate_terminal`
 is the reduction that collects the pairs, and the array estimators reduce over
@@ -37,15 +41,16 @@ _MAX_WORKERS = 4        # threads; a terminal run holds at most 2¹⁶ paths
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation settings; identical configs give bit-identical paths on
-    every BLAS/LAPACK build, CPU and core count, and :func:`simulate_panel`
-    and :func:`simulate_terminal` draw the same start multipliers, and at
-    horizon 1 the same paths (the terminal run draws the measurement noise
-    only as its sum over the horizon). The paths split into
-    near-equal blocks whose layout depends on ``n_paths`` alone
-    (:func:`_block_bounds`), each block with its own stream, and the noise
-    factor is the closed-form lower Cholesky factor :func:`psd_cholesky`,
-    applied with elementwise products and sums (no LAPACK, no BLAS kernel).
-    ``n_paths``, ``horizon`` and ``seed`` must be integers."""
+    every BLAS/LAPACK build and core count, and across CPUs given the same
+    schedule, whose gains, like a panel's exact log asset value, come from
+    numpy's vectorized ``exp``/``log1p`` (ROADMAP item 11). The paths split
+    into near-equal blocks whose layout depends on ``n_paths`` alone
+    (:func:`_block_bounds`), each block with its own stream:
+    :func:`simulate_panel` and :func:`simulate_terminal` share the layout but
+    not the streams (:func:`_simulate`). The noise factor is the closed-form
+    lower Cholesky factor :func:`psd_cholesky`, applied with elementwise
+    products and sums (no LAPACK, no BLAS kernel). ``n_paths``, ``horizon``
+    and ``seed`` must be integers."""
 
     n_paths: int
     horizon: int
@@ -192,8 +197,21 @@ def _block_bounds(n):
     return [j * n // k for j in range(k + 1)]
 
 
+def _panel_stream(seed, j):
+    """Block j's generator in a panel: Philox keyed by the seed and jumped j
+    times (block 0 is the seed's own stream)."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(j))
+
+
+def _check_stream(seed, j):
+    """Block j's generator in a Monte Carlo check: SFC64 seeded by the j-th
+    child of ``SeedSequence(seed)``, as ``SeedSequence(seed).spawn`` gives."""
+    seeds = np.random.SeedSequence(seed, spawn_key=(j,))
+    return np.random.Generator(np.random.SFC64(seeds))
+
+
 def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              meas_factors, keep):
+              meas_factors, stream, keep):
     """Run a simulation's blocks (:func:`_block_bounds`) on up to
     ``_MAX_WORKERS`` threads and return their results in block order
     (:func:`_run_blocks`); ``keep(rows, m0, periods)`` gets each block's
@@ -202,10 +220,11 @@ def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
     ``meas_factors`` (None: no measurement noise that period), and returns
     the block's result, in a worker thread.
 
-    Block j draws from ``Philox(key=seed).jumped(j)``: b start pairs, then
-    per period b state noise pairs and, where the period has a measurement
-    factor, b measurement noise pairs, each pair's two normals drawn b
-    apart, so no path depends on the thread count or scheduling."""
+    Block j draws from ``stream(seed, j)`` (:func:`_panel_stream` or
+    :func:`_check_stream`): b start pairs, then per period b state noise
+    pairs and, where the period has a measurement factor, b measurement
+    noise pairs, each pair's two normals drawn b apart, so no path depends
+    on the thread count or scheduling."""
     if schedule.horizon < start + config.horizon:
         raise DataValidationError("schedule does not cover the simulation horizon")
     mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
@@ -224,7 +243,7 @@ def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
 
     def block(j):
         lo, hi = bounds[j], bounds[j + 1]
-        rng = np.random.Generator(np.random.Philox(key=config.seed).jumped(j))
+        rng = stream(config.seed, j)
         m0 = mean0 + _correlate(l0, rng.standard_normal((2, hi - lo)), np.empty(hi - lo))
         return keep(slice(lo, hi), m0, _periods(rng, lv, meas_factors, drift, gains,
                                                 intercepts, m0, log_books0))
@@ -247,8 +266,9 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
         Distribution of the log multiplier at the start period (defaults to
         the model prior; pass a zero matrix to pin a known multiplier).
 
-    The paths are drawn block by block as :func:`_simulate` describes, with
-    a measurement noise pair scaled by the factor of Σ_u every period.
+    The paths are drawn block by block as :func:`_simulate` describes, from
+    the Philox streams of :func:`_panel_stream`, with a measurement noise
+    pair scaled by the factor of Σ_u every period.
     """
     n, P = config.n_paths, config.horizon
     mult = np.empty((n, P + 1, 2))
@@ -264,7 +284,7 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
             growth[rows, t - 1] = g.T
 
     _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              [psd_cholesky(params.meas_cov)] * P, keep)
+              [psd_cholesky(params.meas_cov)] * P, _panel_stream, keep)
     log_values = mult + log_books
     exact = np.logaddexp(log_values[..., 0], log_values[..., 1])
     return SimulatedPanel(
@@ -290,9 +310,11 @@ def reduce_terminal(params, schedule, config, log_books0, reduce,
     The measurement noise reaches the pair at horizon P only through its sum
     Σ_t r_u ~ N(0, P Σ_u), so each path draws that sum as one pair, scaled
     by the factor of P Σ_u, at period P: a block draws b start pairs, P
-    state noise pairs and one summed measurement pair. Each block keeps only
-    its (2, b) multiplier and log book state, so memory does not grow with
-    the horizon either."""
+    state noise pairs and one summed measurement pair, 2P + 4 normals a
+    path, from the SFC64 stream of :func:`_check_stream`, so even at horizon
+    1 the pairs are not a panel's. Each block keeps only its (2, b)
+    multiplier and log book state, so memory does not grow with the horizon
+    either."""
 
     def keep(rows, m0, periods):
         for m, log_books, _ in periods:
@@ -303,16 +325,15 @@ def reduce_terminal(params, schedule, config, log_books0, reduce,
     P = config.horizon
     summed = psd_cholesky(P * params.meas_cov)
     return _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-                     [None] * (P - 1) + [summed], keep)
+                     [None] * (P - 1) + [summed], _check_stream, keep)
 
 
 def simulate_terminal(params, schedule, config, log_books0, start=0,
                       init_mean=None, init_cov=None):
     """Maturity log value pairs, an (n_paths, 2) array stored leg by leg,
     so each column is contiguous: the reduction of :func:`reduce_terminal`
-    that collects every block's pairs. At horizon 1 the result is
-    ``simulate_panel(...).log_values[:, -1]`` for the same arguments, bit
-    for bit."""
+    that collects every block's pairs, drawn from the check's own streams
+    (:func:`_check_stream`), not a panel's."""
     out = np.empty((2, config.n_paths))
 
     def collect(rows, pairs):

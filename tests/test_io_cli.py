@@ -1380,6 +1380,25 @@ class TestCliPricing:
             "price": ["price", *common, "--strike", repr(strike)],
             "default-prob": ["default-prob", *common]}
 
+    def test_mc_check_runs_at_the_seed_range_ends(self, tmp_path, panel_csv):
+        # 4 097 paths run as two blocks, each seeding its stream from a
+        # child of the seed's SeedSequence, at the smallest and the largest
+        # seed; the two seeds' checks differ and both agree with the closed
+        # form
+        _, _, _, commands = self._mc_commands(tmp_path, panel_csv)
+        keys = {"price": ("call", "put"), "default-prob": ("pd",)}
+        for name, argv in commands.items():
+            estimates = []
+            for seed in (0, 2**128 - 1):
+                out = tmp_path / f"{name}-{seed}.json"
+                assert main([*argv, "--paths", "4097", "--seed", str(seed),
+                             "--output", str(out)]) == 0
+                check = json.loads(out.read_text())["mc_check"]
+                assert (check["paths"], check["seed"]) == (4097, seed)
+                assert all(abs(check[f"{key}_z"]) <= 4 for key in keys[name])
+                estimates.append([check[f"{key}_mc"] for key in keys[name]])
+            assert estimates[0] != estimates[1]
+
     @pytest.mark.parametrize("paths", [1, 3, 4096, 4097, 20_000, 49_157])
     def test_mc_check_equals_the_estimators_on_simulated_pairs(
         self, tmp_path, panel_csv, paths

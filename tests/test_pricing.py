@@ -503,6 +503,16 @@ class TestEquityDebt:
         total = math.exp(mu + var / 2 - ctx.tau * params.rate_log)
         assert equity + debt == pytest.approx(total, abs=1e-10)
 
+    @pytest.mark.parametrize("strike, tau, rate", [
+        (2.0, 1100, math.log(0.5)),      # the discount factor
+        (1.34e308, 15, -0.0198),         # the discounted nominal
+    ])
+    def test_nominal_beyond_the_float_range_fails_validation(self, strike, tau, rate):
+        # these once raised OverflowError and returned a debt of inf
+        with pytest.raises(DataValidationError,
+                           match=f"^maturity {tau} at rate .* beyond the float range$"):
+            equity_debt_values(1.0, 1.0, strike, tau, rate)
+
 
 class TestThresholdCalibration:
     def test_unattainable_target_raises(self):

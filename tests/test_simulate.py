@@ -1,6 +1,9 @@
 import dataclasses
 import inspect
+import json
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -78,10 +81,45 @@ def float_paths(params, sched, intercepts, start, m, books, shocks):
     return mults, growth, log_books
 
 
+def float_scaler(cov):
+    """(e0, e1) ↦ L (e0, e1) in Python floats for the lower Cholesky factor
+    L of cov."""
+    (l11, _), (l21, l22) = psd_cholesky(cov).tolist()
+    return lambda e0, e1: [l11 * e0, l21 * e0 + l22 * e1]
+
+
 def float_scale(cov, e0, e1):
     """L (e0, e1) in Python floats for the lower Cholesky factor L of cov."""
-    (l11, _), (l21, l22) = psd_cholesky(cov).tolist()
-    return [l11 * e0, l21 * e0 + l22 * e1]
+    return float_scaler(cov)(e0, e1)
+
+
+def check_stream(seed, j):
+    """Block j's stream of a Monte Carlo check: SFC64 seeded by the j-th
+    child that ``SeedSequence(seed).spawn`` gives."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed).spawn(j + 1)[j]))
+
+
+def float_check_ends(params, sched, intercepts, start, m0, cov0, P, seed, bounds):
+    """Maturity log value pairs of a Monte Carlo check in Python floats, the
+    paths split at ``bounds``: block j draws from its check stream b start
+    pairs, P state noise pairs and one measurement pair scaled by the
+    factor of P Σ_u."""
+    start_scale, state_scale = float_scaler(cov0), float_scaler(params.state_cov)
+    summed_scale = float_scaler(P * params.meas_cov)
+    ends = []
+    for j, b in enumerate(np.diff(bounds).tolist()):
+        rng = check_stream(seed, j)
+        z0 = rng.standard_normal((2, b)).tolist()
+        state = [rng.standard_normal((2, b)).tolist() for _ in range(P)]
+        summed = rng.standard_normal((2, b)).tolist()
+        for i in range(b):
+            z = start_scale(z0[0][i], z0[1][i])
+            shocks = [(state_scale(v[0][i], v[1][i]), None) for v in state]
+            shocks[-1] = (shocks[-1][0], summed_scale(summed[0][i], summed[1][i]))
+            mults, _, books = float_paths(params, sched, intercepts, start,
+                                          [m0[0] + z[0], m0[1] + z[1]], LB0.tolist(), shocks)
+            ends.append([mults[-1][k] + books[-1][k] for k in range(2)])
+    return ends
 
 
 def force_cores(monkeypatch, cores):
@@ -262,22 +300,26 @@ class TestSimulateTerminal:
     @pytest.mark.parametrize("measure", ["real", "risk_neutral"])
     @pytest.mark.parametrize("n", [1, 3, _BLOCK_PATHS, _BLOCK_PATHS + 3,
                                    3 * _BLOCK_PATHS + 5])
-    def test_terminal_values_are_the_panel_maturity_column(
+    def test_terminal_values_equal_a_float_loop_on_the_check_stream(
         self, params, monkeypatch, n, measure
     ):
-        # one draw layout: at horizon 1 the summed measurement noise is the
-        # period's own, so the terminal run keeps the last value pair of the
-        # panel's own paths, across block boundaries and thread counts
+        # at horizon 1 each path draws a start, a state and a summed
+        # measurement pair from its block's own check stream, across block
+        # boundaries and thread counts; Python floats round each product and
+        # sum on its own
         sched = toy_schedule(params, 6)
-        cfg = SimConfig(n, 1, seed=41, measure=measure)
-        kw = dict(start=2, init_mean=np.array([0.3, 0.05]),
-                  init_cov=0.5 * params.init_cov)
+        start, m0, cov0, seed = 2, [0.3, 0.05], 0.5 * params.init_cov, 41
+        cfg = SimConfig(n, 1, seed, measure=measure)
+        intercepts = (real_intercepts if measure == "real"
+                      else risk_neutral_intercepts)(params, sched)
+        ends = float_check_ends(params, sched, intercepts, start, m0, cov0, 1, seed,
+                                _block_bounds(n))
         for cores in (1, 64):
             force_cores(monkeypatch, cores)
-            panel = simulate_panel(params, sched, cfg, LB0, **kw)
-            terminal = simulate_terminal(params, sched, cfg, LB0, **kw)
+            terminal = simulate_terminal(params, sched, cfg, LB0, start=start,
+                                         init_mean=np.array(m0), init_cov=cov0)
             assert terminal.shape == (n, 2)
-            assert np.array_equal(terminal, panel.log_values[:, -1])
+            assert terminal.tolist() == ends
 
     def test_noiseless_paths_equal_panel_across_blocks(self):
         zero = np.zeros((2, 2))
@@ -288,6 +330,18 @@ class TestSimulateTerminal:
         panel = simulate_panel(p, sched, SimConfig(3, 5, seed=1), LB0)
         assert terminal.shape == (_BLOCK_PATHS + 3, 2)
         assert (terminal == panel.log_values[0, -1]).all()
+
+    def test_consecutive_blocks_draw_different_normals(self, params):
+        # four blocks of 4 096 paths from one seed: a block that drew its
+        # neighbour's normals would repeat its neighbour's pairs
+        sched = toy_schedule(params, 3)
+        cfg = SimConfig(4 * _SMALL_PATHS, 3, seed=6)
+        bounds = _block_bounds(cfg.n_paths)
+        assert np.diff(bounds).tolist() == [_SMALL_PATHS] * 4
+        pairs = simulate_terminal(params, sched, cfg, LB0)
+        blocks = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        for a, b in zip(blocks, blocks[1:]):
+            assert np.intersect1d(a, b).size == 0
 
     def test_seed_determinism(self, params):
         sched = toy_schedule(params, 4)
@@ -425,23 +479,20 @@ class TestNoiseFactor:
     def test_panel_and_terminal_equal_a_float_loop(self, params, monkeypatch):
         # Python floats round each product and sum on its own, as no BLAS
         # kernel is bound to; five paths forced into blocks of 2, 2 and 1,
-        # on threads. A panel block draws per period a state and a
-        # measurement pair; a terminal block draws P state pairs, then one
-        # measurement pair scaled by the factor of P Σ_u
+        # on threads. A panel block draws from jumped Philox per period a
+        # state and a measurement pair; a terminal block draws from its
+        # check stream P state pairs, then one measurement pair scaled by
+        # the factor of P Σ_u
         sched = toy_schedule(params, 7)
         start, P, seed = 1, 5, 17
         m0, cov0 = [0.3, 0.05], 0.5 * params.init_cov
         intercepts = risk_neutral_intercepts(params, sched)
         bounds = [0, 2, 4, 5]
-        paths, ends = [], []
+        paths = []
         for j, b in enumerate(np.diff(bounds).tolist()):
-            rng, rng_terminal = (np.random.Generator(
-                np.random.Philox(key=seed).jumped(j)) for _ in range(2))
+            rng = np.random.Generator(np.random.Philox(key=seed).jumped(j))
             z0 = rng.standard_normal((2, b)).tolist()
             draws = [rng.standard_normal((2, 2, b)).tolist() for _ in range(P)]
-            rng_terminal.standard_normal((2, b))  # the start pairs z0 again
-            state = [rng_terminal.standard_normal((2, b)).tolist() for _ in range(P)]
-            summed = rng_terminal.standard_normal((2, b)).tolist()
             for i in range(b):
                 z = float_scale(cov0, z0[0][i], z0[1][i])
                 start_pair = [m0[0] + z[0], m0[1] + z[1]]
@@ -450,13 +501,7 @@ class TestNoiseFactor:
                           for v, u in draws]
                 paths.append(float_paths(
                     params, sched, intercepts, start, start_pair, LB0.tolist(), shocks))
-                shocks = [(float_scale(params.state_cov, v[0][i], v[1][i]), None)
-                          for v in state]
-                shocks[-1] = (shocks[-1][0], float_scale(
-                    P * params.meas_cov, summed[0][i], summed[1][i]))
-                mults, _, books = float_paths(
-                    params, sched, intercepts, start, start_pair, LB0.tolist(), shocks)
-                ends.append([mults[-1][k] + books[-1][k] for k in range(2)])
+        ends = float_check_ends(params, sched, intercepts, start, m0, cov0, P, seed, bounds)
 
         monkeypatch.setattr(sim, "_block_bounds", lambda n: bounds)
         force_cores(monkeypatch, 64)
@@ -488,6 +533,70 @@ class TestNoiseFactor:
         assert factor[0, 1] == 0.0
         assert (np.diag(factor) >= 0.0).all()
         np.testing.assert_allclose(factor @ factor.T, cov, rtol=0, atol=1e-15)
+
+
+# simulates from a schedule of literal arrays, so no vectorized exp or log1p
+# builds its gains, and prints a digest of every array whose bytes the
+# simulators promise; run in a fresh interpreter per environment
+_DISPATCH_PROBE = """
+import hashlib, json
+import numpy as np
+from privcredit.model import LinearizationSchedule, ModelParams
+from privcredit.simulate import SimConfig, simulate_panel, simulate_terminal
+
+nan = float("nan")
+gain = [[nan, nan], [1.3312718, 1.2974406], [1.3327391, 1.2951873],
+        [1.3349062, 1.2938517], [1.3371594, 1.2917348], [1.3386213, 1.2902281],
+        [1.3408847, 1.2889126], [1.3425379, 1.2871593], [1.3447011, 1.2853064],
+        [1.3462734, 1.2840719], [1.3484165, 1.2822457], [1.3501398, 1.2807832],
+        [1.3523926, 1.2791175]]
+shift = [[nan, nan], [0.4518273, 0.4102946], [0.4529714, 0.4097318],
+         [0.4541386, 0.4089152], [0.4553027, 0.4081774], [0.4564918, 0.4073509],
+         [0.4576241, 0.4066193], [0.4588637, 0.4057821], [0.4599152, 0.4050467],
+         [0.4611873, 0.4042198], [0.4623305, 0.4034826], [0.4635094, 0.4026571],
+         [0.4646712, 0.4019233]]
+payout = [[nan, nan]] + [[-1.3862944 + 0.0173 * (t % 3), -1.3862944 - 0.0119 * (t % 4)]
+                         for t in range(1, 13)]
+schedule = LinearizationSchedule(gap=np.zeros((13, 2)), gain=np.array(gain),
+                                 shift=np.array(shift), payout_ratio=np.array(payout))
+params = ModelParams(
+    req_return=np.array([0.04, 0.03]), init_mean=np.array([0.25, 0.10]),
+    init_cov=np.array([[0.0196, 0.0021], [0.0021, 0.0169]]),
+    drift=np.array([0.002, -0.001]),
+    meas_cov=np.array([[0.0025, 0.0004], [0.0004, 0.0016]]),
+    state_cov=np.array([[0.0009, -0.0001], [-0.0001, 0.0009]]), rate_log=0.01)
+books = np.array([1.6094379, 1.7917595])
+panel = simulate_panel(params, schedule, SimConfig(4097, 12, seed=3), books)
+arrays = {name: getattr(panel, name)
+          for name in ("multipliers", "growth", "log_books", "log_values")}
+for measure in ("real", "risk_neutral"):
+    arrays[measure] = simulate_terminal(
+        params, schedule, SimConfig(20000, 10, seed=3, measure=measure), books,
+        start=2)
+print(json.dumps({name: hashlib.sha256(a.tobytes()).hexdigest()
+                  for name, a in arrays.items()}))
+"""
+
+
+def test_simulators_give_the_same_bytes_under_every_dispatch():
+    # the AVX2 loops numpy runs with AVX-512 disabled, and an old OpenBLAS
+    # kernel, must leave every simulated byte as it is: the per-period
+    # recursion takes no dispatch-dependent function (a machine without
+    # AVX-512 runs the same loops in the first and third environments)
+    src = os.path.dirname(os.path.dirname(sim.__file__))
+    base = {key: value for key, value in os.environ.items()
+            if key not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    base["PYTHONPATH"] = src
+    digests = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+                  {"OPENBLAS_CORETYPE": "Prescott"}):
+        done = subprocess.run([sys.executable, "-c", _DISPATCH_PROBE],
+                              env={**base, **extra}, capture_output=True, text=True,
+                              check=True)
+        digests.append(json.loads(done.stdout))
+    assert len(digests[0]) == 6
+    assert digests[1] == digests[0]
+    assert digests[2] == digests[0]
 
 
 class TestOracleSelfConsistency:
