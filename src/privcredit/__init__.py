@@ -57,11 +57,10 @@ from .pricing import (
 from .simulate import (
     SimConfig,
     SimulatedPanel,
-    mc_default_probability,
-    mc_option_price,
+    default_estimator,
+    option_estimator,
     reduce_terminal,
     simulate_panel,
-    simulate_terminal,
 )
 
 __version__ = "0.1.0"

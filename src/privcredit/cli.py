@@ -34,12 +34,12 @@ from .errors import (
     PrivCreditError,
 )
 from .kalman import run_filter, smooth  # noqa: F401  (tracers rebind run_filter here)
-from .model import ModelParams, _linearized_log_asset, build_linearization_schedule
+from .model import ModelParams, build_linearization_schedule
 from .pricing import build_pricing_context, equity_debt_values
 from .simulate import (
     SimConfig,
-    _default_estimator,
-    _option_estimator,
+    default_estimator,
+    option_estimator,
     reduce_terminal,
     simulate_panel,
 )
@@ -323,24 +323,15 @@ def _public_multiplier(cfg):
 
 def _mc_terminal(args, cfg, ctx, measure, estimator):
     """Paths and seed of a Monte Carlo check, and the ``estimator`` of
-    :mod:`simulate` over the asset tangent applied to the maturity pairs
-    simulated from the origin posterior under ``measure``. Each block of
-    paths meets the tangent and the estimator's block statistic in the
-    worker thread that simulated it, so no array spans all paths, and the
-    calling thread folds the block statistics in block order."""
+    :mod:`simulate` over the maturity pairs simulated from the origin
+    posterior under ``measure`` (:func:`simulate.reduce_terminal`)."""
     paths = _option(args.paths, cfg, "paths", int, 200_000)
     seed = _option(args.seed, cfg, "seed", int, 0)
     mean, cov = ctx.posterior(measure)
-    block, finish = estimator
-    w_a, h_a = ctx.tangent
-
-    def reduce(rows, pairs):
-        return block(_linearized_log_asset(pairs.T, w_a, h_a))
-
-    return {"paths": paths, "seed": seed}, finish(reduce_terminal(
+    return {"paths": paths, "seed": seed}, reduce_terminal(
         ctx.params, ctx.schedule, SimConfig(paths, ctx.tau, seed, measure=measure),
-        ctx.log_books[ctx.origin], reduce, start=ctx.origin, init_mean=mean,
-        init_cov=cov))
+        ctx.log_books[ctx.origin], estimator, start=ctx.origin, init_mean=mean,
+        init_cov=cov)
 
 
 def _mc_fields(name, value, mc, se, resolution):
@@ -381,8 +372,8 @@ def cmd_price(args, cfg):
     if m_t is not None:
         report["public"] = {"multiplier": m_t, **_valuation(ctx, strike, m_t)}
     if args.check == "mc":
-        check, prices = _mc_terminal(args, cfg, ctx, "risk_neutral", _option_estimator(
-            strike, ctx.tau, params.rate_log))
+        check, prices = _mc_terminal(args, cfg, ctx, "risk_neutral", option_estimator(
+            ctx.tangent, strike, ctx.tau, params.rate_log))
         resolution = strike * math.exp(-ctx.tau * params.rate_log) / check["paths"]
         for name, (mc, se) in zip(("call", "put"), prices):
             check.update(_mc_fields(name, report["private"][name], mc, se, resolution))
@@ -411,7 +402,7 @@ def cmd_default_prob(args, cfg):
         report["public_multiplier"] = m_t
     if args.check == "mc":
         check, (pd_mc, pd_se) = _mc_terminal(args, cfg, ctx, "real",
-                                             _default_estimator(threshold))
+                                             default_estimator(ctx.tangent, threshold))
         check.update(_mc_fields("pd", pd_private, pd_mc, pd_se, 1.0 / check["paths"]))
         report["mc_check"] = check
     return _write(args, report, params, estimation)

@@ -13,11 +13,11 @@ from its own stream, which the caller picks: a panel's block j is Philox keyed
 by the seed and jumped j times (:func:`_panel_stream`), a Monte Carlo check's
 is SFC64 seeded by the j-th child of the seed's ``SeedSequence``
 (:func:`_check_stream`), whose normals cost about 30 % less. A Monte Carlo
-check reduces each block of maturity pairs where it was simulated
-(:func:`reduce_terminal`) and folds the block statistics in order after the
-join, so its memory does not grow with the path count; :func:`simulate_terminal`
-is the reduction that collects the pairs, and the array estimators reduce over
-the same blocks, so both routes give the same estimates bit for bit.
+check (:func:`reduce_terminal`) is one route: the worker that simulated a
+block of maturity pairs applies the asset tangent and the estimator's block
+statistic to them (:func:`option_estimator`, :func:`default_estimator`),
+and the calling thread folds the block statistics in order after the join,
+so its memory does not grow with the path count.
 """
 
 import functools
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataValidationError
-from .model import real_intercepts, risk_neutral_intercepts
+from .model import _linearized_log_asset, real_intercepts, risk_neutral_intercepts
 
 MEASURES = ("real", "risk_neutral")
 _BLOCK_PATHS = 1 << 14  # most paths in a block, each block its own stream
@@ -46,7 +46,7 @@ class SimConfig:
     numpy's vectorized ``exp``/``log1p`` (ROADMAP item 11). The paths split
     into near-equal blocks whose layout depends on ``n_paths`` alone
     (:func:`_block_bounds`), each block with its own stream:
-    :func:`simulate_panel` and :func:`simulate_terminal` share the layout but
+    :func:`simulate_panel` and :func:`reduce_terminal` share the layout but
     not the streams (:func:`_simulate`). The noise factor is the closed-form
     lower Cholesky factor :func:`psd_cholesky`, applied with elementwise
     products and sums (no LAPACK, no BLAS kernel). ``n_paths``, ``horizon``
@@ -293,19 +293,21 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
     )
 
 
-def reduce_terminal(params, schedule, config, log_books0, reduce,
+def reduce_terminal(params, schedule, config, log_books0, estimator,
                     start=0, init_mean=None, init_cov=None):
-    """Simulate maturity log value pairs block by block and reduce each
-    block where it was simulated; arguments after ``reduce`` are those of
-    :func:`simulate_panel`.
+    """A Monte Carlo estimate over simulated maturity log value pairs,
+    reduced block by block where each block was simulated; arguments after
+    ``estimator`` are those of :func:`simulate_panel`.
 
-    ``reduce(rows, pairs)`` gets a block's slice of paths and its (2, b)
+    ``estimator`` is a pair (block, finish), as :func:`option_estimator` and
+    :func:`default_estimator` give: ``block(pairs)`` gets a block's (2, b)
     pairs, legs along axis 0, in the worker thread that simulated the block,
-    and returns the block's result, and may not call a public function of
-    the package (:func:`_run_blocks`); the blocks' results come back as a
-    list in block order. No array spans all n paths: besides what
-    ``reduce`` keeps, at most min(cores, 4) blocks of at most 2¹⁴ paths are
-    in flight (:func:`_block_bounds`).
+    returns the block's result and may not call a public function of the
+    package (:func:`_run_blocks`); ``finish`` gets the list of the blocks'
+    results in block order, on the calling thread, and its value is
+    returned. No array spans all n paths: besides what ``block`` keeps, at
+    most min(cores, 4) blocks of at most 2¹⁴ paths are in flight
+    (:func:`_block_bounds`).
 
     The measurement noise reaches the pair at horizon P only through its sum
     Σ_t r_u ~ N(0, P Σ_u), so each path draws that sum as one pair, scaled
@@ -315,33 +317,18 @@ def reduce_terminal(params, schedule, config, log_books0, reduce,
     1 the pairs are not a panel's. Each block keeps only its (2, b)
     multiplier and log book state, so memory does not grow with the horizon
     either."""
+    block, finish = estimator
 
     def keep(rows, m0, periods):
         for m, log_books, _ in periods:
             pass
         m += log_books  # the state buffers are free once the periods end
-        return reduce(rows, m)
+        return block(m)
 
     P = config.horizon
     summed = psd_cholesky(P * params.meas_cov)
-    return _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-                     [None] * (P - 1) + [summed], _check_stream, keep)
-
-
-def simulate_terminal(params, schedule, config, log_books0, start=0,
-                      init_mean=None, init_cov=None):
-    """Maturity log value pairs, an (n_paths, 2) array stored leg by leg,
-    so each column is contiguous: the reduction of :func:`reduce_terminal`
-    that collects every block's pairs, drawn from the check's own streams
-    (:func:`_check_stream`), not a panel's."""
-    out = np.empty((2, config.n_paths))
-
-    def collect(rows, pairs):
-        out[:, rows] = pairs
-
-    reduce_terminal(params, schedule, config, log_books0, collect,
-                    start, init_mean, init_cov)
-    return out.T
+    return finish(_simulate(params, schedule, config, log_books0, start, init_mean,
+                            init_cov, [None] * (P - 1) + [summed], _check_stream, keep))
 
 
 def _moments(values):
@@ -368,18 +355,23 @@ def _mean_se(moments):
     return total / n, se
 
 
-def _option_estimator(strike, tau, rate_log):
-    """Estimator of the discounted call and put at ``strike``: a pair
-    (block, finish). ``block`` maps one block's maturity log asset values to
-    the :func:`_moments` of both payoffs, calling no public function, so a
-    worker thread may run it; ``finish`` merges the list of the blocks'
-    moments in block order into ((call, call_se), (put, put_se))."""
+def option_estimator(tangent, strike, tau, rate_log):
+    """Estimator of the discounted call and put at ``strike`` on the asset
+    ``tangent`` (w_a, h_a), for :func:`reduce_terminal`: a pair (block,
+    finish). ``block`` applies the tangent to one block's maturity pairs
+    (the simulated values meet a tangent nowhere else) and maps the log
+    asset values to the :func:`_moments` of both payoffs; ``finish`` merges
+    the blocks' moments in block order into ((call, call_se), (put,
+    put_se)). They must be simulated under the risk-neutral measure for
+    prices to be meaningful. Up to 2¹² paths (one block) these are the mean
+    and ``std(ddof=1) / sqrt(n)`` of the payoffs."""
     if not 0 <= strike < np.inf:
         raise DataValidationError("strike must be nonnegative and finite")
+    w_a, h_a = tangent
     disc = np.exp(-tau * rate_log)
 
-    def block(log_asset):
-        asset = np.exp(log_asset)
+    def block(pairs):
+        asset = np.exp(_linearized_log_asset(pairs.T, w_a, h_a))
         return (_moments(disc * np.maximum(asset - strike, 0.0)),
                 _moments(disc * np.maximum(strike - asset, 0.0)))
 
@@ -390,16 +382,18 @@ def _option_estimator(strike, tau, rate_log):
     return block, finish
 
 
-def _default_estimator(threshold):
-    """Estimator of the frequency of {Ṽᵃ_T <= ln threshold}, as
-    :func:`_option_estimator`: a block gives its path and default counts,
-    and ``finish`` the frequency of the summed counts with its binomial
-    standard error."""
+def default_estimator(tangent, threshold):
+    """Estimator of the frequency of {Ṽᵃ_T <= ln threshold} on the asset
+    ``tangent``, as :func:`option_estimator`: a block gives its path and
+    default counts, and ``finish`` the frequency of the summed counts with
+    its binomial standard error."""
     if not 0 < threshold < np.inf:
         raise DataValidationError("threshold must be positive and finite")
+    w_a, h_a = tangent
     log_threshold = np.log(threshold)
 
-    def block(log_asset):
+    def block(pairs):
+        log_asset = _linearized_log_asset(pairs.T, w_a, h_a)
         return log_asset.shape[0], int(np.count_nonzero(log_asset <= log_threshold))
 
     def finish(blocks):
@@ -408,31 +402,3 @@ def _default_estimator(threshold):
         return p, math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
     return block, finish
-
-
-def _estimate(log_asset, estimator):
-    """Run an estimator over the :func:`_block_bounds` slices of an array of
-    maturity log asset values and finish their list, as a streamed check
-    reduces the same values block by block."""
-    block, finish = estimator
-    log_asset = np.asarray(log_asset)
-    if log_asset.shape[0] < 1:
-        raise DataValidationError("Monte Carlo estimates need at least one path")
-    bounds = _block_bounds(log_asset.shape[0])
-    return finish([block(log_asset[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
-
-
-def mc_option_price(log_asset, strike, tau, rate_log):
-    """Discounted Monte Carlo call/put prices off maturity values Ṽᵃ_T.
-
-    Returns ((call, call_se), (put, put_se)); they must be simulated
-    under the risk-neutral measure for prices to be meaningful. Up to 2¹²
-    values these are the mean and ``std(ddof=1) / sqrt(n)`` of the payoffs;
-    above, the per-block moments merged in block order.
-    """
-    return _estimate(log_asset, _option_estimator(strike, tau, rate_log))
-
-
-def mc_default_probability(log_asset, threshold):
-    """Default frequency {Ṽᵃ_T <= ln threshold} with binomial standard error."""
-    return _estimate(log_asset, _default_estimator(threshold))

@@ -22,10 +22,10 @@ error of a simulated panel, and :func:`ingest_reference` reads a panel CSV
 one cell at a time, checking each cell as it goes.
 
 :func:`mc_option_price_reference` and
-:func:`mc_default_probability_reference` are the Monte Carlo estimators as
-they were written before they reduced block by block: every sum over the
-whole array at once, which a one-block run (up to 2¹² values) must match
-bit for bit.
+:func:`mc_default_probability_reference` are the whole-array oracle of the
+Monte Carlo estimators: the textbook mean and ``std(ddof=1)/√n`` of an
+array of maturity log asset values, every sum over the whole array at once,
+which a one-block check (up to 2¹² paths) matches bit for bit.
 
 :func:`schedule_reference`, :func:`filter_columns_reference`,
 :func:`smooth_columns_reference`, :func:`moment_sums_reference`,
@@ -931,7 +931,9 @@ def _mc_mean_se_reference(values):
 
 
 def mc_option_price_reference(log_asset, strike, tau, rate_log):
-    """:func:`privcredit.simulate.mc_option_price` over the whole array."""
+    """Discounted Monte Carlo call and put at ``strike`` off maturity log
+    asset values, ((call, call_se), (put, put_se)): the mean and
+    ``std(ddof=1)/√n`` of each payoff over the whole array."""
     if not 0 <= strike < np.inf:
         raise DataValidationError("strike must be nonnegative and finite")
     disc = np.exp(-tau * rate_log)
@@ -942,8 +944,8 @@ def mc_option_price_reference(log_asset, strike, tau, rate_log):
 
 
 def mc_default_probability_reference(log_asset, threshold):
-    """:func:`privcredit.simulate.mc_default_probability` over the whole
-    array."""
+    """Frequency of {log asset <= ln threshold} over the whole array, with
+    its binomial standard error."""
     if not 0 < threshold < np.inf:
         raise DataValidationError("threshold must be positive and finite")
     hits = log_asset <= np.log(threshold)

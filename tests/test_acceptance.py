@@ -34,18 +34,15 @@ from privcredit.pricing import (
     horizon_moments,
     price_options,
 )
-from privcredit.simulate import (
-    SimConfig,
-    mc_default_probability,
-    mc_option_price,
-    simulate_panel,
-)
+from privcredit.simulate import SimConfig, simulate_panel
 
 from conftest import base_params, maturity_moments, random_params, synthetic_series
 from reference import (
     GaussianConditioningOracle,
     binned_error_curve,
     horizon_cov_reference,
+    mc_default_probability_reference,
+    mc_option_price_reference,
     mean_log_book_path_reference,
 )
 
@@ -287,7 +284,7 @@ def pricing_battery():
         for factor in (0.85, 1.0, 1.15):
             strike = factor * math.exp(mu)
             call, put = ctx.price(strike)
-            (call_mc, call_se), (put_mc, put_se) = mc_option_price(
+            (call_mc, call_se), (put_mc, put_se) = mc_option_price_reference(
                 linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
                 strike, ctx.tau, params.rate_log,
             )
@@ -358,14 +355,14 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
         for shift in (-0.4, 0.0, 0.35):
             threshold = math.exp(mu + shift * sd)
             pd_closed = ctx.default_prob(threshold)
-            pd_mc, pd_se = mc_default_probability(
+            pd_mc, pd_se = mc_default_probability_reference(
                 linearized_log_asset(panel_priv.log_values[:, -1], *ctx.tangent),
                 threshold,
             )
             worst = max(worst, abs(pd_closed - pd_mc) / pd_se)
             threshold_pub = math.exp(mu_pub + shift * math.sqrt(var_pub))
             pd_pub = default_probability(mu_pub, var_pub, threshold_pub)
-            pd_pub_mc, pd_pub_se = mc_default_probability(
+            pd_pub_mc, pd_pub_se = mc_default_probability_reference(
                 linearized_log_asset(panel_pub.log_values[:, -1], *ctx.tangent),
                 threshold_pub,
             )

@@ -1403,43 +1403,56 @@ class TestCliPricing:
     def test_mc_check_equals_the_estimators_on_simulated_pairs(
         self, tmp_path, panel_csv, paths
     ):
-        # the check reduces each block in the worker that simulated it, the
-        # array estimators on simulate_terminal's pairs slice the same
-        # blocks, so the two agree bit for bit under both measures; one
-        # block (up to 2¹² paths) gives the whole-array forms' values
+        # the report is reduce_terminal's estimate, bit for bit, under both
+        # measures; the whole-array mean and std(ddof=1)/√n of the same
+        # pairs give it bit for bit in one block (up to 2¹² paths) and
+        # within the block fold's rounding (README: 4e-13 relative) above
         from privcredit.model import linearized_log_asset
         from privcredit.simulate import (
             SimConfig,
-            mc_default_probability,
-            mc_option_price,
-            simulate_terminal,
+            default_estimator,
+            option_estimator,
+            reduce_terminal,
         )
         from reference import mc_default_probability_reference, mc_option_price_reference
+        from test_simulate import terminal_pairs
 
         ctx, strike, threshold, commands = self._mc_commands(tmp_path, panel_csv)
-        checks = {}
+        reported = {}
         for name, argv in commands.items():
             out = tmp_path / f"{name}.json"
             assert main([*argv, "--paths", str(paths), "--seed", "3",
                          "--output", str(out)]) == 0
-            checks[name] = json.loads(out.read_text())["mc_check"]
-        log_asset = {}
-        for measure in ("risk_neutral", "real"):
+            check = json.loads(out.read_text())["mc_check"]
+            keys = ("call_mc", "call_se", "put_mc", "put_se") if name == "price" else (
+                "pd_mc", "pd_se")
+            reported[name] = [check[key] for key in keys]
+        estimators = {"risk_neutral": option_estimator(
+            ctx.tangent, strike, ctx.tau, ctx.params.rate_log),
+                      "real": default_estimator(ctx.tangent, threshold)}
+        direct, whole = {}, {}
+        for measure, estimator in estimators.items():
             mean, cov = ctx.posterior(measure)
-            pair = simulate_terminal(
-                ctx.params, ctx.schedule, SimConfig(paths, ctx.tau, 3, measure=measure),
-                ctx.log_books[ctx.origin], start=ctx.origin, init_mean=mean, init_cov=cov)
-            log_asset[measure] = linearized_log_asset(pair, *ctx.tangent)
-        forms = [(mc_option_price, mc_default_probability)]
-        if paths <= 4096:
-            forms.append((mc_option_price_reference, mc_default_probability_reference))
-        for option, default in forms:
-            (call, call_se), (put, put_se) = option(
-                log_asset["risk_neutral"], strike, ctx.tau, ctx.params.rate_log)
-            assert [checks["price"][key] for key in (
-                "call_mc", "call_se", "put_mc", "put_se")] == [call, call_se, put, put_se]
-            pd, pd_se = default(log_asset["real"], threshold)
-            assert [checks["default-prob"][key] for key in ("pd_mc", "pd_se")] == [pd, pd_se]
+            cfg = SimConfig(paths, ctx.tau, 3, measure=measure)
+            kw = dict(start=ctx.origin, init_mean=mean, init_cov=cov)
+            books = ctx.log_books[ctx.origin]
+            direct[measure] = reduce_terminal(ctx.params, ctx.schedule, cfg, books,
+                                              estimator, **kw)
+            whole[measure] = linearized_log_asset(
+                terminal_pairs(ctx.params, ctx.schedule, cfg, books, **kw), *ctx.tangent)
+        (call, call_se), (put, put_se) = direct["risk_neutral"]
+        assert reported["price"] == [call, call_se, put, put_se]
+        assert reported["default-prob"] == list(direct["real"])
+        (call, call_se), (put, put_se) = mc_option_price_reference(
+            whole["risk_neutral"], strike, ctx.tau, ctx.params.rate_log)
+        references = {"price": [call, call_se, put, put_se],
+                      "default-prob": list(mc_default_probability_reference(
+                          whole["real"], threshold))}
+        for name, values in references.items():
+            if paths <= 4096:
+                assert reported[name] == values
+            else:
+                assert reported[name] == pytest.approx(values, rel=4e-13, abs=0)
 
     def test_mc_check_memory_does_not_grow_with_paths(
         self, tmp_path, panel_csv, monkeypatch
@@ -1475,21 +1488,20 @@ class TestCliPricing:
         import threading
 
         import privcredit.simulate as sim
-        from privcredit import cli
         from test_simulate import trace_public_calls
 
         _, _, _, commands = self._mc_commands(tmp_path, panel_csv)
         calls = trace_public_calls(monkeypatch)
         barrier = threading.Barrier(4, timeout=30)
         reducers = set()
-        tangent = cli._linearized_log_asset
+        tangent = sim._linearized_log_asset
 
         def held_tangent(*args):
             reducers.add(threading.current_thread())
             barrier.wait()
             return tangent(*args)
 
-        monkeypatch.setattr(cli, "_linearized_log_asset", held_tangent)
+        monkeypatch.setattr(sim, "_linearized_log_asset", held_tangent)
         monkeypatch.setattr(sim, "_cores", lambda: 4)
         for name, argv in commands.items():
             reducers.clear()

@@ -28,7 +28,7 @@ from privcredit.pricing import (
     price_options,
     solve_threshold,
 )
-from privcredit.simulate import SimConfig, mc_option_price, simulate_panel
+from privcredit.simulate import SimConfig, simulate_panel
 
 from conftest import (
     base_params,
@@ -42,6 +42,7 @@ from reference import (
     asset_log_moments_private,
     asset_log_moments_public,
     horizon_cov_reference,
+    mc_option_price_reference,
 )
 from test_kalman import _draw_cov
 
@@ -474,7 +475,7 @@ class TestPrivatePricing:
             ctx.log_books[ctx.origin], start=ctx.origin,
             init_mean=m_rn, init_cov=cov_rn,
         )
-        (call_mc, call_se), (put_mc, put_se) = mc_option_price(
+        (call_mc, call_se), (put_mc, put_se) = mc_option_price_reference(
             linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
             strike, ctx.tau, params.rate_log,
         )

@@ -28,11 +28,11 @@ from privcredit.simulate import (
     _SMALL_PATHS,
     _block_bounds,
     SimConfig,
-    mc_default_probability,
-    mc_option_price,
+    default_estimator,
+    option_estimator,
     psd_cholesky,
+    reduce_terminal,
     simulate_panel,
-    simulate_terminal,
 )
 
 from conftest import base_params, random_params, synthetic_series
@@ -55,6 +55,23 @@ def linearized_panel(params, sched, panel):
     """Each period's log asset value of a panel started at period 0 from
     ``LB0``, linearized at the tangent centered on the mean book path."""
     return linearized_log_asset(panel.log_values, *mean_path_tangents(params, sched, LB0))
+
+
+def terminal_pairs(params, sched, cfg, log_books0, **kw):
+    """Maturity log value pairs, an (n_paths, 2) array: the check's route
+    (``reduce_terminal``, looked up on the module so that patches of it
+    apply) with an estimator whose blocks copy their pairs and whose finish
+    stacks them."""
+    collect = (np.copy, lambda blocks: np.concatenate(blocks, axis=1).T)
+    return sim.reduce_terminal(params, sched, cfg, log_books0, collect, **kw)
+
+
+def over_blocks(estimator, pairs):
+    """An estimator's value on (2, n) pairs cut at the ``_block_bounds`` of
+    n, as a check reduces its blocks."""
+    block, finish = estimator
+    bounds = _block_bounds(pairs.shape[1])
+    return finish([block(pairs[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
 
 
 def maturity_tangent(params, sched):
@@ -155,8 +172,10 @@ def trace_public_calls(monkeypatch):
 
 
 def run_simulator(name, params, sched, cfg):
-    """``simulate_panel`` or ``simulate_terminal``, looked up on the module
-    so that patches of it apply."""
+    """``simulate_panel``, or ``reduce_terminal`` collecting the pairs,
+    looked up on the module so that patches of it apply."""
+    if name == "reduce_terminal":
+        return terminal_pairs(params, sched, cfg, LB0)
     return getattr(sim, name)(params, sched, cfg, LB0)
 
 
@@ -316,8 +335,8 @@ class TestSimulateTerminal:
                                 _block_bounds(n))
         for cores in (1, 64):
             force_cores(monkeypatch, cores)
-            terminal = simulate_terminal(params, sched, cfg, LB0, start=start,
-                                         init_mean=np.array(m0), init_cov=cov0)
+            terminal = terminal_pairs(params, sched, cfg, LB0, start=start,
+                                      init_mean=np.array(m0), init_cov=cov0)
             assert terminal.shape == (n, 2)
             assert terminal.tolist() == ends
 
@@ -326,7 +345,7 @@ class TestSimulateTerminal:
         p = base_params(init_cov=zero, meas_cov=zero, state_cov=zero)
         sched = toy_schedule(p, 5)
         cfg = SimConfig(_BLOCK_PATHS + 3, 5, seed=1)
-        terminal = simulate_terminal(p, sched, cfg, LB0)
+        terminal = terminal_pairs(p, sched, cfg, LB0)
         panel = simulate_panel(p, sched, SimConfig(3, 5, seed=1), LB0)
         assert terminal.shape == (_BLOCK_PATHS + 3, 2)
         assert (terminal == panel.log_values[0, -1]).all()
@@ -338,16 +357,16 @@ class TestSimulateTerminal:
         cfg = SimConfig(4 * _SMALL_PATHS, 3, seed=6)
         bounds = _block_bounds(cfg.n_paths)
         assert np.diff(bounds).tolist() == [_SMALL_PATHS] * 4
-        pairs = simulate_terminal(params, sched, cfg, LB0)
+        pairs = terminal_pairs(params, sched, cfg, LB0)
         blocks = [pairs[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         for a, b in zip(blocks, blocks[1:]):
             assert np.intersect1d(a, b).size == 0
 
     def test_seed_determinism(self, params):
         sched = toy_schedule(params, 4)
-        a = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), LB0)
-        b = simulate_terminal(params, sched, SimConfig(100, 4, seed=99), LB0)
-        c = simulate_terminal(params, sched, SimConfig(100, 4, seed=100), LB0)
+        a = terminal_pairs(params, sched, SimConfig(100, 4, seed=99), LB0)
+        b = terminal_pairs(params, sched, SimConfig(100, 4, seed=99), LB0)
+        c = terminal_pairs(params, sched, SimConfig(100, 4, seed=100), LB0)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -364,7 +383,7 @@ class TestSimulateTerminal:
         )
         mean, cov = ctx.posterior(measure)
         n = 200_000
-        pair = simulate_terminal(
+        pair = terminal_pairs(
             params, ctx.schedule, SimConfig(n, ctx.tau, 2024, measure=measure),
             ctx.log_books[ctx.origin], start=ctx.origin, init_mean=mean, init_cov=cov,
         )
@@ -386,11 +405,13 @@ class TestSimulateTerminal:
         # holds on this machine's cores and with every worker in flight
         sched = toy_schedule(params, 60)
         cfg = SimConfig(200_000, 60, seed=3, measure="risk_neutral")
+        estimator = option_estimator(maturity_tangent(params, sched), 1.0, 60,
+                                     params.rate_log)
         for cores in (sim._cores(), _MAX_WORKERS):
             force_cores(monkeypatch, cores)
             tracemalloc.start()
             try:
-                simulate_terminal(params, sched, cfg, LB0)
+                reduce_terminal(params, sched, cfg, LB0, estimator)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -410,16 +431,16 @@ class TestSimulateTerminal:
             for cores, switch in ((1, interval), (64, 1e-5)):
                 force_cores(monkeypatch, cores)
                 sys.setswitchinterval(switch)
-                runs.append(simulate_terminal(params, sched, cfg, LB0))
+                runs.append(terminal_pairs(params, sched, cfg, LB0))
         finally:
             sys.setswitchinterval(interval)
-        single = simulate_terminal(params, sched, dataclasses.replace(
+        single = terminal_pairs(params, sched, dataclasses.replace(
             cfg, n_paths=b), LB0)
         assert np.array_equal(runs[0], runs[1])
         assert np.array_equal(runs[0][:b], single)
         assert not np.array_equal(runs[0][b : 2 * b], single)
 
-    @pytest.mark.parametrize("name", ["simulate_terminal", "simulate_panel"])
+    @pytest.mark.parametrize("name", ["reduce_terminal", "simulate_panel"])
     def test_block_error_reaches_the_caller(self, params, monkeypatch, capfd, name):
         # the barrier holds each of the four workers to one block, so three
         # blocks fail off the calling thread
@@ -442,7 +463,7 @@ class TestSimulateTerminal:
         assert threading.active_count() == threads
         assert capfd.readouterr().err == ""
 
-    @pytest.mark.parametrize("name", ["simulate_terminal", "simulate_panel"])
+    @pytest.mark.parametrize("name", ["reduce_terminal", "simulate_panel"])
     def test_block_workers_call_no_public_function(self, params, monkeypatch, name):
         # a layer tracer wraps each public function and keeps one span
         # stack, so only the calling thread may enter a public function
@@ -508,7 +529,7 @@ class TestNoiseFactor:
         cfg = SimConfig(5, P, seed, measure="risk_neutral")
         kw = dict(start=start, init_mean=m0, init_cov=cov0)
         panel = simulate_panel(params, sched, cfg, LB0, **kw)
-        terminal = simulate_terminal(params, sched, cfg, LB0, **kw)
+        terminal = terminal_pairs(params, sched, cfg, LB0, **kw)
         for i, (mults, growth, books) in enumerate(paths):
             values = [[m[0] + b[0], m[1] + b[1]] for m, b in zip(mults, books)]
             assert panel.multipliers[i].tolist() == mults
@@ -542,7 +563,7 @@ _DISPATCH_PROBE = """
 import hashlib, json
 import numpy as np
 from privcredit.model import LinearizationSchedule, ModelParams
-from privcredit.simulate import SimConfig, simulate_panel, simulate_terminal
+from privcredit.simulate import SimConfig, reduce_terminal, simulate_panel
 
 nan = float("nan")
 gain = [[nan, nan], [1.3312718, 1.2974406], [1.3327391, 1.2951873],
@@ -570,9 +591,9 @@ panel = simulate_panel(params, schedule, SimConfig(4097, 12, seed=3), books)
 arrays = {name: getattr(panel, name)
           for name in ("multipliers", "growth", "log_books", "log_values")}
 for measure in ("real", "risk_neutral"):
-    arrays[measure] = simulate_terminal(
+    arrays[measure] = reduce_terminal(
         params, schedule, SimConfig(20000, 10, seed=3, measure=measure), books,
-        start=2)
+        (np.copy, lambda blocks: np.concatenate(blocks, axis=1).T), start=2)
 print(json.dumps({name: hashlib.sha256(a.tobytes()).hexdigest()
                   for name, a in arrays.items()}))
 """
@@ -642,7 +663,9 @@ class TestMonteCarloEstimators:
             np.array([1.0, 1.2]),
         )
         log_asset = linearized_panel(params, sched, panel)[:, -1]
-        (estimate, _), _ = mc_option_price(log_asset, 0.0, 3, params.rate_log)
+        (estimate, _), _ = over_blocks(option_estimator(
+            maturity_tangent(params, sched), 0.0, 3, params.rate_log),
+            panel.log_values[:, -1].T)
         disc = np.exp(-3 * params.rate_log)
         assert estimate == pytest.approx(
             float(disc * np.exp(log_asset).mean()), rel=1e-12
@@ -661,7 +684,8 @@ class TestMonteCarloEstimators:
         )
         strike = 2.0
         log_asset = linearized_panel(p, sched, panel)[:, -1]
-        (call, se), (put, _) = mc_option_price(log_asset, strike, 3, p.rate_log)
+        (call, se), (put, _) = over_blocks(option_estimator(
+            maturity_tangent(p, sched), strike, 3, p.rate_log), panel.log_values[:, -1].T)
         payoff = max(np.exp(log_asset[0]) - strike, 0.0)
         assert call == pytest.approx(np.exp(-3 * p.rate_log) * payoff, rel=1e-12)
         assert se == pytest.approx(0.0, abs=1e-12)
@@ -669,10 +693,11 @@ class TestMonteCarloEstimators:
     def test_multi_block_moments_fold_in_block_order(self):
         # above 2¹² paths the blocks' moments merge left to right,
         # ((b0 ∘ b1) ∘ b2) ∘ … (Chan, Golub & LeVeque 1983), written out
-        # here from each block's numpy sums; 16 blocks, whose reversed fold
-        # rounds differently
-        log_asset = np.random.default_rng(5).normal(0.2, 0.4, 200_000)
-        strike, tau, rate = 1.1, 4, 0.01
+        # here from each block's numpy sums of the tangent applied to its
+        # pairs; 16 blocks, whose reversed fold rounds differently
+        pairs = np.random.default_rng(5).normal(0.2, 0.4, (2, 200_000))
+        tangent, strike, tau, rate = (0.4, 0.05), 1.1, 4, 0.01
+        log_asset = linearized_log_asset(pairs.T, *tangent)
         disc = np.exp(-tau * rate)
         bounds = _block_bounds(log_asset.shape[0])
         expected = []
@@ -691,16 +716,17 @@ class TestMonteCarloEstimators:
                 n, total = n + nb, total + float(sb)
             expected.append((total / n, math.sqrt(squares / (n - 1)) / math.sqrt(n)))
         assert len(bounds) == 17
-        assert mc_option_price(log_asset, strike, tau, rate) == tuple(expected)
+        estimator = option_estimator(tangent, strike, tau, rate)
+        assert over_blocks(estimator, pairs) == tuple(expected)
 
     def test_default_frequency_limits(self, params):
         sched = toy_schedule(params, 3)
         panel = simulate_panel(
             params, sched, SimConfig(500, 3, seed=3), np.array([1.0, 1.2])
         )
-        log_asset = linearized_panel(params, sched, panel)[:, -1]
-        low, _ = mc_default_probability(log_asset, 1e-12)
-        high, _ = mc_default_probability(log_asset, 1e12)
+        tangent, pairs = maturity_tangent(params, sched), panel.log_values[:, -1].T
+        low, _ = over_blocks(default_estimator(tangent, 1e-12), pairs)
+        high, _ = over_blocks(default_estimator(tangent, 1e12), pairs)
         assert low == 0.0
         assert high == 1.0
 
