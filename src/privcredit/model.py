@@ -269,16 +269,19 @@ def asset_linearization(mu_a):
 
     ``mu_a`` is the mean log equity-to-liability value gap. Returns
     (g_a, w_a, h_a) with g_a = 1 + exp(mu_a), w_a = 1 / g_a and
-    h_a = g_a(ln g_a − mu_a) + mu_a. Where exp(mu_a) overflows, g_a is inf
-    and e^{−mu_a} is below every normal float, so 1 + e^{−mu_a} rounds to 1:
-    w_a = e^{−mu_a}, h_a = mu_a + g_a ln(1 + e^{−mu_a}) rounds to mu_a + 1,
-    and w_a, h_a and w_a·h_a stay finite.
+    h_a = g_a(ln g_a − mu_a) + mu_a. For a positive center ln g_a − mu_a
+    would cancel, so h_a = mu_a + g_a·log1p(e^{−mu_a}) there. Where
+    exp(mu_a) overflows, g_a is inf and e^{−mu_a} is below every normal
+    float, so 1 + e^{−mu_a} rounds to 1: w_a = e^{−mu_a}, h_a rounds to
+    mu_a + 1, and w_a, h_a and w_a·h_a stay finite.
     """
     with np.errstate(over="ignore", under="ignore"):
         g = 1.0 + np.exp(mu_a)
         if np.isinf(g):
             return g, np.exp(-mu_a), mu_a + 1.0
         w = 1.0 / g
+        if mu_a > 0:
+            return g, w, mu_a + g * np.log1p(np.exp(-mu_a))
     h = g * (np.log(g) - mu_a) + mu_a
     return g, w, h
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +231,17 @@ class TestAssetLinearization:
             approx = [linearized_log_asset(np.array([x, x - mu_a]), w, h) for x in xs]
         exact = [np.logaddexp(x, x - mu_a) for x in xs]  # underflows inside
         np.testing.assert_allclose(approx, exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("mu_a", [20.0, 40.0, 700.0])
+    def test_shift_does_not_cancel_above_the_center(self, mu_a):
+        # h_a − μ_a = g_a(ln g_a − μ_a), whose difference cancels for a
+        # large positive center (it read 0.0 at 40 and 700, 0.99999971 at
+        # 20); mpmath holds e^{−μ_a} beside μ_a at 400 digits
+        _, _, h = asset_linearization(mu_a)
+        with mpmath.workdps(400):
+            g = 1 + mpmath.exp(mu_a)
+            exact = float(g * (mpmath.log(g) - mu_a))
+        assert h - mu_a == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 class TestAssetTangent:
