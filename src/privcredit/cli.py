@@ -336,10 +336,12 @@ def _mc_terminal(args, cfg, ctx, measure, estimator):
 
 def _mc_fields(name, value, mc, se, resolution):
     """MC estimate and standard error of the closed-form ``value``, with the
-    standardized miss. A zero standard error (all paths agree) admits a miss
-    below 1 % of ``resolution``, one path's weight at the payoff's scale, so
-    under 0.01 paths are expected to differ; an infinite one (one path)
-    admits only a zero miss."""
+    standardized miss z. The standard error is estimated from the same
+    paths, so at a handful of paths z is not on the normal scale: at 3
+    paths correct checks read |z| from 12 to 85. A zero standard error (all
+    paths agree) admits a miss below 1 % of ``resolution``, one path's
+    weight at the payoff's scale, so under 0.01 paths are expected to
+    differ; an infinite one (one path) admits only a zero miss."""
     diff = value - mc
     if 0 < se < math.inf:
         z = diff / se

@@ -197,9 +197,12 @@ def solve_threshold(target_equity, mu_a, var_a, tau, rate_log):
     ∂C/∂L = −e^{−τ r̃} Φ(d₂), stops when |C − target| ≤ 1e-12 target or
     when no float is left inside the bracket. Where the call itself is
     rounded beyond 1e-8 (see :func:`price_options`) no strike reprices the
-    target to 1e-8; the miss stays within 32ε(1 + |ln L|) of the larger leg.
-    A bracket that closes on a miss beyond both bounds leaves the target
-    below the call's resolution and raises :class:`NoSolutionError`.
+    target to 1e-8; the miss stays within 32ε(1 + |ln L|) of the larger leg
+    outside the normal tail. Deep in the tail Φ amplifies the rounding of d
+    by about |d|, so a miss can exceed that bound (d₂ from −14.5 to −36.6,
+    targets 1e-53 to 1e-300 of the strike-free call). A bracket that closes
+    on a miss beyond both bounds leaves the target below the call's
+    resolution and raises :class:`NoSolutionError`.
 
     No strike is priced whose value or discounted value exceeds the largest
     float: an iterate x beyond that counts as a strike whose call is below

@@ -541,6 +541,16 @@ class TestThresholdCalibration:
         with pytest.raises(NoSolutionError, match="below the call's resolution"):
             solve_threshold(target, mu, var, tau, rate)
 
+    def test_deep_normal_tail_target_has_no_solution(self):
+        # both legs finite, but deep in the normal tail: d₂ ≈ −30, so Φ
+        # amplifies the rounding of d by about |d|, and the bracket closes
+        # on a miss of 1.8e-6 relative, 7.5 times 32ε(1 + |ln L|) of the
+        # larger leg; the target is 1e-204 of the strike-free call
+        target, mu, var, tau, rate = (5.3782666401585505e-205, -1.695574080463068,
+                                      5.8896554236246724e-12, 65, -0.013341020983144762)
+        with pytest.raises(NoSolutionError, match="below the call's resolution"):
+            solve_threshold(target, mu, var, tau, rate)
+
     @pytest.mark.parametrize("target, mu, var, tau, rate", [
         (1.0, 800.0, 1.0, 1, 0.01),           # strike-free call beyond floats
         (2.8e153, 713.07, 9.3e-9, 56, 0.067),  # the parity bound beyond floats
