@@ -37,10 +37,8 @@ from .model import (
     ObservedSeries,
     asset_linearization,
     asset_tangent,
-    asset_weight_vector,
     build_linearization_schedule,
     derive_series,
-    linearized_log_asset,
     real_intercepts,
     risk_neutral_intercepts,
 )

@@ -9,10 +9,10 @@ plus a truth sidecar; ``estimate`` fits the model; ``filter`` / ``smooth`` /
 config keys and the flags it reads, the only ones it accepts, spelled in
 full.
 
-Exit codes: 0 success or ``--help``, 1 a usage error, input/config
-validation, a file that cannot be opened or an allocation that fails, 2
-numerical failure, 3 calibration has no solution. All runs are
-deterministic for a fixed config and seed.
+Exit codes: 0 success or ``--help``; an engine error, the status its type
+declares (1 input/config validation, 2 numerical failure, 3 calibration
+has no solution); 1 a usage error, a file that cannot be opened or an
+allocation that fails. All runs are deterministic for a fixed config and seed.
 """
 
 import argparse
@@ -24,15 +24,8 @@ import sys
 import numpy as np
 
 from . import io as pio
-from .em import _forward_pass, em_fit, smoothed_market_values
-from .errors import (
-    DataValidationError,
-    DegenerateDesignError,
-    IllConditionedInnovationError,
-    InfeasibleLinearizationError,
-    NoSolutionError,
-    PrivCreditError,
-)
+from .em import MAX_ITER, TOL, _forward_pass, em_fit, smoothed_market_values
+from .errors import DataValidationError, PrivCreditError
 from .kalman import run_filter, smooth  # noqa: F401  (tracers rebind run_filter here)
 from .model import ModelParams, build_linearization_schedule
 from .pricing import build_pricing_context, equity_debt_values
@@ -64,10 +57,6 @@ _PRICING_KEYS = _ESTIMATE_KEYS + (
     "m_t_equity", "m_t_liability",
     "paths", "seed",
 )
-
-_EXIT_VALIDATION = 1
-_EXIT_NUMERICAL = 2
-_EXIT_NO_SOLUTION = 3
 
 
 def _cov(s1, s2, rho):
@@ -134,8 +123,8 @@ def _rate(args, cfg):
 
 def _em_settings(args, cfg):
     """EM iteration cap and tolerance."""
-    max_iter = _option(args.max_iter, cfg, "max_iter", int, 200)
-    tol = _option(args.tol, cfg, "tol", float, 1e-8)
+    max_iter = _option(args.max_iter, cfg, "max_iter", int, MAX_ITER)
+    tol = _option(args.tol, cfg, "tol", float, TOL)
     if max_iter < 0 or not 0 <= tol < math.inf:
         raise DataValidationError("max_iter must be >= 0 and tol finite and >= 0")
     return max_iter, tol
@@ -479,29 +468,22 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the help (code 0) or the usage and the error
-        return _EXIT_VALIDATION if exc.code else 0
+        return DataValidationError.exit_code if exc.code else 0
     handler, keys, _ = _COMMANDS[args.command]
     try:
         cfg = pio.parse_config(args.config, keys) if args.config else {}
         return handler(args, cfg)
-    except (DataValidationError, OSError) as exc:
+    except PrivCreditError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         # an unreadable or unwritable file: the OSError message names it
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_VALIDATION
+        return DataValidationError.exit_code
     except MemoryError as exc:
         # numpy names the array it could not allocate, e.g. for a --paths too large
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return _EXIT_VALIDATION
-    except (InfeasibleLinearizationError, IllConditionedInnovationError,
-            DegenerateDesignError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except NoSolutionError as exc:
-        print(f"no solution: {exc}", file=sys.stderr)
-        return _EXIT_NO_SOLUTION
-    except PrivCreditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
+        return DataValidationError.exit_code
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ from .model import (
 )
 
 _LOG2PI = math.log(2.0 * math.pi)
+MAX_ITER, TOL = 200, 1e-8  # em_fit's iteration cap and tolerance by default
 
 
 @dataclass
@@ -470,7 +471,7 @@ def _forward_pass(params, series, schedule=None):
     )
 
 
-def em_fit(series, params_init=None, rate_log=0.0, max_iter=200, tol=1e-8):
+def em_fit(series, params_init=None, rate_log=0.0, max_iter=MAX_ITER, tol=TOL):
     """Alternate E-step, frozen-schedule M-step and line search.
 
     The linearization constants are very sensitive to the drift on long

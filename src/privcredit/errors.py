@@ -2,11 +2,16 @@
 
 
 class PrivCreditError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors. Each class declares the exit status
+    and the label of the one line the command line reports it with."""
+
+    exit_code, label = 2, "error"
 
 
 class DataValidationError(PrivCreditError):
     """Malformed or out-of-domain input data (names the offending cell)."""
+
+    exit_code = 1
 
 
 class InfeasibleLinearizationError(PrivCreditError):
@@ -15,6 +20,8 @@ class InfeasibleLinearizationError(PrivCreditError):
     Raised when exp(payout gap) >= 1 in any component, which makes the
     log-linearization undefined. Carries the period and component.
     """
+
+    label = "numerical error"
 
     def __init__(self, period, component, value):
         self.period = period
@@ -30,10 +37,16 @@ class InfeasibleLinearizationError(PrivCreditError):
 class IllConditionedInnovationError(PrivCreditError):
     """Innovation covariance numerically singular in the Kalman filter."""
 
+    label = "numerical error"
+
 
 class DegenerateDesignError(PrivCreditError):
     """Normal equations of the M-step are numerically singular."""
 
+    label = "numerical error"
+
 
 class NoSolutionError(PrivCreditError):
     """Root finding target outside the attainable range."""
+
+    exit_code, label = 3, "no solution"

@@ -286,26 +286,12 @@ def asset_linearization(mu_a):
     return g, w, h
 
 
-def asset_weight_vector(w_a):
-    """Weight vector applied to (log equity, log liability) values.
-
-    The tangent of ln(Vᵉ + Vˡ) at the center puts weight 1 − w_a on the
-    equity leg and w_a on the liability leg; the approximation is
-    w̄′(Ṽᵉ, Ṽˡ) + w_a·h_a, exact at the center with quadratic error.
-    """
-    w_a = np.asarray(w_a)
-    return np.stack([1.0 - w_a, w_a], axis=-1)
-
-
-def linearized_log_asset(log_values, w_a, h_a):
-    """Apply the asset tangent w̄′Ṽ + w_a h_a along the last axis, one column
-    per leg (a sum over the length-2 axis takes about ten times as long)."""
-    return _linearized_log_asset(np.asarray(log_values), w_a, h_a)
-
-
 def _linearized_log_asset(log_values, w_a, h_a):
-    """:func:`linearized_log_asset` of an array, for worker threads, which
-    may call no public function (a layer tracer keeps one span stack)."""
+    """The asset tangent w̄′Ṽ + w_a·h_a, w̄ = (1 − w_a, w_a), applied to the
+    (log equity, log liability) pairs along the last axis of an array, one
+    column per leg (a sum over the length-2 axis takes about ten times as
+    long). Private: the Monte Carlo estimators call it on worker threads,
+    which may call no public function (a layer tracer keeps one span stack)."""
     return (1.0 - w_a) * log_values[..., 0] + w_a * log_values[..., 1] + w_a * h_a
 
 

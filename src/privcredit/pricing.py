@@ -39,7 +39,6 @@ from .errors import DataValidationError, NoSolutionError
 from .kalman import intercept_shift, run_filter
 from .model import (
     asset_tangent,
-    asset_weight_vector,
     build_linearization_schedule,
     real_intercepts,
     risk_neutral_intercepts,
@@ -327,7 +326,7 @@ class PricingContext:
         else:
             mean, cov = np.asarray(m_t, float), np.zeros((2, 2))
         alpha, (w_a, h_a) = self.moments.alpha, self.tangent
-        weights = asset_weight_vector(w_a)
+        weights = np.array([1.0 - w_a, w_a])
         pair = alpha @ mean + self.moments.beta(measure) + self.log_books[self.origin]
         mu = float(weights @ pair + w_a * h_a)
         var = float(weights @ self.moments.cov @ weights)

@@ -55,12 +55,11 @@ from privcredit.errors import (
 from privcredit.io import CSV_HEADER
 from privcredit.kalman import _LOG2PI, _RCOND, FilterOutput, SmootherOutput
 from privcredit.model import (
+    _linearized_log_asset,
     LinearizationSchedule,
     asset_tangent,
-    asset_weight_vector,
     build_linearization_schedule,
     derive_series,
-    linearized_log_asset,
     real_intercepts,
 )
 
@@ -227,7 +226,7 @@ def asset_log_moments_public(moments, m_t, log_books_t, tangent, measure):
     """Mean and variance of the maturity log asset value given a known
     period-t multiplier, linearized at the maturity ``tangent`` (w_a, h_a)."""
     w_a, h_a = tangent
-    weights = asset_weight_vector(w_a)
+    weights = np.array([1.0 - w_a, w_a])
     mean_pair = (
         moments.alpha @ np.asarray(m_t, float)
         + moments.beta(measure)
@@ -246,7 +245,7 @@ def asset_log_moments_private(moments, m_mean, m_cov, log_books_t, tangent,
     mu, var = asset_log_moments_public(
         moments, m_mean, log_books_t, tangent, measure
     )
-    weights = asset_weight_vector(tangent[0])
+    weights = np.array([1.0 - tangent[0], tangent[0]])
     extra = weights @ moments.alpha @ np.asarray(m_cov, float) @ moments.alpha.T @ weights
     return mu, var + float(extra)
 
@@ -565,7 +564,7 @@ def binned_error_curve(panel, period, tangent, n_bins=12):
     values = panel.log_values[:, period]
     w_a, h_a = tangent
     dev = np.abs((values[:, 0] - values[:, 1]) - np.log(1.0 / w_a - 1.0))
-    lin = linearized_log_asset(values, w_a, h_a)
+    lin = _linearized_log_asset(values, w_a, h_a)
     err = np.abs(panel.log_asset_exact[:, period] - lin)
     edges = np.quantile(dev, np.linspace(0.0, 1.0, n_bins + 1))
     centers, means = [], []

@@ -19,12 +19,12 @@ from privcredit.em import (
 )
 from privcredit.kalman import run_filter, smooth
 from privcredit.model import (
+    _linearized_log_asset,
     ModelParams,
     ObservedSeries,
     asset_linearization,
     asset_tangent,
     build_linearization_schedule,
-    linearized_log_asset,
     real_intercepts,
     risk_neutral_intercepts,
 )
@@ -285,7 +285,7 @@ def pricing_battery():
             strike = factor * math.exp(mu)
             call, put = ctx.price(strike)
             (call_mc, call_se), (put_mc, put_se) = mc_option_price_reference(
-                linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
+                _linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
                 strike, ctx.tau, params.rate_log,
             )
             rows.append(
@@ -356,14 +356,14 @@ def test_criterion_09_default_probability_consistency(pricing_battery):
             threshold = math.exp(mu + shift * sd)
             pd_closed = ctx.default_prob(threshold)
             pd_mc, pd_se = mc_default_probability_reference(
-                linearized_log_asset(panel_priv.log_values[:, -1], *ctx.tangent),
+                _linearized_log_asset(panel_priv.log_values[:, -1], *ctx.tangent),
                 threshold,
             )
             worst = max(worst, abs(pd_closed - pd_mc) / pd_se)
             threshold_pub = math.exp(mu_pub + shift * math.sqrt(var_pub))
             pd_pub = default_probability(mu_pub, var_pub, threshold_pub)
             pd_pub_mc, pd_pub_se = mc_default_probability_reference(
-                linearized_log_asset(panel_pub.log_values[:, -1], *ctx.tangent),
+                _linearized_log_asset(panel_pub.log_values[:, -1], *ctx.tangent),
                 threshold_pub,
             )
             worst = max(worst, abs(pd_pub - pd_pub_mc) / pd_pub_se)
@@ -422,7 +422,7 @@ def test_criterion_12_linearization_exactness_and_scaling():
     for mu_a in (-3.0, -0.7, 0.0, 0.4, 2.5):
         _, w, h = asset_linearization(mu_a)
         for x in (-1.0, 0.3, 2.0):
-            approx = linearized_log_asset(np.array([x, x - mu_a]), w, h)
+            approx = _linearized_log_asset(np.array([x, x - mu_a]), w, h)
             worst = max(worst, abs(approx - np.logaddexp(x, x - mu_a)))
     assert worst <= 1e-12
 

@@ -1407,7 +1407,7 @@ class TestCliPricing:
         # measures; the whole-array mean and std(ddof=1)/√n of the same
         # pairs give it bit for bit in one block (up to 2¹² paths) and
         # within the block fold's rounding (README: 4e-13 relative) above
-        from privcredit.model import linearized_log_asset
+        from privcredit.model import _linearized_log_asset
         from privcredit.simulate import (
             SimConfig,
             default_estimator,
@@ -1438,7 +1438,7 @@ class TestCliPricing:
             books = ctx.log_books[ctx.origin]
             direct[measure] = reduce_terminal(ctx.params, ctx.schedule, cfg, books,
                                               estimator, **kw)
-            whole[measure] = linearized_log_asset(
+            whole[measure] = _linearized_log_asset(
                 terminal_pairs(ctx.params, ctx.schedule, cfg, books, **kw), *ctx.tangent)
         (call, call_se), (put, put_se) = direct["risk_neutral"]
         assert reported["price"] == [call, call_se, put, put_se]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from privcredit.cli import _feasibility
 from privcredit.errors import DataValidationError, InfeasibleLinearizationError
 from privcredit.model import (
+    _linearized_log_asset,
     ModelParams,
     LinearizationSchedule,
     ObservedSeries,
@@ -17,7 +18,6 @@ from privcredit.model import (
     asset_tangent,
     build_linearization_schedule,
     derive_series,
-    linearized_log_asset,
     real_intercepts,
     risk_neutral_intercepts,
 )
@@ -200,7 +200,7 @@ class TestAssetLinearization:
     def test_exact_at_zero_center(self):
         _, w, h = asset_linearization(0.0)
         x = 0.7
-        approx = linearized_log_asset(np.array([x, x]), w, h)
+        approx = _linearized_log_asset(np.array([x, x]), w, h)
         np.testing.assert_allclose(approx, x + np.log(2), atol=1e-15)
 
     def test_one_sided_limit(self):
@@ -216,7 +216,7 @@ class TestAssetLinearization:
     def test_exact_at_expansion_point(self, mu_a, x):
         _, w, h = asset_linearization(mu_a)
         log_values = np.array([x, x - mu_a])  # equity minus liability = mu_a
-        approx = linearized_log_asset(log_values, w, h)
+        approx = _linearized_log_asset(log_values, w, h)
         exact = np.logaddexp(x, x - mu_a)
         np.testing.assert_allclose(approx, exact, atol=1e-12)
 
@@ -228,7 +228,7 @@ class TestAssetLinearization:
         with np.errstate(all="raise"):
             _, w, h = asset_linearization(mu_a)
             assert np.isfinite([w, h, w * h]).all()
-            approx = [linearized_log_asset(np.array([x, x - mu_a]), w, h) for x in xs]
+            approx = [_linearized_log_asset(np.array([x, x - mu_a]), w, h) for x in xs]
         exact = [np.logaddexp(x, x - mu_a) for x in xs]  # underflows inside
         np.testing.assert_allclose(approx, exact, rtol=1e-12, atol=0)
 

@@ -14,9 +14,8 @@ from privcredit.errors import (
 )
 from privcredit.kalman import run_filter
 from privcredit.model import (
-    asset_weight_vector,
+    _linearized_log_asset,
     build_linearization_schedule,
-    linearized_log_asset,
     real_intercepts,
     risk_neutral_intercepts,
 )
@@ -316,7 +315,7 @@ class TestAssetLogMoments:
         _, var_pub = ctx.asset_moments("risk_neutral", params.init_mean)
         _, var_priv = ctx.asset_moments("risk_neutral")
         assert var_priv >= var_pub
-        weights = asset_weight_vector(ctx.tangent[0])
+        weights = np.array([1.0 - ctx.tangent[0], ctx.tangent[0]])
         _, posterior = ctx.posterior("risk_neutral")
         gap = weights @ ctx.moments.alpha @ posterior @ ctx.moments.alpha.T @ weights
         assert var_priv - var_pub == pytest.approx(gap, rel=1e-12)
@@ -476,7 +475,7 @@ class TestPrivatePricing:
             init_mean=m_rn, init_cov=cov_rn,
         )
         (call_mc, call_se), (put_mc, put_se) = mc_option_price_reference(
-            linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
+            _linearized_log_asset(panel.log_values[:, -1], *ctx.tangent),
             strike, ctx.tau, params.rate_log,
         )
         assert abs(call - call_mc) < 3 * call_se

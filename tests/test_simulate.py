@@ -16,8 +16,8 @@ import privcredit.simulate as sim
 from privcredit.errors import DataValidationError
 from privcredit.kalman import run_filter
 from privcredit.model import (
+    _linearized_log_asset,
     build_linearization_schedule,
-    linearized_log_asset,
     real_intercepts,
     risk_neutral_intercepts,
 )
@@ -54,7 +54,8 @@ def toy_schedule(params, periods, payout=0.25):
 def linearized_panel(params, sched, panel):
     """Each period's log asset value of a panel started at period 0 from
     ``LB0``, linearized at the tangent centered on the mean book path."""
-    return linearized_log_asset(panel.log_values, *mean_path_tangents(params, sched, LB0))
+    tangents = mean_path_tangents(params, sched, LB0)
+    return _linearized_log_asset(panel.log_values, *tangents)
 
 
 def terminal_pairs(params, sched, cfg, log_books0, **kw):
@@ -395,7 +396,7 @@ class TestSimulateTerminal:
             np.abs(pair.mean(axis=0) - pair_mean), 4 * np.sqrt(var_pair / n))
         se_cov = np.sqrt((np.outer(var_pair, var_pair) + pair_cov**2) / n)
         np.testing.assert_array_less(np.abs(np.cov(pair.T) - pair_cov), 4 * se_cov)
-        sample = linearized_log_asset(pair, *ctx.tangent)
+        sample = _linearized_log_asset(pair, *ctx.tangent)
         mu, var = ctx.asset_moments(measure)
         assert abs(sample.mean() - mu) < 4 * np.sqrt(var / n)
         assert abs(sample.var(ddof=1) - var) < 4 * var * np.sqrt(2 / (n - 1))
@@ -697,7 +698,7 @@ class TestMonteCarloEstimators:
         # pairs; 16 blocks, whose reversed fold rounds differently
         pairs = np.random.default_rng(5).normal(0.2, 0.4, (2, 200_000))
         tangent, strike, tau, rate = (0.4, 0.05), 1.1, 4, 0.01
-        log_asset = linearized_log_asset(pairs.T, *tangent)
+        log_asset = _linearized_log_asset(pairs.T, *tangent)
         disc = np.exp(-tau * rate)
         bounds = _block_bounds(log_asset.shape[0])
         expected = []

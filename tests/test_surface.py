@@ -11,9 +11,18 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import privcredit
 from privcredit.cli import main
+from privcredit.errors import (
+    DataValidationError,
+    DegenerateDesignError,
+    IllConditionedInnovationError,
+    InfeasibleLinearizationError,
+    NoSolutionError,
+    PrivCreditError,
+)
 
 # names the engine no longer defines, by the module that once held them
 REMOVED = {
@@ -26,6 +35,7 @@ REMOVED = {
         "attach_asset_constants", "mean_log_book_path", "SmoothedStats",
         "ForecastOutput", "forecast", "filter_and_forecast",
         "simulate_terminal", "mc_option_price", "mc_default_probability",
+        "linearized_log_asset", "asset_weight_vector",
     ],
     "privcredit.pricing": [
         "RiskNeutralSystem", "build_risk_neutral", "PricingReport",
@@ -35,6 +45,7 @@ REMOVED = {
     ],
     "privcredit.model": [
         "mean_log_multiplier", "asset_center", "attach_asset_constants",
+        "linearized_log_asset", "asset_weight_vector",
     ],
     "privcredit.simulate": [
         "LinearizationErrorReport", "linearization_error_report", "_normals",
@@ -47,7 +58,10 @@ REMOVED = {
         "price_private", "price_public", "default_prob_private",
         "default_prob_public", "filter_real", "filter_rn",
     ],
-    "privcredit.cli": ["_params_dict", "_pricing_setup"],
+    "privcredit.cli": [
+        "_params_dict", "_pricing_setup",
+        "_EXIT_VALIDATION", "_EXIT_NUMERICAL", "_EXIT_NO_SOLUTION",
+    ],
     "privcredit.io": ["_to_jsonable"],
     "privcredit.model.LinearizationSchedule": [
         "asset_gain", "gain_matrix", "has_asset_constants",
@@ -123,6 +137,48 @@ def test_cli_binds_no_private_function_of_simulate_or_model():
                    if inspect.isfunction(obj) and obj.__name__.startswith("_")
                    and obj.__module__ in ("privcredit.simulate", "privcredit.model"))
     assert bound == []
+
+
+class _AdHocError(PrivCreditError):
+    """An error type the CLI has never heard of: its own declaration rules."""
+
+    exit_code, label = 3, "no solution"
+
+
+_RAISED = [
+    (PrivCreditError("base"), 2, "error: base\n"),
+    (DataValidationError("bad cell"), 1, "error: bad cell\n"),
+    (InfeasibleLinearizationError(3, 1, 1.5), 2,
+     "numerical error: infeasible linearization at period 3, liability "
+     "component: exp(payout gap) = 1.5 >= 1\n"),
+    (IllConditionedInnovationError("singular F"), 2, "numerical error: singular F\n"),
+    (DegenerateDesignError("singular design"), 2,
+     "numerical error: singular design\n"),
+    (NoSolutionError("unattainable"), 3, "no solution: unattainable\n"),
+    (_AdHocError("declared"), 3, "no solution: declared\n"),
+]
+
+
+def test_every_error_type_is_raised_below():
+    engine = {error for error in PrivCreditError.__subclasses__()
+              if error.__module__ == "privcredit.errors"}
+    assert {type(error) for error, _, _ in _RAISED} >= {PrivCreditError, *engine}
+
+
+@pytest.mark.parametrize("error, code, err", _RAISED,
+                         ids=[type(error).__name__ for error, _, _ in _RAISED])
+def test_each_error_type_exits_with_the_status_it_declares(
+    monkeypatch, capsys, error, code, err
+):
+    # the handler raises; main reports the type's label and exit status
+    from privcredit import cli
+
+    def fail(args, cfg):
+        raise error
+
+    _, keys, flags = cli._COMMANDS["estimate"]
+    monkeypatch.setitem(cli._COMMANDS, "estimate", (fail, keys, flags))
+    assert (main(["estimate"]), *capsys.readouterr()) == (code, "", err)
 
 
 _PANEL_CONFIG = """
