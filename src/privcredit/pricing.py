@@ -345,8 +345,9 @@ class PricingContext:
 
     def target_equity(self):
         """Market equity value implied by the filtered multiplier at the
-        origin (filtered and smoothed coincide there)."""
-        return math.exp(self.origin_mean[0] + self.log_books[self.origin, 0])
+        origin (filtered and smoothed coincide there); infinite beyond the
+        float range, which :func:`solve_threshold` rejects."""
+        return _exp(self.origin_mean[0] + self.log_books[self.origin, 0])
 
     def calibrate_threshold(self):
         mu, var = self.asset_moments("risk_neutral")

@@ -1713,6 +1713,24 @@ class TestCliPricing:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["calibrate-threshold", "default-prob"])
+    def test_target_equity_beyond_the_float_range_is_an_error_line(
+        self, tmp_path, capsys, command
+    ):
+        # e^709 times the filtered book ratio once raised a bare
+        # OverflowError in the calibration target
+        sim = tmp_path / "sim.cfg"
+        sim.write_text(SIM_CONFIG.replace("periods = 24", "periods = 1")
+                       .replace("seed = 7", "seed = 3"))
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(sim), "--output", str(panel)]) == 0
+        cfg = self._pricing_cfg(tmp_path, text=PRICING_CONFIG.replace(
+            "mu0_equity = 0.25", "mu0_equity = 709"))
+        code = main([command, "--input", str(panel), "--config", str(cfg),
+                     "--maturity", "1"])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: target equity value must be positive and finite\n")
+
     def test_calibrate_threshold_no_solution_exits_3(self, tmp_path, capsys):
         # With a negligible liability book the equity target is essentially
         # the whole asset value. The strike-free call is the discounted
