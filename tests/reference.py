@@ -14,7 +14,8 @@ layer's maturity covariance, :func:`asset_log_moments_public` and
 :func:`asset_log_moments_private` the separate public and private forms
 of its asset log moments, :func:`mean_log_book_path_reference` the
 per-period loop of the mean log book path and :func:`mean_path_tangents`
-the asset tangents centered on it, :func:`required_return_fixed_point` the
+the asset tangents centered on it, :func:`identity_growth` the exact
+return identity the measurement equation expands, :func:`required_return_fixed_point` the
 numpy.linalg form of the M-step's required-return/measurement-covariance
 iteration, :func:`params_validation_error` the numpy form of
 ``ModelParams``' checks, :func:`binned_error_curve` measures the asset linearization
@@ -55,8 +56,8 @@ from privcredit.errors import (
 from privcredit.io import CSV_HEADER
 from privcredit.kalman import _LOG2PI, _RCOND, FilterOutput, SmootherOutput
 from privcredit.model import (
-    _linearized_log_asset,
     LinearizationSchedule,
+    _linearized_log_asset,
     asset_tangent,
     build_linearization_schedule,
     derive_series,
@@ -261,6 +262,24 @@ def mean_log_book_path_reference(params, schedule, log_books0):
         m_prev = params.init_mean + (t - 1) * params.drift
         out[t] = out[t - 1] - m_new + schedule.gain[t] * m_prev + intercepts[t]
     return out
+
+
+def identity_growth(params, payout_ratio, m_prev, m, noise):
+    """Log book growth from the exact return identity the measurement
+    equation linearizes, per component:
+
+        b̃_t = −m̃_t + m̃_{t−1} + k + ln(1 − exp(ϱ̃_t − k − m̃_{t−1})) + u_t,
+
+    that is V_t = (V_{t−1}e^k − D_t)e^{u_t} in levels, with ``payout_ratio``
+    the log payout-to-book ratio ϱ̃_t. Its first-order expansion in m̃_{t−1}
+    at the center μ₀ + (t−1)φ is −m̃_t + G_t m̃_{t−1} + c_t + u_t with the
+    schedule's gain and the real intercepts, and the expansion misses it by
+    −½G_t(G_t − 1)·dev² to second order (Campbell & Shiller 1988). NaN
+    where the payout exceeds the value grown at k."""
+    k = params.req_return
+    with np.errstate(invalid="ignore"):
+        value_left = np.log1p(-np.exp(payout_ratio - k - m_prev))
+    return -m + m_prev + k + value_left + noise
 
 
 def mean_path_tangents(params, schedule, log_books0):

@@ -19,9 +19,9 @@ from privcredit.em import (
 )
 from privcredit.kalman import run_filter, smooth
 from privcredit.model import (
-    _linearized_log_asset,
     ModelParams,
     ObservedSeries,
+    _linearized_log_asset,
     asset_linearization,
     asset_tangent,
     build_linearization_schedule,

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from privcredit.cli import _feasibility
 from privcredit.errors import DataValidationError, InfeasibleLinearizationError
 from privcredit.model import (
-    _linearized_log_asset,
     ModelParams,
     LinearizationSchedule,
     ObservedSeries,
+    _linearized_log_asset,
     asset_linearization,
     asset_tangent,
     build_linearization_schedule,
@@ -23,8 +23,12 @@ from privcredit.model import (
 )
 from privcredit.simulate import SimConfig, simulate_panel
 
-from conftest import base_params, synthetic_series
-from reference import mean_log_book_path_reference, params_validation_error
+from conftest import base_params, feasible_payout_ratio, synthetic_series
+from reference import (
+    identity_growth,
+    mean_log_book_path_reference,
+    params_validation_error,
+)
 
 
 class TestDeriveSeries:
@@ -302,6 +306,46 @@ class TestIntercepts:
             params.meas_cov
         ) / g
         np.testing.assert_allclose(diff[1:], expected, atol=1e-14)
+
+
+class TestReturnIdentity:
+    """The measurement equation against the exact return identity it
+    expands at the deterministic center μ₀ + (t−1)φ (reference.identity_growth)."""
+
+    PERIODS = 30
+
+    def _setup(self, params, rng):
+        ratio = feasible_payout_ratio(rng, self.PERIODS)
+        sched = build_linearization_schedule(params, ratio, self.PERIODS)
+        lag = np.arange(self.PERIODS)[:, None]
+        center = params.init_mean + lag * params.drift
+        m = center + params.drift + 0.03 * rng.normal(size=(self.PERIODS, 2))
+        noise = 0.05 * rng.normal(size=(self.PERIODS, 2))
+        return sched, center, m, noise
+
+    @staticmethod
+    def _linearized(params, sched, m_prev, m, noise):
+        c = real_intercepts(params, sched)[1:]
+        return -m + sched.gain[1:] * m_prev + c + noise
+
+    def test_equal_at_the_center(self, params, rng):
+        sched, center, m, noise = self._setup(params, rng)
+        exact = identity_growth(params, sched.payout_ratio[1:], center, m, noise)
+        linear = self._linearized(params, sched, center, m, noise)
+        assert np.abs(exact - linear).max() <= 1e-15
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_remainder_tends_to_the_second_order_term(self, params, rng, sign):
+        # (identity − linearized) / (−½G(G−1)·dev²) = 1 + O(dev): measured
+        # 1 ± 0.57·dev on both sides of the center
+        sched, center, m, noise = self._setup(params, rng)
+        g = sched.gain[1:]
+        for dev in (1e-1, 1e-2, 1e-3, 1e-4):
+            m_prev = center + sign * dev
+            remainder = (identity_growth(params, sched.payout_ratio[1:], m_prev, m, noise)
+                         - self._linearized(params, sched, m_prev, m, noise))
+            ratio = remainder / (-0.5 * g * (g - 1.0) * dev**2)
+            assert np.abs(ratio - 1.0).max() <= dev
 
 
 # the smaller eigenvalue of a drawn covariance: clear of the −1e-10 PSD
