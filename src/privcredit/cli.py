@@ -9,10 +9,10 @@ plus a truth sidecar; ``estimate`` fits the model; ``filter`` / ``smooth`` /
 config keys and the flags it reads, the only ones it accepts, spelled in
 full.
 
-Exit codes: 0 success or ``--help``; an engine error, the status its type
-declares (1 input/config validation, 2 numerical failure, 3 calibration
-has no solution); 1 a usage error, a file that cannot be opened or an
-allocation that fails. All runs are deterministic for a fixed config and seed.
+Exit codes: 0 success or ``--help``; an engine error exits with the status
+its type declares (1 input/config validation, 2 numerical failure, 3 no
+solution), and a usage error, a file that cannot be opened or an allocation
+that fails exit 1. All runs are deterministic for a fixed config and seed.
 """
 
 import argparse
