@@ -7,7 +7,8 @@ plus a truth sidecar; ``estimate`` fits the model; ``filter`` / ``smooth`` /
 ``--check mc`` embeds a Monte Carlo cross-check in a ``price`` or
 ``default-prob`` report. ``_COMMANDS`` declares each command's handler,
 config keys and the flags it reads, the only ones it accepts, spelled in
-full.
+full. Every config value is typed as the file is read (``_INT_KEYS``), and
+a flag given on the command line overrides the config's value of its key.
 
 Exit codes: 0 success or ``--help``; an engine error exits with the status
 its type declares (1 input/config validation, 2 numerical failure, 3 no
@@ -57,6 +58,8 @@ _PRICING_KEYS = _ESTIMATE_KEYS + (
     "m_t_equity", "m_t_liability",
     "paths", "seed",
 )
+# config values parse as floats, but those of these keys as integers
+_INT_KEYS = ("periods", "seed", "max_iter", "maturity", "paths")
 
 
 def _cov(s1, s2, rho):
@@ -76,7 +79,7 @@ def _params_from_config(cfg, rate):
         )
 
     def f(key, default=None):
-        value = pio.coerce(cfg, key, float, default=default, required=default is None)
+        value = cfg.get(key, default)
         if not math.isfinite(value):
             raise DataValidationError(f"{key} must be finite (got {value!r})")
         return value
@@ -105,26 +108,18 @@ def _feasibility(schedule):
     }
 
 
-def _option(value, cfg, key, kind, default=None):
-    """The command-line value when given (0 included), else the config's."""
-    if value is not None:
-        return value
-    return pio.coerce(cfg, key, kind, default=default)
-
-
-def _rate(args, cfg):
+def _rate(cfg):
     """ln(1 + r) of the per-period risk-free rate r, which must be finite
     and above −1."""
-    rate = _option(args.rate, cfg, "rate", float, 0.0)
+    rate = cfg.get("rate", 0.0)
     if not -1.0 < rate < math.inf:
         raise DataValidationError(f"rate must be finite and above -1 (got {rate!r})")
     return float(np.log1p(rate))
 
 
-def _em_settings(args, cfg):
+def _em_settings(cfg):
     """EM iteration cap and tolerance."""
-    max_iter = _option(args.max_iter, cfg, "max_iter", int, MAX_ITER)
-    tol = _option(args.tol, cfg, "tol", float, TOL)
+    max_iter, tol = cfg.get("max_iter", MAX_ITER), cfg.get("tol", TOL)
     if max_iter < 0 or not 0 <= tol < math.inf:
         raise DataValidationError("max_iter must be >= 0 and tol finite and >= 0")
     return max_iter, tol
@@ -136,33 +131,34 @@ def _fit_summary(trace):
             "loglik_trace": trace.loglik}
 
 
-def _fit_or_load(args, cfg, series):
+def _fit_or_load(cfg, series):
     """Use configured parameters when supplied, otherwise estimate in-run
     (the fit's trace comes back too)."""
-    rate_log = _rate(args, cfg)
+    rate_log = _rate(cfg)
     params = _params_from_config(cfg, rate_log)
     estimation = trace = None
     if params is None:
-        max_iter, tol = _em_settings(args, cfg)
+        max_iter, tol = _em_settings(cfg)
         params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
         estimation = _fit_summary(trace)
     return params, estimation, trace
 
 
 def cmd_simulate(args, cfg):
-    rate_log = _rate(args, cfg)
+    rate_log = _rate(cfg)
     params = _params_from_config(cfg, rate_log)
     if params is None:
         raise DataValidationError("simulate requires model parameters in --config")
-    periods = pio.coerce(cfg, "periods", int, required=True)
-    seed = _option(args.seed, cfg, "seed", int, 0)
+    for key in ("periods", "book0_equity", "book0_liability",
+                "payout_ratio_equity", "payout_ratio_liability"):
+        if key not in cfg:
+            raise DataValidationError(f"config key {key!r} is required")
+    periods, seed = cfg["periods"], cfg.get("seed", 0)
     config = SimConfig(n_paths=1, horizon=periods, seed=seed, measure="real")
-    book0 = np.array([pio.coerce(cfg, f"book0_{side}", float, required=True)
-                      for side in ("equity", "liability")])
+    book0 = np.array([cfg["book0_equity"], cfg["book0_liability"]])
     if not (np.isfinite(book0).all() and (book0 > 0).all()):
         raise DataValidationError("book0 values must be strictly positive and finite")
-    payout = np.array([pio.coerce(cfg, f"payout_ratio_{side}", float, required=True)
-                       for side in ("equity", "liability")])
+    payout = np.array([cfg["payout_ratio_equity"], cfg["payout_ratio_liability"]])
     if not (payout > 0).all():
         raise DataValidationError("payout ratios must be strictly positive")
     ratio = np.tile(np.log(payout), (periods, 1))
@@ -223,8 +219,8 @@ def _series_report_core(series, params, trace=None):
 
 def cmd_estimate(args, cfg):
     series = _read_panel(args)
-    rate_log = _rate(args, cfg)
-    max_iter, tol = _em_settings(args, cfg)
+    rate_log = _rate(cfg)
+    max_iter, tol = _em_settings(cfg)
     params, trace = em_fit(
         series, params_init=_params_from_config(cfg, rate_log),
         rate_log=rate_log, max_iter=max_iter, tol=tol,
@@ -241,7 +237,7 @@ def cmd_estimate(args, cfg):
 
 def cmd_filter(args, cfg):
     series = _read_panel(args)
-    params, estimation, trace = _fit_or_load(args, cfg, series)
+    params, estimation, trace = _fit_or_load(cfg, series)
     report, filt, _ = _series_report_core(series, params, trace)
     report["filtered_multiplier_cov"] = filt.cov_m_filt
     report["predicted_growth"] = filt.b_pred[1:]
@@ -250,14 +246,14 @@ def cmd_filter(args, cfg):
 
 def cmd_smooth(args, cfg):
     series = _read_panel(args)
-    params, estimation, trace = _fit_or_load(args, cfg, series)
+    params, estimation, trace = _fit_or_load(cfg, series)
     report, _, smoothed = _series_report_core(series, params, trace)
     report["smoothed_multiplier_cov"] = smoothed.cov_m_smooth
     return _write(args, report, params, estimation)
 
 
 def cmd_forecast(args, cfg):
-    params, estimation, ctx = _horizon_setup(args, cfg)
+    params, estimation, ctx = _horizon_setup(_read_panel(args), cfg)
     report = {
         "feasibility": _feasibility(ctx.schedule),
         "forecast_growth": ctx.moments.b_mean,
@@ -270,8 +266,7 @@ def cmd_forecast(args, cfg):
 
 def _future_payout(cfg):
     """The configured log payout-to-book ratios for periods past the sample."""
-    eq = pio.coerce(cfg, "payout_future_equity", float, default=None)
-    li = pio.coerce(cfg, "payout_future_liability", float, default=None)
+    eq, li = cfg.get("payout_future_equity"), cfg.get("payout_future_liability")
     if eq is None or li is None:
         raise DataValidationError(
             "pricing horizons past the sample need payout_future_equity and "
@@ -284,12 +279,11 @@ def _future_payout(cfg):
     return np.log([eq, li])
 
 
-def _horizon_setup(args, cfg):
+def _horizon_setup(series, cfg):
     """Parameters, the in-run fit's summary (None for configured ones) and
-    the pricing context over the sample plus the maturity horizon."""
-    series = _read_panel(args)
-    params, estimation, _ = _fit_or_load(args, cfg, series)
-    maturity = _option(args.maturity, cfg, "maturity", int)
+    the pricing context over the ``series`` plus the maturity horizon."""
+    params, estimation, _ = _fit_or_load(cfg, series)
+    maturity = cfg.get("maturity")
     if maturity is None or maturity < 1:
         raise DataValidationError("a positive --maturity is required")
     return params, estimation, build_pricing_context(
@@ -298,8 +292,7 @@ def _horizon_setup(args, cfg):
 
 def _public_multiplier(cfg):
     """The configured public multiplier m_t, None when neither half is given."""
-    eq = pio.coerce(cfg, "m_t_equity", float, default=None)
-    li = pio.coerce(cfg, "m_t_liability", float, default=None)
+    eq, li = cfg.get("m_t_equity"), cfg.get("m_t_liability")
     if eq is None and li is None:
         return None
     if eq is None or li is None:
@@ -310,12 +303,11 @@ def _public_multiplier(cfg):
     return np.array([eq, li])
 
 
-def _mc_terminal(args, cfg, ctx, measure, estimator):
+def _mc_terminal(cfg, ctx, measure, estimator):
     """Paths and seed of a Monte Carlo check, and the ``estimator`` of
     :mod:`simulate` over the maturity pairs simulated from the origin
     posterior under ``measure`` (:func:`simulate.reduce_terminal`)."""
-    paths = _option(args.paths, cfg, "paths", int, 200_000)
-    seed = _option(args.seed, cfg, "seed", int, 0)
+    paths, seed = cfg.get("paths", 200_000), cfg.get("seed", 0)
     mean, cov = ctx.posterior(measure)
     return {"paths": paths, "seed": seed}, reduce_terminal(
         ctx.params, ctx.schedule, SimConfig(paths, ctx.tau, seed, measure=measure),
@@ -348,10 +340,12 @@ def _valuation(ctx, strike, m_t=None):
 
 
 def cmd_price(args, cfg):
-    params, estimation, ctx = _horizon_setup(args, cfg)
-    strike = _option(args.strike, cfg, "strike", float)
+    series = _read_panel(args)
+    strike = cfg.get("strike")
     if strike is None:
         raise DataValidationError("price requires --strike (debt nominal)")
+    m_t = _public_multiplier(cfg)
+    params, estimation, ctx = _horizon_setup(series, cfg)
     report = {
         "origin": ctx.origin,
         "maturity": ctx.maturity,
@@ -359,11 +353,10 @@ def cmd_price(args, cfg):
         "feasibility": _feasibility(ctx.schedule),
         "private": _valuation(ctx, strike),
     }
-    m_t = _public_multiplier(cfg)
     if m_t is not None:
         report["public"] = {"multiplier": m_t, **_valuation(ctx, strike, m_t)}
     if args.check == "mc":
-        check, prices = _mc_terminal(args, cfg, ctx, "risk_neutral", option_estimator(
+        check, prices = _mc_terminal(cfg, ctx, "risk_neutral", option_estimator(
             ctx.tangent, strike, ctx.tau, params.rate_log))
         resolution = strike * math.exp(-ctx.tau * params.rate_log) / check["paths"]
         for name, (mc, se) in zip(("call", "put"), prices):
@@ -373,8 +366,9 @@ def cmd_price(args, cfg):
 
 
 def cmd_default_prob(args, cfg):
-    params, estimation, ctx = _horizon_setup(args, cfg)
-    threshold = pio.coerce(cfg, "threshold", float, default=None)
+    series = _read_panel(args)
+    threshold, m_t = cfg.get("threshold"), _public_multiplier(cfg)
+    params, estimation, ctx = _horizon_setup(series, cfg)
     calibrated = threshold is None
     if calibrated:
         threshold = ctx.calibrate_threshold()
@@ -387,12 +381,11 @@ def cmd_default_prob(args, cfg):
         "feasibility": _feasibility(ctx.schedule),
         "prob_default_private": pd_private,
     }
-    m_t = _public_multiplier(cfg)
     if m_t is not None:
         report["prob_default_public"] = ctx.default_prob(threshold, m_t)
         report["public_multiplier"] = m_t
     if args.check == "mc":
-        check, (pd_mc, pd_se) = _mc_terminal(args, cfg, ctx, "real",
+        check, (pd_mc, pd_se) = _mc_terminal(cfg, ctx, "real",
                                              default_estimator(ctx.tangent, threshold))
         check.update(_mc_fields("pd", pd_private, pd_mc, pd_se, 1.0 / check["paths"]))
         report["mc_check"] = check
@@ -400,7 +393,7 @@ def cmd_default_prob(args, cfg):
 
 
 def cmd_calibrate_threshold(args, cfg):
-    params, estimation, ctx = _horizon_setup(args, cfg)
+    params, estimation, ctx = _horizon_setup(_read_panel(args), cfg)
     threshold = ctx.calibrate_threshold()
     target = ctx.target_equity()
     repriced = ctx.price(threshold)[0]
@@ -470,8 +463,12 @@ def main(argv=None):
         # argparse has printed the help (code 0) or the usage and the error
         return DataValidationError.exit_code if exc.code else 0
     handler, keys, _ = _COMMANDS[args.command]
+    types = {key: int if key in _INT_KEYS else float for key in keys}
     try:
-        cfg = pio.parse_config(args.config, keys) if args.config else {}
+        cfg = pio.parse_config(args.config, types) if args.config else {}
+        # a flag given on the command line overrides the config
+        cfg.update((key, value) for key, value in vars(args).items()
+                   if key in types and value is not None)
         return handler(args, cfg)
     except PrivCreditError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)

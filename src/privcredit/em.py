@@ -549,6 +549,15 @@ def em_fit(series, params_init=None, rate_log=0.0, max_iter=MAX_ITER, tol=TOL):
 
 def smoothed_market_values(smoothed, series):
     """Smoothed market values: componentwise exp(m̃_{t|T}) of the smoother
-    output ``smoothed`` times book values."""
+    output ``smoothed`` times book values. A value beyond the float range
+    raises :class:`DataValidationError` naming its period and component."""
     books = np.exp(series.log_books())
-    return np.exp(smoothed.m_smooth) * books
+    with np.errstate(over="ignore"):
+        values = np.exp(smoothed.m_smooth) * books
+    beyond = np.argwhere(~np.isfinite(values))
+    if beyond.size:
+        t, j = beyond[0]
+        raise DataValidationError(
+            f"smoothed market value beyond the float range at period {t}, "
+            f"{('equity', 'liability')[j]} component")
+    return values

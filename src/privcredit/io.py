@@ -167,11 +167,12 @@ def write_panel_csv(path, books, payouts):
             )
 
 
-def parse_config(path, allowed_keys):
-    """Parse a flat ``key = value`` UTF-8 config file.
+def parse_config(path, types):
+    """Parse a flat ``key = value`` UTF-8 config file into typed values.
 
-    Blank lines and ``#`` comments are ignored; unknown keys are rejected.
-    Values come back as strings; use :func:`coerce` for typing.
+    ``types`` maps each allowed key to the type its value parses as, such
+    as ``float`` or ``int``. Blank lines and ``#`` comments are ignored;
+    unknown keys, duplicate keys and values that do not parse are rejected.
     """
     out = {}
     for lineno, raw in enumerate(StringIO(_read_text(path), newline=None), start=1):
@@ -183,27 +184,18 @@ def parse_config(path, allowed_keys):
                 f"{path}: line {lineno}: expected 'key = value'"
             )
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in allowed_keys:
+        if key not in types:
             raise DataValidationError(f"{path}: line {lineno}: unknown key {key!r}")
         if key in out:
             raise DataValidationError(f"{path}: line {lineno}: duplicate key {key!r}")
-        out[key] = value
+        kind = types[key]
+        try:
+            out[key] = kind(value)
+        except ValueError:
+            raise DataValidationError(
+                f"config key {key!r}: cannot parse {value!r} as {kind.__name__}"
+            ) from None
     return out
-
-
-def coerce(config, key, kind, default=None, required=False):
-    """Typed lookup into a parsed config mapping."""
-    if key not in config:
-        if required:
-            raise DataValidationError(f"config key {key!r} is required")
-        return default
-    raw = config[key]
-    try:
-        return kind(raw)
-    except ValueError:
-        raise DataValidationError(
-            f"config key {key!r}: cannot parse {raw!r} as {kind.__name__}"
-        ) from None
 
 
 def _float_tokens(values):

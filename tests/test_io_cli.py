@@ -247,13 +247,13 @@ class TestConfig:
     def test_comments_and_blanks(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("\n# comment\nalpha = 3  # trailing\n")
-        assert parse_config(cfg, ("alpha",)) == {"alpha": "3"}
+        assert parse_config(cfg, {"alpha": int}) == {"alpha": 3}
 
     def test_duplicate_rejected(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("alpha = 3\nalpha = 4\n")
         with pytest.raises(DataValidationError, match="duplicate"):
-            parse_config(cfg, ("alpha",))
+            parse_config(cfg, {"alpha": float})
 
     def test_non_utf8_byte_names_file_and_line(self, tmp_path, panel_csv, capsys):
         cfg = tmp_path / "c.cfg"
@@ -278,7 +278,7 @@ class TestConfig:
     def test_utf8_comment_is_read(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_bytes("alpha = 3  # café\n".encode("utf-8"))
-        assert parse_config(cfg, ("alpha",)) == {"alpha": "3"}
+        assert parse_config(cfg, {"alpha": float}) == {"alpha": 3.0}
 
 
 def _long_panel_lines(periods=1600):
@@ -1017,6 +1017,31 @@ class TestCliDivergingFilter:
         assert not out.exists()
 
 
+class TestCliSmoothedMarketValues:
+    @pytest.mark.parametrize("command, flags", [
+        ("filter", []), ("smooth", []), ("estimate", ["--max-iter", "0"])])
+    def test_value_beyond_the_float_range_is_an_error_line(
+        self, tmp_path, capsys, command, flags
+    ):
+        # e^709 times a book value of 5 once wrote Infinity into the report
+        # after a numpy overflow warning
+        sim = tmp_path / "sim.cfg"
+        sim.write_text(SIM_CONFIG.replace("periods = 24", "periods = 2"))
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(sim), "--output", str(panel)]) == 0
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text(PARAMS_CONFIG.replace("mu0_equity = 0.25", "mu0_equity = 709"))
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--input", str(panel), "--config", str(cfg),
+                         "--output", str(out), *flags])
+        assert (code, *capsys.readouterr(), caught) == (
+            1, "", "error: smoothed market value beyond the float range at "
+                   "period 0, equity component\n", [])
+        assert not out.exists()
+
+
 class TestEstimateReusesFitPass:
     """The report smooths the forward pass the fit ended with: no filter
     runs after ``em_fit`` returns, and the report equals a fresh E-step at
@@ -1157,7 +1182,7 @@ class TestCliPricing:
         series = ingest(panel_csv)
         cfg0 = self._pricing_cfg(tmp_path)
         from privcredit import io as pio
-        parsed = pio.parse_config(cfg0, tuple(parse_keys()))
+        parsed = pio.parse_config(cfg0, parse_keys())
         params = params_from(parsed)
         ctx = build_pricing_context(
             params, series, 4, payout_future=np.log([0.25, 0.25])
@@ -1703,6 +1728,37 @@ class TestCliPricing:
         assert captured.err == (
             f"error: a public multiplier needs {missing} in the config too\n")
 
+    def test_half_public_multiplier_is_checked_before_the_calibration(
+        self, tmp_path, capsys
+    ):
+        # the seed-1 panel's calibration has no solution at maturity 4, and
+        # once ran before the configured multiplier was read
+        sim = tmp_path / "sim.cfg"
+        sim.write_text(SIM_CONFIG.replace("seed = 7", "seed = 1"))
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(sim), "--output", str(panel)]) == 0
+        cfg = self._pricing_cfg(tmp_path, extra="m_t_equity = 0.1\n")
+        code = main(["default-prob", "--input", str(panel), "--maturity", "4",
+                     "--config", str(cfg)])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: a public multiplier needs m_t_liability in the config too\n")
+
+    def test_missing_strike_is_reported_before_the_in_run_fit(
+        self, tmp_path, panel_csv, monkeypatch, capsys
+    ):
+        from privcredit import cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("em_fit ran")
+
+        monkeypatch.setattr(cli, "em_fit", no_fit)
+        cfg = self._pricing_cfg(tmp_path, text="payout_future_equity = 0.25\n"
+                                               "payout_future_liability = 0.25\n")
+        code = main(["price", "--input", str(panel_csv), "--maturity", "4",
+                     "--config", str(cfg)])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: price requires --strike (debt nominal)\n")
+
     def test_infeasible_parameters_exit_numerical(self, tmp_path, panel_csv):
         # deeply negative required return pushes the expected payout above
         # the expected value: the linearization cannot be built
@@ -1797,6 +1853,66 @@ class TestCliPricing:
         assert report["threshold"] > 0
 
 
+class TestCliConfigValues:
+    """Every config value is typed as the file is read: a value that does
+    not parse as its key's type is one error line, whether or not the run
+    reads the key and whether or not a flag overrides it."""
+
+    # the configs and flags of runs that exit 0 as they are
+    RUNS = {
+        "simulate": (SIM_CONFIG, ["--output", "{out}"]),
+        "estimate": (PARAMS_CONFIG, ["--max-iter", "0"]),
+        "filter": (PARAMS_CONFIG, []),
+        "smooth": (PARAMS_CONFIG, []),
+        "forecast": (PRICING_CONFIG, ["--maturity", "4"]),
+        "price": (PRICING_CONFIG, ["--maturity", "4", "--strike", "2.0"]),
+        "default-prob": (PRICING_CONFIG, ["--maturity", "4"]),
+        "calibrate-threshold": (PRICING_CONFIG, ["--maturity", "4"]),
+    }
+
+    def _run(self, tmp_path, panel_csv, command, text, flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg)]
+        if command != "simulate":
+            argv += ["--input", str(panel_csv)]
+        return main(argv + [flag.format(out=out) for flag in flags])
+
+    @pytest.mark.parametrize("command, key, value, kind, flags", [
+        ("price", "threshold", "abc", "float", ["--maturity", "4", "--strike", "2.0"]),
+        ("default-prob", "strike", "abc", "float", ["--maturity", "4"]),
+        ("filter", "max_iter", "ten", "int", []),
+        ("price", "maturity", "four", "int", ["--maturity", "4", "--strike", "2.0"]),
+        ("price", "paths", "many", "int",
+         ["--maturity", "4", "--strike", "2.0", "--check", "mc", "--paths", "100"]),
+    ])
+    def test_value_the_run_does_not_read_or_a_flag_overrides(
+        self, tmp_path, panel_csv, capsys, command, key, value, kind, flags
+    ):
+        text = self.RUNS[command][0] + f"{key} = {value}\n"
+        assert self._run(tmp_path, panel_csv, command, text, flags) == 1
+        assert capsys.readouterr() == (
+            "", f"error: config key {key!r}: cannot parse {value!r} as {kind}\n")
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_every_key_of_a_command_is_typed(self, tmp_path, panel_csv, capsys, command):
+        from privcredit.cli import _INT_KEYS
+
+        text, flags = self.RUNS[command]
+        assert self._run(tmp_path, panel_csv, command, text, flags) == 0
+        capsys.readouterr()
+        lines = dict(line.split(" = ") for line in text.strip().splitlines()
+                     if not line.startswith("#"))
+        for key in _COMMANDS[command][1]:
+            malformed = {**lines, key: "1.5x"}
+            code = self._run(tmp_path, panel_csv, command,
+                             "".join(f"{k} = {v}\n" for k, v in malformed.items()), flags)
+            kind = "int" if key in _INT_KEYS else "float"
+            assert (code, *capsys.readouterr()) == (
+                1, "", f"error: config key {key!r}: cannot parse '1.5x' as {kind}\n")
+
+
 _EDGE_PERIODS = (1, 2, 40)
 _FIT_COMMANDS = ("estimate", "filter", "smooth")
 _EDGE_MEANS = st.sampled_from([0.1, -709.0, 709.0, -710.0, 710.0]) | st.floats(-710, 710)
@@ -1849,10 +1965,12 @@ def edge_panels(tmp_path_factory):
 
 class TestCliExitContract:
     """Every valid command line ends in a JSON report (exit 0) or in one
-    typed error line (exit 1, 2 or 3), never in a traceback. An exit-0 run
-    may still print a warning on stderr (ROADMAP item 4: the centred squares
-    of a check at strike 1e200 overflow), so stderr is checked on failures
-    only."""
+    typed error line (exit 1, 2 or 3), never in a traceback, and an exit-0
+    run warns of nothing. A Monte Carlo check may still warn at exit 0
+    (ROADMAP item 4: the centred squares of a check at strike 1e200
+    overflow), so only runs without one are held to that. The examples
+    add smoothed market values beyond the float range and malformed config
+    values, one of a key the run does not read and one a flag overrides."""
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(_edge_runs())
@@ -1860,6 +1978,13 @@ class TestCliExitContract:
               ("--maturity", "1")))
     @example(("default-prob", 1, False, (("mu0_equity", "709.0"),),
               ("--maturity", "1")))
+    @example(("filter", 2, False, (("mu0_equity", "709.0"),), ()))
+    @example(("smooth", 2, False, (("mu0_equity", "709.0"),), ()))
+    @example(("estimate", 2, False, (("mu0_equity", "709.0"),), ("--max-iter", "0")))
+    @example(("price", 2, False, (("threshold", "abc"),),
+              ("--maturity", "4", "--strike", "2.0")))
+    @example(("price", 2, False, (("maturity", "four"),),
+              ("--maturity", "4", "--strike", "2.0")))
     def test_ends_in_a_report_or_one_error_line(self, edge_panels, run):
         command, periods, fitted, overrides, flags = run
         lines = dict(line.split(" = ") for line in PRICING_CONFIG.strip().splitlines())
@@ -1881,6 +2006,8 @@ class TestCliExitContract:
         assert code in (0, 1, 2, 3)
         if code == 0:
             json.loads(out.getvalue())
+            if "--check" not in flags:
+                assert (caught, err.getvalue()) == ([], "")
             return
         # a warning would print on stderr before the error line
         assert caught == []
@@ -1890,12 +2017,13 @@ class TestCliExitContract:
 
 
 def parse_keys():
-    from privcredit.cli import _PRICING_KEYS
-    return _PRICING_KEYS
+    """The pricing commands' config keys, each with the type it parses as."""
+    from privcredit.cli import _INT_KEYS, _PRICING_KEYS
+    return {key: int if key in _INT_KEYS else float for key in _PRICING_KEYS}
 
 
 def params_from(parsed):
     """The parameters the CLI reads from a parsed config, rate_log included."""
     from privcredit.cli import _params_from_config
-    rate = float(np.log1p(float(parsed.get("rate", 0.0))))
+    rate = float(np.log1p(parsed.get("rate", 0.0)))
     return _params_from_config(parsed, rate)

@@ -60,9 +60,9 @@ REMOVED = {
     ],
     "privcredit.cli": [
         "_params_dict", "_pricing_setup",
-        "_EXIT_VALIDATION", "_EXIT_NUMERICAL", "_EXIT_NO_SOLUTION",
+        "_EXIT_VALIDATION", "_EXIT_NUMERICAL", "_EXIT_NO_SOLUTION", "_option",
     ],
-    "privcredit.io": ["_to_jsonable"],
+    "privcredit.io": ["_to_jsonable", "coerce"],
     "privcredit.model.LinearizationSchedule": [
         "asset_gain", "gain_matrix", "has_asset_constants",
         "center", "asset_center", "asset_weight", "asset_shift",
