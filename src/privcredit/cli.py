@@ -131,17 +131,20 @@ def _fit_summary(trace):
             "loglik_trace": trace.loglik}
 
 
-def _fit_or_load(cfg, series):
-    """Use configured parameters when supplied, otherwise estimate in-run
-    (the fit's trace comes back too)."""
+def _load(cfg):
+    """ln(1 + r) and the configured parameters, None when absent."""
     rate_log = _rate(cfg)
-    params = _params_from_config(cfg, rate_log)
-    estimation = trace = None
-    if params is None:
-        max_iter, tol = _em_settings(cfg)
-        params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
-        estimation = _fit_summary(trace)
-    return params, estimation, trace
+    return rate_log, _params_from_config(cfg, rate_log)
+
+
+def _fit(cfg, series, rate_log, params):
+    """Configured ``params``, or when None an in-run fit's, with the fit's
+    summary and trace (None for configured parameters)."""
+    if params is not None:
+        return params, None, None
+    max_iter, tol = _em_settings(cfg)
+    params, trace = em_fit(series, rate_log=rate_log, max_iter=max_iter, tol=tol)
+    return params, _fit_summary(trace), trace
 
 
 def cmd_simulate(args, cfg):
@@ -237,7 +240,7 @@ def cmd_estimate(args, cfg):
 
 def cmd_filter(args, cfg):
     series = _read_panel(args)
-    params, estimation, trace = _fit_or_load(cfg, series)
+    params, estimation, trace = _fit(cfg, series, *_load(cfg))
     report, filt, _ = _series_report_core(series, params, trace)
     report["filtered_multiplier_cov"] = filt.cov_m_filt
     report["predicted_growth"] = filt.b_pred[1:]
@@ -246,7 +249,7 @@ def cmd_filter(args, cfg):
 
 def cmd_smooth(args, cfg):
     series = _read_panel(args)
-    params, estimation, trace = _fit_or_load(cfg, series)
+    params, estimation, trace = _fit(cfg, series, *_load(cfg))
     report, _, smoothed = _series_report_core(series, params, trace)
     report["smoothed_multiplier_cov"] = smoothed.cov_m_smooth
     return _write(args, report, params, estimation)
@@ -281,13 +284,16 @@ def _future_payout(cfg):
 
 def _horizon_setup(series, cfg):
     """Parameters, the in-run fit's summary (None for configured ones) and
-    the pricing context over the ``series`` plus the maturity horizon."""
-    params, estimation, _ = _fit_or_load(cfg, series)
+    the pricing context over the ``series`` plus the maturity horizon. The
+    configured parameters, the maturity and the future payouts are checked
+    before an in-run fit starts."""
+    rate_log, params = _load(cfg)
     maturity = cfg.get("maturity")
     if maturity is None or maturity < 1:
         raise DataValidationError("a positive --maturity is required")
-    return params, estimation, build_pricing_context(
-        params, series, maturity, _future_payout(cfg))
+    payout = _future_payout(cfg)
+    params, estimation, _ = _fit(cfg, series, rate_log, params)
+    return params, estimation, build_pricing_context(params, series, maturity, payout)
 
 
 def _public_multiplier(cfg):

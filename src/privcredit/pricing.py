@@ -175,10 +175,13 @@ def default_probability(mu_a_real, var_a, threshold):
     """Probability the maturity asset value falls below the threshold.
 
     Real-measure asset log moments in, Φ of the standardized log distance
-    out; a zero variance degenerates to the indicator.
+    out; a zero variance degenerates to the indicator, and a negative one
+    raises :class:`DataValidationError`, as in :func:`price_options`.
     """
     if not 0 < threshold < math.inf:
         raise DataValidationError("threshold must be positive and finite")
+    if var_a < 0:
+        raise DataValidationError("variance must be nonnegative")
     log_thr = math.log(threshold)
     if var_a == 0.0:
         return 1.0 if log_thr >= mu_a_real else 0.0

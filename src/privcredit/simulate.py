@@ -7,17 +7,21 @@ ln(Vᵉ + Vˡ); the linearized value at any asset tangent follows from their
 log value pairs, so approximation error can be quantified separately from
 formula correctness.
 
-One engine (:func:`_simulate` over :func:`_periods`) runs blocks of paths on
-worker threads and returns their results in block order, each block drawing
-from its own stream, which the caller picks: a panel's block j is Philox keyed
-by the seed and jumped j times (:func:`_panel_stream`), a Monte Carlo check's
-is SFC64 seeded by the j-th child of the seed's ``SeedSequence``
-(:func:`_check_stream`), whose normals cost about 30 % less. A Monte Carlo
-check (:func:`reduce_terminal`) is one route: the worker that simulated a
-block of maturity pairs applies the asset tangent and the estimator's block
-statistic to them (:func:`option_estimator`, :func:`default_estimator`),
-and the calling thread folds the block statistics in order after the join,
-so its memory does not grow with the path count.
+One engine (:func:`_simulate`) runs blocks of paths on worker threads and
+returns their results in block order, each block drawing from its own
+stream, which the caller picks: a panel's block j is Philox keyed by the
+seed and jumped j times (:func:`_panel_stream`), a Monte Carlo check's is
+SFC64 seeded by the j-th child of the seed's ``SeedSequence``
+(:func:`_check_stream`), whose normals cost about 30 % less. A panel runs
+the per-period recursion (:func:`_periods`) on every path. A Monte Carlo
+check (:func:`reduce_terminal`) reads only the maturity pair, which is the
+noise-free mean path's end plus three Gaussian pairs, so each path draws
+three standard normal pairs whatever the horizon (:func:`_maturity_pairs`);
+the worker that drew a block applies the asset tangent and the estimator's
+block statistic to its pairs (:func:`option_estimator`,
+:func:`default_estimator`), and the calling thread folds the block
+statistics in order after the join, so its memory does not grow with the
+path count.
 """
 
 import functools
@@ -116,13 +120,13 @@ def _correlate(factor, e, row):
     return e
 
 
-def _periods(rng, state_factor, meas_factors, drift, gains, intercepts, m, log_books):
+def _periods(rng, state_factor, meas_factor, drift, gains, intercepts, m, log_books):
     """The (2, b) multiplier m′ = φ + m + r_v, log books and book growth
     g = −m′ + G_t m + c_t + r_u after each row of the (periods, 2, 1)
     ``gains`` and ``intercepts``, from the multiplier ``m`` and (2, 1) log
-    books. Each period draws b state noise pairs; a period whose entry of
-    ``meas_factors`` is a lower factor then draws b measurement noise pairs
-    r_u scaled by it, and a period whose entry is None has no r_u term.
+    books. Each period draws b state noise pairs r_v, then b measurement
+    noise pairs r_u, scaled by the lower factors; with ``rng`` None the
+    update runs without noise and gives the mean path.
 
     The update runs in place, in the operation order of the formulas, on
     buffers allocated once: ``m`` and one more multiplier buffer take turns,
@@ -130,14 +134,14 @@ def _periods(rng, state_factor, meas_factors, drift, gains, intercepts, m, log_b
     m_new, growth, noise, books = (np.empty_like(m) for _ in range(4))
     books[...] = log_books
     row = np.empty_like(m[0])
-    for gain, intercept, meas_factor in zip(gains, intercepts, meas_factors):
-        _correlate(state_factor, rng.standard_normal(out=noise), row)
+    for gain, intercept in zip(gains, intercepts):
         np.add(drift, m, out=m_new)
-        m_new += noise
+        if rng is not None:
+            m_new += _correlate(state_factor, rng.standard_normal(out=noise), row)
         np.multiply(gain, m, out=growth)
         growth -= m_new
         growth += intercept
-        if meas_factor is not None:
+        if rng is not None:
             growth += _correlate(meas_factor, rng.standard_normal(out=noise), row)
         books += growth
         m, m_new = m_new, m
@@ -210,21 +214,10 @@ def _check_stream(seed, j):
     return np.random.Generator(np.random.SFC64(seeds))
 
 
-def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              meas_factors, stream, keep):
-    """Run a simulation's blocks (:func:`_block_bounds`) on up to
-    ``_MAX_WORKERS`` threads and return their results in block order
-    (:func:`_run_blocks`); ``keep(rows, m0, periods)`` gets each block's
-    slice of paths, (2, b) start multipliers and :func:`_periods` generator,
-    which scales each period's measurement noise by that period's entry of
-    ``meas_factors`` (None: no measurement noise that period), and returns
-    the block's result, in a worker thread.
-
-    Block j draws from ``stream(seed, j)`` (:func:`_panel_stream` or
-    :func:`_check_stream`): b start pairs, then per period b state noise
-    pairs and, where the period has a measurement factor, b measurement
-    noise pairs, each pair's two normals drawn b apart, so no path depends
-    on the thread count or scheduling."""
+def _inputs(params, schedule, config, log_books0, start, init_mean, init_cov):
+    """The recursion's inputs over periods start+1..start+P: the (2, 1)
+    start mean, the start covariance, the (2, 1) drift, the (P, 2, 1) gains
+    and intercepts under ``config.measure`` and the (2, 1) log books."""
     if schedule.horizon < start + config.horizon:
         raise DataValidationError("schedule does not cover the simulation horizon")
     mean0 = params.init_mean if init_mean is None else np.asarray(init_mean, float)
@@ -233,22 +226,23 @@ def _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
         intercepts = real_intercepts(params, schedule)
     else:
         intercepts = risk_neutral_intercepts(params, schedule)
-    l0, lv = psd_cholesky(cov0), psd_cholesky(params.state_cov)
     periods = slice(start + 1, start + config.horizon + 1)
-    gains = schedule.gain[periods, :, None]
-    intercepts = intercepts[periods, :, None]
-    mean0, drift = mean0[:, None], params.drift[:, None]
-    log_books0 = np.asarray(log_books0, float)[:, None]
+    return (mean0[:, None], cov0, params.drift[:, None], schedule.gain[periods, :, None],
+            intercepts[periods, :, None], np.asarray(log_books0, float)[:, None])
+
+
+def _simulate(config, stream, block):
+    """Run ``block(rows, rng)`` for the blocks of ``config.n_paths`` paths
+    (:func:`_block_bounds`) on up to ``_MAX_WORKERS`` threads and return its
+    results in block order (:func:`_run_blocks`): ``rows`` is the block's
+    slice of paths and ``rng`` is ``stream(seed, j)`` for block j
+    (:func:`_panel_stream` or :func:`_check_stream`). Each pair of normals
+    a block draws has its two normals b apart, so no path depends on the
+    thread count or scheduling."""
     bounds = _block_bounds(config.n_paths)
-
-    def block(j):
-        lo, hi = bounds[j], bounds[j + 1]
-        rng = stream(config.seed, j)
-        m0 = mean0 + _correlate(l0, rng.standard_normal((2, hi - lo)), np.empty(hi - lo))
-        return keep(slice(lo, hi), m0, _periods(rng, lv, meas_factors, drift, gains,
-                                                intercepts, m0, log_books0))
-
-    return _run_blocks(block, len(bounds) - 1)
+    return _run_blocks(
+        lambda j: block(slice(bounds[j], bounds[j + 1]), stream(config.seed, j)),
+        len(bounds) - 1)
 
 
 def simulate_panel(params, schedule, config, log_books0, start=0,
@@ -267,30 +261,67 @@ def simulate_panel(params, schedule, config, log_books0, start=0,
         the model prior; pass a zero matrix to pin a known multiplier).
 
     The paths are drawn block by block as :func:`_simulate` describes, from
-    the Philox streams of :func:`_panel_stream`, with a measurement noise
-    pair scaled by the factor of Σ_u every period.
+    the Philox streams of :func:`_panel_stream`: a block of b paths draws b
+    start pairs, then per period b state noise pairs and b measurement
+    noise pairs (:func:`_periods`).
     """
+    mean0, cov0, drift, gains, intercepts, books0 = _inputs(
+        params, schedule, config, log_books0, start, init_mean, init_cov)
     n, P = config.n_paths, config.horizon
     mult = np.empty((n, P + 1, 2))
     growth = np.empty((n, P, 2))
     log_books = np.empty((n, P + 1, 2))
-    log_books[:, 0] = np.asarray(log_books0, float)
+    log_books[:, 0] = books0[:, 0]
+    l0, lv, lu = (psd_cholesky(c) for c in (cov0, params.state_cov, params.meas_cov))
 
-    def keep(rows, m0, periods):
+    def block(rows, rng):
+        b = rows.stop - rows.start
+        m0 = mean0 + _correlate(l0, rng.standard_normal((2, b)), np.empty(b))
         mult[rows, 0] = m0.T
-        for t, (m, books, g) in enumerate(periods, 1):
+        for t, (m, books, g) in enumerate(
+                _periods(rng, lv, lu, drift, gains, intercepts, m0, books0), 1):
             mult[rows, t] = m.T
             log_books[rows, t] = books.T
             growth[rows, t - 1] = g.T
 
-    _simulate(params, schedule, config, log_books0, start, init_mean, init_cov,
-              [psd_cholesky(params.meas_cov)] * P, _panel_stream, keep)
+    _simulate(config, _panel_stream, block)
     log_values = mult + log_books
     exact = np.logaddexp(log_values[..., 0], log_values[..., 1])
     return SimulatedPanel(
         multipliers=mult, growth=growth, log_books=log_books,
         log_values=log_values, log_asset_exact=exact,
     )
+
+
+def _maturity_factors(params, gains, cov0):
+    """Lower factors of the three noise terms of the maturity pair over the
+    (P, 2, 1) ``gains``. With d_t = G_t − 1 the recursion telescopes: the
+    pair m_P + ln B_P is m_0 + Σ_t d_t m_{t−1} + ln B_0 + Σ_t c_t + Σ_t r_u,t
+    (v_P cancels), so the start deviation L₀z₀ enters times α = 1 + Σ_t d_t,
+    the state noise v_s times w_s = Σ_{t>s} d_t for s < P, and the
+    measurement noise as its sum. The factors are diag(α) L₀, that of
+    Σ_v ∘ Σ_{s<P} w_s w_sᵀ and that of P Σ_u, from elementwise products, a
+    reverse cumulative sum and a sum over periods in period order, so no
+    BLAS kernel."""
+    tail = np.cumsum(gains[::-1, :, 0] - 1.0, axis=0)[::-1]  # row s: Σ_{t>s} d_t
+    alpha, w = 1.0 + tail[0], tail[1:]
+    weights = (w[:, :, None] * w[:, None, :]).sum(axis=0)
+    return (alpha[:, None] * psd_cholesky(cov0),
+            psd_cholesky(params.state_cov * weights),
+            psd_cholesky(gains.shape[0] * params.meas_cov))
+
+
+def _maturity_pairs(rng, b, end, factors):
+    """b maturity pairs, legs along axis 0: the (2, 1) noise-free ``end``
+    plus each of the three lower ``factors`` times a standard normal pair
+    (:func:`_correlate`), drawn in that order into one reused buffer and
+    added in that order."""
+    noise, row = np.empty((2, b)), np.empty(b)
+    start, state, meas = factors
+    pairs = end + _correlate(start, rng.standard_normal(out=noise), row)
+    pairs += _correlate(state, rng.standard_normal(out=noise), row)
+    pairs += _correlate(meas, rng.standard_normal(out=noise), row)
+    return pairs
 
 
 def reduce_terminal(params, schedule, config, log_books0, estimator,
@@ -309,50 +340,59 @@ def reduce_terminal(params, schedule, config, log_books0, estimator,
     most min(cores, 4) blocks of at most 2¹⁴ paths are in flight
     (:func:`_block_bounds`).
 
-    The measurement noise reaches the pair at horizon P only through its sum
-    Σ_t r_u ~ N(0, P Σ_u), so each path draws that sum as one pair, scaled
-    by the factor of P Σ_u, at period P: a block draws b start pairs, P
-    state noise pairs and one summed measurement pair, 2P + 4 normals a
-    path, from the SFC64 stream of :func:`_check_stream`, so even at horizon
-    1 the pairs are not a panel's. Each block keeps only its (2, b)
-    multiplier and log book state, so memory does not grow with the horizon
-    either."""
+    The pair at horizon P is exactly the noise-free mean path's end plus
+    three independent Gaussian pairs: α∘(L₀z₀), the weighted state noise
+    sum N(0, Σ_v ∘ Σ_{s<P} w_s w_sᵀ) and the measurement noise sum
+    N(0, P Σ_u), with α and the weights w_s from the gains
+    (:func:`_maturity_factors`). On the calling thread the recursion's own
+    update (:func:`_periods`) runs without noise on the (2, 1) mean; each
+    block of b paths then draws b start, b state-sum and b measurement-sum
+    pairs, 6 normals a path whatever P, from the SFC64 stream of
+    :func:`_check_stream` (:func:`_maturity_pairs`), so even at horizon 1
+    the pairs are not a panel's."""
     block, finish = estimator
-
-    def keep(rows, m0, periods):
-        for m, log_books, _ in periods:
-            pass
-        m += log_books  # the state buffers are free once the periods end
-        return block(m)
-
-    P = config.horizon
-    summed = psd_cholesky(P * params.meas_cov)
-    return finish(_simulate(params, schedule, config, log_books0, start, init_mean,
-                            init_cov, [None] * (P - 1) + [summed], _check_stream, keep))
+    mean0, cov0, drift, gains, intercepts, books0 = _inputs(
+        params, schedule, config, log_books0, start, init_mean, init_cov)
+    for m, books, _ in _periods(None, None, None, drift, gains, intercepts,
+                                mean0.copy(), books0):
+        pass
+    end, factors = m + books, _maturity_factors(params, gains, cov0)
+    return finish(_simulate(config, _check_stream, lambda rows, rng: block(
+        _maturity_pairs(rng, rows.stop - rows.start, end, factors))))
 
 
 def _moments(values):
-    """Count, sum and centred sum of squares of one block's values: the sums
-    numpy's ``mean`` and ``std(ddof=1)`` take of the same array."""
+    """Count, sum and centred sum of squares of one block's nonnegative
+    values, taken of the values over 2^e (scaled in place), e the exponent
+    of their largest (``math.frexp``), so no sum or square overflows; and
+    e. Scaling by a power of two is exact, so these are the sums numpy's
+    ``mean`` and ``std(ddof=1)`` take of the same array, over 2^e and 2^2e,
+    wherever those do not overflow or fall below the normal floats."""
+    e = math.frexp(values.max())[1]
+    values = np.ldexp(values, -e, out=values)
     total = values.sum()
     dev = values - total / values.shape[0]
     np.square(dev, out=dev)
-    return values.shape[0], float(total), float(dev.sum())
+    return values.shape[0], float(total), float(dev.sum()), e
 
 
 def _merge_moments(a, b):
-    """Moments of two blocks' values together (Chan, Golub & LeVeque 1983)."""
-    (na, sa, qa), (nb, sb, qb) = a, b
+    """Moments of two blocks' values together (Chan, Golub & LeVeque 1983),
+    over the larger of their two scales."""
+    (na, sa, qa, ea), (nb, sb, qb, eb) = a, b
+    e = max(ea, eb)
+    sa, qa = math.ldexp(sa, ea - e), math.ldexp(qa, 2 * (ea - e))
+    sb, qb = math.ldexp(sb, eb - e), math.ldexp(qb, 2 * (eb - e))
     delta = sb / nb - sa / na
-    return na + nb, sa + sb, qa + qb + delta * delta * (na * nb / (na + nb))
+    return na + nb, sa + sb, qa + qb + delta * delta * (na * nb / (na + nb)), e
 
 
 def _mean_se(moments):
-    """Mean and standard error from moments; one block's equal the mean and
-    ``std(ddof=1) / sqrt(n)`` of its values."""
-    n, total, squares = moments
+    """Mean and standard error from moments, scaled back; one block's equal
+    the mean and ``std(ddof=1) / sqrt(n)`` of its values."""
+    n, total, squares, e = moments
     se = math.sqrt(squares / (n - 1)) / math.sqrt(n) if n > 1 else math.inf
-    return total / n, se
+    return math.ldexp(total / n, e), math.ldexp(se, e)
 
 
 def option_estimator(tangent, strike, tau, rate_log):
@@ -360,11 +400,13 @@ def option_estimator(tangent, strike, tau, rate_log):
     ``tangent`` (w_a, h_a), for :func:`reduce_terminal`: a pair (block,
     finish). ``block`` applies the tangent to one block's maturity pairs
     (the simulated values meet a tangent nowhere else) and maps the log
-    asset values to the :func:`_moments` of both payoffs; ``finish`` merges
-    the blocks' moments in block order into ((call, call_se), (put,
-    put_se)). They must be simulated under the risk-neutral measure for
-    prices to be meaningful. Up to 2¹² paths (one block) these are the mean
-    and ``std(ddof=1) / sqrt(n)`` of the payoffs."""
+    asset values to the :func:`_moments` of both payoffs, each taken over a
+    power of two near the block's largest payoff, so a strike or asset
+    value whose square is beyond the float range does not overflow them;
+    ``finish`` merges the blocks' moments in block order into ((call,
+    call_se), (put, put_se)). They must be simulated under the risk-neutral
+    measure for prices to be meaningful. Up to 2¹² paths (one block) these
+    are the mean and ``std(ddof=1) / sqrt(n)`` of the payoffs."""
     if not 0 <= strike < np.inf:
         raise DataValidationError("strike must be nonnegative and finite")
     w_a, h_a = tangent

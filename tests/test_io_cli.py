@@ -1759,6 +1759,84 @@ class TestCliPricing:
         assert (code, *capsys.readouterr()) == (
             1, "", "error: price requires --strike (debt nominal)\n")
 
+    @pytest.mark.parametrize("command", [
+        "forecast", "price", "default-prob", "calibrate-threshold",
+    ])
+    @pytest.mark.parametrize("missing", ["maturity", "payout_future"])
+    def test_horizon_inputs_are_checked_before_the_in_run_fit(
+        self, tmp_path, panel_csv, monkeypatch, capsys, command, missing
+    ):
+        from privcredit import cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("em_fit ran")
+
+        monkeypatch.setattr(cli, "em_fit", no_fit)
+        text, flags = "rate = 0.0101\n", ["--maturity", "4"]
+        if missing == "maturity":
+            text += "payout_future_equity = 0.25\npayout_future_liability = 0.25\n"
+            flags = []
+        if command == "price":
+            flags += ["--strike", "2.0"]
+        code = main([command, "--input", str(panel_csv), *flags,
+                     "--config", str(self._pricing_cfg(tmp_path, text=text))])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        if missing == "maturity":
+            assert err == "error: a positive --maturity is required\n"
+        else:
+            assert err.startswith("error: pricing horizons past the sample need")
+
+    @pytest.mark.parametrize("command", ["price", "default-prob"])
+    def test_variance_rounded_below_zero_is_an_error_line(
+        self, tmp_path, capsys, command
+    ):
+        # with no start or measurement noise on the equity leg and μ₀ = 709,
+        # the filtered equity variance rounds to about −3e-22, and the
+        # tangent puts all its weight there; default-prob once raised a
+        # math domain error in sqrt where price names the negative variance
+        sim = tmp_path / "sim.cfg"
+        sim.write_text(SIM_CONFIG.replace("periods = 24", "periods = 2")
+                       .replace("seed = 7", "seed = 3"))
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(sim), "--output", str(panel)]) == 0
+        text = (PRICING_CONFIG.replace("mu0_equity = 0.25", "mu0_equity = 709.0")
+                .replace("sigma0_equity = 0.14", "sigma0_equity = 0.0")
+                .replace("sigma_u_equity = 0.05", "sigma_u_equity = 0.0"))
+        extra = ["--strike", "2.0"] if command == "price" else []
+        capsys.readouterr()
+        code = main([command, "--input", str(panel), "--maturity", "1", *extra,
+                     "--config", str(self._pricing_cfg(
+                         tmp_path, text=text + "threshold = 1e-300\n"))])
+        assert (code, *capsys.readouterr()) == (
+            1, "", "error: variance must be nonnegative\n")
+
+    @pytest.mark.parametrize("maturity", ["3", "8", "20"])
+    def test_strike_near_the_float_range_checks_without_overflow(
+        self, tmp_path, maturity
+    ):
+        # every put pays about the discounted strike, 1e200, whose square
+        # is beyond the float range: the block moments are taken over a
+        # power of two near the largest payoff, so the standard error
+        # stays finite and nothing warns (z may still read the rounding at
+        # the strike's scale as a miss)
+        sim = tmp_path / "sim.cfg"
+        sim.write_text(SIM_CONFIG.replace("periods = 24", "periods = 2"))
+        panel = tmp_path / "panel.csv"
+        assert main(["simulate", "--config", str(sim), "--output", str(panel)]) == 0
+        out, err = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+              warnings.catch_warnings(record=True) as caught):
+            warnings.simplefilter("always")
+            code = main(["price", "--input", str(panel), "--maturity", maturity,
+                         "--config", str(self._pricing_cfg(tmp_path)),
+                         "--strike", "1e200", "--check", "mc", "--paths", "5000"])
+        assert (code, caught, err.getvalue()) == (0, [], "")
+        check = json.loads(out.getvalue())["mc_check"]
+        assert 0.0 < check["put_se"] < math.inf
+        assert check["put_mc"] == pytest.approx(
+            json.loads(out.getvalue())["private"]["put"], rel=1e-12)
+
     def test_infeasible_parameters_exit_numerical(self, tmp_path, panel_csv):
         # deeply negative required return pushes the expected payout above
         # the expected value: the linearization cannot be built
@@ -1966,11 +2044,12 @@ def edge_panels(tmp_path_factory):
 class TestCliExitContract:
     """Every valid command line ends in a JSON report (exit 0) or in one
     typed error line (exit 1, 2 or 3), never in a traceback, and an exit-0
-    run warns of nothing. A Monte Carlo check may still warn at exit 0
-    (ROADMAP item 4: the centred squares of a check at strike 1e200
-    overflow), so only runs without one are held to that. The examples
-    add smoothed market values beyond the float range and malformed config
-    values, one of a key the run does not read and one a flag overrides."""
+    run, a Monte Carlo check included, warns of nothing and leaves stderr
+    empty. The examples add smoothed market values beyond the float range,
+    malformed config values, one of a key the run does not read and one a
+    flag overrides, and checks whose payoffs' squares or sums are beyond the
+    float range (a put at strike 1e200, a call on asset values near the
+    largest float)."""
 
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(_edge_runs())
@@ -1985,6 +2064,11 @@ class TestCliExitContract:
               ("--maturity", "4", "--strike", "2.0")))
     @example(("price", 2, False, (("maturity", "four"),),
               ("--maturity", "4", "--strike", "2.0")))
+    @example(("price", 2, False, (), ("--maturity", "3", "--strike", "1e200",
+                                       "--check", "mc", "--paths", "5000")))
+    @example(("price", 40, False, (("mu0_equity", "710.0"), ("mu0_liability", "710.0"),
+                                   ("sigma_u_equity", "0.05"), ("rho0", "1.0")),
+              ("--maturity", "23", "--strike", "1e-300", "--check", "mc", "--paths", "5000")))
     def test_ends_in_a_report_or_one_error_line(self, edge_panels, run):
         command, periods, fitted, overrides, flags = run
         lines = dict(line.split(" = ") for line in PRICING_CONFIG.strip().splitlines())
@@ -2006,8 +2090,7 @@ class TestCliExitContract:
         assert code in (0, 1, 2, 3)
         if code == 0:
             json.loads(out.getvalue())
-            if "--check" not in flags:
-                assert (caught, err.getvalue()) == ([], "")
+            assert (caught, err.getvalue()) == ([], "")
             return
         # a warning would print on stderr before the error line
         assert caught == []

@@ -688,6 +688,11 @@ class TestDefaultProbability:
         with pytest.raises(DataValidationError):
             default_probability(0.0, 0.04, threshold)
 
+    def test_rejects_negative_variance(self):
+        # as price_options does, instead of a math domain error in sqrt
+        with pytest.raises(DataValidationError, match="variance must be nonnegative"):
+            default_probability(0.0, -3e-22, 1.5)
+
     def test_zero_variance_indicator(self):
         assert default_probability(0.0, 0.0, 1.5) == 1.0
         assert default_probability(1.0, 0.0, 1.5) == 0.0

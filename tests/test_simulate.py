@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -99,10 +100,11 @@ def float_paths(params, sched, intercepts, start, m, books, shocks):
     return mults, growth, log_books
 
 
-def float_scaler(cov):
-    """(e0, e1) ↦ L (e0, e1) in Python floats for the lower Cholesky factor
-    L of cov."""
+def float_scaler(cov, scale=(1.0, 1.0)):
+    """(e0, e1) ↦ diag(scale) L (e0, e1) in Python floats for the lower
+    Cholesky factor L of cov."""
     (l11, _), (l21, l22) = psd_cholesky(cov).tolist()
+    l11, l21, l22 = scale[0] * l11, scale[1] * l21, scale[1] * l22
     return lambda e0, e1: [l11 * e0, l21 * e0 + l22 * e1]
 
 
@@ -119,25 +121,55 @@ def check_stream(seed, j):
 
 def float_check_ends(params, sched, intercepts, start, m0, cov0, P, seed, bounds):
     """Maturity log value pairs of a Monte Carlo check in Python floats, the
-    paths split at ``bounds``: block j draws from its check stream b start
-    pairs, P state noise pairs and one measurement pair scaled by the
-    factor of P Σ_u."""
-    start_scale, state_scale = float_scaler(cov0), float_scaler(params.state_cov)
-    summed_scale = float_scaler(P * params.meas_cov)
+    paths split at ``bounds``. The noise-free path from ``m0`` ends at a
+    pair e; with d_t = G_t − 1 over periods start+1..start+P, α = 1 + Σ_t d_t
+    and w_s = Σ_{t>s} d_t for s = 1..P−1, block j draws from its check
+    stream b start pairs, b state-sum pairs and b measurement-sum pairs,
+    scaled by diag(α) L₀, the factor of Σ_v ∘ Σ_s w_s w_sᵀ and that of
+    P Σ_u, and adds them to e in that order."""
+    mults, _, books = float_paths(params, sched, intercepts, start, m0, LB0.tolist(),
+                                  [([0.0, 0.0], None)] * P)
+    end = [mults[-1][k] + books[-1][k] for k in range(2)]
+    tail, tails = [0.0, 0.0], []
+    for gain in reversed(sched.gain[start + 1 : start + P + 1].tolist()):
+        tail = [tail[k] + (gain[k] - 1.0) for k in range(2)]
+        tails.insert(0, tail)
+    weights = [[0.0, 0.0], [0.0, 0.0]]
+    for w in tails[1:]:
+        weights = [[weights[i][k] + w[i] * w[k] for k in range(2)] for i in range(2)]
+    state_cov = params.state_cov.tolist()
+    scalers = (
+        float_scaler(cov0, [1.0 + tails[0][k] for k in range(2)]),
+        float_scaler([[state_cov[i][k] * weights[i][k] for k in range(2)] for i in range(2)]),
+        float_scaler(P * params.meas_cov),
+    )
     ends = []
     for j, b in enumerate(np.diff(bounds).tolist()):
         rng = check_stream(seed, j)
-        z0 = rng.standard_normal((2, b)).tolist()
-        state = [rng.standard_normal((2, b)).tolist() for _ in range(P)]
-        summed = rng.standard_normal((2, b)).tolist()
+        draws = [rng.standard_normal((2, b)).tolist() for _ in scalers]
         for i in range(b):
-            z = start_scale(z0[0][i], z0[1][i])
-            shocks = [(state_scale(v[0][i], v[1][i]), None) for v in state]
-            shocks[-1] = (shocks[-1][0], summed_scale(summed[0][i], summed[1][i]))
-            mults, _, books = float_paths(params, sched, intercepts, start,
-                                          [m0[0] + z[0], m0[1] + z[1]], LB0.tolist(), shocks)
-            ends.append([mults[-1][k] + books[-1][k] for k in range(2)])
+            pair = end
+            for scaler, z in zip(scalers, draws):
+                noise = scaler(z[0][i], z[1][i])
+                pair = [pair[k] + noise[k] for k in range(2)]
+            ends.append(pair)
     return ends
+
+
+def assert_closed_form_pair_moments(pair, ctx, measure):
+    """From the origin posterior (m, P) the maturity log value pair is
+    Gaussian with mean α m + β + ln B_t and covariance cov + α P αᵀ; the
+    (n, 2) simulated ``pair`` must match both within 4 standard errors."""
+    n = pair.shape[0]
+    mean, cov = ctx.posterior(measure)
+    alpha = ctx.moments.alpha
+    pair_mean = alpha @ mean + ctx.moments.beta(measure) + ctx.log_books[ctx.origin]
+    pair_cov = ctx.moments.cov + alpha @ cov @ alpha.T
+    var_pair = np.diag(pair_cov)
+    np.testing.assert_array_less(
+        np.abs(pair.mean(axis=0) - pair_mean), 4 * np.sqrt(var_pair / n))
+    se_cov = np.sqrt((np.outer(var_pair, var_pair) + pair_cov**2) / n)
+    np.testing.assert_array_less(np.abs(np.cov(pair.T) - pair_cov), 4 * se_cov)
 
 
 def force_cores(monkeypatch, cores):
@@ -227,6 +259,24 @@ class TestSimulatePanel:
                 np.abs(sample.mean(axis=0) - (params.init_mean + t * params.drift)),
                 3 * se,
             )
+
+    @pytest.mark.parametrize("measure", ["real", "risk_neutral"])
+    def test_maturity_pairs_match_closed_form(self, params, measure):
+        # the per-period recursion, every period's state and measurement
+        # noise drawn, reaches the closed-form maturity pair moments; the
+        # Monte Carlo check draws only the pair's three noise sums, so this
+        # is where the recursion itself meets the horizon algebra
+        series, _, _ = synthetic_series(params, 10, seed=42)
+        ctx = build_pricing_context(
+            params, series, 12, payout_future=np.log([0.25, 0.25])
+        )
+        mean, cov = ctx.posterior(measure)
+        panel = simulate_panel(
+            params, ctx.schedule, SimConfig(40_000, ctx.tau, 2025, measure=measure),
+            ctx.log_books[ctx.origin], start=ctx.origin, init_mean=mean, init_cov=cov,
+        )
+        assert panel.log_values.shape == (40_000, 13, 2)
+        assert_closed_form_pair_moments(panel.log_values[:, -1], ctx, measure)
 
     def test_one_step_conditional_moments(self, params):
         # pinned start: simulated one-step moments equal the recursion's
@@ -388,14 +438,7 @@ class TestSimulateTerminal:
             params, ctx.schedule, SimConfig(n, ctx.tau, 2024, measure=measure),
             ctx.log_books[ctx.origin], start=ctx.origin, init_mean=mean, init_cov=cov,
         )
-        alpha = ctx.moments.alpha
-        pair_mean = alpha @ mean + ctx.moments.beta(measure) + ctx.log_books[ctx.origin]
-        pair_cov = ctx.moments.cov + alpha @ cov @ alpha.T
-        var_pair = np.diag(pair_cov)
-        np.testing.assert_array_less(
-            np.abs(pair.mean(axis=0) - pair_mean), 4 * np.sqrt(var_pair / n))
-        se_cov = np.sqrt((np.outer(var_pair, var_pair) + pair_cov**2) / n)
-        np.testing.assert_array_less(np.abs(np.cov(pair.T) - pair_cov), 4 * se_cov)
+        assert_closed_form_pair_moments(pair, ctx, measure)
         sample = _linearized_log_asset(pair, *ctx.tangent)
         mu, var = ctx.asset_moments(measure)
         assert abs(sample.mean() - mu) < 4 * np.sqrt(var / n)
@@ -444,19 +487,21 @@ class TestSimulateTerminal:
     @pytest.mark.parametrize("name", ["reduce_terminal", "simulate_panel"])
     def test_block_error_reaches_the_caller(self, params, monkeypatch, capfd, name):
         # the barrier holds each of the four workers to one block, so three
-        # blocks fail off the calling thread
+        # blocks fail off the calling thread; the hook is the block code, the
+        # per-period recursion of a panel and the maturity draw of a check
         sched = toy_schedule(params, 2)
         cfg = SimConfig(3 * _BLOCK_PATHS + 5, 2, seed=1)
         barrier = threading.Barrier(_MAX_WORKERS, timeout=30)
-        periods = sim._periods
+        hook = "_maturity_pairs" if name == "reduce_terminal" else "_periods"
+        block_code = getattr(sim, hook)
 
         def failing(*args):
             barrier.wait()
             if threading.current_thread() is not threading.main_thread():
                 raise DataValidationError("block failed")
-            return periods(*args)
+            return block_code(*args)
 
-        monkeypatch.setattr(sim, "_periods", failing)
+        monkeypatch.setattr(sim, hook, failing)
         force_cores(monkeypatch, 64)
         threads = threading.active_count()
         with pytest.raises(DataValidationError, match="block failed"):
@@ -503,8 +548,8 @@ class TestNoiseFactor:
         # kernel is bound to; five paths forced into blocks of 2, 2 and 1,
         # on threads. A panel block draws from jumped Philox per period a
         # state and a measurement pair; a terminal block draws from its
-        # check stream P state pairs, then one measurement pair scaled by
-        # the factor of P Σ_u
+        # check stream a start, a state-sum and a measurement-sum pair per
+        # path and adds them to the noise-free path's end
         sched = toy_schedule(params, 7)
         start, P, seed = 1, 5, 17
         m0, cov0 = [0.3, 0.05], 0.5 * params.init_cov
@@ -719,6 +764,28 @@ class TestMonteCarloEstimators:
         assert len(bounds) == 17
         estimator = option_estimator(tangent, strike, tau, rate)
         assert over_blocks(estimator, pairs) == tuple(expected)
+
+    def test_block_moments_scale_by_powers_of_two(self):
+        # each block's moments are over a power of two near its largest
+        # value: values 2⁷⁰⁰ larger, whose squares are beyond the float
+        # range, give the same estimate 2⁷⁰⁰ larger, exactly; blocks whose
+        # scales differ by 2⁸⁰ merge to the whole-array mean and std
+        values = np.random.default_rng(8).uniform(0.0, 3.0, 20_000)
+        bounds = _block_bounds(values.shape[0])
+
+        def estimate(v):
+            blocks = [sim._moments(v[lo:hi].copy()) for lo, hi in zip(bounds, bounds[1:])]
+            return sim._mean_se(functools.reduce(sim._merge_moments, blocks))
+
+        mean, se = estimate(values)
+        assert estimate(np.ldexp(values, 700)) == (math.ldexp(mean, 700),
+                                                   math.ldexp(se, 700))
+        mixed = values.copy()
+        mixed[bounds[1]:bounds[2]] *= 2.0**80
+        mean, se = estimate(mixed)
+        assert mean == pytest.approx(mixed.mean(), rel=1e-13)
+        assert se == pytest.approx(mixed.std(ddof=1) / math.sqrt(mixed.shape[0]),
+                                   rel=1e-13)
 
     def test_default_frequency_limits(self, params):
         sched = toy_schedule(params, 3)

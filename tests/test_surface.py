@@ -61,6 +61,7 @@ REMOVED = {
     "privcredit.cli": [
         "_params_dict", "_pricing_setup",
         "_EXIT_VALIDATION", "_EXIT_NUMERICAL", "_EXIT_NO_SOLUTION", "_option",
+        "_fit_or_load",
     ],
     "privcredit.io": ["_to_jsonable", "coerce"],
     "privcredit.model.LinearizationSchedule": [
